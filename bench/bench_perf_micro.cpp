@@ -12,18 +12,17 @@
 // pool-sharded hot paths (lidar.voxelize, lidar.ae_reconstruct,
 // fed.round) at 1 thread and at 4 threads and writes serial-vs-parallel
 // p50/p95 latencies plus speedups to the given JSON file.
-// With S2A_BENCH_KERNELS=<out.json> it times the GEMM conv path against
-// the naive-loop oracle (single-threaded), the int8 quantized
-// reconstruct against the float path, and the raw nn::gemm shapes the
+// With S2A_BENCH_KERNELS=<out.json> it times the float autoencoder
+// reconstruct (single-threaded), the int8 quantized reconstruct against
+// it, and the raw nn::gemm shapes the
 // autoencoder runs — swept once per compiled-in SIMD kernel (scalar,
 // avx2, ...) with speedups vs the scalar oracle — and writes
 // BENCH_kernels.json. Every report header and JSON payload records the
 // detected CPU features and the SIMD kernel the dispatcher selected.
 // With S2A_BENCH_TRAIN=<out.json> it times the *training* hot paths:
-// one autoencoder pretrain step under the GEMM backward kernels vs the
-// naive oracle (single-threaded, fresh identically-seeded models per
-// backend), plus one federated client update, and writes
-// BENCH_train.json.
+// one autoencoder pretrain step under the GEMM backward kernels
+// (single-threaded, a fresh seeded model), plus one federated client
+// update, and writes BENCH_train.json.
 // With S2A_BENCH_FLEET=<out.json> it times the execution engines: a
 // 64-loop fleet on a 4-slot pool vs the serial one-loop-at-a-time
 // baseline, the pipelined single-loop engine vs the synchronous one,
@@ -78,7 +77,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
-#include "nn/quant.hpp"
 #include "nn/sequential.hpp"
 #include "util/cpu_features.hpp"
 #include "util/finite.hpp"
@@ -457,6 +455,10 @@ struct HotPathFixtures {
   // 1000-client tree (value-initialized by the aggregate init below,
   // filled at the end of make()).
   std::unique_ptr<FedScaleFixture> fed_hier;
+  // lidar.ae_reconstruct_int8: a quantized twin of `ae` built from the
+  // same seed (so the same initial weights). `ae` itself stays float:
+  // lidar.ae_pretrain_step trains it.
+  std::unique_ptr<lidar::OccupancyAutoencoder> ae_int8;
 
   static HotPathFixtures make() {
     // lidar.voxelize: a 360x32 scan (11520 returns) is well above the
@@ -473,6 +475,7 @@ struct HotPathFixtures {
     // lidar.ae_reconstruct: default 48x48 grid keeps the conv/deconv
     // MACs above the inline threshold.
     lidar::AutoencoderConfig ac;
+    Rng ae_int8_rng = rng;
     lidar::OccupancyAutoencoder ae(ac, rng);
     nn::Tensor bev =
         nn::Tensor::randn({1, ac.grid.nz, ac.grid.ny, ac.grid.nx}, rng);
@@ -499,7 +502,7 @@ struct HotPathFixtures {
                        std::vector<bool>{},
                        {},              {},
                        {},              nullptr,
-                       nullptr};
+                       nullptr,         nullptr};
 
     // lidar.ae_pretrain_step: sparse occupancy target (~6% occupied),
     // masked input keeping ~10% of sensed voxels.
@@ -528,10 +531,9 @@ struct HotPathFixtures {
     for (auto& v : fx.gemm_b) v = rng.uniform(-1.0, 1.0);
     fx.gemm_arena = std::make_unique<util::ScratchArena>();
 
-    // lidar.ae_reconstruct_int8: int8 snapshot of the same autoencoder.
-    // The float workloads are unaffected — the snapshot only engages
-    // while the quant backend resolves to int8.
-    fx.ae.quantize();
+    fx.ae_int8 =
+        std::make_unique<lidar::OccupancyAutoencoder>(fx.ac, ae_int8_rng);
+    fx.ae_int8->quantize();
 
     // fed.hier_round_1k: the 1k point of the S2A_BENCH_FED_SCALE sweep
     // under the constrained-uplink configuration.
@@ -567,9 +569,7 @@ struct HotPathFixtures {
                        fc.lr, client_rng));
                  }});
     w.push_back({"lidar.ae_reconstruct_int8", 30, [this] {
-                   nn::set_quant_backend(nn::QuantBackend::kInt8);
-                   benchmark::DoNotOptimize(ae.reconstruct(bev));
-                   nn::set_quant_backend(nn::QuantBackend::kAuto);
+                   benchmark::DoNotOptimize(ae_int8->reconstruct(bev));
                  }});
     w.push_back({"core.offload_tick", 60,
                  [fx = std::make_shared<OffloadTickFixture>()] {
@@ -646,12 +646,10 @@ int run_parallel_report(const char* out_path) {
 
 // ---- Kernel report (S2A_BENCH_KERNELS=<out.json>) ----
 //
-// Times lidar.ae_reconstruct single-threaded under the GEMM conv backend
-// and under the naive-loop oracle, the same reconstruct under the int8
-// quantized path, plus the raw nn::gemm shapes the autoencoder's
-// conv/deconv layers reduce to (deconvs as their per-phase compact
-// GEMMs). The float reconstruct numbers are bit-exact equal in output —
-// the speedup is pure kernel efficiency. The gemm shapes are swept once
+// Times lidar.ae_reconstruct single-threaded on the float GEMM path and
+// on the int8 quantized path, plus the raw nn::gemm shapes the
+// autoencoder's conv/deconv layers reduce to (deconvs as their
+// per-phase compact GEMMs). The gemm shapes are swept once
 // per compiled-in SIMD ISA (via set_simd_isa), recording each vector
 // kernel's p50 speedup over the always-available scalar oracle.
 int run_kernels_report(const char* out_path) {
@@ -660,26 +658,15 @@ int run_kernels_report(const char* out_path) {
   const int reps = 60;
   print_cpu_banner();
 
-  nn::set_conv_backend(nn::ConvBackend::kGemm);
   const Percentiles gemm_path = percentiles(time_reps(
       reps, [&] { benchmark::DoNotOptimize(fx.ae.reconstruct(fx.bev)); }));
-  nn::set_conv_backend(nn::ConvBackend::kNaive);
-  const Percentiles naive_path = percentiles(time_reps(
-      reps, [&] { benchmark::DoNotOptimize(fx.ae.reconstruct(fx.bev)); }));
-  nn::set_conv_backend(nn::ConvBackend::kAuto);
-  const double speedup =
-      gemm_path.p50_ms > 0.0 ? naive_path.p50_ms / gemm_path.p50_ms : 0.0;
-  printf("lidar.ae_reconstruct   gemm p50 %8.3f ms p95 %8.3f ms | naive p50 %8.3f ms p95 %8.3f ms | speedup %.2fx\n",
-         gemm_path.p50_ms, gemm_path.p95_ms, naive_path.p50_ms,
-         naive_path.p95_ms, speedup);
 
-  // Int8 path over the identical reconstruct (fx.ae was quantized in
-  // make()); the accuracy side of this trade lives in the frontier
-  // section of bench_table2_lidar_energy.
-  nn::set_quant_backend(nn::QuantBackend::kInt8);
-  const Percentiles int8_path = percentiles(time_reps(
-      reps, [&] { benchmark::DoNotOptimize(fx.ae.reconstruct(fx.bev)); }));
-  nn::set_quant_backend(nn::QuantBackend::kAuto);
+  // Int8 path over the identical reconstruct (fx.ae_int8 is the
+  // quantized twin of fx.ae); the accuracy side of this trade lives in
+  // the frontier section of bench_table2_lidar_energy.
+  const Percentiles int8_path = percentiles(time_reps(reps, [&] {
+    benchmark::DoNotOptimize(fx.ae_int8->reconstruct(fx.bev));
+  }));
   const double int8_speedup =
       int8_path.p50_ms > 0.0 ? gemm_path.p50_ms / int8_path.p50_ms : 0.0;
   printf("lidar.ae_reconstruct  float p50 %8.3f ms p95 %8.3f ms |  int8 p50 %8.3f ms p95 %8.3f ms | speedup %.2fx\n",
@@ -752,11 +739,8 @@ int run_kernels_report(const char* out_path) {
       << "\",\n  \"simd\": \"" << active_simd_name()
       << "\",\n  \"ae_reconstruct\": {\n"
       << "    \"gemm\": {\"p50_ms\": " << gemm_path.p50_ms
-      << ", \"p95_ms\": " << gemm_path.p95_ms << "},\n"
-      << "    \"naive\": {\"p50_ms\": " << naive_path.p50_ms
-      << ", \"p95_ms\": " << naive_path.p95_ms << "},\n"
-      << "    \"p50_speedup\": " << speedup
-      << "\n  },\n  \"ae_reconstruct_int8\": {\n"
+      << ", \"p95_ms\": " << gemm_path.p95_ms
+      << "}\n  },\n  \"ae_reconstruct_int8\": {\n"
       << "    \"float\": {\"p50_ms\": " << gemm_path.p50_ms
       << ", \"p95_ms\": " << gemm_path.p95_ms << "},\n"
       << "    \"int8\": {\"p50_ms\": " << int8_path.p50_ms
@@ -803,37 +787,23 @@ int run_kernels_report(const char* out_path) {
 // ---- Training report (S2A_BENCH_TRAIN=<out.json>) ----
 //
 // Times one autoencoder pretrain step (forward + BCE + GEMM backward +
-// Adam) single-threaded under the GEMM kernels and under the naive
-// oracle. Each backend gets a fresh model from the same seed so both
-// time identical weight trajectories; the gradients agree bit-for-bit
-// between the backends, so the speedup is pure kernel efficiency. Also
-// times one federated client update (local_train, backend-independent —
-// the federated MLP is hand-rolled).
+// Adam) single-threaded on a fresh seeded model, and one federated
+// client update (local_train; the federated MLP is hand-rolled).
 int run_train_report(const char* out_path) {
   HotPathFixtures fx = HotPathFixtures::make();
   util::ScopedGlobalThreads threads(1);
   const int reps = 25;
   print_cpu_banner();
 
-  const auto time_backend = [&](nn::ConvBackend backend) {
-    nn::set_conv_backend(backend);
-    Rng rng(7);  // same seed per backend -> identical initial weights
-    lidar::OccupancyAutoencoder ae(fx.ac, rng);
-    nn::Adam opt(1e-3);
-    opt.attach(ae.params(), ae.grads());
-    return percentiles(time_reps(reps, [&] {
-      benchmark::DoNotOptimize(
-          ae.train_step(fx.ae_masked, fx.ae_target, opt));
-    }));
-  };
-  const Percentiles gemm_path = time_backend(nn::ConvBackend::kGemm);
-  const Percentiles naive_path = time_backend(nn::ConvBackend::kNaive);
-  nn::set_conv_backend(nn::ConvBackend::kAuto);
-  const double speedup =
-      gemm_path.p50_ms > 0.0 ? naive_path.p50_ms / gemm_path.p50_ms : 0.0;
-  printf("lidar.ae_pretrain_step gemm p50 %8.3f ms p95 %8.3f ms | naive p50 %8.3f ms p95 %8.3f ms | speedup %.2fx\n",
-         gemm_path.p50_ms, gemm_path.p95_ms, naive_path.p50_ms,
-         naive_path.p95_ms, speedup);
+  Rng rng(7);
+  lidar::OccupancyAutoencoder ae(fx.ac, rng);
+  nn::Adam opt(1e-3);
+  opt.attach(ae.params(), ae.grads());
+  const Percentiles gemm_path = percentiles(time_reps(reps, [&] {
+    benchmark::DoNotOptimize(ae.train_step(fx.ae_masked, fx.ae_target, opt));
+  }));
+  printf("lidar.ae_pretrain_step gemm p50 %8.3f ms p95 %8.3f ms\n",
+         gemm_path.p50_ms, gemm_path.p95_ms);
 
   const Percentiles fed = percentiles(time_reps(60, [&] {
     federated::MlpParams local = fx.fed_global;
@@ -855,10 +825,7 @@ int run_train_report(const char* out_path) {
       << "\",\n  \"simd\": \"" << active_simd_name()
       << "\",\n  \"ae_pretrain_step\": {\n"
       << "    \"gemm\": {\"p50_ms\": " << gemm_path.p50_ms
-      << ", \"p95_ms\": " << gemm_path.p95_ms << "},\n"
-      << "    \"naive\": {\"p50_ms\": " << naive_path.p50_ms
-      << ", \"p95_ms\": " << naive_path.p95_ms << "},\n"
-      << "    \"p50_speedup\": " << speedup << "\n  },\n"
+      << ", \"p95_ms\": " << gemm_path.p95_ms << "}\n  },\n"
       << "  \"fed_client_update\": {\"p50_ms\": " << fed.p50_ms
       << ", \"p95_ms\": " << fed.p95_ms << "}\n}\n";
   printf("Wrote training report to %s\n", out_path);

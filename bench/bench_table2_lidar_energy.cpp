@@ -23,10 +23,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "lidar/pipeline.hpp"
 #include "nn/gemm.hpp"
-#include "nn/quant.hpp"
 #include "sim/scene.hpp"
 #include "util/cpu_features.hpp"
 #include "util/stats.hpp"
@@ -104,36 +105,38 @@ int main() {
 
   // ---- Energy/accuracy frontier: float vs int8 inference ----
   //
-  // Quantize the trained autoencoder and re-sense fresh scenes under
-  // both reconstruction paths. Copying the Rng before each sense() gives
-  // the float and int8 paths byte-identical beam plans and point clouds,
-  // so the IoU delta is purely quantization error and the energy delta
-  // is purely the fp32-MAC vs int8-MAC billing (kJoulesPerFlop vs
-  // kJoulesPerInt8Mac).
-  pipe.autoencoder().quantize();
+  // Sense fresh scenes with the trained float autoencoder, then quantize
+  // it and re-sense the same scenes. Replaying the Rng copy taken before
+  // each float sense() gives the int8 leg byte-identical beam plans and
+  // point clouds, so the IoU delta is purely quantization error and the
+  // energy delta is purely the fp32-MAC vs int8-MAC billing
+  // (kJoulesPerFlop vs kJoulesPerInt8Mac).
+  struct FrontierTrial {
+    sim::Scene scene;
+    Rng sense_rng;               // state before the float sense()
+    lidar::VoxelGrid full_scan;  // the conventional scan's occupancy
+  };
+  std::vector<FrontierTrial> frontier;
   RunningStat conv_e, float_e, float_recon_e, float_f_iou;
   RunningStat int8_e, int8_recon_e, int8_f_iou;
   const int frontier_trials = 8;
   for (int i = 0; i < frontier_trials; ++i) {
-    const sim::Scene scene = sim::generate_scene(sim::SceneConfig{}, rng);
+    sim::Scene scene = sim::generate_scene(sim::SceneConfig{}, rng);
     const auto conv = pipe.sense_conventional(scene, rng);
-    // Pin each leg's backend explicitly (not kAuto) so an ambient
-    // S2A_QUANT=1 can't collapse the float point onto the int8 one.
-    nn::set_quant_backend(nn::QuantBackend::kFloat);
-    Rng float_rng = rng;
-    const auto fgen = pipe.sense(scene, float_rng);
-    nn::set_quant_backend(nn::QuantBackend::kInt8);
-    Rng int8_rng = rng;
-    const auto qgen = pipe.sense(scene, int8_rng);
-    nn::set_quant_backend(nn::QuantBackend::kAuto);
-    rng = int8_rng;  // both paths consumed the same draws; advance once
+    const Rng sense_rng = rng;
+    const auto fgen = pipe.sense(scene, rng);
     conv_e.add(conv.energy.total_energy_j());
     float_e.add(fgen.energy.total_energy_j());
     float_recon_e.add(fgen.energy.reconstruction_energy_j);
     float_f_iou.add(fgen.reconstructed.iou(conv.sensed));
+    frontier.push_back({std::move(scene), sense_rng, conv.sensed});
+  }
+  pipe.autoencoder().quantize();
+  for (FrontierTrial& t : frontier) {
+    const auto qgen = pipe.sense(t.scene, t.sense_rng);
     int8_e.add(qgen.energy.total_energy_j());
     int8_recon_e.add(qgen.energy.reconstruction_energy_j);
-    int8_f_iou.add(qgen.reconstructed.iou(conv.sensed));
+    int8_f_iou.add(qgen.reconstructed.iou(t.full_scan));
   }
 
   std::cout << "\nEnergy/accuracy frontier (mean over " << frontier_trials

@@ -107,11 +107,15 @@ run_coverage() {
 }
 
 run_docs() {
-  echo "==> docs consistency: every S2A_* env var read in the tree is documented"
-  # Every getenv("S2A_...") in src/bench/examples must appear in README.md
-  # or docs/ — undocumented knobs are how the manuals drift.
-  local missing=0
-  local vars
+  echo "==> docs consistency: S2A_* env vars read in the tree <-> documented"
+  # Both directions, so the manuals cannot drift either way:
+  #  1. every getenv("S2A_...") in the tree appears in README.md or docs/;
+  #  2. every `S2A_*` row of README's env table names a variable something
+  #     reads: a quoted "S2A_..." literal in the C++/Python sources (which
+  #     also catches env_double("S2A_...")-style helpers), or the bare
+  #     name in scripts/ (which catches ${S2A_...}).
+  local missing=0 stale=0
+  local vars rows
   vars="$(grep -rhoE 'getenv\("S2A_[A-Z0-9_]+"\)' src bench examples tests 2>/dev/null \
           | sed -E 's/getenv\("([^"]+)"\)/\1/' | sort -u)"
   for var in $vars; do
@@ -120,11 +124,20 @@ run_docs() {
       missing=1
     fi
   done
-  if [[ "$missing" != 0 ]]; then
+  rows="$(grep -oE '^\| `S2A_[A-Z0-9_]+`' README.md | sed -E 's/^\| `([^`]+)`/\1/' | sort -u)"
+  for var in $rows; do
+    if ! grep -rqF "\"$var\"" src bench examples tests perfbench \
+       && ! grep -rqw "$var" scripts/; then
+      echo "ERROR: README's env table documents $var but nothing in the tree reads it" >&2
+      stale=1
+    fi
+  done
+  if [[ "$missing" != 0 || "$stale" != 0 ]]; then
     echo "==> docs consistency FAILED" >&2
     return 1
   fi
-  echo "    $(echo "$vars" | wc -l) env vars checked, all documented"
+  echo "    $(echo "$vars" | wc -l) env vars read, all documented;" \
+       "$(echo "$rows" | wc -l) README rows, all read"
 }
 
 case "$STAGE" in

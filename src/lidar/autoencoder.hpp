@@ -63,10 +63,10 @@ class OccupancyAutoencoder {
   /// "FLOPs per 360° scan" quantity is 2× this.
   std::size_t macs_per_scan();
 
-  /// Snapshots encoder + decoder weights into int8 (nn/quant.hpp). The
-  /// int8 forward runs when the quant backend resolves to kInt8
-  /// (S2A_QUANT=1); training keeps using float weights, so re-call after
-  /// further train_step()s to refresh the snapshot.
+  /// Snapshots encoder + decoder weights into int8 (nn/quant.hpp): from
+  /// then on reconstruct() runs the int8 forward. A quantized model is
+  /// for deployment — train_step() fails S2A_CHECK — so train first,
+  /// then quantize.
   void quantize() {
     encoder_.quantize();
     decoder_.quantize();

@@ -5,7 +5,7 @@
 // at a fixed edge-accelerator efficiency. The paper reports 335 MFLOPs →
 // 7.1 mJ, i.e. ≈21 pJ/FLOP, which we adopt as the conversion constant.
 //
-// The int8 inference path (nn/quant.hpp, S2A_QUANT=1) gets its own
+// The int8 inference path (nn/quant.hpp, after quantize()) gets its own
 // per-MAC constant: Horowitz-style accounting puts an 8-bit MAC at
 // roughly 4–8x below an FP32 one at the same node, and we take 4x —
 // conservative for the energy/accuracy frontier the quantization bench

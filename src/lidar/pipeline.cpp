@@ -1,7 +1,6 @@
 #include "lidar/pipeline.hpp"
 
 #include "nn/optimizer.hpp"
-#include "nn/quant.hpp"
 #include "obs/obs.hpp"
 #include "sim/scene.hpp"
 #include "util/check.hpp"
@@ -69,13 +68,11 @@ SensedScene GenerativeSensingPipeline::sense(const sim::Scene& scene,
           if (out.sensed.occupied(x, y, z))
             out.reconstructed.set(x, y, z, true);
   }
-  // Bill the reconstruction at int8 MAC cost when that is the path the
-  // forward actually took (quantized snapshot present + backend int8).
-  const bool int8_inference =
-      ae_.is_quantized() && nn::quant_backend() == nn::QuantBackend::kInt8;
+  // A quantized autoencoder reconstructs in int8, so bill those MACs
+  // at int8 cost.
   out.energy = make_energy_report(out.cloud, lidar_.config(),
                                   ae_.param_count(), ae_.macs_per_scan(),
-                                  int8_inference);
+                                  ae_.is_quantized());
   S2A_COUNTER_ADD("lidar.active_scans", 1);
   S2A_HISTOGRAM_RECORD("lidar.scan_energy_j", out.energy.sensing_energy_j);
   return out;

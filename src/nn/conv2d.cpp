@@ -1,9 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
@@ -14,8 +12,6 @@
 namespace s2a::nn {
 
 namespace {
-
-std::atomic<ConvBackend> g_backend{ConvBackend::kAuto};
 
 // Forward passes below this many MACs run inline: pool dispatch would
 // cost more than the convolution itself.
@@ -51,7 +47,8 @@ void parallel_bands(
                            });
 }
 
-// Row-sharded variant without arena slots, for the naive oracle loops.
+// Row-sharded variant without arena slots, for backward_gemm's stripes
+// of the lowered matrices.
 void parallel_rows(std::size_t total, std::size_t macs,
                    const std::function<void(std::size_t, std::size_t)>& fn) {
   util::ThreadPool& pool = util::global_pool();
@@ -78,17 +75,18 @@ Tensor conv_weight_init(int c0, int c1, int k, Rng& rng) {
 inline std::size_t idx4(int a, int b, int c, int d, int db, int dc, int dd) {
   return ((static_cast<std::size_t>(a) * db + b) * dc + c) * dd + d;
 }
-}  // namespace
 
-void set_conv_backend(ConvBackend backend) { g_backend.store(backend); }
-
-ConvBackend conv_backend() {
-  const ConvBackend b = g_backend.load();
-  if (b != ConvBackend::kAuto) return b;
-  const char* s = std::getenv("S2A_NAIVE_CONV");
-  return (s != nullptr && *s == '1') ? ConvBackend::kNaive
-                                     : ConvBackend::kGemm;
+// A stride-s deconv's sub-pixel phase p reads the kernel offsets t with
+// t % s == p. Each list is descending, so ascending list order is
+// ascending source row (or column).
+std::vector<std::vector<int>> deconv_phase_taps(int k, int s) {
+  std::vector<std::vector<int>> taps(static_cast<std::size_t>(s));
+  for (int p = 0; p < s; ++p)
+    for (int t = k - 1; t >= 0; --t)
+      if (t % s == p) taps[static_cast<std::size_t>(p)].push_back(t);
+  return taps;
 }
+}  // namespace
 
 Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
                int padding, Rng& rng)
@@ -114,10 +112,7 @@ Tensor Conv2D::forward(const Tensor& x) {
   last_out_hw_ = static_cast<std::size_t>(oh) * ow;
 
   Tensor y({n, cout_, oh, ow});
-  if (conv_backend() == ConvBackend::kNaive)
-    forward_naive(x, y, n, h, w, oh, ow);
-  else
-    forward_gemm(x, y, n, h, w, oh, ow);
+  forward_gemm(x, y, n, h, w, oh, ow);
   return y;
 }
 
@@ -129,8 +124,8 @@ Tensor Conv2D::forward(const Tensor& x) {
 // column panel (band arena) and multiplies the packed weight panel —
 // packed ONCE per call, covering every image — against it, writing the
 // band's slice of y directly. Bands are disjoint in y and the GEMM
-// accumulates every element in ascending (ic, ky, kx) order — the naive
-// loop's order — so this is bit-exact vs. forward_naive, across thread
+// accumulates every element in ascending (ic, ky, kx) order — the direct
+// loop's order — so this is bit-exact vs. the test oracle, across thread
 // counts, and across batch compositions (the band split only changes
 // which elements go together).
 void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
@@ -138,13 +133,13 @@ void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
   const int kdim = im2col_rows(cin_, k_);
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   arena_.reset();
-  // Int8 path (quantize() + S2A_QUANT=1): same lowering, but each band's
-  // column panel is quantized against ONE per-tensor activation scale —
+  // Int8 path (after quantize()): same lowering, but each band's column
+  // panel is quantized against ONE per-tensor activation scale —
   // computed over the whole input, so the band split cannot change the
   // quantization grid — and multiplied by the int8 weight snapshot.
   // Integer accumulation is order-exact, so this path is deterministic
   // across thread counts too.
-  const bool int8 = quantized_ && quant_backend() == QuantBackend::kInt8;
+  const bool int8 = quantized_;
   const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
   double* wp = nullptr;
   if (!int8) {
@@ -180,11 +175,8 @@ void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
             std::fill_n(cband + static_cast<std::size_t>(oc) * out_hw, width,
                         b_[static_cast<std::size_t>(oc)]);
           if (int8) {
-            const std::size_t count = static_cast<std::size_t>(kdim) * width;
-            std::int8_t* colq = alloc_int8(band_arena, count);
-            quantize_values(col, count, xs, colq);
-            gemm_int8(qw_, width, colq, width, xs, cband,
-                      static_cast<int>(out_hw));
+            gemm_int8_panel(qw_, width, col, xs, band_arena, cband,
+                            static_cast<int>(out_hw));
           } else {
             gemm_packed(cout_, width, kdim, wp, col, width, cband,
                         static_cast<int>(out_hw));
@@ -194,52 +186,17 @@ void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
       });
 }
 
-// Direct-loop oracle (S2A_NAIVE_CONV=1): the original implementation,
-// kept verbatim so the kernel equivalence tests have a fixed reference.
-void Conv2D::forward_naive(const Tensor& x, Tensor& y, int n, int h, int w,
-                           int oh, int ow) {
-  // Rows (b, oc, oy) are independent — each output element is produced by
-  // exactly one row, with a fixed inner summation order, so the sharded
-  // and serial passes are bit-identical.
-  const std::size_t total_rows = static_cast<std::size_t>(n) * cout_ * oh;
-  const std::size_t macs = static_cast<std::size_t>(cout_) * cin_ * k_ * k_ *
-                           static_cast<std::size_t>(n) * oh * ow;
-  parallel_rows(total_rows, macs, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t row = lo; row < hi; ++row) {
-      const int oy = static_cast<int>(row % static_cast<std::size_t>(oh));
-      const int oc = static_cast<int>((row / static_cast<std::size_t>(oh)) %
-                                      static_cast<std::size_t>(cout_));
-      const int b = static_cast<int>(row / static_cast<std::size_t>(oh) /
-                                     static_cast<std::size_t>(cout_));
-      for (int ox = 0; ox < ow; ++ox) {
-        double acc = b_[static_cast<std::size_t>(oc)];
-        for (int ic = 0; ic < cin_; ++ic)
-          for (int ky = 0; ky < k_; ++ky) {
-            const int iy = oy * stride_ + ky - pad_;
-            if (iy < 0 || iy >= h) continue;
-            for (int kx = 0; kx < k_; ++kx) {
-              const int ix = ox * stride_ + kx - pad_;
-              if (ix < 0 || ix >= w) continue;
-              acc += x[idx4(b, ic, iy, ix, cin_, h, w)] *
-                     w_[idx4(oc, ic, ky, kx, cin_, k_, k_)];
-            }
-          }
-        y[idx4(b, oc, oy, ox, cout_, oh, ow)] = acc;
-      }
-    }
-  });
-}
-
 Tensor Conv2D::backward(const Tensor& grad_out) {
   S2A_TRACE_SCOPE_CAT("nn.conv_backward", "nn");
   S2A_CHECK(!last_x_.empty());
+  S2A_CHECK_MSG(!quantized_, "backward through an int8-quantized Conv2D");
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
             grad_out.dim(2) == oh && grad_out.dim(3) == ow);
 
-  // Bias gradient, shared by both backends: one addend per output pixel
-  // of the channel, accumulated in (b, oy, ox) order.
+  // Bias gradient: one addend per output pixel of the channel,
+  // accumulated in (b, oy, ox) order.
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   for (int b = 0; b < n; ++b)
     for (int oc = 0; oc < cout_; ++oc) {
@@ -251,66 +208,8 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
     }
 
   Tensor dx({n, cin_, h, w});
-  if (conv_backend() == ConvBackend::kNaive)
-    backward_naive(grad_out, dx, n, h, w, oh, ow);
-  else
-    backward_gemm(grad_out, dx, n, h, w, oh, ow);
+  backward_gemm(grad_out, dx, n, h, w, oh, ow);
   return dx;
-}
-
-// Direct-loop oracle (S2A_NAIVE_CONV=1), written in the GEMM chain
-// order so the two backends agree bit-for-bit (the finite-difference
-// tests independently pin the arithmetic):
-//  - each gW element sums g*x over (b; oy, ox) ascending,
-//  - each dx element sums per-tap (ky, kx ascending) sub-chains, each
-//    sub-chain reducing over out-channels from zero first.
-// Out-of-range taps are skipped here and zero-filled in the lowered
-// matrices; adding a*0.0 to a finite accumulator is exact, so both
-// treatments leave identical bits.
-void Conv2D::backward_naive(const Tensor& grad_out, Tensor& dx, int n, int h,
-                            int w, int oh, int ow) {
-  for (int b = 0; b < n; ++b) {
-    for (int oc = 0; oc < cout_; ++oc)
-      for (int ic = 0; ic < cin_; ++ic)
-        for (int ky = 0; ky < k_; ++ky)
-          for (int kx = 0; kx < k_; ++kx) {
-            double acc = gw_[idx4(oc, ic, ky, kx, cin_, k_, k_)];
-            for (int oy = 0; oy < oh; ++oy) {
-              const int iy = oy * stride_ + ky - pad_;
-              if (iy < 0 || iy >= h) continue;
-              for (int ox = 0; ox < ow; ++ox) {
-                const int ix = ox * stride_ + kx - pad_;
-                if (ix < 0 || ix >= w) continue;
-                acc += grad_out[idx4(b, oc, oy, ox, cout_, oh, ow)] *
-                       last_x_[idx4(b, ic, iy, ix, cin_, h, w)];
-              }
-            }
-            gw_[idx4(oc, ic, ky, kx, cin_, k_, k_)] = acc;
-          }
-    for (int ic = 0; ic < cin_; ++ic)
-      for (int iy = 0; iy < h; ++iy)
-        for (int ix = 0; ix < w; ++ix) {
-          double acc = 0.0;
-          for (int ky = 0; ky < k_; ++ky) {
-            const int num_y = iy + pad_ - ky;
-            if (num_y < 0 || num_y % stride_ != 0) continue;
-            const int oy = num_y / stride_;
-            if (oy >= oh) continue;
-            for (int kx = 0; kx < k_; ++kx) {
-              const int num_x = ix + pad_ - kx;
-              if (num_x < 0 || num_x % stride_ != 0) continue;
-              const int ox = num_x / stride_;
-              if (ox >= ow) continue;
-              double t = 0.0;
-              for (int oc = 0; oc < cout_; ++oc)
-                t += grad_out[idx4(b, oc, oy, ox, cout_, oh, ow)] *
-                     w_[idx4(oc, ic, ky, kx, cin_, k_, k_)];
-              acc += t;
-            }
-          }
-          dx[idx4(b, ic, iy, ix, cin_, h, w)] = acc;
-        }
-  }
 }
 
 // GEMM backward. Per image:
@@ -321,7 +220,7 @@ void Conv2D::backward_naive(const Tensor& grad_out, Tensor& dx, int n, int h,
 // inside one task — im2col_t bands write disjoint rows, the gW/dcol
 // GEMMs are striped over *columns* (never over the reduction axis), and
 // col2im_band splits by input row — so results are bit-identical to
-// backward_naive at every thread count.
+// the test oracle's direct loops at every thread count.
 void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
                            int w, int oh, int ow) {
   const int kdim = im2col_rows(cin_, k_);
@@ -367,7 +266,8 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
                   });
 
     // dcol = Wᵀ x G_b, striped over output pixels (zero-init per stripe
-    // so each element's oc-reduction starts from 0 like the oracle's t).
+    // so each element's oc-reduction starts from 0, the direct loop's
+    // per-tap sub-chain).
     parallel_rows(out_hw, macs, [&](std::size_t lo, std::size_t hi) {
       for (int r = 0; r < kdim; ++r)
         std::fill_n(dcol + static_cast<std::size_t>(r) * out_hw + lo, hi - lo,
@@ -423,19 +323,16 @@ Tensor ConvTranspose2D::forward(const Tensor& x) {
   last_in_hw_ = static_cast<std::size_t>(h) * w;
 
   Tensor y({n, cout_, oh, ow});
-  if (conv_backend() == ConvBackend::kNaive)
-    forward_naive(x, y, n, h, w, oh, ow);
-  else
-    forward_gemm(x, y, n, h, w, oh, ow);
+  forward_gemm(x, y, n, h, w, oh, ow);
   return y;
 }
 
 // Deconv as flipped-kernel im2col with sub-pixel phase decomposition.
 //
 // Gathering output pixel (oy, ox) over flipped taps visits the
-// scattering inputs in exactly the naive loop's (ic, iy, ix) order
-// (iy/ix ascend as the flipped taps ascend), so the GEMM chain matches
-// the naive scatter per element.
+// scattering inputs in exactly the direct scatter loop's (ic, iy, ix)
+// order (iy/ix ascend as the flipped taps ascend), so the GEMM chain
+// matches the scatter per element.
 //
 // For stride 1 every tap can contribute to every output pixel and a
 // single full-K GEMM over im2col_flipped is efficient. For stride s > 1
@@ -446,7 +343,7 @@ Tensor ConvTranspose2D::forward(const Tensor& x) {
 // repacked weight panel, and each phase runs a compact GEMM into a
 // scratch tile that is scattered onto y. Dropping the structural zeros
 // removes exact no-op additions from each element's chain, so the
-// result stays bit-identical to the naive scatter.
+// result stays bit-identical to the direct scatter.
 void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
                                    int w, int oh, int ow) {
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
@@ -456,15 +353,9 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   // quantize(); each phase's column panel is quantized against the one
   // whole-input activation scale (band-invariant) before its compact
   // int8 GEMM.
-  const bool int8 = quantized_ && quant_backend() == QuantBackend::kInt8;
+  const bool int8 = quantized_;
   const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
-
-  // Tap lists per phase: ky values with ky % s == phase, descending so
-  // ascending list order is ascending source row iy.
-  std::vector<std::vector<int>> phase_taps(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k_ - 1; t >= 0; --t)
-      if (t % s == p) phase_taps[static_cast<std::size_t>(p)].push_back(t);
+  const auto phase_taps = deconv_phase_taps(k_, s);
 
   // Repacked weight panel per (py, px) phase pair: rows (ic, jy, jx)
   // over the dense tap lists, matching the phase column matrix below.
@@ -480,15 +371,7 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
       kdim_ph[static_cast<std::size_t>(py) * s + px] = kdim;
       if (kdim == 0 || int8) continue;
       double* wph = arena_.alloc(static_cast<std::size_t>(cout_) * kdim);
-      for (int ic = 0; ic < cin_; ++ic)
-        for (int jy = 0; jy < nky; ++jy)
-          for (int jx = 0; jx < nkx; ++jx) {
-            const int r = (ic * nky + jy) * nkx + jx;
-            for (int oc = 0; oc < cout_; ++oc)
-              wph[static_cast<std::size_t>(oc) * kdim + r] =
-                  w_[idx4(ic, oc, kys[static_cast<std::size_t>(jy)],
-                          kxs[static_cast<std::size_t>(jx)], cout_, k_, k_)];
-          }
+      gather_phase_weights(kys, kxs, wph);
       double* packed = arena_.alloc(packed_a_size(cout_, kdim));
       pack_a(wph, kdim, cout_, kdim, packed);
       wp[static_cast<std::size_t>(py) * s + px] = packed;
@@ -570,12 +453,8 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
                 std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
                             b_[static_cast<std::size_t>(oc)]);
               if (int8) {
-                const std::size_t count =
-                    static_cast<std::size_t>(kdim) * nph;
-                std::int8_t* colq = alloc_int8(band_arena, count);
-                quantize_values(col, count, xs, colq);
-                gemm_int8(qw_ph_[static_cast<std::size_t>(py) * s + px], nph,
-                          colq, nph, xs, tile, nph);
+                gemm_int8_panel(qw_ph_[static_cast<std::size_t>(py) * s + px],
+                                nph, col, xs, band_arena, tile, nph);
               } else {
                 gemm_packed(cout_, nph, kdim,
                             wp[static_cast<std::size_t>(py) * s + px], col,
@@ -616,61 +495,17 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
       });
 }
 
-// Direct scatter oracle (S2A_NAIVE_CONV=1): the original implementation.
-void ConvTranspose2D::forward_naive(const Tensor& x, Tensor& y, int n, int h,
-                                    int w, int oh, int ow) {
-  // Sharded over bands of output rows: each band scatters only from the
-  // input rows that can reach it (iy such that iy*stride + ky - pad lands
-  // in [lo, hi)) and skips contributions outside its band, so every
-  // output element is written by exactly one task with the same
-  // accumulation order (b, ic, iy, ix) as a serial pass.
-  const std::size_t macs = static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
-                           static_cast<std::size_t>(n) * h * w;
-  parallel_rows(
-      static_cast<std::size_t>(oh), macs,
-      [&](std::size_t band_lo, std::size_t band_hi) {
-        const int lo = static_cast<int>(band_lo);
-        const int hi = static_cast<int>(band_hi);
-        for (int b = 0; b < n; ++b)
-          for (int oc = 0; oc < cout_; ++oc)
-            for (int oy = lo; oy < hi; ++oy)
-              for (int ox = 0; ox < ow; ++ox)
-                y[idx4(b, oc, oy, ox, cout_, oh, ow)] =
-                    b_[static_cast<std::size_t>(oc)];
-
-        const int lo_num = lo + pad_ - (k_ - 1);
-        const int iy_lo = lo_num > 0 ? (lo_num + stride_ - 1) / stride_ : 0;
-        const int iy_hi = std::min(h - 1, (hi - 1 + pad_) / stride_);
-        for (int b = 0; b < n; ++b)
-          for (int ic = 0; ic < cin_; ++ic)
-            for (int iy = iy_lo; iy <= iy_hi; ++iy)
-              for (int ix = 0; ix < w; ++ix) {
-                const double v = x[idx4(b, ic, iy, ix, cin_, h, w)];
-                if (v == 0.0) continue;
-                for (int oc = 0; oc < cout_; ++oc)
-                  for (int ky = 0; ky < k_; ++ky) {
-                    const int oy = iy * stride_ + ky - pad_;
-                    if (oy < lo || oy >= hi) continue;
-                    for (int kx = 0; kx < k_; ++kx) {
-                      const int ox = ix * stride_ + kx - pad_;
-                      if (ox < 0 || ox >= ow) continue;
-                      y[idx4(b, oc, oy, ox, cout_, oh, ow)] +=
-                          v * w_[idx4(ic, oc, ky, kx, cout_, k_, k_)];
-                    }
-                  }
-              }
-      });
-}
-
 Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
   S2A_TRACE_SCOPE_CAT("nn.deconv_backward", "nn");
   S2A_CHECK(!last_x_.empty());
+  S2A_CHECK_MSG(!quantized_,
+                "backward through an int8-quantized ConvTranspose2D");
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
             grad_out.dim(2) == oh && grad_out.dim(3) == ow);
 
-  // Bias gradient, shared by both backends ((b, oy, ox) order).
+  // Bias gradient ((b, oy, ox) order).
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   for (int b = 0; b < n; ++b)
     for (int oc = 0; oc < cout_; ++oc) {
@@ -682,39 +517,8 @@ Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
     }
 
   Tensor dx({n, cin_, h, w});
-  if (conv_backend() == ConvBackend::kNaive)
-    backward_naive(grad_out, dx, n, h, w, oh, ow);
-  else
-    backward_gemm(grad_out, dx, n, h, w, oh, ow);
+  backward_gemm(grad_out, dx, n, h, w, oh, ow);
   return dx;
-}
-
-// Direct-loop oracle (S2A_NAIVE_CONV=1): the original gather loops,
-// whose per-element chains already match the GEMM lowering — gW
-// elements sum g*x over (b; iy, ix) ascending, dx elements sum g*w over
-// (oc, ky, kx) ascending.
-void ConvTranspose2D::backward_naive(const Tensor& grad_out, Tensor& dx,
-                                     int n, int h, int w, int oh, int ow) {
-  for (int b = 0; b < n; ++b)
-    for (int ic = 0; ic < cin_; ++ic)
-      for (int iy = 0; iy < h; ++iy)
-        for (int ix = 0; ix < w; ++ix) {
-          const double v = last_x_[idx4(b, ic, iy, ix, cin_, h, w)];
-          double acc = 0.0;
-          for (int oc = 0; oc < cout_; ++oc)
-            for (int ky = 0; ky < k_; ++ky) {
-              const int oy = iy * stride_ + ky - pad_;
-              if (oy < 0 || oy >= oh) continue;
-              for (int kx = 0; kx < k_; ++kx) {
-                const int ox = ix * stride_ + kx - pad_;
-                if (ox < 0 || ox >= ow) continue;
-                const double g = grad_out[idx4(b, oc, oy, ox, cout_, oh, ow)];
-                acc += g * w_[idx4(ic, oc, ky, kx, cout_, k_, k_)];
-                gw_[idx4(ic, oc, ky, kx, cout_, k_, k_)] += g * v;
-              }
-            }
-          dx[idx4(b, ic, iy, ix, cin_, h, w)] = acc;
-        }
 }
 
 // GEMM backward. The deconv's backward-input pass is a *plain* strided
@@ -726,7 +530,7 @@ void ConvTranspose2D::backward_naive(const Tensor& grad_out, Tensor& dx,
 //   gW += X_b x im2col(G_b)ᵀ   (reduction over input pixels, ascending)
 //   dx_b = W x im2col(G_b)      (banded over input rows, like a forward)
 // Same sharding rules as Conv2D::backward_gemm, so bit-identical to the
-// oracle at every thread count.
+// direct loops at every thread count.
 void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
                                     int n, int h, int w, int oh, int ow) {
   const int kdim = im2col_rows(cout_, k_);
@@ -769,7 +573,7 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
 
     // dx_b = W x im2col(G_b), banded over input rows with per-band
     // column panels (mirrors Conv2D::forward_gemm; dx is zero-init so
-    // each element's chain starts from 0 like the oracle's acc).
+    // each element's chain starts from 0 like the direct loop's acc).
     parallel_bands(
         static_cast<std::size_t>(h), macs, arena_,
         [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
@@ -786,35 +590,38 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
   }
 }
 
+void ConvTranspose2D::gather_phase_weights(const std::vector<int>& kys,
+                                           const std::vector<int>& kxs,
+                                           double* wph) const {
+  const int nky = static_cast<int>(kys.size());
+  const int nkx = static_cast<int>(kxs.size());
+  const int kdim = cin_ * nky * nkx;
+  for (int ic = 0; ic < cin_; ++ic)
+    for (int jy = 0; jy < nky; ++jy)
+      for (int jx = 0; jx < nkx; ++jx) {
+        const int r = (ic * nky + jy) * nkx + jx;
+        for (int oc = 0; oc < cout_; ++oc)
+          wph[static_cast<std::size_t>(oc) * kdim + r] =
+              w_[idx4(ic, oc, kys[static_cast<std::size_t>(jy)],
+                      kxs[static_cast<std::size_t>(jx)], cout_, k_, k_)];
+      }
+}
+
 void ConvTranspose2D::quantize() {
-  // Snapshot the same dense per-phase [Cout, kdim] matrices
-  // forward_gemm gathers each call (rows (ic, jy, jx) over the
-  // descending-tap lists), one QuantizedMatrix per (py, px) phase.
+  // Snapshot the per-phase weight matrices the float forward gathers
+  // each call, one QuantizedMatrix per (py, px) phase.
   const int s = stride_;
-  std::vector<std::vector<int>> phase_taps(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k_ - 1; t >= 0; --t)
-      if (t % s == p) phase_taps[static_cast<std::size_t>(p)].push_back(t);
+  const auto phase_taps = deconv_phase_taps(k_, s);
   qw_ph_.assign(static_cast<std::size_t>(s) * s, QuantizedMatrix{});
   std::vector<double> wph;
   for (int py = 0; py < s; ++py)
     for (int px = 0; px < s; ++px) {
       const auto& kys = phase_taps[static_cast<std::size_t>(py)];
       const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-      const int nky = static_cast<int>(kys.size());
-      const int nkx = static_cast<int>(kxs.size());
-      const int kdim = cin_ * nky * nkx;
+      const int kdim = cin_ * static_cast<int>(kys.size() * kxs.size());
       if (kdim == 0) continue;
-      wph.assign(static_cast<std::size_t>(cout_) * kdim, 0.0);
-      for (int ic = 0; ic < cin_; ++ic)
-        for (int jy = 0; jy < nky; ++jy)
-          for (int jx = 0; jx < nkx; ++jx) {
-            const int r = (ic * nky + jy) * nkx + jx;
-            for (int oc = 0; oc < cout_; ++oc)
-              wph[static_cast<std::size_t>(oc) * kdim + r] =
-                  w_[idx4(ic, oc, kys[static_cast<std::size_t>(jy)],
-                          kxs[static_cast<std::size_t>(jx)], cout_, k_, k_)];
-          }
+      wph.resize(static_cast<std::size_t>(cout_) * kdim);
+      gather_phase_weights(kys, kxs, wph.data());
       qw_ph_[static_cast<std::size_t>(py) * s + px] =
           quantize_rows(wph.data(), kdim, cout_, kdim);
     }

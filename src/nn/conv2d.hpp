@@ -4,18 +4,17 @@
 // upsampling stages, and the optical-flow networks (neuro).
 //
 // Forward AND backward passes run as im2col + cache-blocked GEMM
-// (nn/im2col.hpp, nn/gemm.hpp) with per-layer ScratchArena workspaces —
-// several times faster than the original direct loops on the occupancy
-// autoencoder shapes — and stay bit-exact against those loops because
-// the lowered matrix rows follow the naive accumulation order (see
-// docs/ARCHITECTURE.md, "Kernels & memory"). Weight gradients lower to
-// grad_out x im2col(input)ᵀ, input gradients to Wᵀ x grad_out folded by
-// col2im (Conv2D) or to a plain strided convolution of grad_out by the
-// adjoint kernel (ConvTranspose2D). The direct loops are retained as
-// the oracle: set S2A_NAIVE_CONV=1 (or
-// set_conv_backend(ConvBackend::kNaive)) to run them instead; the
-// kernel equivalence tests diff the two paths bit-for-bit and the
-// finite-difference gradient checks pin the arithmetic of both.
+// (nn/im2col.hpp, nn/gemm.hpp) with per-layer ScratchArena workspaces.
+// The lowered matrix rows follow the direct loops' accumulation order,
+// so every output and gradient element is bit-identical to those loops
+// (see docs/ARCHITECTURE.md, "Kernels & memory"). Weight gradients lower
+// to grad_out x im2col(input)ᵀ, input gradients to Wᵀ x grad_out folded
+// by col2im (Conv2D) or to a plain strided convolution of grad_out by
+// the adjoint kernel (ConvTranspose2D). The direct loops live in the
+// test tree as the oracle (tests/nn_oracle.hpp): the kernel equivalence
+// tests diff both directions against it bit-for-bit, and the
+// finite-difference gradient checks pin the arithmetic. After
+// quantize() the forward runs int8 (nn/quant.hpp) and backward() fails.
 #pragma once
 
 #include <vector>
@@ -25,22 +24,6 @@
 #include "util/scratch_arena.hpp"
 
 namespace s2a::nn {
-
-/// Which implementation the conv/dense layers use (forward and backward).
-///  kAuto  — S2A_NAIVE_CONV=1 selects the naive loops, else GEMM.
-///  kGemm  — im2col + blocked GEMM (the default resolution).
-///  kNaive — direct loops in the GEMM chain order (the bit-exactness
-///           oracle).
-enum class ConvBackend { kAuto, kGemm, kNaive };
-
-/// Process-wide override, primarily for tests and benches; kAuto (the
-/// initial state) defers to the S2A_NAIVE_CONV environment variable,
-/// which is re-read on every forward/backward so setenv mid-process
-/// works.
-void set_conv_backend(ConvBackend backend);
-/// The backend the next forward/backward will take: kGemm or kNaive,
-/// never kAuto.
-ConvBackend conv_backend();
 
 class Conv2D : public Layer {
  public:
@@ -64,12 +47,8 @@ class Conv2D : public Layer {
   const util::ScratchArena* scratch() const override { return &arena_; }
 
  private:
-  void forward_naive(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
-                     int ow);
   void forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
                     int ow);
-  void backward_naive(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
-                      int oh, int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
                      int oh, int ow);
 
@@ -104,19 +83,20 @@ class ConvTranspose2D : public Layer {
   const util::ScratchArena* scratch() const override { return &arena_; }
 
  private:
-  void forward_naive(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
-                     int ow);
   void forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
                     int ow);
-  void backward_naive(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
-                      int oh, int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
                      int oh, int ow);
+  // Gathers sub-pixel phase (kys, kxs)'s dense [Cout, cin*|kys|*|kxs|]
+  // weight matrix, rows (ic, jy, jx) over the tap lists, into wph —
+  // the float forward packs it per call, quantize() snapshots it.
+  void gather_phase_weights(const std::vector<int>& kys,
+                            const std::vector<int>& kxs, double* wph) const;
 
   int cin_, cout_, k_, stride_, pad_;
   bool quantized_ = false;
   // One int8 weight snapshot per (py, px) sub-pixel phase — the same
-  // dense [Cout, kdim] matrices forward_gemm gathers per call, built
+  // dense [Cout, kdim] matrices gather_phase_weights() builds, taken
   // once at quantize() time. Indexed py * stride + px.
   std::vector<QuantizedMatrix> qw_ph_;
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -20,45 +19,34 @@ Dense::Dense(int in_features, int out_features, Rng& rng, bool bias)
   S2A_CHECK(in_features > 0 && out_features > 0);
 }
 
-// Both Dense paths produce identical bits: the gemm path computes
-// yᵀ = W·xᵀ into a zero-initialized scratch tile, so each output
-// element accumulates x[i,p]*w[j,p] in ascending p from 0 — exactly
-// matmul_nt's chain — and the bias is added afterwards in both.
+// The float path computes yᵀ = W·xᵀ into a zero-initialized scratch
+// tile, so each output element accumulates x[i,p]*w[j,p] in ascending p
+// from 0 — exactly matmul_nt's chain, which the kernel tests use as the
+// oracle — and the bias is added afterwards.
 Tensor Dense::forward(const Tensor& x) {
   S2A_CHECK_MSG(x.shape().size() == 2 && x.dim(1) == in_,
                 "Dense expects [N," << in_ << "]");
   last_x_ = x;
   const int n = x.dim(0);
   Tensor y({n, out_});
-  if (quantized_ && quant_backend() == QuantBackend::kInt8) {
-    // Int8 path: same yᵀ = W·xᵀ framing as the gemm path, but with the
-    // int8 weight snapshot and a per-tensor activation scale. The int32
-    // accumulation is order-exact; the result differs from float only
-    // by the quantization grid.
-    arena_.reset();
-    double* xt = arena_.alloc(static_cast<std::size_t>(in_) * n);
-    transpose(x.data(), n, in_, xt);
-    const double xs = activation_scale(x.data(), x.numel());
-    std::int8_t* xtq = alloc_int8(arena_, static_cast<std::size_t>(in_) * n);
-    quantize_values(xt, static_cast<std::size_t>(in_) * n, xs, xtq);
-    double* yt = arena_.alloc(static_cast<std::size_t>(out_) * n);
-    std::fill_n(yt, static_cast<std::size_t>(out_) * n, 0.0);
-    gemm_int8(qw_, n, xtq, n, xs, yt, n);
-    transpose(yt, out_, n, y.data());
-  } else if (conv_backend() == ConvBackend::kNaive) {
-    y = matmul_nt(x, w_);
+  arena_.reset();
+  // A = W [out, in] (reduction axis already contiguous), B = xᵀ.
+  double* xt = arena_.alloc(static_cast<std::size_t>(in_) * n);
+  transpose(x.data(), n, in_, xt);
+  double* yt = arena_.alloc(static_cast<std::size_t>(out_) * n);
+  std::fill_n(yt, static_cast<std::size_t>(out_) * n, 0.0);
+  if (quantized_) {
+    // Int8 path: the int8 weight snapshot against a per-tensor
+    // activation scale. The int32 accumulation is order-exact; the
+    // result differs from float only by the quantization grid.
+    gemm_int8_panel(qw_, n, xt, activation_scale(x.data(), x.numel()),
+                    arena_, yt, n);
   } else {
-    arena_.reset();
-    // A = W [out, in] (reduction axis already contiguous), B = xᵀ.
-    double* xt = arena_.alloc(static_cast<std::size_t>(in_) * n);
-    transpose(x.data(), n, in_, xt);
-    double* yt = arena_.alloc(static_cast<std::size_t>(out_) * n);
-    std::fill_n(yt, static_cast<std::size_t>(out_) * n, 0.0);
     double* wp = arena_.alloc(packed_a_size(out_, in_));
     pack_a(w_.data(), in_, out_, in_, wp);
     gemm_packed(out_, n, in_, wp, xt, n, yt, n);
-    transpose(yt, out_, n, y.data());
   }
+  transpose(yt, out_, n, y.data());
   if (has_bias_) {
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < out_; ++j)
@@ -71,31 +59,26 @@ Tensor Dense::backward(const Tensor& grad_out) {
   S2A_TRACE_SCOPE_CAT("nn.dense_backward", "nn");
   S2A_CHECK(grad_out.shape().size() == 2 && grad_out.dim(1) == out_);
   S2A_CHECK_MSG(!last_x_.empty(), "backward before forward");
+  S2A_CHECK_MSG(!quantized_, "backward through an int8-quantized Dense");
   // dW += gᵀ·x ; db += column sums of g ; dx = g·W
   const int n = grad_out.dim(0);
-  if (conv_backend() == ConvBackend::kNaive) {
-    const Tensor dw = matmul_tn(grad_out, last_x_);
-    gw_.add_scaled(dw, 1.0);
-  } else {
-    arena_.reset();
-    // dW chain matches matmul_tn: ascending samples from 0, then one
-    // += per element onto gW.
-    double* gt = arena_.alloc(static_cast<std::size_t>(out_) * n);
-    transpose(grad_out.data(), n, out_, gt);
-    double* gtp = arena_.alloc(packed_a_size(out_, n));
-    pack_a(gt, n, out_, n, gtp);
-    double* dw = arena_.alloc(static_cast<std::size_t>(out_) * in_);
-    std::fill_n(dw, static_cast<std::size_t>(out_) * in_, 0.0);
-    gemm_packed(out_, in_, n, gtp, last_x_.data(), in_, dw, in_);
-    for (std::size_t i = 0; i < gw_.numel(); ++i) gw_[i] += dw[i];
-  }
+  arena_.reset();
+  // dW chain matches matmul_tn: ascending samples from 0, then one
+  // += per element onto gW.
+  double* gt = arena_.alloc(static_cast<std::size_t>(out_) * n);
+  transpose(grad_out.data(), n, out_, gt);
+  double* gtp = arena_.alloc(packed_a_size(out_, n));
+  pack_a(gt, n, out_, n, gtp);
+  double* dw = arena_.alloc(static_cast<std::size_t>(out_) * in_);
+  std::fill_n(dw, static_cast<std::size_t>(out_) * in_, 0.0);
+  gemm_packed(out_, in_, n, gtp, last_x_.data(), in_, dw, in_);
+  for (std::size_t i = 0; i < gw_.numel(); ++i) gw_[i] += dw[i];
   if (has_bias_) {
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < out_; ++j)
         gb_[static_cast<std::size_t>(j)] +=
             grad_out[static_cast<std::size_t>(i) * out_ + j];
   }
-  if (conv_backend() == ConvBackend::kNaive) return matmul(grad_out, w_);
   // dx = g·W via the packed kernel; zero-init C gives matmul's chain.
   Tensor dx({n, in_});
   double* gp = arena_.alloc(packed_a_size(n, out_));

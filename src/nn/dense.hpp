@@ -4,10 +4,12 @@
 //
 // Dense forward/backward route through the same cache-blocked gemm entry
 // point as the conv layers (nn/gemm.hpp), drawing scratch from a
-// per-layer ScratchArena; S2A_NAIVE_CONV=1 / ConvBackend::kNaive selects
-// the original tensor matmuls instead. Both paths accumulate every
-// output element in the same ascending order, so they are bit-identical
-// for finite inputs (the kernel tests assert EXPECT_EQ, no tolerance).
+// per-layer ScratchArena. Every output element accumulates in the same
+// ascending order as the tensor matmuls (matmul_nt / matmul_tn /
+// matmul), so the two are bit-identical for finite inputs; the kernel
+// tests use the matmuls as the oracle and assert EXPECT_EQ, no
+// tolerance. After quantize() the forward runs int8 (nn/quant.hpp) and
+// backward() is refused.
 #pragma once
 
 #include "nn/layer.hpp"

@@ -36,10 +36,9 @@ class Layer {
   }
 
   /// Snapshots the current weights into an int8 form (per-output-channel
-  /// symmetric scales — see nn/quant.hpp). Once quantized, forward() runs
-  /// the int8 kernel whenever the quant backend resolves to kInt8;
-  /// backward() and the optimizer always see the float weights, so call
-  /// quantize() again after training steps to refresh the snapshot.
+  /// symmetric scales — see nn/quant.hpp). Once quantized, forward()
+  /// runs the int8 kernel and backward() fails S2A_CHECK: the layer is
+  /// a deployed, inference-only model, so train first, then quantize.
   /// Layers without an int8 path (activations, GRU, attention) are a
   /// no-op and keep reporting is_quantized() == false.
   virtual void quantize() {}

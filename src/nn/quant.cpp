@@ -1,8 +1,8 @@
 #include "nn/quant.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/cpu_features.hpp"
@@ -15,28 +15,18 @@ namespace s2a::nn {
 
 namespace {
 
-std::atomic<QuantBackend> g_quant{QuantBackend::kAuto};
-
+// A non-finite value has no int8 code and maps to 0 (std::lround(NaN)
+// is LONG_MIN, which the clamp would turn into -127); callers track it.
 std::int8_t quantize_one(double x, double inv_scale) {
-  const long q = std::lround(x * inv_scale);
+  const double r = x * inv_scale;
+  if (!std::isfinite(r)) return 0;
+  const long q = std::lround(r);
   if (q > 127) return 127;
   if (q < -127) return -127;
   return static_cast<std::int8_t>(q);
 }
 
 }  // namespace
-
-void set_quant_backend(QuantBackend backend) {
-  g_quant.store(backend, std::memory_order_relaxed);
-}
-
-QuantBackend quant_backend() {
-  const QuantBackend b = g_quant.load(std::memory_order_relaxed);
-  if (b != QuantBackend::kAuto) return b;
-  const char* env = std::getenv("S2A_QUANT");
-  return (env != nullptr && env[0] == '1') ? QuantBackend::kInt8
-                                           : QuantBackend::kFloat;
-}
 
 QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols) {
   S2A_CHECK(rows >= 0 && cols >= 0);
@@ -48,8 +38,15 @@ QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols) {
   for (int i = 0; i < rows; ++i) {
     const double* row = a + static_cast<std::size_t>(i) * lda;
     double amax = 0.0;
-    for (int j = 0; j < cols; ++j) amax = std::max(amax, std::fabs(row[j]));
-    const double scale = amax > 0.0 ? amax / 127.0 : 1.0;
+    bool finite = true;
+    for (int j = 0; j < cols; ++j) {
+      amax = std::max(amax, std::fabs(row[j]));
+      finite &= std::isfinite(row[j]);
+    }
+    // A non-finite weight poisons every output of its row, as in float.
+    const double scale = !finite     ? std::numeric_limits<double>::quiet_NaN()
+                         : amax > 0.0 ? amax / 127.0
+                                      : 1.0;
     q.scales[static_cast<std::size_t>(i)] = scale;
     const double inv = 1.0 / scale;
     std::int8_t* out = q.data.data() + static_cast<std::size_t>(i) * cols;
@@ -60,15 +57,21 @@ QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols) {
 
 double activation_scale(const double* x, std::size_t n) {
   double amax = 0.0;
-  for (std::size_t i = 0; i < n; ++i) amax = std::max(amax, std::fabs(x[i]));
+  for (std::size_t i = 0; i < n; ++i)
+    if (std::isfinite(x[i])) amax = std::max(amax, std::fabs(x[i]));
   return amax > 0.0 ? amax / 127.0 : 1.0;
 }
 
-void quantize_values(const double* x, std::size_t n, double scale,
+bool quantize_values(const double* x, std::size_t n, double scale,
                      std::int8_t* out) {
-  S2A_CHECK(scale > 0.0);
+  S2A_CHECK(scale > 0.0 && std::isfinite(scale));
   const double inv = 1.0 / scale;
-  for (std::size_t i = 0; i < n; ++i) out[i] = quantize_one(x[i], inv);
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    finite &= std::isfinite(x[i]);
+    out[i] = quantize_one(x[i], inv);
+  }
+  return finite;
 }
 
 std::int8_t* alloc_int8(util::ScratchArena& arena, std::size_t count) {
@@ -172,6 +175,24 @@ void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
 #endif
   detail::gemm_int8_scalar(a.rows, n, a.cols, a.data.data(), a.scales.data(),
                            b, ldb, b_scale, c, ldc);
+}
+
+void gemm_int8_panel(const QuantizedMatrix& a, int n, const double* b,
+                     double b_scale, util::ScratchArena& arena, double* c,
+                     int ldc) {
+  const std::size_t count = static_cast<std::size_t>(a.cols) * n;
+  std::int8_t* bq = alloc_int8(arena, count);
+  const bool finite = quantize_values(b, count, b_scale, bq);
+  gemm_int8(a, n, bq, n, b_scale, c, ldc);
+  if (finite) return;
+  for (int j = 0; j < n; ++j)
+    for (int kk = 0; kk < a.cols; ++kk) {
+      if (std::isfinite(b[static_cast<std::size_t>(kk) * n + j])) continue;
+      for (int i = 0; i < a.rows; ++i)
+        c[static_cast<std::size_t>(i) * ldc + j] =
+            std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
 }
 
 }  // namespace s2a::nn

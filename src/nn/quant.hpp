@@ -14,11 +14,11 @@
 // int32 accumulator is safe for k < 2^31 / 2^14 ≈ 131000 — orders of
 // magnitude above the conv/dense reduction depths here (k ≤ ~600).
 //
-// Routing: quant_backend() resolves the process-wide setting; kAuto
-// re-reads S2A_QUANT=1 per call (same pattern as ConvBackend /
-// S2A_NAIVE_CONV) so tests and CLI runs can flip it without rebuilds.
-// The quantized forward is inference-only — backward always runs the
-// float path, and training steps see float weights.
+// Routing: a layer holding an int8 snapshot (Layer::quantize()) runs
+// the int8 forward, and its backward() fails S2A_CHECK. Non-finite
+// weights and activations have no int8 code, so they turn the outputs
+// that read them into NaN — non-finite exactly where the float path is,
+// which keeps the loop's non-finite quarantine working.
 #pragma once
 
 #include <cstddef>
@@ -28,15 +28,6 @@
 #include "util/scratch_arena.hpp"
 
 namespace s2a::nn {
-
-/// Whether quantize()d layers run their int8 forward. kAuto defers to
-/// the S2A_QUANT environment variable (=1 enables int8), re-read per
-/// call.
-enum class QuantBackend { kAuto, kFloat, kInt8 };
-
-void set_quant_backend(QuantBackend backend);
-/// The resolved backend (never kAuto).
-QuantBackend quant_backend();
 
 /// A row-major int8 matrix with one symmetric scale per row. For a
 /// conv/dense weight this is [out_channels, reduction], so the per-row
@@ -49,18 +40,20 @@ struct QuantizedMatrix {
 };
 
 /// Quantizes row-major a ([rows, cols], row stride lda) with per-row
-/// symmetric scales. An all-zero row gets scale 1 (quantizes to zeros).
+/// symmetric scales. An all-zero row gets scale 1 (quantizes to zeros);
+/// a row holding a non-finite value gets a NaN scale.
 QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols);
 
-/// Per-tensor symmetric scale: max|x| / 127 (1 when the tensor is all
-/// zero). Computed over the WHOLE tensor so any banding/sharding the
-/// caller does cannot change the quantization grid.
+/// Per-tensor symmetric scale: max|x| / 127 over the finite values (1
+/// when none is non-zero). Computed over the WHOLE tensor so any
+/// banding/sharding the caller does cannot change the quantization grid.
 double activation_scale(const double* x, std::size_t n);
 
 /// out[i] = clamp(round(x[i] / scale), -127, 127). Round-half-away
 /// (std::lround), deterministic across platforms in practice for the
-/// magnitudes here.
-void quantize_values(const double* x, std::size_t n, double scale,
+/// magnitudes here. A non-finite x[i] has no code and writes 0; returns
+/// false when that happened.
+bool quantize_values(const double* x, std::size_t n, double scale,
                      std::int8_t* out);
 
 /// Carves an int8 buffer out of a double arena (8 int8 per slot,
@@ -75,6 +68,15 @@ std::int8_t* alloc_int8(util::ScratchArena& arena, std::size_t count);
 /// not forcing scalar; both kernels return identical results.
 void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
                double b_scale, double* c, int ldc);
+
+/// The layers' int8 step: quantizes the float panel b ([a.cols, n],
+/// row-major, row stride n) against b_scale into arena scratch, then
+/// gemm_int8 into c. A column of b holding a non-finite value sets that
+/// column of c to NaN — the float GEMM would have produced a non-finite
+/// value there too.
+void gemm_int8_panel(const QuantizedMatrix& a, int n, const double* b,
+                     double b_scale, util::ScratchArena& arena, double* c,
+                     int ldc);
 
 namespace detail {
 

@@ -32,8 +32,8 @@ class Sequential : public Layer {
   std::size_t macs_per_sample() const override;
 
   /// Snapshots every layer's weights into int8 form (a no-op for layers
-  /// without an int8 path). See Layer::quantize() for the refresh and
-  /// backend-gating semantics.
+  /// without an int8 path). See Layer::quantize() for what that turns on
+  /// and off.
   void quantize() override {
     for (auto& l : layers_) l->quantize();
   }

@@ -295,7 +295,7 @@ TEST(Autoencoder, EmbeddingHasLatentWidth) {
 }
 
 TEST(Quantized, ReconstructionErrorWithinBand) {
-  // Int8 inference (quantize() + kInt8 backend) must track the float
+  // Int8 inference (after quantize()) must track the float
   // reconstruction within a tight probability band. Fixed seeds; the
   // bands have ~5x headroom over observed error so they catch scheme
   // regressions (bad scales, wrong dequant order), not rounding noise.
@@ -316,9 +316,7 @@ TEST(Quantized, ReconstructionErrorWithinBand) {
   const nn::Tensor p_float = ae.reconstruct(masked);
   ae.quantize();
   EXPECT_TRUE(ae.is_quantized());
-  nn::set_quant_backend(nn::QuantBackend::kInt8);
   const nn::Tensor p_int8 = ae.reconstruct(masked);
-  nn::set_quant_backend(nn::QuantBackend::kAuto);
 
   ASSERT_TRUE(p_float.same_shape(p_int8));
   double mean_abs = 0.0, max_abs = 0.0;
@@ -413,9 +411,7 @@ TEST(Quantized, DetectionApWithinBand) {
       {dets_float}, {scene}, sim::ObjectClass::kCar, 2.0);
   det.quantize();
   EXPECT_TRUE(det.is_quantized());
-  nn::set_quant_backend(nn::QuantBackend::kInt8);
   const auto dets_int8 = det.detect(grid);
-  nn::set_quant_backend(nn::QuantBackend::kAuto);
   const double ap_int8 = evaluate_ap_distance(
       {dets_int8}, {scene}, sim::ObjectClass::kCar, 2.0);
 
@@ -535,6 +531,30 @@ TEST(Pipeline, EndToEndEnergyAdvantage) {
   EXPECT_GT(conventional.energy.total_energy_j() /
                 active.energy.total_energy_j(),
             3.0);
+}
+
+TEST(Pipeline, BillsInt8ExactlyWhenAutoencoderIsQuantized) {
+  Rng rng(18);
+  sim::LidarConfig lc;
+  lc.azimuth_steps = 90;
+  lc.elevation_steps = 8;
+  AutoencoderConfig acfg;
+  acfg.grid.nx = acfg.grid.ny = 16;
+  acfg.c1 = 8;
+  acfg.c2 = 8;
+  GenerativeSensingPipeline pipe(lc, acfg, RadialMaskerConfig{}, rng);
+  const sim::Scene scene = sim::generate_scene(sim::SceneConfig{}, rng);
+
+  Rng sense_rng = rng;
+  const SensedScene float_scan = pipe.sense(scene, sense_rng);
+  EXPECT_EQ(float_scan.energy.int8_macs_per_scan, 0u);
+  pipe.autoencoder().quantize();
+  sense_rng = rng;
+  const SensedScene int8_scan = pipe.sense(scene, sense_rng);
+  EXPECT_EQ(int8_scan.energy.int8_macs_per_scan,
+            pipe.autoencoder().macs_per_scan());
+  EXPECT_LT(int8_scan.energy.reconstruction_energy_j,
+            float_scan.energy.reconstruction_energy_j);
 }
 
 TEST(Pipeline, PretrainingImprovesReconstruction) {

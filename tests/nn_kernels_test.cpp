@@ -2,12 +2,14 @@
 // conv path (nn/gemm.hpp, nn/im2col.hpp, util/scratch_arena.hpp).
 //
 // The load-bearing property is the determinism contract from
-// docs/ARCHITECTURE.md: the GEMM path must reproduce the naive loops
-// bit-for-bit (EXPECT_EQ on doubles, no tolerance) for every shape,
-// stride, padding, and thread count, because the ParallelEquivalence
-// suites and the S2A_NAIVE_CONV oracle both lean on it.
+// docs/ARCHITECTURE.md: the GEMM path must reproduce the direct loops
+// (the oracle in nn_oracle.hpp) bit-for-bit (EXPECT_EQ on doubles, no
+// tolerance) for every shape, stride, padding, and thread count,
+// because the ParallelEquivalence suites lean on it.
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include "nn/layer.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
+#include "nn_oracle.hpp"
+#include "util/check.hpp"
 #include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 #include "util/scratch_arena.hpp"
@@ -29,13 +33,6 @@
 
 namespace s2a::nn {
 namespace {
-
-// Restores the backend (and leaves kAuto's env untouched) on scope exit.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(ConvBackend b) { set_conv_backend(b); }
-  ~ScopedBackend() { set_conv_backend(ConvBackend::kAuto); }
-};
 
 // Forces the sharded paths to engage regardless of core count so the
 // thread-count sweeps actually shard on 1-core machines.
@@ -173,7 +170,6 @@ TEST(SimdDispatch, VectorConvMatchesScalarAcrossThreadCounts) {
   // scalar kernel's bits under every kernel family at every thread
   // count — the vector kernels change speed, never the chain.
   ScopedForceParallel force;
-  ScopedBackend backend(ConvBackend::kGemm);
   Rng rng(45);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
@@ -305,15 +301,88 @@ TEST(Quant, ScalarAndAvx2Int8KernelsExactlyEqual) {
 }
 #endif
 
-TEST(Quant, BackendResolvesEnvOverride) {
-  set_quant_backend(QuantBackend::kAuto);
-  setenv("S2A_QUANT", "1", 1);
-  EXPECT_EQ(quant_backend(), QuantBackend::kInt8);
-  unsetenv("S2A_QUANT");
-  EXPECT_EQ(quant_backend(), QuantBackend::kFloat);
-  set_quant_backend(QuantBackend::kInt8);
-  EXPECT_EQ(quant_backend(), QuantBackend::kInt8);
-  set_quant_backend(QuantBackend::kAuto);
+// Indices of the non-finite elements of t.
+std::vector<std::size_t> nonfinite_at(const Tensor& t) {
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    if (!std::isfinite(t[i])) idx.push_back(i);
+  return idx;
+}
+
+TEST(Quant, NonFiniteActivationsStayNonFiniteInInt8) {
+  // A NaN or inf activation has no int8 code. The int8 forward must
+  // still report non-finite exactly where the float forward does, or
+  // the loop's non-finite quarantine never sees the fault.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Rng rng(23);
+    Conv2D conv(1, 2, 3, 1, 1, rng);
+    Rng qrng(23);
+    Conv2D qconv(1, 2, 3, 1, 1, qrng);
+    qconv.quantize();
+    Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
+    x[5] = bad;
+    const auto expect = nonfinite_at(conv.forward(x));
+    EXPECT_EQ(expect.size(), 18u);
+    EXPECT_EQ(nonfinite_at(qconv.forward(x)), expect) << "Conv2D " << bad;
+
+    Rng drng(24);
+    ConvTranspose2D deconv(2, 3, 4, 2, 1, drng);
+    Rng qdrng(24);
+    ConvTranspose2D qdeconv(2, 3, 4, 2, 1, qdrng);
+    qdeconv.quantize();
+    Tensor z = Tensor::randn({2, 2, 5, 5}, rng);
+    z[7] = bad;
+    const auto expect_d = nonfinite_at(deconv.forward(z));
+    EXPECT_FALSE(expect_d.empty());
+    EXPECT_EQ(nonfinite_at(qdeconv.forward(z)), expect_d)
+        << "ConvTranspose2D " << bad;
+
+    Rng frng(25);
+    Dense dense(6, 4, frng);
+    Rng qfrng(25);
+    Dense qdense(6, 4, qfrng);
+    qdense.quantize();
+    Tensor v = Tensor::randn({3, 6}, rng);
+    v[8] = bad;
+    const auto expect_f = nonfinite_at(dense.forward(v));
+    EXPECT_EQ(expect_f.size(), 4u);
+    EXPECT_EQ(nonfinite_at(qdense.forward(v)), expect_f) << "Dense " << bad;
+  }
+}
+
+TEST(Quant, NonFiniteWeightPoisonsItsRow) {
+  // quantize_rows cannot encode a NaN weight either: its row gets a NaN
+  // scale, so every output of that row is NaN, as in float.
+  std::vector<double> a = {0.5, -1.0, 2.0, 0.25, 1.0, -0.5};
+  a[4] = std::numeric_limits<double>::quiet_NaN();
+  const QuantizedMatrix q = quantize_rows(a.data(), 3, 2, 3);
+  EXPECT_GT(q.scales[0], 0.0);
+  EXPECT_TRUE(std::isnan(q.scales[1]));
+  const std::vector<std::int8_t> b = {1, 2, 3, 4, 5, 6};
+  std::vector<double> c(4, 0.0);
+  gemm_int8(q, 2, b.data(), 2, 0.1, c.data(), 2);
+  EXPECT_TRUE(std::isfinite(c[0]) && std::isfinite(c[1]));
+  EXPECT_TRUE(std::isnan(c[2]) && std::isnan(c[3]));
+}
+
+TEST(Quant, BackwardThroughQuantizedLayerIsRefused) {
+  // The int8 forward is not differentiable as the float one; backward
+  // after quantize() would return the float gradient of a function the
+  // forward never ran.
+  Rng rng(26);
+  Conv2D conv(2, 3, 3, 1, 1, rng);
+  ConvTranspose2D deconv(2, 3, 4, 2, 1, rng);
+  Dense dense(5, 4, rng);
+  conv.quantize();
+  deconv.quantize();
+  dense.quantize();
+  const Tensor yc = conv.forward(Tensor::randn({1, 2, 6, 6}, rng));
+  EXPECT_THROW(conv.backward(yc), CheckError);
+  const Tensor yd = deconv.forward(Tensor::randn({1, 2, 3, 3}, rng));
+  EXPECT_THROW(deconv.backward(yd), CheckError);
+  const Tensor yf = dense.forward(Tensor::randn({2, 5}, rng));
+  EXPECT_THROW(dense.backward(yf), CheckError);
 }
 
 TEST(Im2Col, RoundTripScalesByReadCount) {
@@ -379,7 +448,7 @@ TEST(Im2Col, BandDecompositionMatchesFullLowering) {
   }
 }
 
-// ---- Conv forward: GEMM path vs. naive oracle ----
+// ---- Conv forward: GEMM path vs. direct-loop oracle ----
 
 std::size_t diff_count(const Tensor& a, const Tensor& b) {
   if (a.numel() != b.numel()) return a.numel() + b.numel();
@@ -403,16 +472,9 @@ TEST(ConvBackendEquivalence, Conv2DBitExactAcrossShapes) {
   for (const auto& c : cases) {
     Conv2D conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
     const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
-    Tensor naive, fast;
-    {
-      ScopedBackend backend(ConvBackend::kNaive);
-      naive = conv.forward(x);
-    }
-    {
-      ScopedBackend backend(ConvBackend::kGemm);
-      fast = conv.forward(x);
-    }
-    EXPECT_EQ(diff_count(naive, fast), 0u)
+    const Tensor naive = oracle::conv2d_forward(
+        x, *conv.params()[0], *conv.params()[1], c.stride, c.pad);
+    EXPECT_EQ(diff_count(naive, conv.forward(x)), 0u)
         << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
         << " w=" << c.w;
@@ -432,54 +494,54 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
   for (const auto& c : cases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
     const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
-    Tensor naive, fast;
-    {
-      ScopedBackend backend(ConvBackend::kNaive);
-      naive = deconv.forward(x);
-    }
-    {
-      ScopedBackend backend(ConvBackend::kGemm);
-      fast = deconv.forward(x);
-    }
-    EXPECT_EQ(diff_count(naive, fast), 0u)
+    const Tensor naive = oracle::conv_transpose2d_forward(
+        x, *deconv.params()[0], *deconv.params()[1], c.stride, c.pad);
+    EXPECT_EQ(diff_count(naive, deconv.forward(x)), 0u)
         << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
         << " w=" << c.w;
   }
 }
 
-TEST(ConvBackendEquivalence, EnvVarSelectsNaiveOracle) {
-  set_conv_backend(ConvBackend::kAuto);
-  setenv("S2A_NAIVE_CONV", "1", 1);
-  EXPECT_EQ(conv_backend(), ConvBackend::kNaive);
-  unsetenv("S2A_NAIVE_CONV");
-  EXPECT_EQ(conv_backend(), ConvBackend::kGemm);
-}
-
 TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
   // The band split changes with the thread count; the per-element
-  // accumulation chain must not. Forced-parallel so this shards even on
-  // a 1-core box (and genuinely exercises arena slots under TSan).
+  // accumulation chain must not — on the float path, and on the int8
+  // path of a quantized copy of the same layers. Forced-parallel so
+  // this shards even on a 1-core box (and genuinely exercises arena
+  // slots under TSan).
   ScopedForceParallel force;
-  ScopedBackend backend(ConvBackend::kGemm);
   Rng rng(44);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
   const Tensor x = Tensor::randn({1, 4, 48, 48}, rng);
   const Tensor z = Tensor::randn({1, 16, 24, 24}, rng);
+  Rng qrng(44);
+  Conv2D qconv(4, 16, 3, 2, 1, qrng);
+  ConvTranspose2D qdeconv(16, 4, 4, 2, 1, qrng);
+  qconv.quantize();
+  qdeconv.quantize();
 
-  Tensor conv_serial, deconv_serial;
+  Tensor conv_serial, deconv_serial, qconv_serial, qdeconv_serial;
   {
     util::ScopedGlobalThreads threads(1);
     conv_serial = conv.forward(x);
     deconv_serial = deconv.forward(z);
+    qconv_serial = qconv.forward(x);
+    qdeconv_serial = qdeconv.forward(z);
   }
-  for (int threads : {2, 3, 4, 7}) {
+  // The quantized copies really ran int8.
+  EXPECT_GT(diff_count(conv_serial, qconv_serial), 0u);
+  EXPECT_GT(diff_count(deconv_serial, qdeconv_serial), 0u);
+  for (int threads : {1, 2, 3, 4, 7}) {
     util::ScopedGlobalThreads scoped(threads);
     EXPECT_EQ(diff_count(conv_serial, conv.forward(x)), 0u)
         << threads << " threads";
     EXPECT_EQ(diff_count(deconv_serial, deconv.forward(z)), 0u)
         << threads << " threads";
+    EXPECT_EQ(diff_count(qconv_serial, qconv.forward(x)), 0u)
+        << "int8 conv, " << threads << " threads";
+    EXPECT_EQ(diff_count(qdeconv_serial, qdeconv.forward(z)), 0u)
+        << "int8 deconv, " << threads << " threads";
   }
 }
 
@@ -554,20 +616,15 @@ TEST(Im2Col, Col2ImBandDecompositionMatchesFullScatter) {
   }
 }
 
-// ---- Backward: GEMM path vs. naive oracle ----
+// ---- Backward: GEMM path vs. direct-loop oracle ----
 
-struct BackwardResult {
-  Tensor dx, gw, gb;
-};
-
-// One zero_grad + forward + backward under `backend`; returns dx and
-// copies of the accumulated parameter gradients.
-BackwardResult run_backward(Layer& layer, const Tensor& x,
-                            const Tensor& grad_out, ConvBackend backend) {
-  ScopedBackend scoped(backend);
+// One zero_grad + forward + backward; returns dx and copies of the
+// accumulated parameter gradients.
+oracle::Grads run_backward(Layer& layer, const Tensor& x,
+                           const Tensor& grad_out) {
   layer.zero_grad();
   layer.forward(x);
-  BackwardResult r;
+  oracle::Grads r;
   r.dx = layer.backward(grad_out);
   r.gw = *layer.grads()[0];
   r.gb = *layer.grads()[1];
@@ -590,8 +647,9 @@ TEST(ConvBackendEquivalence, Conv2DBackwardBitExactAcrossShapes) {
     const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
         {2, c.cout, conv.out_size(c.h), conv.out_size(c.w)}, rng);
-    const auto naive = run_backward(conv, x, g, ConvBackend::kNaive);
-    const auto fast = run_backward(conv, x, g, ConvBackend::kGemm);
+    const auto naive = oracle::conv2d_backward(x, *conv.params()[0], g,
+                                               c.stride, c.pad);
+    const auto fast = run_backward(conv, x, g);
     EXPECT_EQ(diff_count(naive.dx, fast.dx), 0u)
         << "dx: cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad;
@@ -617,8 +675,9 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBackwardBitExactAcrossShapes) {
     const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
         {2, c.cout, deconv.out_size(c.h), deconv.out_size(c.w)}, rng);
-    const auto naive = run_backward(deconv, x, g, ConvBackend::kNaive);
-    const auto fast = run_backward(deconv, x, g, ConvBackend::kGemm);
+    const auto naive = oracle::conv_transpose2d_backward(
+        x, *deconv.params()[0], g, c.stride, c.pad);
+    const auto fast = run_backward(deconv, x, g);
     EXPECT_EQ(diff_count(naive.dx, fast.dx), 0u)
         << "dx: cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad;
@@ -639,21 +698,14 @@ TEST(ConvBackendEquivalence, DenseBitExactBothDirections) {
   for (const auto& c : cases) {
     Dense dense(c.in, c.out, rng);
     const Tensor x = Tensor::randn({c.n, c.in}, rng);
-    Tensor y_naive, y_fast;
-    {
-      ScopedBackend backend(ConvBackend::kNaive);
-      y_naive = dense.forward(x);
-    }
-    {
-      ScopedBackend backend(ConvBackend::kGemm);
-      y_fast = dense.forward(x);
-    }
-    EXPECT_EQ(diff_count(y_naive, y_fast), 0u)
+    const Tensor y_naive =
+        oracle::dense_forward(x, dense.weight(), dense.bias());
+    EXPECT_EQ(diff_count(y_naive, dense.forward(x)), 0u)
         << "forward: in=" << c.in << " out=" << c.out << " n=" << c.n;
 
     const Tensor g = Tensor::randn({c.n, c.out}, rng);
-    const auto naive = run_backward(dense, x, g, ConvBackend::kNaive);
-    const auto fast = run_backward(dense, x, g, ConvBackend::kGemm);
+    const auto naive = oracle::dense_backward(x, dense.weight(), g);
+    const auto fast = run_backward(dense, x, g);
     EXPECT_EQ(diff_count(naive.dx, fast.dx), 0u)
         << "dx: in=" << c.in << " out=" << c.out << " n=" << c.n;
     EXPECT_EQ(diff_count(naive.gw, fast.gw), 0u)
@@ -665,8 +717,8 @@ TEST(ConvBackendEquivalence, DenseBitExactBothDirections) {
 TEST(ConvBackendEquivalence, BackwardBitExactAcrossThreadCounts) {
   // Sharding stripes gw over columns and dx over bands — never over a
   // reduction axis — so every gradient element's complete chain runs in
-  // one task and the bits cannot depend on the thread count. The naive
-  // oracle (always serial) anchors the comparison at each count.
+  // one task and the bits cannot depend on the thread count. The
+  // (serial) direct-loop oracle anchors the comparison at each count.
   ScopedForceParallel force;
   Rng rng(48);
   Conv2D conv(4, 16, 3, 2, 1, rng);
@@ -676,19 +728,17 @@ TEST(ConvBackendEquivalence, BackwardBitExactAcrossThreadCounts) {
   const Tensor z = Tensor::randn({1, 16, 24, 24}, rng);
   const Tensor gz = Tensor::randn({1, 4, 48, 48}, rng);
 
-  BackwardResult conv_oracle, deconv_oracle;
-  {
-    util::ScopedGlobalThreads threads(1);
-    conv_oracle = run_backward(conv, x, gx, ConvBackend::kNaive);
-    deconv_oracle = run_backward(deconv, z, gz, ConvBackend::kNaive);
-  }
+  const auto conv_oracle =
+      oracle::conv2d_backward(x, *conv.params()[0], gx, 2, 1);
+  const auto deconv_oracle =
+      oracle::conv_transpose2d_backward(z, *deconv.params()[0], gz, 2, 1);
   for (int threads : {1, 2, 4}) {
     util::ScopedGlobalThreads scoped(threads);
-    const auto c = run_backward(conv, x, gx, ConvBackend::kGemm);
+    const auto c = run_backward(conv, x, gx);
     EXPECT_EQ(diff_count(conv_oracle.dx, c.dx), 0u) << threads << " threads";
     EXPECT_EQ(diff_count(conv_oracle.gw, c.gw), 0u) << threads << " threads";
     EXPECT_EQ(diff_count(conv_oracle.gb, c.gb), 0u) << threads << " threads";
-    const auto d = run_backward(deconv, z, gz, ConvBackend::kGemm);
+    const auto d = run_backward(deconv, z, gz);
     EXPECT_EQ(diff_count(deconv_oracle.dx, d.dx), 0u) << threads << " threads";
     EXPECT_EQ(diff_count(deconv_oracle.gw, d.gw), 0u) << threads << " threads";
     EXPECT_EQ(diff_count(deconv_oracle.gb, d.gb), 0u) << threads << " threads";
@@ -698,11 +748,11 @@ TEST(ConvBackendEquivalence, BackwardBitExactAcrossThreadCounts) {
 // ---- Backward: finite-difference gradient checks ----
 
 // L = 0.5*||y||^2 so dL/dy = y (non-uniform output gradients), matching
-// the nn_test.cpp convention. Checks dL/d(input) and dL/d(params) by
-// central differences under the given backend.
-void check_gradients(Layer& layer, const Tensor& x, ConvBackend backend,
-                     double eps = 1e-5, double tol = 1e-6) {
-  ScopedBackend scoped(backend);
+// the nn_test.cpp convention. Checks the GEMM path's dL/d(input) and
+// dL/d(params) by central differences; the equivalence tests above pin
+// the oracle to it with ==, so this covers the oracle's arithmetic too.
+void check_gradients(Layer& layer, const Tensor& x, double eps = 1e-5,
+                     double tol = 1e-6) {
   layer.zero_grad();
   const Tensor y = layer.forward(x);
   const Tensor dx = layer.backward(y);
@@ -740,30 +790,24 @@ void check_gradients(Layer& layer, const Tensor& x, ConvBackend backend,
 }
 
 TEST(BackwardGradientCheck, Conv2DBothBackends) {
-  for (ConvBackend backend : {ConvBackend::kNaive, ConvBackend::kGemm}) {
-    Rng rng(90);
-    Conv2D conv(2, 3, 3, 2, 1, rng);
-    const Tensor x = Tensor::randn({2, 2, 6, 6}, rng);
-    check_gradients(conv, x, backend);
-  }
+  Rng rng(90);
+  Conv2D conv(2, 3, 3, 2, 1, rng);
+  const Tensor x = Tensor::randn({2, 2, 6, 6}, rng);
+  check_gradients(conv, x);
 }
 
 TEST(BackwardGradientCheck, ConvTranspose2DBothBackends) {
-  for (ConvBackend backend : {ConvBackend::kNaive, ConvBackend::kGemm}) {
-    Rng rng(91);
-    ConvTranspose2D deconv(3, 2, 4, 2, 1, rng);
-    const Tensor x = Tensor::randn({1, 3, 4, 4}, rng);
-    check_gradients(deconv, x, backend);
-  }
+  Rng rng(91);
+  ConvTranspose2D deconv(3, 2, 4, 2, 1, rng);
+  const Tensor x = Tensor::randn({1, 3, 4, 4}, rng);
+  check_gradients(deconv, x);
 }
 
 TEST(BackwardGradientCheck, DenseBothBackends) {
-  for (ConvBackend backend : {ConvBackend::kNaive, ConvBackend::kGemm}) {
-    Rng rng(92);
-    Dense dense(3, 4, rng);
-    const Tensor x = Tensor::randn({2, 3}, rng);
-    check_gradients(dense, x, backend);
-  }
+  Rng rng(92);
+  Dense dense(3, 4, rng);
+  const Tensor x = Tensor::randn({2, 3}, rng);
+  check_gradients(dense, x);
 }
 
 // ---- ScratchArena ----
@@ -856,7 +900,6 @@ TEST(ScratchArena, TrainingStepsStopGrowingAfterWarmup) {
   // sub-arenas are exercised too.
   ScopedForceParallel force;
   util::ScopedGlobalThreads threads(4);
-  ScopedBackend backend(ConvBackend::kGemm);
   Rng rng(93);
   Conv2D conv(3, 8, 3, 2, 1, rng);
   ConvTranspose2D deconv(8, 3, 4, 2, 1, rng);
