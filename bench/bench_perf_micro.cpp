@@ -73,6 +73,7 @@
 #include "lidar/autoencoder.hpp"
 #include "lidar/batched.hpp"
 #include "lidar/voxel_grid.hpp"
+#include "monitor/starnet.hpp"
 #include "neuro/spiking.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -459,6 +460,11 @@ struct HotPathFixtures {
   // same seed (so the same initial weights). `ae` itself stays float:
   // lidar.ae_pretrain_step trains it.
   std::unique_ptr<lidar::OccupancyAutoencoder> ae_int8;
+  // monitor.starnet_score: a fitted STARNet with the loop benchmark's VAE
+  // shape (32-dim embedding, hidden 48, latent 6, default 60 SPSA
+  // iterations) and one clean embedding to score.
+  std::unique_ptr<monitor::StarNet> starnet;
+  std::vector<double> starnet_embedding;
 
   static HotPathFixtures make() {
     // lidar.voxelize: a 360x32 scan (11520 returns) is well above the
@@ -502,7 +508,8 @@ struct HotPathFixtures {
                        std::vector<bool>{},
                        {},              {},
                        {},              nullptr,
-                       nullptr,         nullptr};
+                       nullptr,         nullptr,
+                       nullptr,         {}};
 
     // lidar.ae_pretrain_step: sparse occupancy target (~6% occupied),
     // masked input keeping ~10% of sensed voxels.
@@ -538,6 +545,25 @@ struct HotPathFixtures {
     // fed.hier_round_1k: the 1k point of the S2A_BENCH_FED_SCALE sweep
     // under the constrained-uplink configuration.
     fx.fed_hier = std::make_unique<FedScaleFixture>(FedScaleFixture::make(1000));
+
+    // monitor.starnet_score: fitted on 64 synthetic clean embeddings
+    // drawn from a two-mode Gaussian mixture.
+    Rng star_rng(10);
+    std::vector<std::vector<double>> clean;
+    for (int i = 0; i < 64; ++i) {
+      const double mode = star_rng.bernoulli(0.5) ? 1.0 : -1.0;
+      std::vector<double> e(32);
+      for (std::size_t d = 0; d < e.size(); ++d)
+        e[d] = mode * (d % 2 == 0 ? 1.0 : -0.5) + star_rng.normal(0.0, 0.3);
+      clean.push_back(std::move(e));
+    }
+    monitor::StarNetConfig sc;
+    sc.vae.input_dim = 32;
+    sc.vae.hidden = 48;
+    sc.vae.latent_dim = 6;
+    fx.starnet = std::make_unique<monitor::StarNet>(sc, star_rng);
+    fx.starnet->fit(clean, star_rng);
+    fx.starnet_embedding = clean.front();
     return fx;
   }
 
@@ -578,6 +604,11 @@ struct HotPathFixtures {
     w.push_back({"fed.hier_round_1k", 15, [this] {
                    benchmark::DoNotOptimize(
                        fed_hier->run(fed_hier->sampled_cfg()));
+                 }});
+    w.push_back({"monitor.starnet_score", 60, [this] {
+                   Rng score_rng(17);
+                   benchmark::DoNotOptimize(
+                       starnet->score(starnet_embedding, score_rng));
                  }});
     w.push_back({"nn.gemm_conv2", 400, [this] {
                    std::fill(gemm_c.begin(), gemm_c.end(), 0.0);

@@ -10,6 +10,7 @@
 #   ./scripts/check.sh tsan       # just the TSan build + threaded tests
 #   ./scripts/check.sh perf       # just the perf regression gate
 #   ./scripts/check.sh docs       # just the docs-consistency check
+#   ./scripts/check.sh perfbench  # perfbench helper tests + output checks
 #   ./scripts/check.sh coverage   # gcovr line-coverage report (needs gcovr)
 #
 # S2A_SKIP_PERF=1 skips the perf gate (use on noisy shared runners where
@@ -76,6 +77,21 @@ run_perf() {
   cmake -B build -S .
   cmake --build build -j "$JOBS" --target bench_perf_micro
   S2A_BENCH_BUDGETS=BENCH_budgets.json ./build/bench/bench_perf_micro
+}
+
+run_perfbench() {
+  echo "==> perfbench: helper tests + every workload's output checks"
+  # The output checks are end-to-end bit-exactness oracles over the real
+  # loop (pipelined replay, each fleet member against its solo run,
+  # thread-invariant federated rounds, finite training losses); run.py
+  # exits non-zero when one fails. Timings are printed, never gated:
+  # 3 s runs on a shared runner measure nothing. perfbench builds its own
+  # tree (.bench_build/perfbench).
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+  local w
+  for w in loop_tick fleet_serve ae_train fed_round; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 --trace 0
+  done
 }
 
 run_coverage() {
@@ -147,6 +163,7 @@ case "$STAGE" in
   tsan) run_tsan ;;
   perf) run_perf ;;
   docs) run_docs ;;
+  perfbench) run_perfbench ;;
   coverage) run_coverage ;;
   all)
     run_tier1
@@ -155,10 +172,11 @@ case "$STAGE" in
     run_tsan
     run_perf
     run_docs
+    run_perfbench
     echo "==> all checks passed"
     ;;
   *)
-    echo "usage: $0 [tier1|werror|asan|tsan|perf|docs|coverage|all]" >&2
+    echo "usage: $0 [tier1|werror|asan|tsan|perf|docs|perfbench|coverage|all]" >&2
     exit 2
     ;;
 esac

@@ -4,15 +4,6 @@
 
 namespace s2a::monitor {
 
-namespace {
-Vae::Posterior unpack(const std::vector<double>& theta, int k) {
-  Vae::Posterior q;
-  q.mu.assign(theta.begin(), theta.begin() + k);
-  q.logvar.assign(theta.begin() + k, theta.end());
-  return q;
-}
-}  // namespace
-
 RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
                                const RegretConfig& cfg, Rng& rng) {
   const int k = vae.config().latent_dim;
@@ -27,9 +18,10 @@ RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
     theta[static_cast<std::size_t>(k + i)] = q0.logvar[static_cast<std::size_t>(i)];
   }
 
-  // Minimize negative ELBO over the per-sample posterior parameters.
+  // Minimize negative ELBO over the per-sample posterior parameters,
+  // read in place from the packed search vector t = (µ, logvar).
   auto objective = [&](const std::vector<double>& t) {
-    return -vae.elbo(x, unpack(t, k));
+    return -vae.elbo(x, t.data(), t.data() + k);
   };
 
   if (cfg.optimizer == RegretOptimizer::kSpsa) {

@@ -1,5 +1,6 @@
 #include "monitor/vae.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/activations.hpp"
@@ -8,19 +9,27 @@
 
 namespace s2a::monitor {
 
+namespace {
+double kl_to_standard_normal(const double* mu, const double* logvar,
+                             std::size_t k) {
+  double kl = 0.0;
+  for (std::size_t i = 0; i < k; ++i)
+    kl += 0.5 * (mu[i] * mu[i] + std::exp(logvar[i]) - logvar[i] - 1.0);
+  return kl;
+}
+}  // namespace
+
 double gaussian_kl(const std::vector<double>& mu,
                    const std::vector<double>& logvar) {
   S2A_CHECK(mu.size() == logvar.size());
-  double kl = 0.0;
-  for (std::size_t i = 0; i < mu.size(); ++i)
-    kl += 0.5 * (mu[i] * mu[i] + std::exp(logvar[i]) - logvar[i] - 1.0);
-  return kl;
+  return kl_to_standard_normal(mu.data(), logvar.data(), mu.size());
 }
 
 Vae::Vae(VaeConfig config, Rng& rng)
     : cfg_(config),
       mu_head_(config.hidden, config.latent_dim, rng),
-      logvar_head_(config.hidden, config.latent_dim, rng) {
+      logvar_head_(config.hidden, config.latent_dim, rng),
+      z_({1, config.latent_dim}) {
   encoder_trunk_.emplace<nn::Dense>(cfg_.input_dim, cfg_.hidden, rng);
   encoder_trunk_.emplace<nn::Tanh>();
   decoder_.emplace<nn::Dense>(cfg_.latent_dim, cfg_.hidden, rng);
@@ -44,19 +53,29 @@ Vae::Posterior Vae::encode(const std::vector<double>& x) {
 
 std::vector<double> Vae::decode(const std::vector<double>& z) {
   S2A_CHECK(static_cast<int>(z.size()) == cfg_.latent_dim);
-  nn::Tensor zt({1, cfg_.latent_dim}, std::vector<double>(z.begin(), z.end()));
-  const nn::Tensor xt = decoder_.forward(zt);
+  std::copy(z.begin(), z.end(), z_.data());
+  const nn::Tensor xt = decoder_.forward(z_);
   return std::vector<double>(xt.data(), xt.data() + xt.numel());
 }
 
 double Vae::elbo(const std::vector<double>& x, const Posterior& q) {
-  const std::vector<double> x_hat = decode(q.mu);
+  S2A_CHECK(static_cast<int>(q.mu.size()) == cfg_.latent_dim &&
+            q.logvar.size() == q.mu.size());
+  return elbo(x, q.mu.data(), q.logvar.data());
+}
+
+double Vae::elbo(const std::vector<double>& x, const double* mu,
+                 const double* logvar) {
+  S2A_CHECK(static_cast<int>(x.size()) == cfg_.input_dim);
+  const auto k = static_cast<std::size_t>(cfg_.latent_dim);
+  std::copy(mu, mu + k, z_.data());
+  const nn::Tensor x_hat = decoder_.forward(z_);
   double log_lik = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double d = x[i] - x_hat[i];
     log_lik += -0.5 * d * d;  // unit-variance Gaussian, constant dropped
   }
-  return log_lik - cfg_.kl_weight * gaussian_kl(q.mu, q.logvar);
+  return log_lik - cfg_.kl_weight * kl_to_standard_normal(mu, logvar, k);
 }
 
 double Vae::elbo(const std::vector<double>& x) { return elbo(x, encode(x)); }

@@ -35,6 +35,12 @@ class Vae {
   /// up to the Gaussian constant. Deterministic so SPSA optimization and
   /// scoring are reproducible.
   double elbo(const std::vector<double>& x, const Posterior& q);
+  /// The same ELBO with the posterior given as latent_dim values at mu
+  /// and at logvar. Likelihood regret evaluates it ~180 times per score
+  /// straight from its packed (µ, logvar) search vector; it allocates no
+  /// Posterior and reuses one decoder input tensor across calls.
+  double elbo(const std::vector<double>& x, const double* mu,
+              const double* logvar);
   /// ELBO under the trained encoder's own posterior.
   double elbo(const std::vector<double>& x);
 
@@ -58,6 +64,7 @@ class Vae {
   nn::Sequential encoder_trunk_;  // x -> hidden
   nn::Dense mu_head_, logvar_head_;
   nn::Sequential decoder_;  // z -> x̂
+  nn::Tensor z_;            // [1, latent_dim] decoder input, reused
 };
 
 /// Analytic KL(N(µ, e^{logvar}) ‖ N(0, I)).

@@ -72,20 +72,6 @@ Tensor conv_weight_init(int c0, int c1, int k, Rng& rng) {
   return w;
 }
 
-inline std::size_t idx4(int a, int b, int c, int d, int db, int dc, int dd) {
-  return ((static_cast<std::size_t>(a) * db + b) * dc + c) * dd + d;
-}
-
-// A stride-s deconv's sub-pixel phase p reads the kernel offsets t with
-// t % s == p. Each list is descending, so ascending list order is
-// ascending source row (or column).
-std::vector<std::vector<int>> deconv_phase_taps(int k, int s) {
-  std::vector<std::vector<int>> taps(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k - 1; t >= 0; --t)
-      if (t % s == p) taps[static_cast<std::size_t>(p)].push_back(t);
-  return taps;
-}
 }  // namespace
 
 Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
@@ -312,6 +298,26 @@ ConvTranspose2D::ConvTranspose2D(int in_channels, int out_channels, int kernel,
       gw_({in_channels, out_channels, kernel, kernel}),
       gb_({out_channels}) {
   S2A_CHECK(kernel > 0 && stride > 0 && padding >= 0);
+  // Phase p reads the kernel offsets t with t % s == p. Each list is
+  // descending, so ascending list order is ascending source row (or
+  // column) — the direct scatter's order.
+  const int s = stride_;
+  taps_.resize(static_cast<std::size_t>(s));
+  for (int p = 0; p < s; ++p)
+    for (int t = k_ - 1; t >= 0; --t)
+      if (t % s == p) taps_[static_cast<std::size_t>(p)].push_back(t);
+  phase_rows_.resize(static_cast<std::size_t>(s) * s);
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      auto& rows = phase_rows_[static_cast<std::size_t>(py) * s + px];
+      for (int ic = 0; ic < cin_; ++ic) {
+        const std::size_t plane =
+            static_cast<std::size_t>(ic) * cout_ * k_ * k_;
+        for (int ky : taps_[static_cast<std::size_t>(py)])
+          for (int kx : taps_[static_cast<std::size_t>(px)])
+            rows.push_back(plane + static_cast<std::size_t>(ky) * k_ + kx);
+      }
+    }
 }
 
 Tensor ConvTranspose2D::forward(const Tensor& x) {
@@ -334,19 +340,19 @@ Tensor ConvTranspose2D::forward(const Tensor& x) {
 // order (iy/ix ascend as the flipped taps ascend), so the GEMM chain
 // matches the scatter per element.
 //
-// For stride 1 every tap can contribute to every output pixel and a
-// single full-K GEMM over im2col_flipped is efficient. For stride s > 1
-// only taps with ky % s == (oy+pad) % s (and likewise for x) pass the
-// phase gate — a full-K GEMM would spend (s*s-1)/(s*s) of its MACs
-// multiplying structural zeros. So the output is split into its s*s
-// sub-pixel phase grids, each with a dense tap list and its own
-// repacked weight panel, and each phase runs a compact GEMM into a
-// scratch tile that is scattered onto y. Dropping the structural zeros
-// removes exact no-op additions from each element's chain, so the
-// result stays bit-identical to the direct scatter.
+// For stride s > 1 only taps with ky % s == (oy+pad) % s (and likewise
+// for x) pass the phase gate — a full-K GEMM would spend (s*s-1)/(s*s)
+// of its MACs multiplying structural zeros. So the output is split into
+// its s*s sub-pixel phase grids, each with a dense tap list and its own
+// weight panel (packed per call through the constructor's phase_rows_
+// table), and each phase runs a compact GEMM into a scratch tile that
+// is scattered onto y. Stride 1 is the one-phase case. Dropping the
+// structural zeros removes exact no-op additions from each element's
+// chain, so the result stays bit-identical to the direct scatter.
 void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
                                    int w, int oh, int ow) {
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
+  const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
   const int s = stride_;
   arena_.reset();
   // Int8 path: the per-phase weight matrices were snapshotted by
@@ -355,26 +361,17 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   // int8 GEMM.
   const bool int8 = quantized_;
   const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
-  const auto phase_taps = deconv_phase_taps(k_, s);
 
-  // Repacked weight panel per (py, px) phase pair: rows (ic, jy, jx)
-  // over the dense tap lists, matching the phase column matrix below.
-  std::vector<double*> wp(static_cast<std::size_t>(s) * s, nullptr);
-  std::vector<int> kdim_ph(static_cast<std::size_t>(s) * s, 0);
-  for (int py = 0; py < s; ++py)
-    for (int px = 0; px < s; ++px) {
-      const auto& kys = phase_taps[static_cast<std::size_t>(py)];
-      const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-      const int nky = static_cast<int>(kys.size());
-      const int nkx = static_cast<int>(kxs.size());
-      const int kdim = cin_ * nky * nkx;
-      kdim_ph[static_cast<std::size_t>(py) * s + px] = kdim;
-      if (kdim == 0 || int8) continue;
-      double* wph = arena_.alloc(static_cast<std::size_t>(cout_) * kdim);
-      gather_phase_weights(kys, kxs, wph);
-      double* packed = arena_.alloc(packed_a_size(cout_, kdim));
-      pack_a(wph, kdim, cout_, kdim, packed);
-      wp[static_cast<std::size_t>(py) * s + px] = packed;
+  // Packed weight panel per (py, px) phase: one indexed copy of w_,
+  // rows (ic, jy, jx) matching the phase column matrix below.
+  std::vector<double*> wp(phase_rows_.size(), nullptr);
+  if (!int8)
+    for (std::size_t ph = 0; ph < phase_rows_.size(); ++ph) {
+      const auto& rows = phase_rows_[ph];
+      if (rows.empty()) continue;
+      const int kdim = static_cast<int>(rows.size());
+      wp[ph] = arena_.alloc(packed_a_size(cout_, kdim));
+      pack_a_indexed(w_.data(), kk2, rows.data(), cout_, kdim, wp[ph]);
     }
 
   // One band of one image: every phase subgrid intersecting output rows
@@ -385,93 +382,78 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
     const double* xb = x.data() + static_cast<std::size_t>(b) * cin_ * h * w;
     double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
     for (int py = 0; py < s; ++py)
-            for (int px = 0; px < s; ++px) {
-              // This phase's output subgrid within the band: rows
-              // oy0, oy0+s, ... and columns ox0, ox0+s, ...
-              int oy0 = oy_lo;
-              while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
-              const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
-              const int ox0_raw = (px - pad_) % s;
-              const int ox0 = ox0_raw < 0 ? ox0_raw + s : ox0_raw;
-              const int nx = ox0 < ow ? (ow - ox0 + s - 1) / s : 0;
-              if (ny == 0 || nx == 0) continue;
+      for (int px = 0; px < s; ++px) {
+        // This phase's output subgrid within the band: rows
+        // oy0, oy0+s, ... and columns ox0, ox0+s, ...
+        int oy0 = oy_lo;
+        while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
+        const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
+        const int ox0_raw = (px - pad_) % s;
+        const int ox0 = ox0_raw < 0 ? ox0_raw + s : ox0_raw;
+        const int nx = ox0 < ow ? (ow - ox0 + s - 1) / s : 0;
+        if (ny == 0 || nx == 0) continue;
 
-              const int kdim = kdim_ph[static_cast<std::size_t>(py) * s + px];
-              const int nph = ny * nx;
-              if (kdim == 0) {
-                // No tap reaches this phase (kernel shorter than the
-                // stride): those pixels are pure bias.
-                for (int oc = 0; oc < cout_; ++oc)
-                  for (int yi = 0; yi < ny; ++yi) {
-                    double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
-                                   static_cast<std::size_t>(oy0 + yi * s) * ow;
-                    for (int xi = 0; xi < nx; ++xi)
-                      yrow[ox0 + xi * s] = b_[static_cast<std::size_t>(oc)];
-                  }
-                continue;
-              }
-
-              const auto& kys = phase_taps[static_cast<std::size_t>(py)];
-              const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-              const int nky = static_cast<int>(kys.size());
-              const int nkx = static_cast<int>(kxs.size());
-              double* col =
-                  band_arena.alloc(static_cast<std::size_t>(kdim) * nph);
-              double* row = col;
-              for (int ic = 0; ic < cin_; ++ic) {
-                const double* plane =
-                    xb + static_cast<std::size_t>(ic) * h * w;
-                for (int jy = 0; jy < nky; ++jy) {
-                  const int ky = kys[static_cast<std::size_t>(jy)];
-                  for (int jx = 0; jx < nkx; ++jx) {
-                    const int kx = kxs[static_cast<std::size_t>(jx)];
-                    for (int yi = 0; yi < ny; ++yi) {
-                      // Phase membership guarantees s divides num_y.
-                      const int num_y = oy0 + yi * s + pad_ - ky;
-                      const int iy = num_y / s;
-                      double* dst = row + static_cast<std::size_t>(yi) * nx;
-                      if (num_y < 0 || iy >= h) {
-                        std::fill_n(dst, nx, 0.0);
-                        continue;
-                      }
-                      const double* src =
-                          plane + static_cast<std::size_t>(iy) * w;
-                      for (int xi = 0; xi < nx; ++xi) {
-                        const int num_x = ox0 + xi * s + pad_ - kx;
-                        const int ix = num_x / s;
-                        dst[xi] = (num_x < 0 || ix >= w) ? 0.0 : src[ix];
-                      }
-                    }
-                    row += static_cast<std::size_t>(nph);
-                  }
-                }
-              }
-
-              double* tile =
-                  band_arena.alloc(static_cast<std::size_t>(cout_) * nph);
-              for (int oc = 0; oc < cout_; ++oc)
-                std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
-                            b_[static_cast<std::size_t>(oc)]);
-              if (int8) {
-                gemm_int8_panel(qw_ph_[static_cast<std::size_t>(py) * s + px],
-                                nph, col, xs, band_arena, tile, nph);
-              } else {
-                gemm_packed(cout_, nph, kdim,
-                            wp[static_cast<std::size_t>(py) * s + px], col,
-                            nph, tile, nph);
-              }
-              for (int oc = 0; oc < cout_; ++oc) {
-                const double* trow = tile + static_cast<std::size_t>(oc) * nph;
-                for (int yi = 0; yi < ny; ++yi) {
-                  double* yrow =
-                      yb + static_cast<std::size_t>(oc) * out_hw +
-                      static_cast<std::size_t>(oy0 + yi * s) * ow;
-                  for (int xi = 0; xi < nx; ++xi)
-                    yrow[ox0 + xi * s] =
-                        trow[static_cast<std::size_t>(yi) * nx + xi];
-                }
-              }
+        const std::size_t ph = static_cast<std::size_t>(py) * s + px;
+        const int kdim = static_cast<int>(phase_rows_[ph].size());
+        const int nph = ny * nx;
+        if (kdim == 0) {
+          // No tap reaches this phase (kernel shorter than the stride):
+          // those pixels are pure bias.
+          for (int oc = 0; oc < cout_; ++oc)
+            for (int yi = 0; yi < ny; ++yi) {
+              double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
+                             static_cast<std::size_t>(oy0 + yi * s) * ow;
+              for (int xi = 0; xi < nx; ++xi)
+                yrow[ox0 + xi * s] = b_[static_cast<std::size_t>(oc)];
             }
+          continue;
+        }
+
+        // Phase membership makes s divide oy0 + pad - ky for every tap
+        // ky of this phase, so phase row yi reads input row iy0 + yi
+        // with iy0 = (oy0 + pad - ky) / s (likewise ix0 + xi for
+        // columns): each lowered row is one contiguous span of an input
+        // row with zero-filled edges, clamped once per (tap, row).
+        double* col = band_arena.alloc(static_cast<std::size_t>(kdim) * nph);
+        double* row = col;
+        for (int ic = 0; ic < cin_; ++ic) {
+          const double* plane = xb + static_cast<std::size_t>(ic) * h * w;
+          for (const int ky : taps_[static_cast<std::size_t>(py)]) {
+            const int iy0 = (oy0 + pad_ - ky) / s;
+            for (const int kx : taps_[static_cast<std::size_t>(px)]) {
+              const int ix0 = (ox0 + pad_ - kx) / s;
+              for (int yi = 0; yi < ny; ++yi) {
+                double* dst = row + static_cast<std::size_t>(yi) * nx;
+                const int iy = iy0 + yi;
+                if (iy < 0 || iy >= h)
+                  std::fill_n(dst, nx, 0.0);
+                else
+                  gather_row(plane + static_cast<std::size_t>(iy) * w, ix0,
+                             1, w, nx, dst);
+              }
+              row += static_cast<std::size_t>(nph);
+            }
+          }
+        }
+
+        double* tile = band_arena.alloc(static_cast<std::size_t>(cout_) * nph);
+        for (int oc = 0; oc < cout_; ++oc)
+          std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
+                      b_[static_cast<std::size_t>(oc)]);
+        if (int8)
+          gemm_int8_panel(qw_ph_[ph], nph, col, xs, band_arena, tile, nph);
+        else
+          gemm_packed(cout_, nph, kdim, wp[ph], col, nph, tile, nph);
+        for (int oc = 0; oc < cout_; ++oc) {
+          const double* trow = tile + static_cast<std::size_t>(oc) * nph;
+          for (int yi = 0; yi < ny; ++yi) {
+            double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
+                           static_cast<std::size_t>(oy0 + yi * s) * ow;
+            const double* tsrc = trow + static_cast<std::size_t>(yi) * nx;
+            for (int xi = 0; xi < nx; ++xi) yrow[ox0 + xi * s] = tsrc[xi];
+          }
+        }
+      }
   };
 
   // Band space is the flattened (image, output-row) grid, so a batched
@@ -590,41 +572,24 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
   }
 }
 
-void ConvTranspose2D::gather_phase_weights(const std::vector<int>& kys,
-                                           const std::vector<int>& kxs,
-                                           double* wph) const {
-  const int nky = static_cast<int>(kys.size());
-  const int nkx = static_cast<int>(kxs.size());
-  const int kdim = cin_ * nky * nkx;
-  for (int ic = 0; ic < cin_; ++ic)
-    for (int jy = 0; jy < nky; ++jy)
-      for (int jx = 0; jx < nkx; ++jx) {
-        const int r = (ic * nky + jy) * nkx + jx;
-        for (int oc = 0; oc < cout_; ++oc)
-          wph[static_cast<std::size_t>(oc) * kdim + r] =
-              w_[idx4(ic, oc, kys[static_cast<std::size_t>(jy)],
-                      kxs[static_cast<std::size_t>(jx)], cout_, k_, k_)];
-      }
-}
-
 void ConvTranspose2D::quantize() {
-  // Snapshot the per-phase weight matrices the float forward gathers
-  // each call, one QuantizedMatrix per (py, px) phase.
-  const int s = stride_;
-  const auto phase_taps = deconv_phase_taps(k_, s);
-  qw_ph_.assign(static_cast<std::size_t>(s) * s, QuantizedMatrix{});
+  // Snapshot each phase's dense [Cout, kdim] weight matrix — the panel
+  // the float forward packs per call, read through the same table — one
+  // QuantizedMatrix per (py, px) phase.
+  const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
+  qw_ph_.assign(phase_rows_.size(), QuantizedMatrix{});
   std::vector<double> wph;
-  for (int py = 0; py < s; ++py)
-    for (int px = 0; px < s; ++px) {
-      const auto& kys = phase_taps[static_cast<std::size_t>(py)];
-      const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-      const int kdim = cin_ * static_cast<int>(kys.size() * kxs.size());
-      if (kdim == 0) continue;
-      wph.resize(static_cast<std::size_t>(cout_) * kdim);
-      gather_phase_weights(kys, kxs, wph.data());
-      qw_ph_[static_cast<std::size_t>(py) * s + px] =
-          quantize_rows(wph.data(), kdim, cout_, kdim);
-    }
+  for (std::size_t ph = 0; ph < phase_rows_.size(); ++ph) {
+    const auto& rows = phase_rows_[ph];
+    const std::size_t kdim = rows.size();
+    if (kdim == 0) continue;
+    wph.resize(static_cast<std::size_t>(cout_) * kdim);
+    for (int oc = 0; oc < cout_; ++oc)
+      for (std::size_t r = 0; r < kdim; ++r)
+        wph[static_cast<std::size_t>(oc) * kdim + r] = w_[rows[r] + oc * kk2];
+    qw_ph_[ph] = quantize_rows(wph.data(), static_cast<int>(kdim), cout_,
+                               static_cast<int>(kdim));
+  }
   quantized_ = true;
 }
 

@@ -87,17 +87,20 @@ class ConvTranspose2D : public Layer {
                     int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
                      int oh, int ow);
-  // Gathers sub-pixel phase (kys, kxs)'s dense [Cout, cin*|kys|*|kxs|]
-  // weight matrix, rows (ic, jy, jx) over the tap lists, into wph —
-  // the float forward packs it per call, quantize() snapshots it.
-  void gather_phase_weights(const std::vector<int>& kys,
-                            const std::vector<int>& kxs, double* wph) const;
 
   int cin_, cout_, k_, stride_, pad_;
+  // Shape-only sub-pixel phase tables, built once by the constructor.
+  // taps_[p]: the kernel offsets t with t % stride == p, descending.
+  // phase_rows_[py * stride + px]: for each row r = (ic, jy, jx) of
+  // that phase's dense [Cout, kdim] weight matrix, the offset in w_ of
+  // w[ic, 0, taps_[py][jy], taps_[px][jx]] — output channel oc adds
+  // oc*k*k. Offsets only, never weight values: the forward packs its
+  // panels through this table on every call, and quantize() reads it.
+  std::vector<std::vector<int>> taps_;
+  std::vector<std::vector<std::size_t>> phase_rows_;
   bool quantized_ = false;
-  // One int8 weight snapshot per (py, px) sub-pixel phase — the same
-  // dense [Cout, kdim] matrices gather_phase_weights() builds, taken
-  // once at quantize() time. Indexed py * stride + px.
+  // One int8 weight snapshot per (py, px) sub-pixel phase, taken at
+  // quantize() time through phase_rows_. Indexed py * stride + px.
   std::vector<QuantizedMatrix> qw_ph_;
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]
   Tensor last_x_;

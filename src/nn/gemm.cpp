@@ -59,9 +59,24 @@ void micro_tail(int kc, const double* ap, const double* b, int ldb,
       c[static_cast<std::size_t>(i) * ldc + j] = acc[i][j];
 }
 
+// One-column tile (see GemmMicroKernel::col). The fixed kGemmMR-wide
+// row loop is what the compiler vectorizes; rows past `rows` are the
+// packed panel's zero padding and are never stored.
+void micro_col(int kc, const double* ap, const double* b, int ldb, double* c,
+               int ldc, int rows) {
+  double acc[kGemmMR] = {};
+  for (int i = 0; i < rows; ++i) acc[i] = c[static_cast<std::size_t>(i) * ldc];
+  for (int kk = 0; kk < kc; ++kk) {
+    const double bv = b[static_cast<std::size_t>(kk) * ldb];
+    const double* acol = ap + static_cast<std::size_t>(kk) * kGemmMR;
+    for (int i = 0; i < kGemmMR; ++i) acc[i] += acol[i] * bv;
+  }
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = acc[i];
+}
+
 const GemmMicroKernel& scalar_kernel() {
   static const GemmMicroKernel k{"scalar", kGemmMR, kGemmNR, micro_full,
-                                 nullptr};
+                                 nullptr, micro_col};
   return k;
 }
 
@@ -111,6 +126,22 @@ void pack_a(const double* a, int lda, int m, int k, double* out) {
   }
 }
 
+void pack_a_indexed(const double* a, std::size_t row_stride,
+                    const std::size_t* col_off, int m, int k, double* out) {
+  const int mr = active_kernel().mr;
+  for (int i0 = 0; i0 < m; i0 += mr) {
+    const int rows = std::min(mr, m - i0);
+    const double* panel = a + static_cast<std::size_t>(i0) * row_stride;
+    for (int kk = 0; kk < k; ++kk) {
+      const double* src = panel + col_off[kk];
+      for (int i = 0; i < rows; ++i)
+        out[i] = src[static_cast<std::size_t>(i) * row_stride];
+      for (int i = rows; i < mr; ++i) out[i] = 0.0;
+      out += mr;
+    }
+  }
+}
+
 void gemm_packed(int m, int n, int k, const double* a_packed,
                  const double* b, int ldb, double* c, int ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
@@ -142,6 +173,8 @@ void gemm_packed(int m, int n, int k, const double* a_packed,
             K.full(kc, ap, bpanel + jr, ldb, ctile, ldc);
           else if (2 * mr == MR && nr == NR && K.half != nullptr)
             K.half(kc, ap, bpanel + jr, ldb, ctile, ldc);
+          else if (nr == 1)
+            K.col(kc, ap, bpanel + jr, ldb, ctile, ldc, mr);
           else
             micro_tail(kc, ap, bpanel + jr, ldb, ctile, ldc, mr, nr, MR);
         }

@@ -43,8 +43,16 @@
 // so never switch kernels between a pack_a() and the gemm_packed()
 // consuming it. For the conv layers A is the weight matrix, so the
 // packed form is the "repacked weight panel" that lives in the layer's
-// ScratchArena and is rebuilt once per forward (weights move between
-// forwards during training).
+// ScratchArena and is rebuilt once per forward: weights move between
+// forwards (optimizers, loads and federated updates all write them
+// through params()), so packed values are never cached across calls.
+// ConvTranspose2D builds its per-phase panels with pack_a_indexed(),
+// one indexed copy out of the kernel tensor through a shape-only
+// (phase, row) -> offset table made in its constructor.
+//
+// A batch-1 Dense forward has n = 1: every tile is one column wide, and
+// each family's `col` kernel runs it as one fixed-width vector over the
+// panel's MR rows per k step instead of the bounds-checked scalar tail.
 #pragma once
 
 #include <cstddef>
@@ -85,6 +93,12 @@ std::size_t packed_a_size(int m, int k);
 /// panel p holds rows [p*MR, p*MR+MR), stored k-major so the micro-kernel
 /// reads MR contiguous values per k step. Rows beyond m are zero-filled.
 void pack_a(const double* a, int lda, int m, int k, double* out);
+
+/// pack_a for an A reached through a column table: element (i, kk) is
+/// a[i*row_stride + col_off[kk]]. ConvTranspose2D packs each sub-pixel
+/// phase's weight panel straight out of its kernel tensor this way.
+void pack_a_indexed(const double* a, std::size_t row_stride,
+                    const std::size_t* col_off, int m, int k, double* out);
 
 /// C += A_packed * B with the determinism contract above.
 /// B: row-major [k,n] with row stride ldb; C: row-major [m,n] with row

@@ -82,10 +82,29 @@ void micro_2x8(int kc, const double* ap, const double* b, int ldb, double* c,
   _mm256_storeu_pd(c + static_cast<std::size_t>(ldc) + 4, acc11);
 }
 
+// One-column tile: the 4 panel rows are one ymm accumulator, and each k
+// step multiplies the packed A column by the broadcast B value. Rows
+// past `rows` are pack_a's zero padding; they are computed, not stored.
+void micro_4x1(int kc, const double* ap, const double* b, int ldb, double* c,
+               int ldc, int rows) {
+  double cv[4] = {};
+  for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
+  __m256d acc = _mm256_loadu_pd(cv);
+  for (int kk = 0; kk < kc; ++kk) {
+    const __m256d bv =
+        _mm256_broadcast_sd(b + static_cast<std::size_t>(kk) * ldb);
+    const __m256d a = _mm256_loadu_pd(ap + static_cast<std::size_t>(kk) * 4);
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(a, bv));
+  }
+  _mm256_storeu_pd(cv, acc);
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+}
+
 }  // namespace
 
 const GemmMicroKernel& gemm_kernel_avx2() {
-  static const GemmMicroKernel k{"avx2", 4, 8, micro_4x8, micro_2x8};
+  static const GemmMicroKernel k{"avx2", 4, 8, micro_4x8, micro_2x8,
+                                 micro_4x1};
   return k;
 }
 

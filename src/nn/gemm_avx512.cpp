@@ -71,10 +71,28 @@ void micro_4x16(int kc, const double* ap, const double* b, int ldb, double* c,
   }
 }
 
+// One-column tile: the 8 panel rows are one zmm accumulator, and each k
+// step multiplies the packed A column by the broadcast B value. Rows
+// past `rows` are pack_a's zero padding; they are computed, not stored.
+void micro_8x1(int kc, const double* ap, const double* b, int ldb, double* c,
+               int ldc, int rows) {
+  double cv[8] = {};
+  for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
+  __m512d acc = _mm512_loadu_pd(cv);
+  for (int kk = 0; kk < kc; ++kk) {
+    const __m512d bv = _mm512_set1_pd(b[static_cast<std::size_t>(kk) * ldb]);
+    const __m512d a = _mm512_loadu_pd(ap + static_cast<std::size_t>(kk) * 8);
+    acc = _mm512_add_pd(acc, _mm512_mul_pd(a, bv));
+  }
+  _mm512_storeu_pd(cv, acc);
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+}
+
 }  // namespace
 
 const GemmMicroKernel& gemm_kernel_avx512() {
-  static const GemmMicroKernel k{"avx512", 8, 16, micro_8x16, micro_4x16};
+  static const GemmMicroKernel k{"avx512", 8, 16, micro_8x16, micro_4x16,
+                                 micro_8x1};
   return k;
 }
 

@@ -21,6 +21,12 @@ namespace s2a::nn::detail {
 /// Both take kc (panel depth), the packed A panel slice, a B panel
 /// (row-major, stride ldb) and the C tile (row-major, stride ldc), and
 /// accumulate in ascending-k order per element.
+///
+/// `col` computes a one-column tile — the whole of a batch-1 Dense
+/// forward, where B is a single column. It sweeps all mr rows of the
+/// packed panel as one fixed-width vector per k step (A values times the
+/// broadcast B value) but loads and stores only the first `rows` C rows:
+/// the rest of the panel is pack_a's zero padding, computed and dropped.
 struct GemmMicroKernel {
   const char* name;
   int mr;
@@ -29,14 +35,16 @@ struct GemmMicroKernel {
                int ldc);
   void (*half)(int kc, const double* ap, const double* b, int ldb, double* c,
                int ldc);
+  void (*col)(int kc, const double* ap, const double* b, int ldb, double* c,
+              int ldc, int rows);
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
-const GemmMicroKernel& gemm_kernel_avx2();    // 4x8, mul+add (bit-exact)
-const GemmMicroKernel& gemm_kernel_avx512();  // 8x16 + 4x16 half, mul+add
+const GemmMicroKernel& gemm_kernel_avx2();    // 4x8 + 2x8 half + 4x1 column
+const GemmMicroKernel& gemm_kernel_avx512();  // 8x16 + 4x16 half + 8x1 column
 #endif
 #if defined(__aarch64__)
-const GemmMicroKernel& gemm_kernel_neon();  // 4x8, mul+add (bit-exact)
+const GemmMicroKernel& gemm_kernel_neon();  // 4x8 + 2x8 half + 4x1 column
 #endif
 
 }  // namespace s2a::nn::detail

@@ -62,10 +62,31 @@ void micro_2x8(int kc, const double* ap, const double* b, int ldb, double* c,
       vst1q_f64(c + static_cast<std::size_t>(i) * ldc + 2 * v, acc[i][v]);
 }
 
+// One-column tile: the 4 panel rows are two float64x2 accumulators, and
+// each k step multiplies the packed A column by the broadcast B value.
+// Rows past `rows` are pack_a's zero padding; computed, not stored.
+void micro_4x1(int kc, const double* ap, const double* b, int ldb, double* c,
+               int ldc, int rows) {
+  double cv[4] = {};
+  for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
+  float64x2_t acc0 = vld1q_f64(cv);
+  float64x2_t acc1 = vld1q_f64(cv + 2);
+  for (int kk = 0; kk < kc; ++kk) {
+    const float64x2_t bv = vdupq_n_f64(b[static_cast<std::size_t>(kk) * ldb]);
+    const double* acol = ap + static_cast<std::size_t>(kk) * 4;
+    acc0 = vaddq_f64(acc0, vmulq_f64(vld1q_f64(acol), bv));
+    acc1 = vaddq_f64(acc1, vmulq_f64(vld1q_f64(acol + 2), bv));
+  }
+  vst1q_f64(cv, acc0);
+  vst1q_f64(cv + 2, acc1);
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+}
+
 }  // namespace
 
 const GemmMicroKernel& gemm_kernel_neon() {
-  static const GemmMicroKernel k{"neon", 4, 8, micro_4x8, micro_2x8};
+  static const GemmMicroKernel k{"neon", 4, 8, micro_4x8, micro_2x8,
+                                 micro_4x1};
   return k;
 }
 

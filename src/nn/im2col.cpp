@@ -1,7 +1,6 @@
 #include "nn/im2col.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace s2a::nn {
 
@@ -14,32 +13,17 @@ void im2col(const double* x, int cin, int h, int w, int k, int stride,
     for (int ky = 0; ky < k; ++ky)
       for (int kx = 0; kx < k; ++kx) {
         // One lowered row: tap (ic, ky, kx) for every output pixel in
-        // the band, in (oy, ox) order.
+        // the band, in (oy, ox) order; output row oy reads input row
+        // iy at columns ox*stride + kx - pad.
         for (int oy = oy_lo; oy < oy_hi; ++oy) {
           double* row = out + static_cast<std::size_t>(oy - oy_lo) * ow;
           const int iy = oy * stride + ky - pad;
           if (iy < 0 || iy >= h) {
-            std::memset(row, 0, sizeof(double) * static_cast<std::size_t>(ow));
+            std::fill_n(row, ow, 0.0);
             continue;
           }
-          const double* src = plane + static_cast<std::size_t>(iy) * w;
-          if (stride == 1) {
-            // Contiguous case: the valid ox span is one memcpy.
-            const int ix0 = kx - pad;  // ix at ox = 0
-            const int ox_lo = std::max(0, -ix0);
-            const int ox_hi = std::min(ow, w - ix0);
-            for (int ox = 0; ox < std::min(ox_lo, ow); ++ox) row[ox] = 0.0;
-            if (ox_hi > ox_lo)
-              std::memcpy(row + ox_lo, src + ix0 + ox_lo,
-                          sizeof(double) *
-                              static_cast<std::size_t>(ox_hi - ox_lo));
-            for (int ox = std::max(ox_lo, ox_hi); ox < ow; ++ox) row[ox] = 0.0;
-          } else {
-            for (int ox = 0; ox < ow; ++ox) {
-              const int ix = ox * stride + kx - pad;
-              row[ox] = (ix < 0 || ix >= w) ? 0.0 : src[ix];
-            }
-          }
+          gather_row(plane + static_cast<std::size_t>(iy) * w, kx - pad,
+                     stride, w, ow, row);
         }
         out += static_cast<std::size_t>(band) * ow;
       }
@@ -76,7 +60,12 @@ void im2col_t(const double* x, int cin, int h, int w, int k, int stride,
   for (int oy = oy_lo; oy < oy_hi; ++oy)
     for (int ox = 0; ox < ow; ++ox) {
       // One lowered row: every tap output pixel (oy, ox) reads, walked
-      // in the naive accumulation order (ic, ky, kx).
+      // in the naive accumulation order (ic, ky, kx). The k taps of one
+      // (ic, ky) read input columns ix0 + kx; the in-range ones form the
+      // span [kx_lo, kx_hi), the same for every (ic, ky) of the pixel.
+      const int ix0 = ox * stride - pad;
+      const int kx_lo = std::min(k, std::max(0, -ix0));
+      const int kx_hi = std::clamp(w - ix0, kx_lo, k);
       double* out = row;
       for (int ic = 0; ic < cin; ++ic) {
         const double* plane = x + static_cast<std::size_t>(ic) * h * w;
@@ -84,13 +73,11 @@ void im2col_t(const double* x, int cin, int h, int w, int k, int stride,
           const int iy = oy * stride + ky - pad;
           if (iy < 0 || iy >= h) {
             std::fill_n(out, k, 0.0);
-            out += k;
-            continue;
-          }
-          const double* src = plane + static_cast<std::size_t>(iy) * w;
-          for (int kx = 0; kx < k; ++kx) {
-            const int ix = ox * stride + kx - pad;
-            out[kx] = (ix < 0 || ix >= w) ? 0.0 : src[ix];
+          } else {
+            const double* src = plane + static_cast<std::size_t>(iy) * w;
+            for (int kx = 0; kx < kx_lo; ++kx) out[kx] = 0.0;
+            for (int kx = kx_lo; kx < kx_hi; ++kx) out[kx] = src[ix0 + kx];
+            for (int kx = kx_hi; kx < k; ++kx) out[kx] = 0.0;
           }
           out += k;
         }

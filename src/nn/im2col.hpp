@@ -18,10 +18,35 @@
 // band (and its own ScratchArena slot to hold it).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
 namespace s2a::nn {
 
 /// Lowered-matrix row count for a (cin, k) convolution.
 inline int im2col_rows(int cin, int k) { return cin * k * k; }
+
+/// One lowered row: row[j] = src[i0 + j*step] where that index lies in
+/// [0, extent), else 0.0, for j in [0, n). The in-range j form one span
+/// [lo, hi), computed once, so the row is a zero fill, a (strided) copy
+/// and a zero fill with no per-element bounds test. im2col and the
+/// deconv phase gather build their rows with it.
+inline void gather_row(const double* src, int i0, int step, int extent, int n,
+                       double* row) {
+  const int lo = std::min(n, i0 >= 0 ? 0 : (step - 1 - i0) / step);
+  const int hi =
+      std::clamp(i0 < extent ? (extent - 1 - i0) / step + 1 : 0, lo, n);
+  // The edge tests skip library calls on the (common) unclamped rows.
+  if (lo > 0) std::fill(row, row + lo, 0.0);
+  if (step == 1) {
+    if (hi > lo) std::copy(src + (i0 + lo), src + (i0 + hi), row + lo);
+  } else {
+    for (int j = lo; j < hi; ++j)
+      row[j] = src[static_cast<std::ptrdiff_t>(i0) +
+                   static_cast<std::ptrdiff_t>(j) * step];
+  }
+  if (hi < n) std::fill(row + hi, row + n, 0.0);
+}
 
 /// Writes the im2col matrix for output rows [oy_lo, oy_hi) of a direct
 /// convolution over x (one image, [cin, h, w] row-major): col is

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "monitor/fusion.hpp"
@@ -239,6 +240,43 @@ TEST(StarNetMonitor, ThresholdMatchesCalibrationPercentile) {
   for (const auto& x : clean)
     if (net.score(x, rng) <= net.threshold()) ++under;
   EXPECT_GE(under, static_cast<int>(clean.size() * 0.82));
+}
+
+// Pins score() to recorded values on the loop benchmark's VAE shape
+// (32-dim embedding, hidden 48, latent 6, default 60 SPSA iterations).
+// The regret objective's buffers may change; its arithmetic may not, so
+// every score and threshold must stay bit-identical on every SIMD
+// family (the GEMM kernels are bit-exact to the scalar oracle).
+TEST(StarNetMonitor, ScoresArePinnedForFixedSeeds) {
+  struct Pinned {
+    std::uint64_t seed;
+    double threshold;
+    double scores[3];  // clean[0], clean[1], one anomaly
+  };
+  const Pinned pinned[] = {
+      {21, 1.9698372657284764,
+       {1.4549492928918557, 0.9253812316300607, 57.997413567932313}},
+      {22, 0.79081899358085561,
+       {0.28630320921359997, 0.66416131229134745, 38.706455930947641}},
+      {23, 3.0057324341475571,
+       {1.5498380089782913, 2.6225171261073474, 21.248115440135962}},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.seed);
+    Rng rng(p.seed);
+    StarNetConfig cfg;
+    cfg.vae.input_dim = 32;
+    cfg.vae.hidden = 48;
+    cfg.vae.latent_dim = 6;
+    cfg.vae_epochs = 10;
+    StarNet net(cfg, rng);
+    const auto clean = make_clean_data(32, 32, rng);
+    net.fit(clean, rng);
+    EXPECT_EQ(net.threshold(), p.threshold);
+    EXPECT_EQ(net.score(clean[0], rng), p.scores[0]);
+    EXPECT_EQ(net.score(clean[1], rng), p.scores[1]);
+    EXPECT_EQ(net.score(make_anomaly(32, rng), rng), p.scores[2]);
+  }
 }
 
 TEST(StarNetMonitor, ScoreBeforeFitThrows) {

@@ -74,6 +74,9 @@ TEST(Gemm, MatchesNaiveTripleLoopBitExact) {
       {1, 1, 1},     {1, 8, 1},    {4, 8, 1},    {3, 5, 7},
       {4, 16, 36},   {16, 24, 36}, {17, 31, 130}, {5, 9, 257},
       {32, 144, 144}, {4, 300, 513}, {12, 1, 40},
+      // One-column tiles (batch-1 Dense): m a multiple of 2, 4 and 8 and
+      // a partial panel, with k straddling kGemmKC.
+      {8, 1, 257},   {16, 1, 300}, {24, 1, 513}, {13, 1, 300},
   };
   Rng rng(1234);
   for (const auto& s : shapes) {
@@ -144,6 +147,9 @@ TEST(SimdDispatch, EveryKernelHandlesEdgeShapes) {
       {1, 1, 1},   {1, 1, 37},  {1, 1, 300}, {1, 16, 5},  {16, 1, 5},
       {2, 4, 1},   {3, 5, 2},   {4, 8, 9},   {5, 9, 11},  {7, 15, 13},
       {8, 16, 17}, {9, 17, 29}, {15, 31, 64}, {4, 576, 64}, {17, 33, 257},
+      // One-column tiles: full panels of every family's MR, partial
+      // panels, k straddling kGemmKC.
+      {8, 1, 257}, {16, 1, 300}, {24, 1, 513}, {6, 1, 300}, {13, 1, 40},
   };
   Rng rng(99);
   for (const auto isa : util::supported_simd_isas()) {
@@ -418,32 +424,44 @@ TEST(Im2Col, RoundTripScalesByReadCount) {
 TEST(Im2Col, BandDecompositionMatchesFullLowering) {
   // Lowering [0, oh) in one shot must equal lowering bands and
   // concatenating the column slices — the property the pool sharding
-  // relies on.
-  const int cin = 2, h = 11, w = 8, k = 4, stride = 2, pad = 1;
-  const int oh = (h + 2 * pad - k) / stride + 1;
-  const int ow = (w + 2 * pad - k) / stride + 1;
+  // relies on. Every case clamps the row span at both edges: the
+  // padding cuts taps off the left, and the last output column's
+  // taps run past the right edge.
+  struct Case {
+    int cin, h, w, k, stride, pad;
+  };
+  const Case cases[] = {
+      {2, 11, 8, 4, 2, 1}, {3, 9, 7, 5, 2, 2}, {2, 10, 10, 5, 3, 2},
+  };
   Rng rng(78);
-  const auto x = random_vec(static_cast<std::size_t>(cin) * h * w, rng);
-  const int rows = im2col_rows(cin, k);
+  for (const auto& c : cases) {
+    const int oh = (c.h + 2 * c.pad - c.k) / c.stride + 1;
+    const int ow = (c.w + 2 * c.pad - c.k) / c.stride + 1;
+    ASSERT_GE((ow - 1) * c.stride + c.k - 1 - c.pad, c.w) << "no right clamp";
+    const auto x = random_vec(static_cast<std::size_t>(c.cin) * c.h * c.w, rng);
+    const int rows = im2col_rows(c.cin, c.k);
 
-  std::vector<double> full(static_cast<std::size_t>(rows) * oh * ow);
-  im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, oh, full.data());
+    std::vector<double> full(static_cast<std::size_t>(rows) * oh * ow);
+    im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, oh,
+           full.data());
 
-  for (int split = 1; split < oh; ++split) {
-    std::vector<double> lo_band(static_cast<std::size_t>(rows) * split * ow);
-    std::vector<double> hi_band(static_cast<std::size_t>(rows) *
-                                (oh - split) * ow);
-    im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, split, lo_band.data());
-    im2col(x.data(), cin, h, w, k, stride, pad, ow, split, oh,
-           hi_band.data());
-    for (int r = 0; r < rows; ++r) {
-      for (int j = 0; j < split * ow; ++j)
-        ASSERT_EQ(full[static_cast<std::size_t>(r) * oh * ow + j],
-                  lo_band[static_cast<std::size_t>(r) * split * ow + j]);
-      for (int j = 0; j < (oh - split) * ow; ++j)
-        ASSERT_EQ(
-            full[static_cast<std::size_t>(r) * oh * ow + split * ow + j],
-            hi_band[static_cast<std::size_t>(r) * (oh - split) * ow + j]);
+    for (int split = 1; split < oh; ++split) {
+      std::vector<double> lo_band(static_cast<std::size_t>(rows) * split * ow);
+      std::vector<double> hi_band(static_cast<std::size_t>(rows) *
+                                  (oh - split) * ow);
+      im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, split,
+             lo_band.data());
+      im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, split, oh,
+             hi_band.data());
+      for (int r = 0; r < rows; ++r) {
+        for (int j = 0; j < split * ow; ++j)
+          ASSERT_EQ(full[static_cast<std::size_t>(r) * oh * ow + j],
+                    lo_band[static_cast<std::size_t>(r) * split * ow + j]);
+        for (int j = 0; j < (oh - split) * ow; ++j)
+          ASSERT_EQ(
+              full[static_cast<std::size_t>(r) * oh * ow + split * ow + j],
+              hi_band[static_cast<std::size_t>(r) * (oh - split) * ow + j]);
+      }
     }
   }
 }
@@ -484,16 +502,22 @@ TEST(ConvBackendEquivalence, Conv2DBitExactAcrossShapes) {
 TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
   Rng rng(43);
   struct Case {
-    int cin, cout, k, stride, pad, h, w;
+    int cin, cout, k, stride, pad, h, w, n = 2;
   };
   const Case cases[] = {
       {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
       {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
       {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
+      // Span-clamp edges of the phase gather: k < s (an empty phase, so
+      // pure-bias pixels), pad = k-1 (most taps land off the input), a
+      // one-row input, stride 4, and a batch of 3.
+      {3, 2, 2, 3, 0, 4, 5},  {2, 3, 3, 2, 2, 3, 6},
+      {2, 3, 3, 2, 1, 1, 6},  {2, 2, 6, 4, 3, 5, 3},
+      {3, 4, 4, 2, 1, 7, 6, 3},
   };
   for (const auto& c : cases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
-    const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+    const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     const Tensor naive = oracle::conv_transpose2d_forward(
         x, *deconv.params()[0], *deconv.params()[1], c.stride, c.pad);
     EXPECT_EQ(diff_count(naive, deconv.forward(x)), 0u)
@@ -555,6 +579,8 @@ TEST(Im2Col, TransposedGatherMatchesIm2Col) {
   const Case cases[] = {
       {1, 5, 5, 1, 1, 0}, {2, 9, 7, 3, 1, 1}, {3, 11, 8, 4, 2, 1},
       {2, 6, 7, 5, 3, 2},
+      // Stride 2 and 3 with the tap span clamped at both row edges.
+      {3, 9, 7, 5, 2, 2}, {2, 10, 10, 5, 3, 2},
   };
   Rng rng(79);
   for (const auto& c : cases) {
@@ -663,18 +689,24 @@ TEST(ConvBackendEquivalence, Conv2DBackwardBitExactAcrossShapes) {
 TEST(ConvBackendEquivalence, ConvTranspose2DBackwardBitExactAcrossShapes) {
   Rng rng(46);
   struct Case {
-    int cin, cout, k, stride, pad, h, w;
+    int cin, cout, k, stride, pad, h, w, n = 2;
   };
   const Case cases[] = {
       {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
       {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
       {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
+      // Span-clamp edges of the phase gather: k < s (an empty phase, so
+      // pure-bias pixels), pad = k-1 (most taps land off the input), a
+      // one-row input, stride 4, and a batch of 3.
+      {3, 2, 2, 3, 0, 4, 5},  {2, 3, 3, 2, 2, 3, 6},
+      {2, 3, 3, 2, 1, 1, 6},  {2, 2, 6, 4, 3, 5, 3},
+      {3, 4, 4, 2, 1, 7, 6, 3},
   };
   for (const auto& c : cases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
-    const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+    const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
-        {2, c.cout, deconv.out_size(c.h), deconv.out_size(c.w)}, rng);
+        {c.n, c.cout, deconv.out_size(c.h), deconv.out_size(c.w)}, rng);
     const auto naive = oracle::conv_transpose2d_backward(
         x, *deconv.params()[0], g, c.stride, c.pad);
     const auto fast = run_backward(deconv, x, g);
