@@ -270,7 +270,10 @@ BENCHMARK(BM_LoopTickObsOn);
 // Times each pool-sharded hot path at 1 thread and at kParallelThreads
 // with steady_clock (google-benchmark stays out of the way so the two
 // configurations see identical call sequences), then writes p50/p95 and
-// the p50 speedup per workload.
+// the p50 speedup per workload. A 4-slot pool shards even on a host with
+// fewer cores, so there the 4-thread column times oversubscription, not
+// parallel speed: every workload is then marked
+// "speedup_measurable": false.
 
 constexpr int kParallelThreads = 4;
 
@@ -642,9 +645,14 @@ int run_parallel_report(const char* out_path) {
     fprintf(stderr, "cannot open %s for writing\n", out_path);
     return 1;
   }
+  const unsigned hw = std::thread::hardware_concurrency();
+  const bool measurable = static_cast<unsigned>(kParallelThreads) <= hw;
+  if (!measurable)
+    printf("warning: %d threads on %u hardware threads; speedups below "
+           "measure oversubscription, not parallel speed\n",
+           kParallelThreads, hw);
   out << "{\n  \"parallel_threads\": " << kParallelThreads
-      << ",\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n  \"cpu\": \""
+      << ",\n  \"hardware_concurrency\": " << hw << ",\n  \"cpu\": \""
       << util::cpu_feature_string() << "\",\n  \"simd\": \""
       << active_simd_name() << "\",\n  \"workloads\": [\n";
   for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -667,8 +675,9 @@ int run_parallel_report(const char* out_path) {
         << ", \"p95_ms\": " << serial.p95_ms
         << "},\n     \"parallel\": {\"p50_ms\": " << parallel.p50_ms
         << ", \"p95_ms\": " << parallel.p95_ms
-        << "},\n     \"p50_speedup\": " << speedup << "}"
-        << (i + 1 < workloads.size() ? "," : "") << "\n";
+        << "},\n     \"p50_speedup\": " << speedup
+        << ", \"speedup_measurable\": " << (measurable ? "true" : "false")
+        << "}" << (i + 1 < workloads.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   printf("Wrote parallel report to %s\n", out_path);

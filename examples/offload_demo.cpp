@@ -14,7 +14,7 @@
 //   S2A_LINK_LATENCY_MS=<ms>         one-way base latency (default: 2)
 //   S2A_LINK_BW_BPS=<bytes/s>        uplink bandwidth (default: 1e7)
 //   S2A_FAULT_SEED=<n>               replace the scripted partition with
-//                                    a seeded random link fault plan
+//                                    a seeded random link fault schedule
 //
 // Build & run:  ./build/examples/offload_demo
 #include <cmath>
@@ -27,7 +27,6 @@
 #include "core/loop.hpp"
 #include "core/offload.hpp"
 #include "core/policies.hpp"
-#include "fault/fault.hpp"
 #include "net/circuit.hpp"
 #include "net/link.hpp"
 #include "obs/obs.hpp"
@@ -120,17 +119,17 @@ int main() {
   lc.bandwidth_bytes_per_s = env_double("S2A_LINK_BW_BPS", 1.0e7);
 
   // Scripted outage by default: the link partitions for [3 s, 5 s) of
-  // the 10 s run. S2A_FAULT_SEED replaces it with a random plan drawn
-  // through fault::FaultPlan, the same generator the chaos tests sweep.
+  // the 10 s run. S2A_FAULT_SEED replaces it with a random schedule
+  // drawn by net::LinkFaultSchedule::random, the generator the chaos
+  // tests sweep.
   net::LinkFaultSchedule sched(
       {{net::LinkFaultKind::kPartition, 3.0, 5.0, 0.0}});
   std::uint64_t seed = 21;
   if (const char* seed_env = std::getenv("S2A_FAULT_SEED")) {
     seed = std::strtoull(seed_env, nullptr, 10);
-    sched = fault::FaultPlan::random_link_plan(seed, /*horizon_s=*/10.0,
-                                               /*events=*/4,
-                                               /*mean_duration_s=*/1.5)
-                .link_schedule();
+    sched = net::LinkFaultSchedule::random(seed, /*horizon_s=*/10.0,
+                                           /*events=*/4,
+                                           /*mean_duration_s=*/1.5);
     std::printf("(S2A_FAULT_SEED=%llu: random link fault plan, %zu windows)\n",
                 static_cast<unsigned long long>(seed),
                 sched.windows().size());

@@ -61,11 +61,9 @@ run_tsan() {
              net_test fleet_batch_test
   # Run every tsan-labeled suite (concurrency-bearing: kernel sharding,
   # obs, fault chaos, the pipelined/fleet/batched execution engines).
-  # Force a multi-threaded global pool — and force the sharded paths past
-  # the effective_parallelism() serial fallback — so the parallel paths
-  # actually run under TSan even on small CI machines.
-  S2A_THREADS=4 S2A_FORCE_PARALLEL=1 \
-    ctest --test-dir build-tsan -L tsan --output-on-failure
+  # A 4-slot global pool makes every sharded path run under TSan, even on
+  # small CI machines: the pool size alone decides sharding.
+  S2A_THREADS=4 ctest --test-dir build-tsan -L tsan --output-on-failure
 }
 
 run_perf() {

@@ -11,7 +11,26 @@ namespace s2a::core {
 
 namespace {
 constexpr double kEmaAlpha = 0.2;
+// Retry k waits kBackoffBaseS * 2^(k-1) * jitter, jitter uniform in
+// [1, 1 + kBackoffJitterFrac).
+constexpr double kBackoffBaseS = 2e-3;
+constexpr double kBackoffJitterFrac = 0.5;
+// The hedged local computation fires once the remote response is past
+// kHedgeFactor * (EMA rtt + 2·dev) — the running p95 budget.
+constexpr double kHedgeFactor = 1.5;
+// While the cost model refuses the link, its EMA loss decays by this
+// factor per gated call — bounded optimism so recovery is possible.
+constexpr double kGateDecay = 0.05;
+// EMA loss above this predicts a dead link regardless of latency.
+constexpr double kLossGate = 0.9;
+// Request and response payload when the observation carries no data.
 constexpr std::size_t kDefaultPayloadBytes = 1024;
+
+// Request and response are both sized like the observation's payload.
+std::size_t payload_bytes(const Observation& obs) {
+  return obs.data.empty() ? kDefaultPayloadBytes
+                          : obs.data.size() * sizeof(double);
+}
 }  // namespace
 
 const char* offload_mode_name(OffloadMode mode) {
@@ -38,45 +57,29 @@ OffloadExecutor::OffloadExecutor(Processor& local, Processor& remote,
       breaker_(cfg.breaker, net::mix_seed(seed, 0x5EEDu)) {
   S2A_CHECK(cfg_.deadline_s > 0.0);
   S2A_CHECK(cfg_.max_retries >= 0);
-  S2A_CHECK(cfg_.backoff_base_s >= 0.0 && cfg_.backoff_jitter_frac >= 0.0);
-  S2A_CHECK(cfg_.attempt_timeout_s >= 0.0);
-  S2A_CHECK(cfg_.hedge_factor >= 0.0);
-  S2A_CHECK(cfg_.gate_decay >= 0.0 && cfg_.gate_decay < 1.0);
-  S2A_CHECK(cfg_.loss_gate > 0.0 && cfg_.loss_gate <= 1.0);
   S2A_CHECK(cfg_.local_compute_s >= 0.0 && cfg_.remote_compute_s >= 0.0);
   S2A_CHECK(cfg_.tx_energy_j >= 0.0);
 }
 
-std::size_t OffloadExecutor::request_bytes(const Observation& obs) const {
-  if (cfg_.request_bytes > 0) return cfg_.request_bytes;
-  return obs.data.empty() ? kDefaultPayloadBytes
-                          : obs.data.size() * sizeof(double);
-}
-
-std::size_t OffloadExecutor::response_bytes(const Observation& obs) const {
-  return cfg_.response_bytes > 0 ? cfg_.response_bytes : request_bytes(obs);
-}
-
 double OffloadExecutor::attempt_timeout() const {
-  if (cfg_.attempt_timeout_s > 0.0) return cfg_.attempt_timeout_s;
   return cfg_.deadline_s / static_cast<double>(cfg_.max_retries + 1);
 }
 
 void OffloadExecutor::seed_cost_model(const Observation& obs) {
   if (cost_seeded_) return;
-  ema_rtt_ = link_.estimate_rtt_s(request_bytes(obs), response_bytes(obs),
-                                  cfg_.remote_compute_s);
+  const std::size_t bytes = payload_bytes(obs);
+  ema_rtt_ = link_.estimate_rtt_s(bytes, bytes, cfg_.remote_compute_s);
   ema_dev_ = 0.25 * ema_rtt_;
   ema_loss_ = link_.config().loss_prob;
   cost_seeded_ = true;
 }
 
 bool OffloadExecutor::predicts_deadline_met() const {
-  if (ema_loss_ > cfg_.loss_gate) return false;
+  if (ema_loss_ > kLossGate) return false;
   // Expected serve latency: p95-ish round trip plus the expected cost of
   // one loss-driven retry (timeout burned + backoff).
   const double expected = ema_rtt_ + 2.0 * ema_dev_ +
-                          ema_loss_ * (attempt_timeout() + cfg_.backoff_base_s);
+                          ema_loss_ * (attempt_timeout() + kBackoffBaseS);
   return expected <= cfg_.deadline_s;
 }
 
@@ -188,7 +191,7 @@ std::vector<double> OffloadExecutor::process_at(double now,
       S2A_COUNTER_ADD("core.offload_cost_gated", 1);
       // Optimistic decay: a link written off by the model is re-tried
       // eventually instead of being gated forever.
-      ema_loss_ *= (1.0 - cfg_.gate_decay);
+      ema_loss_ *= (1.0 - kGateDecay);
       if (cfg_.strict_uncertain) return strict_sentinel(0.0);
       return serve_local(obs, rng, prepaid, cfg_.local_compute_s);
     }
@@ -196,11 +199,9 @@ std::vector<double> OffloadExecutor::process_at(double now,
 
   // Remote attempt loop: bounded retries, exponential backoff with
   // deterministic hashed jitter, per-attempt timeouts.
-  const double hedge_budget =
-      cfg_.hedge_factor > 0.0
-          ? cfg_.hedge_factor * (ema_rtt_ + 2.0 * ema_dev_)
-          : std::numeric_limits<double>::infinity();
+  const double hedge_budget = kHedgeFactor * (ema_rtt_ + 2.0 * ema_dev_);
   const double budget = attempt_timeout();
+  const std::size_t bytes = payload_bytes(obs);
   double elapsed = 0.0;
   bool success = false;
   for (int attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
@@ -209,17 +210,16 @@ std::vector<double> OffloadExecutor::process_at(double now,
       S2A_COUNTER_ADD("core.offload_retries", 1);
       const double scale = static_cast<double>(1 << (attempt - 1));
       Rng jitter_rng(net::mix_seed(seed_ ^ 0xB0FFu, ++request_counter_));
-      const double jitter =
-          1.0 + cfg_.backoff_jitter_frac * jitter_rng.uniform();
-      elapsed += cfg_.backoff_base_s * scale * jitter;
+      const double jitter = 1.0 + kBackoffJitterFrac * jitter_rng.uniform();
+      elapsed += kBackoffBaseS * scale * jitter;
     }
     ++metrics_.remote_attempts;
     S2A_COUNTER_ADD("core.offload_remote_attempts", 1);
     last_energy_j_ += cfg_.tx_energy_j;
     const double send_s = now + elapsed;
     const net::RoundTrip rt =
-        link_.roundtrip(send_s, request_bytes(obs), response_bytes(obs),
-                        cfg_.remote_compute_s, ++request_counter_);
+        link_.roundtrip(send_s, bytes, bytes, cfg_.remote_compute_s,
+                        ++request_counter_);
     if (rt.delivered) {
       const double rtt = rt.response_at_s - send_s;
       if (!rt.corrupted && rtt <= budget) {
@@ -254,8 +254,7 @@ std::vector<double> OffloadExecutor::process_at(double now,
 
   // Hedging: a local computation was fired once the remote response went
   // past its p95 budget; first finisher wins, the loser is cancelled.
-  const bool hedge_fired =
-      std::isfinite(hedge_budget) && (!success || elapsed > hedge_budget);
+  const bool hedge_fired = !success || elapsed > hedge_budget;
   if (hedge_fired) {
     ++metrics_.hedged;
     S2A_COUNTER_ADD("core.offload_hedged", 1);

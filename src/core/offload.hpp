@@ -69,24 +69,11 @@ struct OffloadConfig {
   /// contract: the result must land inside the tick, so deadline_s ≤
   /// LoopConfig::dt (or the fleet's FleetLoopConfig::deadline_s).
   double deadline_s = 0.05;
-  int max_retries = 2;          ///< extra attempts after the first
-  double backoff_base_s = 2e-3; ///< retry k waits base * 2^(k-1) * jitter
-  double backoff_jitter_frac = 0.5;  ///< jitter multiplier in [1, 1+frac)
-  /// Per-attempt timeout; 0 derives deadline_s / (max_retries + 1).
-  double attempt_timeout_s = 0.0;
-  /// Fire the hedged local computation when the remote response is past
-  /// hedge_factor * (EMA rtt + 2·dev) — the running p95 budget. 0
-  /// disables hedging.
-  double hedge_factor = 1.5;
-  /// While the cost model refuses the link, its EMA loss decays by this
-  /// factor per gated call — bounded optimism so recovery is possible.
-  double gate_decay = 0.05;
-  /// EMA loss above this predicts a dead link regardless of latency.
-  double loss_gate = 0.9;
+  /// Extra attempts after the first; each attempt times out after
+  /// deadline_s / (max_retries + 1).
+  int max_retries = 2;
   double local_compute_s = 4e-3;   ///< modeled local inference time
   double remote_compute_s = 1e-3;  ///< modeled cloud inference time
-  std::size_t request_bytes = 0;   ///< 0 → obs.data.size() * sizeof(double)
-  std::size_t response_bytes = 0;  ///< 0 → request_bytes heuristic
   double tx_energy_j = 0.0;        ///< radio energy per remote attempt
   /// Strict mode: uncertain ticks whose remote path fails emit a
   /// non-finite sentinel (blocked at the loop's actuation boundary)
@@ -150,8 +137,6 @@ class OffloadExecutor : public Processor {
   double ema_loss() const { return ema_loss_; }
 
  private:
-  std::size_t request_bytes(const Observation& obs) const;
-  std::size_t response_bytes(const Observation& obs) const;
   double attempt_timeout() const;
   /// Does the cost model predict the deadline is makeable?
   bool predicts_deadline_met() const;

@@ -26,77 +26,25 @@ const char* fault_name(FaultKind kind) {
       return "client_straggler";
     case FaultKind::kClientCorrupt:
       return "client_corrupt";
-    case FaultKind::kLinkPartition:
-      return "link_partition";
-    case FaultKind::kLinkLatencySpike:
-      return "link_latency_spike";
-    case FaultKind::kLinkBandwidthCollapse:
-      return "link_bandwidth_collapse";
-    case FaultKind::kLinkCorrupt:
-      return "link_corrupt";
   }
   return "?";
 }
 
-namespace {
-net::LinkFaultKind to_link_kind(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kLinkLatencySpike:
-      return net::LinkFaultKind::kLatencySpike;
-    case FaultKind::kLinkBandwidthCollapse:
-      return net::LinkFaultKind::kBandwidthCollapse;
-    case FaultKind::kLinkCorrupt:
-      return net::LinkFaultKind::kCorrupt;
-    default:
-      return net::LinkFaultKind::kPartition;
-  }
-}
-}  // namespace
-
 FaultPlan::FaultPlan(std::vector<FaultEvent> events)
     : events_(std::move(events)) {
-  for (FaultEvent& ev : events_) {
+  for (const FaultEvent& ev : events_) {
     S2A_CHECK_MSG(ev.end >= ev.start, fault_name(ev.kind));
     if (ev.kind == FaultKind::kClientStraggler)
       S2A_CHECK_MSG(ev.magnitude >= 1.0, "straggler multiplier must be >= 1");
     if (ev.kind == FaultKind::kLatencySpike)
       S2A_CHECK_MSG(ev.magnitude >= 0.0, "latency spike must be >= 0");
-    // Link-kind severities are clamped, not trusted: an out-of-range
-    // entry (a 1e9-second "spike", a negative bandwidth factor, a NaN
-    // corruption probability) cannot produce an unbounded fault
-    // (tests/net_test.cpp regression).
-    if (ev.is_link_kind())
-      ev.magnitude = net::clamp_link_magnitude(to_link_kind(ev.kind),
-                                               ev.magnitude);
   }
 }
 
 const FaultEvent* FaultPlan::component_fault_at(double t) const {
   for (const FaultEvent& ev : events_)
-    if (!ev.is_client_kind() && !ev.is_link_kind() && t >= ev.start &&
-        t < ev.end)
-      return &ev;
+    if (!ev.is_client_kind() && t >= ev.start && t < ev.end) return &ev;
   return nullptr;
-}
-
-const FaultEvent* FaultPlan::link_fault_at(double t) const {
-  for (const FaultEvent& ev : events_)
-    if (ev.is_link_kind() && t >= ev.start && t < ev.end) return &ev;
-  return nullptr;
-}
-
-net::LinkFaultSchedule FaultPlan::link_schedule() const {
-  std::vector<net::LinkFaultWindow> windows;
-  for (const FaultEvent& ev : events_) {
-    if (!ev.is_link_kind()) continue;
-    net::LinkFaultWindow w;
-    w.kind = to_link_kind(ev.kind);
-    w.start_s = ev.start;
-    w.end_s = ev.end;
-    w.magnitude = ev.magnitude;
-    windows.push_back(w);
-  }
-  return net::LinkFaultSchedule(std::move(windows));
 }
 
 const FaultEvent* FaultPlan::client_fault_at(long round, int client) const {
@@ -145,37 +93,6 @@ FaultPlan FaultPlan::random_client_plan(std::uint64_t seed, long rounds,
     ev.target = rng.uniform_int(0, clients - 1);
     if (ev.kind == FaultKind::kClientStraggler)
       ev.magnitude = rng.uniform(2.0, 6.0);
-    evs.push_back(ev);
-  }
-  return FaultPlan(std::move(evs));
-}
-
-FaultPlan FaultPlan::random_link_plan(std::uint64_t seed, double horizon_s,
-                                      int events, double mean_duration_s) {
-  S2A_CHECK(horizon_s > 0.0 && events >= 0 && mean_duration_s > 0.0);
-  Rng rng(seed);
-  std::vector<FaultEvent> evs;
-  evs.reserve(static_cast<std::size_t>(events));
-  for (int i = 0; i < events; ++i) {
-    FaultEvent ev;
-    ev.kind = static_cast<FaultKind>(rng.uniform_int(
-        static_cast<int>(FaultKind::kLinkPartition),
-        static_cast<int>(FaultKind::kLinkCorrupt)));
-    ev.start = rng.uniform(0.0, horizon_s);
-    ev.end = ev.start + rng.uniform(0.5, 1.5) * mean_duration_s;
-    switch (ev.kind) {
-      case FaultKind::kLinkLatencySpike:
-        ev.magnitude = rng.uniform(0.01, 0.2);
-        break;
-      case FaultKind::kLinkBandwidthCollapse:
-        ev.magnitude = rng.uniform(0.02, 0.5);
-        break;
-      case FaultKind::kLinkCorrupt:
-        ev.magnitude = rng.uniform(0.1, 0.9);
-        break;
-      default:
-        break;  // partition has no magnitude
-    }
     evs.push_back(ev);
   }
   return FaultPlan(std::move(evs));

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/loop.hpp"
-#include "net/link.hpp"
 #include "util/rng.hpp"
 
 namespace s2a::fault {
@@ -35,14 +34,9 @@ enum class FaultKind {
   kClientDropout,  ///< client never responds (no compute, no update)
   kClientStraggler,///< response latency multiplied by `magnitude`
   kClientCorrupt,  ///< update arrives with a non-finite payload
-  // Link-side kinds; event windows are [start, end) seconds of loop
-  // time on the edge↔cloud uplink. Consumed via link_schedule() by
-  // net::LinkSim; magnitudes are clamped to each kind's legal range
-  // (net::clamp_link_magnitude) rather than trusted.
-  kLinkPartition,        ///< uplink fully down: nothing delivered
-  kLinkLatencySpike,     ///< extra one-way delay of `magnitude` seconds
-  kLinkBandwidthCollapse,///< throughput multiplied by `magnitude` (slow drip)
-  kLinkCorrupt,          ///< responses corrupted with P = `magnitude`
+  // Link faults on the edge↔cloud uplink are not FaultKinds: they are
+  // net::LinkFaultSchedule windows (net/link.hpp), generated by
+  // net::LinkFaultSchedule::random.
 };
 const char* fault_name(FaultKind kind);
 
@@ -57,12 +51,6 @@ struct FaultEvent {
     return kind == FaultKind::kClientDropout ||
            kind == FaultKind::kClientStraggler ||
            kind == FaultKind::kClientCorrupt;
-  }
-  bool is_link_kind() const {
-    return kind == FaultKind::kLinkPartition ||
-           kind == FaultKind::kLinkLatencySpike ||
-           kind == FaultKind::kLinkBandwidthCollapse ||
-           kind == FaultKind::kLinkCorrupt;
   }
 };
 
@@ -81,12 +69,6 @@ class FaultPlan {
   const FaultEvent* component_fault_at(double t) const;
   /// First active client-side event for (round, client).
   const FaultEvent* client_fault_at(long round, int client) const;
-  /// First active link-side event at loop time `t`.
-  const FaultEvent* link_fault_at(double t) const;
-
-  /// The plan's link-side events as a net::LinkFaultSchedule (magnitudes
-  /// clamped per kind), ready to hand to a net::LinkSim endpoint.
-  net::LinkFaultSchedule link_schedule() const;
 
   /// Seeded random sensor-fault plan: `events` windows over
   /// [0, horizon_s), kinds drawn uniformly from the five component
@@ -99,12 +81,6 @@ class FaultPlan {
   /// kinds (straggler magnitude uniform in [2, 6]).
   static FaultPlan random_client_plan(std::uint64_t seed, long rounds,
                                       int clients, int events);
-  /// Seeded random link-fault plan: `events` windows over [0, horizon_s),
-  /// kinds drawn uniformly from the four link kinds (spike magnitude
-  /// uniform in [0.01, 0.2] s, collapse factor in [0.02, 0.5], corrupt
-  /// probability in [0.1, 0.9]). Same seed → identical plan, everywhere.
-  static FaultPlan random_link_plan(std::uint64_t seed, double horizon_s,
-                                    int events, double mean_duration_s);
 
  private:
   std::vector<FaultEvent> events_;

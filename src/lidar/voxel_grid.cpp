@@ -92,10 +92,7 @@ VoxelGrid VoxelGrid::from_cloud(const sim::PointCloud& cloud,
   VoxelGrid grid(cfg);
   const std::size_t n = cloud.returns.size();
   util::ThreadPool& pool = util::global_pool();
-  // effective_parallelism() (not pool.size()) so a pool oversubscribed
-  // onto fewer cores — e.g. S2A_THREADS=4 on a 1-core box — falls back
-  // to the serial path it can't beat.
-  if (util::effective_parallelism() <= 1 || n < kMinParallelReturns) {
+  if (pool.size() <= 1 || n < kMinParallelReturns) {
     bin_returns(cloud, cfg, ground_tolerance, 0, n, grid.occ_);
     return grid;
   }

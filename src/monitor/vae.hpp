@@ -59,7 +59,6 @@ class Vae {
   const VaeConfig& config() const { return cfg_; }
 
  private:
-  friend class LoraAdaptedVae;
   VaeConfig cfg_;
   nn::Sequential encoder_trunk_;  // x -> hidden
   nn::Dense mu_head_, logvar_head_;

@@ -79,6 +79,38 @@ double LinkFaultSchedule::corrupt_prob(double t) const {
   return w != nullptr ? w->magnitude : 0.0;
 }
 
+LinkFaultSchedule LinkFaultSchedule::random(std::uint64_t seed,
+                                            double horizon_s, int events,
+                                            double mean_duration_s) {
+  S2A_CHECK(horizon_s > 0.0 && events >= 0 && mean_duration_s > 0.0);
+  Rng rng(seed);
+  std::vector<LinkFaultWindow> windows;
+  windows.reserve(static_cast<std::size_t>(events));
+  for (int i = 0; i < events; ++i) {
+    LinkFaultWindow w;
+    w.kind = static_cast<LinkFaultKind>(
+        rng.uniform_int(static_cast<int>(LinkFaultKind::kPartition),
+                        static_cast<int>(LinkFaultKind::kCorrupt)));
+    w.start_s = rng.uniform(0.0, horizon_s);
+    w.end_s = w.start_s + rng.uniform(0.5, 1.5) * mean_duration_s;
+    switch (w.kind) {
+      case LinkFaultKind::kLatencySpike:
+        w.magnitude = rng.uniform(0.01, 0.2);
+        break;
+      case LinkFaultKind::kBandwidthCollapse:
+        w.magnitude = rng.uniform(0.02, 0.5);
+        break;
+      case LinkFaultKind::kCorrupt:
+        w.magnitude = rng.uniform(0.1, 0.9);
+        break;
+      case LinkFaultKind::kPartition:
+        break;  // no magnitude
+    }
+    windows.push_back(w);
+  }
+  return LinkFaultSchedule(std::move(windows));
+}
+
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   // splitmix64 finalizer over the sum; cheap, and adjacent (a, b) pairs
   // land in decorrelated states (same construction Rng seeding uses).

@@ -18,9 +18,9 @@
 //
 // Faults come from a LinkFaultSchedule — value-type windows over virtual
 // time (partition, latency spike, bandwidth collapse, response
-// corruption), typically converted from a seeded fault::FaultPlan
-// (fault.hpp owns schedule generation; net stays below fault in the
-// dependency order: util → obs → net → core → fault).
+// corruption), written out by hand or drawn by
+// LinkFaultSchedule::random(). It is the only description of link
+// faults; fault::FaultPlan covers the sensor, processor and client sides.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +31,7 @@
 
 namespace s2a::net {
 
-/// Link-level fault kinds. Mirrors fault::FaultKind's link subset;
-/// fault::FaultPlan::link_schedule() converts (fault depends on net, so
-/// net cannot name fault's enum).
+/// Link-level fault kinds.
 enum class LinkFaultKind {
   kPartition = 0,       ///< link fully down: nothing delivered
   kLatencySpike,        ///< magnitude = extra one-way delay (s)
@@ -43,7 +41,7 @@ enum class LinkFaultKind {
 const char* link_fault_name(LinkFaultKind kind);
 
 // Severity clamps (docs/RESILIENCE.md): an out-of-range schedule entry is
-// clamped, never trusted — a FaultPlan with magnitude 1e9 on a latency
+// clamped, never trusted — a window with magnitude 1e9 on a latency
 // spike cannot produce an unbounded round trip (tests/net_test.cpp
 // regression).
 inline constexpr double kMaxLatencySpikeS = 5.0;
@@ -62,12 +60,19 @@ struct LinkFaultWindow {
 
 /// Value-type schedule of link fault windows, queried by virtual time.
 /// Magnitudes are clamped on construction; windows must be well-formed
-/// (end >= start). The first active window of a kind wins, matching
-/// fault::FaultPlan's first-match semantics.
+/// (end >= start). The first active window of a kind wins.
 class LinkFaultSchedule {
  public:
   LinkFaultSchedule() = default;
   explicit LinkFaultSchedule(std::vector<LinkFaultWindow> windows);
+
+  /// Seeded random schedule: `events` windows over [0, horizon_s), kinds
+  /// drawn uniformly from the four LinkFaultKinds, each lasting
+  /// uniform(0.5, 1.5) * mean_duration_s (spike magnitude uniform in
+  /// [0.01, 0.2] s, collapse factor in [0.02, 0.5], corrupt probability
+  /// in [0.1, 0.9]). Same seed → identical schedule, everywhere.
+  static LinkFaultSchedule random(std::uint64_t seed, double horizon_s,
+                                  int events, double mean_duration_s);
 
   bool partitioned(double t) const;
   /// Extra one-way delay at time t (0 outside spike windows).

