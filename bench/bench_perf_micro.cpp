@@ -28,7 +28,9 @@
 // baseline, the pipelined single-loop engine vs the synchronous one,
 // and a FaultPlan straggler chaos run with finite deadlines, writing
 // aggregate ticks/sec, per-loop p50/p95 tick latency, and the chaos
-// shed/stall outcome to BENCH_fleet.json.
+// shed/stall outcome to BENCH_fleet.json (speedups flagged
+// "speedup_measurable": false on hosts with fewer than 4 hardware
+// threads, as in the parallel report).
 // With S2A_BENCH_OFFLOAD=<out.json> it evaluates the uncertainty-gated
 // offload policy against the always-local and always-remote baselines
 // across a link loss × latency sweep, runs a mid-run partition stall
@@ -984,6 +986,16 @@ struct EdgeLoop {
 
 int run_fleet_report(const char* out_path) {
   print_cpu_banner();
+  // As in the parallel report: a 4-slot pool on fewer hardware threads
+  // times oversubscription, so the fleet, pipeline and batched speedups
+  // are then marked "speedup_measurable": false.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const bool measurable = static_cast<unsigned>(kParallelThreads) <= hw;
+  if (!measurable)
+    printf("warning: %d threads on %u hardware threads; speedups below "
+           "measure oversubscription, not parallel speed\n",
+           kParallelThreads, hw);
+  const char* measurable_json = measurable ? "true" : "false";
   constexpr int kLoops = 64, kTicks = 20;
   constexpr int kAcquireUs = 400, kSpinIters = 4000;
   const auto make_proc = [&] {
@@ -1270,6 +1282,7 @@ int run_fleet_report(const char* out_path) {
     return 1;
   }
   out << "{\n  \"threads\": " << kParallelThreads
+      << ",\n  \"hardware_concurrency\": " << hw
       << ",\n  \"cpu\": \"" << util::cpu_feature_string()
       << "\",\n  \"simd\": \"" << active_simd_name()
       << "\",\n  \"fleet\": {\n    \"loops\": " << kLoops
@@ -1277,6 +1290,7 @@ int run_fleet_report(const char* out_path) {
       << ",\n    \"serial_ticks_per_s\": " << serial_tps
       << ",\n    \"fleet_ticks_per_s\": " << fs.ticks_per_s
       << ",\n    \"speedup\": " << fleet_speedup
+      << ", \"speedup_measurable\": " << measurable_json
       << ",\n    \"mean_p50_tick_ms\": " << mean_p50_ms
       << ", \"max_p95_tick_ms\": " << p95_max
       << ",\n    \"dispatches\": " << fs.dispatches
@@ -1285,7 +1299,8 @@ int run_fleet_report(const char* out_path) {
       << "  \"pipeline\": {\n    \"ticks\": " << kPipeTicks
       << ",\n    \"sync_ticks_per_s\": " << kPipeTicks / sync_wall_s
       << ",\n    \"pipelined_ticks_per_s\": " << kPipeTicks / pipe_wall_s
-      << ",\n    \"speedup\": " << pipe_speedup << "\n  },\n"
+      << ",\n    \"speedup\": " << pipe_speedup
+      << ", \"speedup_measurable\": " << measurable_json << "\n  },\n"
       << "  \"chaos\": {\n    \"loops\": " << kChaosLoops
       << ", \"stragglers\": " << kStragglers
       << ",\n    \"straggler_shed_ticks\": " << straggler_shed
@@ -1299,6 +1314,7 @@ int run_fleet_report(const char* out_path) {
       << ",\n    \"per_loop_ticks_per_s\": " << per_loop_fs.ticks_per_s
       << ",\n    \"batched_ticks_per_s\": " << batched_fs.ticks_per_s
       << ",\n    \"speedup\": " << batched_speedup
+      << ", \"speedup_measurable\": " << measurable_json
       << ",\n    \"batched_forwards\": " << batched_forwards
       << "\n  },\n"
       << "  \"admission\": {\n    \"healthy_loops\": " << kHealthy

@@ -35,15 +35,19 @@ nn::Tensor OccupancyAutoencoder::decode(const nn::Tensor& latent) {
 
 nn::Tensor OccupancyAutoencoder::reconstruct(const nn::Tensor& masked_grid) {
   S2A_TRACE_SCOPE_CAT("lidar.ae_reconstruct", "lidar");
-  // The conv/deconv forwards shard across BEV rows internally (conv2d.cpp
-  // via util::global_pool); the elementwise sigmoid shards here. Both are
-  // per-element independent, so reconstruction is bit-exact at every
-  // thread count.
-  nn::Tensor logits = decode(encode(masked_grid));
-  util::global_pool().parallel_for(0, logits.numel(), 4096,
-                                   [&logits](std::size_t i) {
-                                     logits[i] = 1.0 / (1.0 + std::exp(-logits[i]));
-                                   });
+  // Inference only: infer() runs the training layers' kernels without
+  // capturing activations for a backward pass that never comes. The
+  // conv/deconv forwards shard across BEV rows internally (conv2d.cpp
+  // via util::global_pool); the elementwise sigmoid shards here, one
+  // call per 4096-voxel chunk. Both are per-element independent, so
+  // reconstruction is bit-exact at every thread count.
+  nn::Tensor logits = decoder_.infer(encoder_.infer(masked_grid));
+  double* d = logits.data();
+  util::global_pool().parallel_for_chunks(
+      0, logits.numel(), 4096,
+      [d](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i) d[i] = 1.0 / (1.0 + std::exp(-d[i]));
+      });
   return logits;
 }
 

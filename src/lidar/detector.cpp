@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <cmath>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -81,6 +82,14 @@ BevDetector::Forward BevDetector::forward(const nn::Tensor& grid) {
   return f;
 }
 
+BevDetector::Forward BevDetector::infer(const nn::Tensor& grid) {
+  nn::Tensor neck = backbone_.infer(grid);
+  Forward f;
+  f.cls_logits = cls_head_.infer(neck);
+  f.offsets = off_head_.infer(std::move(neck));
+  return f;
+}
+
 void BevDetector::backward(const nn::Tensor& dcls, const nn::Tensor& doff) {
   nn::Tensor dneck = cls_head_.backward(dcls);
   dneck.add_scaled(off_head_.backward(doff), 1.0);
@@ -96,7 +105,7 @@ Vec3 BevDetector::cell_center(int cx, int cy) const {
 
 std::vector<Detection> BevDetector::detect(const nn::Tensor& grid) {
   S2A_TRACE_SCOPE_CAT("lidar.detect", "lidar");
-  const Forward f = forward(grid);
+  const Forward f = infer(grid);
   const double cell_w = 2.0 * cfg_.grid.extent / w2_;
   const double cell_h = 2.0 * cfg_.grid.extent / h2_;
 
@@ -187,7 +196,7 @@ std::vector<double> BevDetector::feature_embedding(const nn::Tensor& grid) {
   // Pool the stride-4 backbone features (after conv2+ReLU): run the first
   // four backbone layers only.
   nn::Tensor h = grid;
-  for (std::size_t i = 0; i < 4; ++i) h = backbone_.layer(i).forward(h);
+  for (std::size_t i = 0; i < 4; ++i) h = backbone_.layer(i).infer(std::move(h));
   const int c = h.dim(1), hh = h.dim(2), ww = h.dim(3);
   std::vector<double> e(static_cast<std::size_t>(c), 0.0);
   for (int ci = 0; ci < c; ++ci) {
@@ -206,7 +215,7 @@ std::vector<std::vector<double>> BevDetector::feature_embeddings(
   // B=1 forward, and the per-image pooling below repeats
   // feature_embedding's accumulation order exactly.
   nn::Tensor h = grids;
-  for (std::size_t i = 0; i < 4; ++i) h = backbone_.layer(i).forward(h);
+  for (std::size_t i = 0; i < 4; ++i) h = backbone_.layer(i).infer(std::move(h));
   const int n = h.dim(0), c = h.dim(1), hh = h.dim(2), ww = h.dim(3);
   const std::size_t plane = static_cast<std::size_t>(hh) * ww;
   std::vector<std::vector<double>> out;

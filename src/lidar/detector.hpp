@@ -91,7 +91,10 @@ class BevDetector {
     nn::Tensor cls_logits;  // [1, 3, ny/2, nx/2]
     nn::Tensor offsets;     // [1, 2, ny/2, nx/2]
   };
+  /// Training forward: captures activations for backward().
   Forward forward(const nn::Tensor& grid);
+  /// The same outputs through nn::Layer::infer, capturing nothing.
+  Forward infer(const nn::Tensor& grid);
   void backward(const nn::Tensor& dcls, const nn::Tensor& doff);
   /// Map cell (stride-2) center to sensor-frame x/y.
   Vec3 cell_center(int cx, int cy) const;

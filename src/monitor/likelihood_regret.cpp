@@ -8,9 +8,13 @@ RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
                                const RegretConfig& cfg, Rng& rng) {
   const int k = vae.config().latent_dim;
   const Vae::Posterior q0 = vae.encode(x);
+  // One frozen decoder for this call's ~180 ELBO evaluations: packed
+  // once, dropped on return. Nothing writes the VAE's weights while a
+  // score runs, so the snapshot cannot go stale.
+  nn::Frozen decoder = vae.freeze_decoder();
 
   RegretResult res;
-  res.elbo_encoder = vae.elbo(x, q0);
+  res.elbo_encoder = vae.elbo(x, q0.mu.data(), q0.logvar.data(), decoder);
 
   std::vector<double> theta(static_cast<std::size_t>(2 * k));
   for (int i = 0; i < k; ++i) {
@@ -21,7 +25,7 @@ RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
   // Minimize negative ELBO over the per-sample posterior parameters,
   // read in place from the packed search vector t = (µ, logvar).
   auto objective = [&](const std::vector<double>& t) {
-    return -vae.elbo(x, t.data(), t.data() + k);
+    return -vae.elbo(x, t.data(), t.data() + k, decoder);
   };
 
   if (cfg.optimizer == RegretOptimizer::kSpsa) {

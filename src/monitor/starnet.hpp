@@ -41,7 +41,6 @@ class StarNet {
 
   double threshold() const { return threshold_; }
   bool fitted() const { return fitted_; }
-  Vae& vae() { return vae_; }
 
  private:
   std::vector<double> standardize(const std::vector<double>& x) const;

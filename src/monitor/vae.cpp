@@ -28,8 +28,7 @@ double gaussian_kl(const std::vector<double>& mu,
 Vae::Vae(VaeConfig config, Rng& rng)
     : cfg_(config),
       mu_head_(config.hidden, config.latent_dim, rng),
-      logvar_head_(config.hidden, config.latent_dim, rng),
-      z_({1, config.latent_dim}) {
+      logvar_head_(config.hidden, config.latent_dim, rng) {
   encoder_trunk_.emplace<nn::Dense>(cfg_.input_dim, cfg_.hidden, rng);
   encoder_trunk_.emplace<nn::Tanh>();
   decoder_.emplace<nn::Dense>(cfg_.latent_dim, cfg_.hidden, rng);
@@ -53,29 +52,36 @@ Vae::Posterior Vae::encode(const std::vector<double>& x) {
 
 std::vector<double> Vae::decode(const std::vector<double>& z) {
   S2A_CHECK(static_cast<int>(z.size()) == cfg_.latent_dim);
-  std::copy(z.begin(), z.end(), z_.data());
-  const nn::Tensor xt = decoder_.forward(z_);
+  const nn::Tensor xt = decoder_.forward(nn::Tensor({1, cfg_.latent_dim}, z));
   return std::vector<double>(xt.data(), xt.data() + xt.numel());
 }
 
 double Vae::elbo(const std::vector<double>& x, const Posterior& q) {
   S2A_CHECK(static_cast<int>(q.mu.size()) == cfg_.latent_dim &&
             q.logvar.size() == q.mu.size());
-  return elbo(x, q.mu.data(), q.logvar.data());
+  return elbo_of(x, decode(q.mu).data(), q.mu.data(), q.logvar.data());
 }
 
+nn::Frozen Vae::freeze_decoder() const { return nn::Frozen(decoder_); }
+
 double Vae::elbo(const std::vector<double>& x, const double* mu,
-                 const double* logvar) {
+                 const double* logvar, nn::Frozen& decoder) const {
+  S2A_CHECK(decoder.in_features() == cfg_.latent_dim &&
+            decoder.out_features() == cfg_.input_dim);
+  return elbo_of(x, decoder.forward(mu), mu, logvar);
+}
+
+double Vae::elbo_of(const std::vector<double>& x, const double* x_hat,
+                    const double* mu, const double* logvar) const {
   S2A_CHECK(static_cast<int>(x.size()) == cfg_.input_dim);
-  const auto k = static_cast<std::size_t>(cfg_.latent_dim);
-  std::copy(mu, mu + k, z_.data());
-  const nn::Tensor x_hat = decoder_.forward(z_);
   double log_lik = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double d = x[i] - x_hat[i];
     log_lik += -0.5 * d * d;  // unit-variance Gaussian, constant dropped
   }
-  return log_lik - cfg_.kl_weight * kl_to_standard_normal(mu, logvar, k);
+  return log_lik - cfg_.kl_weight *
+                       kl_to_standard_normal(
+                           mu, logvar, static_cast<std::size_t>(cfg_.latent_dim));
 }
 
 double Vae::elbo(const std::vector<double>& x) { return elbo(x, encode(x)); }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "nn/dense.hpp"
+#include "nn/frozen.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 
@@ -35,14 +36,20 @@ class Vae {
   /// up to the Gaussian constant. Deterministic so SPSA optimization and
   /// scoring are reproducible.
   double elbo(const std::vector<double>& x, const Posterior& q);
-  /// The same ELBO with the posterior given as latent_dim values at mu
-  /// and at logvar. Likelihood regret evaluates it ~180 times per score
-  /// straight from its packed (µ, logvar) search vector; it allocates no
-  /// Posterior and reuses one decoder input tensor across calls.
-  double elbo(const std::vector<double>& x, const double* mu,
-              const double* logvar);
   /// ELBO under the trained encoder's own posterior.
   double elbo(const std::vector<double>& x);
+
+  /// A frozen snapshot of the decoder (nn/frozen.hpp). Likelihood
+  /// regret builds one per call and evaluates every ELBO through it.
+  nn::Frozen freeze_decoder() const;
+  /// The same ELBO with the posterior given as latent_dim values at mu
+  /// and at logvar, decoded through `decoder`, a freeze_decoder() of
+  /// this VAE taken since its last weight update. Bit-identical to
+  /// elbo(x, q); it allocates nothing, so likelihood regret runs its
+  /// ~180 evaluations per score straight from its packed (µ, logvar)
+  /// search vector.
+  double elbo(const std::vector<double>& x, const double* mu,
+              const double* logvar, nn::Frozen& decoder) const;
 
   /// One reparameterized training step on a batch; returns the batch loss
   /// (negative ELBO). Gradients flow through the sampling noise drawn from
@@ -59,11 +66,15 @@ class Vae {
   const VaeConfig& config() const { return cfg_; }
 
  private:
+  // log p(x|µ) − w·KL for a decoded x̂ = x_hat: the one copy of the
+  // ELBO arithmetic behind both elbo() paths.
+  double elbo_of(const std::vector<double>& x, const double* x_hat,
+                 const double* mu, const double* logvar) const;
+
   VaeConfig cfg_;
   nn::Sequential encoder_trunk_;  // x -> hidden
   nn::Dense mu_head_, logvar_head_;
   nn::Sequential decoder_;  // z -> x̂
-  nn::Tensor z_;            // [1, latent_dim] decoder input, reused
 };
 
 /// Analytic KL(N(µ, e^{logvar}) ‖ N(0, I)).

@@ -1,6 +1,8 @@
 #include "nn/activations.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/check.hpp"
 
@@ -8,10 +10,19 @@ namespace s2a::nn {
 
 Tensor ReLU::forward(const Tensor& x) {
   last_x_ = x;
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i)
-    if (y[i] < 0.0) y[i] = 0.0;
-  return y;
+  return ReLU::infer(x);
+}
+
+Tensor ReLU::infer(Tensor x) {
+  // d < 0.0 ? 0.0 : d, so -0.0 and NaN keep their bits. Written as a
+  // bit mask because compilers emit the ternary as a branch, which the
+  // mixed signs of a conv output mispredict (~4x slower at 9216 values).
+  double* d = x.data();
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const std::uint64_t keep = 0 - static_cast<std::uint64_t>(!(d[i] < 0.0));
+    d[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(d[i]) & keep);
+  }
+  return x;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {

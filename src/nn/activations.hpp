@@ -8,6 +8,8 @@ namespace s2a::nn {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x) override;
+  /// Clamps in place; -0.0 and NaN pass through exactly as in forward().
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:

@@ -87,9 +87,15 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
 }
 
 Tensor Conv2D::forward(const Tensor& x) {
+  last_x_ = x;
+  return apply(x);
+}
+
+Tensor Conv2D::infer(Tensor x) { return apply(x); }
+
+Tensor Conv2D::apply(const Tensor& x) {
   S2A_CHECK_MSG(x.shape().size() == 4 && x.dim(1) == cin_,
                 "Conv2D expects [N," << cin_ << ",H,W]");
-  last_x_ = x;
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK_MSG(oh > 0 && ow > 0, "conv output collapsed to zero");
@@ -310,8 +316,14 @@ ConvTranspose2D::ConvTranspose2D(int in_channels, int out_channels, int kernel,
 }
 
 Tensor ConvTranspose2D::forward(const Tensor& x) {
-  S2A_CHECK(x.shape().size() == 4 && x.dim(1) == cin_);
   last_x_ = x;
+  return apply(x);
+}
+
+Tensor ConvTranspose2D::infer(Tensor x) { return apply(x); }
+
+Tensor ConvTranspose2D::apply(const Tensor& x) {
+  S2A_CHECK(x.shape().size() == 4 && x.dim(1) == cin_);
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(oh > 0 && ow > 0);

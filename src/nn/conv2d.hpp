@@ -15,6 +15,8 @@
 // tests diff both directions against it bit-for-bit, and the
 // finite-difference gradient checks pin the arithmetic. After
 // quantize() the forward runs int8 (nn/quant.hpp) and backward() fails.
+// infer() runs the same forward kernels without keeping the input for
+// backward(); it still records the output size macs_per_sample() reads.
 #pragma once
 
 #include <vector>
@@ -31,6 +33,7 @@ class Conv2D : public Layer {
          int padding, Rng& rng);
 
   Tensor forward(const Tensor& x) override;  ///< x: [N, Cin, H, W]
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
@@ -47,6 +50,9 @@ class Conv2D : public Layer {
   const util::ScratchArena* scratch() const override { return &arena_; }
 
  private:
+  // The shared body of forward() and infer(): checks, records the
+  // output size for macs_per_sample(), runs forward_gemm.
+  Tensor apply(const Tensor& x);
   void forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
                     int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
@@ -57,7 +63,7 @@ class Conv2D : public Layer {
   QuantizedMatrix qw_;  // int8 snapshot of w_ as [Cout, Cin*k*k]
   Tensor w_, b_, gw_, gb_;  // w: [Cout, Cin, k, k]
   Tensor last_x_;
-  mutable std::size_t last_out_hw_ = 0;  // set by forward, used by macs
+  std::size_t last_out_hw_ = 0;  // set by forward/infer, used by macs
   // im2col panels + packed weights; sized on first forward, reused after.
   util::ScratchArena arena_;
 };
@@ -70,6 +76,7 @@ class ConvTranspose2D : public Layer {
                   int padding, Rng& rng);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
@@ -83,6 +90,7 @@ class ConvTranspose2D : public Layer {
   const util::ScratchArena* scratch() const override { return &arena_; }
 
  private:
+  Tensor apply(const Tensor& x);  // as Conv2D::apply
   void forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
                     int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
@@ -104,7 +112,7 @@ class ConvTranspose2D : public Layer {
   std::vector<QuantizedMatrix> qw_ph_;
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]
   Tensor last_x_;
-  mutable std::size_t last_in_hw_ = 0;
+  std::size_t last_in_hw_ = 0;  // set by forward/infer, used by macs
   util::ScratchArena arena_;
 };
 

@@ -114,14 +114,12 @@ LoRADense::LoRADense(const Dense& base, int rank, double alpha, Rng& rng)
       rank_(rank),
       scale_(alpha / rank),
       w_(base.weight()),
-      b_({out_}),
+      b_(base.bias()),
       a_(Tensor::randn({rank, in_}, rng, 1.0 / in_)),
       b_lora_({out_, rank}),
       ga_({rank, in_}),
       gb_lora_({out_, rank}) {
   S2A_CHECK(rank > 0 && rank <= in_ && rank <= out_);
-  // Copy the base bias via a const-safe route.
-  b_ = const_cast<Dense&>(base).bias();
 }
 
 Tensor LoRADense::forward(const Tensor& x) {

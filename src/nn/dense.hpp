@@ -37,6 +37,8 @@ class Dense : public Layer {
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }
   const Tensor& weight() const { return w_; }
+  const Tensor& bias() const { return b_; }
+  bool has_bias() const { return has_bias_; }
 
   /// Frozen parameters are excluded from params()/grads(), so optimizers
   /// never see them. Gradients still flow through to the layer input.

@@ -46,6 +46,9 @@
 // ScratchArena and is rebuilt once per forward: weights move between
 // forwards (optimizers, loads and federated updates all write them
 // through params()), so packed values are never cached across calls.
+// nn::Frozen (nn/frozen.hpp) packs a Dense stack once for many batch-1
+// evaluations; its one user builds it per call and drops it on return,
+// so the rule holds there too.
 // ConvTranspose2D builds its per-phase panels with pack_a_indexed(),
 // one indexed copy out of the kernel tensor through a shape-only
 // (phase, row) -> offset table made in its constructor.

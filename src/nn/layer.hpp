@@ -1,9 +1,18 @@
 // Layer interface for the library's networks.
 //
-// Layers are stateful trainers: forward() caches whatever backward() needs,
-// backward() accumulates parameter gradients and returns the gradient with
-// respect to the layer input. This matches how the training loops in each
-// subsystem drive them (single-threaded, one batch in flight).
+// Layers are stateful trainers: forward() captures whatever backward()
+// needs, backward() accumulates parameter gradients and returns the
+// gradient with respect to the layer input. This matches how the training
+// loops in each subsystem drive them (single-threaded, one batch in
+// flight).
+//
+// infer() is the inference path: the same kernel call and bit-identical
+// output, but it captures nothing, so backward() still sees the last
+// forward(). It takes its input by value, so a Sequential moves each
+// activation from layer to layer and an elementwise layer can work in
+// place. The layers on the loop's inference calls (Conv2D,
+// ConvTranspose2D, ReLU, Sequential) override it; every other layer
+// falls back to forward() and captures as before.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +32,8 @@ class Layer {
   virtual ~Layer() = default;
 
   virtual Tensor forward(const Tensor& x) = 0;
+  /// forward()'s output without capturing anything for backward().
+  virtual Tensor infer(Tensor x) { return forward(x); }
   /// grad_out is dL/d(output); returns dL/d(input). Parameter gradients
   /// accumulate until zero_grad().
   virtual Tensor backward(const Tensor& grad_out) = 0;

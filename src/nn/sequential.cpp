@@ -13,6 +13,11 @@ Tensor Sequential::forward(const Tensor& x) {
   return h;
 }
 
+Tensor Sequential::infer(Tensor x) {
+  for (auto& l : layers_) x = l->infer(std::move(x));
+  return x;
+}
+
 Tensor Sequential::backward(const Tensor& grad_out) {
   Tensor g = grad_out;
   for (std::size_t i = layers_.size(); i-- > 0;) g = layers_[i]->backward(g);

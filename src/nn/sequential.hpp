@@ -26,6 +26,8 @@ class Sequential : public Layer {
   void append(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
   Tensor forward(const Tensor& x) override;
+  /// Moves each activation from layer to layer through Layer::infer.
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
@@ -46,6 +48,7 @@ class Sequential : public Layer {
 
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
+  const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
   /// Lifetime backing-block allocations across all layers' kernel
   /// arenas (slots included). Training loops assert this stops growing

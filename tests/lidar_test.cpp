@@ -251,6 +251,20 @@ TEST(Autoencoder, ReconstructionOutputsProbabilities) {
   }
 }
 
+TEST(Autoencoder, ReconstructRecordsTheTrainingMacCount) {
+  // reconstruct() runs Layer::infer, which still records the output
+  // sizes macs_per_scan() (and so the energy bill) is computed from.
+  AutoencoderConfig cfg;
+  cfg.grid.nx = cfg.grid.ny = 16;
+  Rng r1(12), r2(12);
+  OccupancyAutoencoder inferred(cfg, r1), trained(cfg, r2);
+  const nn::Tensor in({1, cfg.grid.nz, 16, 16});
+  inferred.reconstruct(in);
+  trained.decode(trained.encode(in));
+  EXPECT_GT(trained.macs_per_scan(), 0u);
+  EXPECT_EQ(inferred.macs_per_scan(), trained.macs_per_scan());
+}
+
 TEST(Autoencoder, TrainingReducesLoss) {
   Rng rng(10);
   AutoencoderConfig cfg;

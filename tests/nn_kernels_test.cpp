@@ -17,12 +17,14 @@
 #include <cstring>
 #include <string>
 
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/layer.hpp"
 #include "nn/quant.hpp"
+#include "nn/sequential.hpp"
 #include "nn/tensor.hpp"
 #include "nn_oracle.hpp"
 #include "util/check.hpp"
@@ -972,6 +974,114 @@ TEST(ScratchArena, TrainingStepsStopGrowingAfterWarmup) {
   }
   EXPECT_EQ(growth_after, growth);
   EXPECT_EQ(capacity_after, capacity);
+}
+
+
+// ---- Inference path: Layer::infer vs. forward ----
+
+// Elements whose bit patterns differ: unlike diff_count, -0.0 vs 0.0
+// counts and NaN matches NaN.
+std::size_t bit_diff_count(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return a.numel() + b.numel();
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.numel(); ++i)
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(double)) != 0) ++bad;
+  return bad;
+}
+
+// dx plus every accumulated parameter gradient of one backward.
+std::vector<Tensor> backward_grads(Layer& layer, const Tensor& grad_out) {
+  std::vector<Tensor> out{layer.backward(grad_out)};
+  for (Tensor* g : layer.grads()) out.push_back(*g);
+  return out;
+}
+
+TEST(InferPath, MatchesForwardBitExact) {
+  // infer() is forward()'s kernel call minus the capture, so the
+  // outputs are identical — float and int8, batch 1 and 3, serial and
+  // sharded (a 4-slot pool shards these shapes on any host).
+  Rng rng(60);
+  Conv2D conv(4, 8, 3, 2, 1, rng);
+  ConvTranspose2D deconv(8, 4, 4, 2, 1, rng);
+  Rng qrng(61);
+  Conv2D qconv(4, 8, 3, 2, 1, qrng);
+  ConvTranspose2D qdeconv(8, 4, 4, 2, 1, qrng);
+  qconv.quantize();
+  qdeconv.quantize();
+  ReLU relu;
+  Sequential net;
+  net.emplace<Conv2D>(4, 8, 3, 2, 1, rng);
+  net.emplace<ReLU>();
+  net.emplace<ConvTranspose2D>(8, 4, 4, 2, 1, rng);
+  net.emplace<ReLU>();
+
+  for (int batch : {1, 3}) {
+    const Tensor x = Tensor::randn({batch, 4, 24, 24}, rng);
+    const Tensor z = Tensor::randn({batch, 8, 12, 12}, rng);
+    // ReLU's edge values: -0.0 and NaN pass through, -inf clamps.
+    Tensor r = x;
+    r[0] = -0.0;
+    r[1] = std::numeric_limits<double>::quiet_NaN();
+    r[2] = -std::numeric_limits<double>::infinity();
+    r[3] = 0.0;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "batch " << batch << ", "
+                                      << threads << " threads");
+      util::ScopedGlobalThreads scoped(threads);
+      EXPECT_EQ(bit_diff_count(conv.forward(x), conv.infer(x)), 0u);
+      EXPECT_EQ(bit_diff_count(deconv.forward(z), deconv.infer(z)), 0u);
+      EXPECT_EQ(bit_diff_count(qconv.forward(x), qconv.infer(x)), 0u);
+      EXPECT_EQ(bit_diff_count(qdeconv.forward(z), qdeconv.infer(z)), 0u);
+      const Tensor rr = relu.infer(r);
+      EXPECT_EQ(bit_diff_count(relu.forward(r), rr), 0u);
+      EXPECT_TRUE(rr[0] == 0.0 && std::signbit(rr[0]));  // -0.0 kept
+      EXPECT_TRUE(std::isnan(rr[1]));
+      EXPECT_TRUE(rr[2] == 0.0 && !std::signbit(rr[2]));
+      EXPECT_EQ(bit_diff_count(net.forward(x), net.infer(x)), 0u);
+    }
+  }
+}
+
+TEST(InferPath, BackwardStillSeesTheLastForward) {
+  // forward(a), then infer(b), then backward(g) must give exactly the
+  // gradients of forward(a) alone: infer() captures nothing.
+  util::ScopedGlobalThreads threads(4);
+  Rng rng(62);
+  Conv2D conv(3, 6, 3, 2, 1, rng);
+  ConvTranspose2D deconv(6, 3, 4, 2, 1, rng);
+  ReLU relu;
+  Sequential net;
+  net.emplace<Conv2D>(3, 6, 3, 2, 1, rng);
+  net.emplace<ReLU>();
+  net.emplace<ConvTranspose2D>(6, 3, 4, 2, 1, rng);
+  struct Case {
+    Layer* layer;
+    Tensor a, b, g;
+  };
+  const Tensor xa = Tensor::randn({1, 3, 16, 16}, rng);
+  const Tensor xb = Tensor::randn({1, 3, 16, 16}, rng);
+  const Tensor za = Tensor::randn({1, 6, 8, 8}, rng);
+  const Tensor zb = Tensor::randn({1, 6, 8, 8}, rng);
+  Case cases[] = {
+      {&conv, xa, xb, Tensor::randn({1, 6, 8, 8}, rng)},
+      {&deconv, za, zb, Tensor::randn({1, 3, 16, 16}, rng)},
+      {&relu, xa, xb, Tensor::randn({1, 3, 16, 16}, rng)},
+      {&net, xa, xb, Tensor::randn({1, 3, 16, 16}, rng)},
+  };
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    SCOPED_TRACE(c);
+    Layer& l = *cases[c].layer;
+    l.zero_grad();
+    l.forward(cases[c].a);
+    const auto alone = backward_grads(l, cases[c].g);
+    l.zero_grad();
+    l.forward(cases[c].a);
+    l.infer(cases[c].b);
+    const auto after_infer = backward_grads(l, cases[c].g);
+    ASSERT_EQ(alone.size(), after_infer.size());
+    for (std::size_t i = 0; i < alone.size(); ++i)
+      EXPECT_EQ(bit_diff_count(alone[i], after_infer[i]), 0u) << "tensor " << i;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "nn/attention.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/frozen.hpp"
 #include "nn/gru.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -575,6 +576,70 @@ TEST(Training, MlpLearnsXor) {
   EXPECT_GT(y[1], 0.0);
   EXPECT_GT(y[2], 0.0);
   EXPECT_LT(y[3], 0.0);
+}
+
+
+// ---- nn::Frozen: a packed-once inference snapshot of a Dense/Tanh MLP ----
+
+// Frozen must reproduce Sequential::forward bit-for-bit on every input.
+// Biases start at zero, so give them values first: the bias add must
+// land after the product, as in Dense::forward.
+void expect_frozen_matches(Sequential& net, int in, Rng& rng) {
+  for (Tensor* p : net.params())
+    if (p->shape().size() == 1)
+      for (std::size_t i = 0; i < p->numel(); ++i) (*p)[i] = rng.normal();
+  Frozen frozen(net);
+  ASSERT_EQ(frozen.in_features(), in);
+  for (int rep = 0; rep < 20; ++rep) {
+    const Tensor x = Tensor::randn({1, in}, rng, 2.0);
+    const Tensor y = net.forward(x);
+    const double* f = frozen.forward(x.data());
+    ASSERT_EQ(static_cast<std::size_t>(frozen.out_features()), y.numel());
+    for (std::size_t i = 0; i < y.numel(); ++i)
+      ASSERT_EQ(f[i], y[i]) << "rep " << rep << " output " << i;
+  }
+}
+
+TEST(Frozen, MatchesSequentialOnTheVaeDecoderShape) {
+  // STARNet's decoder in monitor_test: latent 6 -> 48 Tanh -> 32.
+  Rng rng(70);
+  Sequential net;
+  net.emplace<Dense>(6, 48, rng);
+  net.emplace<Tanh>();
+  net.emplace<Dense>(48, 32, rng);
+  expect_frozen_matches(net, 6, rng);
+}
+
+TEST(Frozen, MatchesSequentialAcrossPanelTails) {
+  // 13 and 9 rows leave a partial packed panel under every kernel's MR
+  // (2, 4, 8); a bias-free layer and a double Tanh cover the rest.
+  Rng rng(71);
+  Sequential net;
+  net.emplace<Dense>(5, 13, rng);
+  net.emplace<Tanh>();
+  net.emplace<Dense>(13, 9, rng, /*bias=*/false);
+  net.emplace<Tanh>();
+  net.emplace<Tanh>();
+  net.emplace<Dense>(9, 3, rng);
+  expect_frozen_matches(net, 5, rng);
+}
+
+TEST(Frozen, RefusesLayersItCannotSnapshot) {
+  Rng rng(72);
+  Sequential relu_net;
+  relu_net.emplace<Dense>(4, 4, rng);
+  relu_net.emplace<ReLU>();
+  EXPECT_THROW(Frozen{relu_net}, CheckError);
+
+  Sequential leading_tanh;
+  leading_tanh.emplace<Tanh>();
+  leading_tanh.emplace<Dense>(4, 4, rng);
+  EXPECT_THROW(Frozen{leading_tanh}, CheckError);
+
+  Sequential quantized;
+  quantized.emplace<Dense>(4, 4, rng);
+  quantized.quantize();
+  EXPECT_THROW(Frozen{quantized}, CheckError);
 }
 
 }  // namespace
