@@ -84,17 +84,23 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
 
   // Counteract occupancy sparsity (see AutoencoderConfig::pos_weight).
   // Per-element independent, so sharding it (like the backward kernels
-  // it feeds) keeps the step bit-exact at every thread count.
-  nn::Tensor& grad = loss.grad;
+  // it feeds) keeps the step bit-exact at every thread count; one call
+  // per 4096-voxel chunk.
+  double* grad = loss.grad.data();
+  const double* tgt = target.data();
   const double pos_weight = cfg_.pos_weight;
-  util::global_pool().parallel_for(
-      0, grad.numel(), 4096, [&grad, &target, pos_weight](std::size_t i) {
-        if (target[i] > 0.5) grad[i] *= pos_weight;
+  util::global_pool().parallel_for_chunks(
+      0, loss.grad.numel(), 4096,
+      [grad, tgt, pos_weight](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i)
+          if (tgt[i] > 0.5) grad[i] *= pos_weight;
       });
 
   if (objective == PretrainObjective::kSurfaceWeighted) {
+    // The reported loss stays the plain BCE; only the gradient is
+    // reweighted.
     const auto w = surface_weights(target, cfg_.grid);
-    double weighted = 0.0, wsum = 0.0;
+    double wsum = 0.0;
     for (std::size_t i = 0; i < loss.grad.numel(); ++i) {
       loss.grad[i] *= w[i];
       wsum += w[i];
@@ -102,8 +108,6 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
     // Rescale so the gradient magnitude is comparable across objectives.
     const double scale = static_cast<double>(loss.grad.numel()) / std::max(1.0, wsum);
     for (std::size_t i = 0; i < loss.grad.numel(); ++i) loss.grad[i] *= scale;
-    weighted = loss.value;  // reported loss stays the plain BCE
-    (void)weighted;
   }
 
   const nn::Tensor dlatent = decoder_.backward(loss.grad);
@@ -113,7 +117,8 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
 }
 
 std::vector<double> OccupancyAutoencoder::embedding(const nn::Tensor& grid) {
-  const nn::Tensor z = encode(grid);
+  // Inference only: nothing backpropagates through an embedding.
+  const nn::Tensor z = encoder_.infer(grid);
   const int c = z.dim(1), h = z.dim(2), w = z.dim(3);
   std::vector<double> e(static_cast<std::size_t>(c), 0.0);
   for (int ci = 0; ci < c; ++ci) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
@@ -20,11 +21,11 @@ constexpr std::size_t kMinParallelMacs = 1 << 15;
 // Splits `total` units of independent work into chunks sized for the
 // global pool (~4 chunks per slot hides worker imbalance) and runs
 // fn(lo, hi, band_arena) over them, giving each chunk a private
-// ScratchArena slot for its im2col panel (backward's row stripes just
-// ignore it). Falls back to one inline call (slot 0) when the pool has
-// one slot or the work is too small to pay for dispatch. fn must write
-// disjoint outputs per unit so results are bit-exact at every thread
-// count.
+// ScratchArena slot for its GEMM tile (passes that write straight into
+// their output just ignore it). Falls back to one inline call (slot 0)
+// when the pool has one slot or the work is too small to pay for
+// dispatch. fn must write disjoint outputs per unit so results are
+// bit-exact at every thread count.
 void parallel_bands(
     std::size_t total, std::size_t macs, util::ScratchArena& arena,
     const std::function<void(std::size_t, std::size_t, util::ScratchArena&)>&
@@ -44,6 +45,255 @@ void parallel_bands(
                                          std::size_t c) {
                              fn(lo, hi, arena.slot(c));
                            });
+}
+
+int round_up(int v, int to) { return (v + to - 1) / to * to; }
+
+// ---- The one lowering: a zero-padded copy of the input ----
+//
+// Every forward GEMM here (conv forward, each deconv phase, the deconv
+// input gradient) reads its B operand straight out of one zero-padded
+// copy of its input, through a table of row offsets
+// (gemm_packed_rows), instead of materializing a lowered matrix.
+//
+// For a stride-s reader the copy is s*s polyphase planes per channel:
+// plane (c, ry, rx), row qy, column qx holds padded-input pixel
+// (qy*s + ry, qx*s + rx), where the padded input is x shifted by `pad`
+// with 0.0 outside the image. Tap (c, ky, kx) of output (oy, ox) then
+// reads plane (c, ky%s, kx%s) at (oy + ky/s, ox + kx/s). On a "wide"
+// output grid of wq columns per output row, output (oy, ox) is column
+// oy*wq + ox, so every tap's B row over a band of output rows is one
+// contiguous span of one plane, starting at a shape-only offset. The
+// GEMM computes all wq columns per row; only the first ow of each row
+// are real outputs. The other columns read neighbouring pixels, the
+// next image's planes or the zeroed slack past the last image, and are
+// never stored.
+//
+// A one-plane copy (s == 1) stores only the left padding of each row:
+// a read past a row's end lands in the next row's left padding, or,
+// past a plane's last row, in the next plane's top padding rows or the
+// zeroed slack — the same zeros the right padding would hold. That
+// trims `pad` columns off every wide row (the deconv phases' grids are
+// that much narrower). Polyphase planes keep both paddings: the row
+// after a plane's last one starts another phase's plane, which need
+// not be padding.
+//
+// Bit-exactness: every stored element accumulates the caller's seed
+// plus w*x over ascending taps, with x = 0.0 off the image — the same
+// products in the same order as the lowered matrix the direct loops
+// define (tests/nn_oracle.hpp).
+struct PaddedInput {
+  int s = 1;              // polyphase factor: the reader's stride
+  int hq = 0, wq = 0;     // rows and columns of one plane
+  std::size_t plane = 0;  // hq * wq
+  std::size_t image = 0;  // channels * s * s * plane: one image's planes
+  const double* data = nullptr;    // n images back to back, then slack
+  const std::int8_t* q = nullptr;  // int8 codes of data (quantized layers)
+  double q_scale = 0.0;            // the activation scale of those codes
+  bool finite = true;  // false when a coded value had no int8 code
+};
+
+// `valid` is the reader's real output columns per row; the wide grid
+// must hold them.
+PaddedInput padded_geometry(int c, int h, int w, int s, int pad, int valid) {
+  PaddedInput g;
+  g.s = s;
+  g.hq = (h + 2 * pad + s - 1) / s;
+  g.wq = s == 1 ? std::max(w + pad, valid) : (w + 2 * pad + s - 1) / s;
+  g.plane = static_cast<std::size_t>(g.hq) * g.wq;
+  g.image = static_cast<std::size_t>(c) * s * s * g.plane;
+  return g;
+}
+
+// For the int8 forwards: codes g.data's `size` values once against the
+// whole-input activation scale of x (x_count values) — the codes the
+// per-band panels of an explicit lowering get: the same values, the
+// same scale, and 0 -> 0 for the padding.
+void code_int8(const double* x, std::size_t x_count, std::size_t size,
+               util::ScratchArena& arena, PaddedInput& g) {
+  g.q_scale = activation_scale(x, x_count);
+  std::int8_t* q = alloc_int8(arena, size);
+  g.finite = quantize_values(g.data, size, g.q_scale, q);
+  g.q = q;
+}
+
+// Fills g.data (geometry from padded_geometry) from x ([n, c, h, w]),
+// padded by `pad` on every side, and codes it when `int8`. `reach` is
+// how far past an image's base its bands read: the table's largest
+// offset plus the widest rounded band. The buffer ends `reach` past the
+// last image's base, and that slack is zeroed, so no read lands outside
+// it and none reads an uninitialized value. One copy per (image,
+// channel), sharded over the pool like the band pass.
+void build_padded(const double* x, int n, int c, int h, int w, int pad,
+                  std::size_t reach, std::size_t macs, bool int8,
+                  util::ScratchArena& arena, PaddedInput& g) {
+  S2A_CHECK_MSG(reach <= g.image + g.plane + kGemmMaxNR,
+                "a band would read past its image's padded planes");
+  const std::size_t body = static_cast<std::size_t>(n) * g.image;
+  const std::size_t size = body - g.image + std::max(g.image, reach);
+  double* buf = arena.alloc(size);
+  const int s = g.s;
+  const std::size_t in_hw = static_cast<std::size_t>(h) * w;
+  parallel_bands(
+      static_cast<std::size_t>(n) * c, macs, arena,
+      [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+        for (std::size_t u = lo; u < hi; ++u) {
+          const double* src = x + u * in_hw;
+          double* dst = buf + u * static_cast<std::size_t>(s) * s * g.plane;
+          for (int ry = 0; ry < s; ++ry)
+            for (int rx = 0; rx < s; ++rx) {
+              // Plane column qx reads x column qx*s + rx - pad; the
+              // in-image ones are the span [jlo, jhi), the same for
+              // every row of the plane.
+              const int i0 = rx - pad;
+              const int jlo = std::min(g.wq, i0 >= 0 ? 0 : (s - 1 - i0) / s);
+              const int jhi =
+                  std::clamp(i0 < w ? (w - 1 - i0) / s + 1 : 0, jlo, g.wq);
+              for (int qy = 0; qy < g.hq; ++qy, dst += g.wq) {
+                const int iy = qy * s + ry - pad;
+                if (iy < 0 || iy >= h) {
+                  std::fill_n(dst, g.wq, 0.0);
+                  continue;
+                }
+                const double* srow =
+                    src + static_cast<std::ptrdiff_t>(iy) * w + i0;
+                std::fill(dst, dst + jlo, 0.0);
+                if (s == 1)
+                  for (int j = jlo; j < jhi; ++j) dst[j] = srow[j];
+                else
+                  for (int j = jlo; j < jhi; ++j)
+                    dst[j] = srow[static_cast<std::ptrdiff_t>(j) * s];
+                std::fill(dst + jhi, dst + g.wq, 0.0);
+              }
+            }
+        }
+      });
+  std::fill(buf + body, buf + size, 0.0);
+  g.data = buf;
+  if (int8)
+    code_int8(x, static_cast<std::size_t>(n) * c * in_hw, size, arena, g);
+}
+
+// The weight side of one lowered GEMM: m output rows over kdim taps,
+// as a packed float panel, or as the int8 snapshot quantize() took.
+struct LoweredWeights {
+  int m = 0, kdim = 0;
+  const double* packed = nullptr;
+  const QuantizedMatrix* q = nullptr;
+};
+
+// tile[i][j] = seed_i + sum_kk A[i][kk] * B[kk][j] for j in [0, ncols),
+// where B[kk][j] is in.data[base + boff[kk] + j] and seed_i is bias[i]
+// (0.0 without a bias). tile has row stride ldt.
+void band_gemm(const LoweredWeights& a, const PaddedInput& in,
+               const std::ptrdiff_t* boff, std::size_t base, int ncols,
+               const double* bias, double* tile, std::size_t ldt) {
+  for (int i = 0; i < a.m; ++i)
+    std::fill_n(tile + static_cast<std::size_t>(i) * ldt, ncols,
+                bias != nullptr ? bias[i] : 0.0);
+  if (a.q == nullptr) {
+    gemm_packed_rows(a.m, ncols, a.kdim, a.packed, in.data + base, boff, tile,
+                     static_cast<int>(ldt));
+    return;
+  }
+  gemm_int8_rows(*a.q, ncols, in.q + base, boff, in.q_scale, tile,
+                 static_cast<int>(ldt));
+  if (in.finite) return;
+  // A non-finite value has no int8 code: a column with a tap on one is
+  // NaN, non-finite exactly where the float GEMM's would be.
+  for (int j = 0; j < ncols; ++j)
+    for (int kk = 0; kk < a.kdim; ++kk) {
+      if (std::isfinite(in.data[base + static_cast<std::size_t>(boff[kk]) + j]))
+        continue;
+      for (int i = 0; i < a.m; ++i)
+        tile[static_cast<std::size_t>(i) * ldt + j] =
+            std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+}
+
+// y ([n, a.m, oh, ow]) = a stride-s convolution of x ([n, c, h, w],
+// zero-padded by `pad`) by the k x k kernel behind `a`, each output
+// starting from bias (nullptr: 0.0). Conv2D's forward and
+// ConvTranspose2D's input gradient both run through here; boff is the
+// caller's table storage.
+//
+// The band space is the flattened (image, output-row) grid — one
+// parallel pass covers the whole batch, so a batched forward
+// (nn/batch.hpp, the fleet's cross-loop inference path) shards across
+// the batch axis instead of serializing per image. Each band runs one
+// GEMM into a private [m, round_up(rows*wq, NR)] tile (rounded so every
+// tile is a full micro-tile) and copies the ow real columns of each row
+// into y. Bands are disjoint in y, so this is bit-exact across thread
+// counts and batch compositions. A 1x1, stride-1, unpadded conv (the
+// detector heads) needs no copy: its one plane is x itself, its wide
+// grid is y's, and the GEMM writes y directly.
+void conv_forward(const double* x, int n, int c, int h, int w, int k, int s,
+                  int pad, const LoweredWeights& a, const double* bias,
+                  std::vector<std::ptrdiff_t>& boff, double* y, int oh, int ow,
+                  util::ScratchArena& arena) {
+  PaddedInput in = padded_geometry(c, h, w, s, pad, ow);
+  boff.clear();
+  for (int ic = 0; ic < c; ++ic)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx)
+        boff.push_back(static_cast<std::ptrdiff_t>(
+            (static_cast<std::size_t>(ic * s + ky % s) * s + kx % s) *
+                in.plane +
+            static_cast<std::size_t>(ky / s) * in.wq + kx / s));
+  const bool direct = k == 1 && s == 1 && pad == 0;
+  const int nr = direct ? 1 : gemm_nr();
+  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
+  const std::size_t macs = static_cast<std::size_t>(a.m) * a.kdim *
+                           static_cast<std::size_t>(n) * out_hw;
+  const bool int8 = a.q != nullptr;
+  if (direct) {
+    in.data = x;
+    const std::size_t count = static_cast<std::size_t>(n) * in.image;
+    if (int8) code_int8(x, count, count, arena, in);
+  } else {
+    const std::size_t reach =
+        static_cast<std::size_t>(*std::max_element(boff.begin(), boff.end())) +
+        static_cast<std::size_t>(oh) * in.wq + nr - 1;
+    build_padded(x, n, c, h, w, pad, reach, macs, int8, arena, in);
+  }
+
+  parallel_bands(
+      static_cast<std::size_t>(n) * oh, macs, arena,
+      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
+        band_arena.reset();
+        // A chunk may span image boundaries; split it at each one so
+        // every GEMM below reads the planes of a single image.
+        for (std::size_t u = lo; u < hi;) {
+          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
+          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
+          const int oy_hi = static_cast<int>(
+              std::min<std::size_t>(static_cast<std::size_t>(oh),
+                                    static_cast<std::size_t>(oy_lo) + (hi - u)));
+          const int rows = oy_hi - oy_lo;
+          double* yb = y + static_cast<std::size_t>(b) * a.m * out_hw;
+          const std::size_t base = static_cast<std::size_t>(b) * in.image +
+                                   static_cast<std::size_t>(oy_lo) * in.wq;
+          if (direct) {
+            band_gemm(a, in, boff.data(), base, rows * ow, bias,
+                      yb + static_cast<std::size_t>(oy_lo) * ow, out_hw);
+          } else {
+            const int ncols = round_up(rows * in.wq, nr);
+            double* tile =
+                band_arena.alloc(static_cast<std::size_t>(a.m) * ncols);
+            band_gemm(a, in, boff.data(), base, ncols, bias, tile,
+                      static_cast<std::size_t>(ncols));
+            for (int oc = 0; oc < a.m; ++oc)
+              for (int r = 0; r < rows; ++r)
+                std::copy_n(tile + static_cast<std::size_t>(oc) * ncols +
+                                static_cast<std::size_t>(r) * in.wq,
+                            ow,
+                            yb + static_cast<std::size_t>(oc) * out_hw +
+                                static_cast<std::size_t>(oy_lo + r) * ow);
+          }
+          u += static_cast<std::size_t>(rows);
+        }
+      });
 }
 
 // Bias gradient: one addend per output pixel of the channel,
@@ -106,74 +356,28 @@ Tensor Conv2D::apply(const Tensor& x) {
   return y;
 }
 
-// im2col + blocked-GEMM path. The band space is the flattened
-// (image, output-row) grid — one parallel pass covers the whole batch,
-// so a batched forward (nn/batch.hpp, the fleet's cross-loop inference
-// path) shards across the batch axis instead of serializing per image.
-// Each band of output rows lowers its input patches into a private
-// column panel (band arena) and multiplies the packed weight panel —
-// packed ONCE per call, covering every image — against it, writing the
-// band's slice of y directly. Bands are disjoint in y and the GEMM
-// accumulates every element in ascending (ic, ky, kx) order — the direct
-// loop's order — so this is bit-exact vs. the test oracle, across thread
-// counts, and across batch compositions (the band split only changes
-// which elements go together).
+// Padded-input + blocked-GEMM path (conv_forward above). The weight
+// panel is packed ONCE per call, covering every image: weights move
+// between forwards during training, so it is never cached — O(cout *
+// cin * k^2), noise next to the GEMM itself. After quantize() the same
+// lowering runs int8: the padded input is coded once against ONE
+// whole-input activation scale, so the band split cannot change the
+// quantization grid, and integer accumulation is order-exact, so this
+// path is deterministic across thread counts too.
 void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
                           int oh, int ow) {
   const int kdim = im2col_rows(cin_, k_);
-  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   arena_.reset();
-  // Int8 path (after quantize()): same lowering, but each band's column
-  // panel is quantized against ONE per-tensor activation scale —
-  // computed over the whole input, so the band split cannot change the
-  // quantization grid — and multiplied by the int8 weight snapshot.
-  // Integer accumulation is order-exact, so this path is deterministic
-  // across thread counts too.
-  const bool int8 = quantized_;
-  const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
-  double* wp = nullptr;
-  if (!int8) {
-    // Weights move between forwards during training, so repack per call —
-    // O(cout*cin*k^2), noise next to the GEMM itself.
-    wp = arena_.alloc(packed_a_size(cout_, kdim));
+  LoweredWeights a{cout_, kdim, nullptr, nullptr};
+  if (quantized_) {
+    a.q = &qw_;
+  } else {
+    double* wp = arena_.alloc(packed_a_size(cout_, kdim));
     pack_a(w_.data(), kdim, cout_, kdim, wp);
+    a.packed = wp;
   }
-
-  const std::size_t macs = static_cast<std::size_t>(cout_) * kdim *
-                           static_cast<std::size_t>(n) * out_hw;
-  parallel_bands(
-      static_cast<std::size_t>(n) * oh, macs, arena_,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-        band_arena.reset();
-        // A chunk may span image boundaries; split it at each one so the
-        // im2col/GEMM below always sees rows of a single image.
-        for (std::size_t u = lo; u < hi;) {
-          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
-          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
-          const int oy_hi = static_cast<int>(
-              std::min<std::size_t>(static_cast<std::size_t>(oh),
-                                    static_cast<std::size_t>(oy_lo) + (hi - u)));
-          const double* xb =
-              x.data() + static_cast<std::size_t>(b) * cin_ * h * w;
-          double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
-          const int width = (oy_hi - oy_lo) * ow;
-          double* col =
-              band_arena.alloc(static_cast<std::size_t>(kdim) * width);
-          im2col(xb, cin_, h, w, k_, stride_, pad_, ow, oy_lo, oy_hi, col);
-          double* cband = yb + static_cast<std::size_t>(oy_lo) * ow;
-          for (int oc = 0; oc < cout_; ++oc)
-            std::fill_n(cband + static_cast<std::size_t>(oc) * out_hw, width,
-                        b_[static_cast<std::size_t>(oc)]);
-          if (int8) {
-            gemm_int8_panel(qw_, width, col, xs, band_arena, cband,
-                            static_cast<int>(out_hw));
-          } else {
-            gemm_packed(cout_, width, kdim, wp, col, width, cband,
-                        static_cast<int>(out_hw));
-          }
-          u += static_cast<std::size_t>(oy_hi - oy_lo);
-        }
-      });
+  conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_, a, b_.data(), boff_,
+               y.data(), oh, ow, arena_);
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
@@ -191,10 +395,11 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   return dx;
 }
 
-// GEMM backward. Per image:
-//   gW += G_b x im2col(x_b)ᵀ   (reduction over output pixels, ascending)
-//   dcol = Wᵀ x G_b ; dx_b = col2im(dcol)   (per-tap oc-sums, folded in
-//                                            (ky, kx) order)
+// GEMM backward. Per image, with colt = im2col_t(x_b), the patch
+// matrix of x_b, transposed:
+//   gW += G_b x colt           (reduction over output pixels, ascending)
+//   dcol = Wᵀ x G_b ; dx_b = col2im_band(dcol)   (per-tap oc-sums,
+//                                                 folded in (ky, kx) order)
 // Sharding keeps every gradient element's complete reduction chain
 // inside one task — im2col_t bands write disjoint rows, the gW/dcol
 // GEMMs are striped over *columns* (never over the reduction axis), and
@@ -225,7 +430,7 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
         last_x_.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
     double* dxb = dx.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
 
-    // im2col(x_b)ᵀ: bands of output rows write disjoint row ranges.
+    // colt: bands of output rows write disjoint row ranges.
     parallel_bands(static_cast<std::size_t>(oh), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
                      im2col_t(xb, cin_, h, w, k_, stride_, pad_, ow,
@@ -334,22 +539,30 @@ Tensor ConvTranspose2D::apply(const Tensor& x) {
   return y;
 }
 
-// Deconv as flipped-kernel im2col with sub-pixel phase decomposition.
+// Deconv as sub-pixel phase convolutions over one padded input.
 //
-// Gathering output pixel (oy, ox) over flipped taps visits the
-// scattering inputs in exactly the direct scatter loop's (ic, iy, ix)
-// order (iy/ix ascend as the flipped taps ascend), so the GEMM chain
-// matches the scatter per element.
+// Output pixel (oy, ox) gathers x(iy, ix) * w(ic, oc, ky, kx) over the
+// taps with oy = iy*s + ky - pad. Walking each tap list in descending
+// kernel offset visits the scattering inputs in exactly the direct
+// scatter loop's (ic, iy, ix) order, so the GEMM chain matches the
+// scatter per element.
 //
 // For stride s > 1 only taps with ky % s == (oy+pad) % s (and likewise
-// for x) pass the phase gate — a full-K GEMM would spend (s*s-1)/(s*s)
+// for x) reach an output pixel — a full-K GEMM would spend (s*s-1)/(s*s)
 // of its MACs multiplying structural zeros. So the output is split into
 // its s*s sub-pixel phase grids, each with a dense tap list and its own
 // weight panel (packed per call through the constructor's phase_rows_
-// table), and each phase runs a compact GEMM into a scratch tile that
-// is scattered onto y. Stride 1 is the one-phase case. Dropping the
-// structural zeros removes exact no-op additions from each element's
-// chain, so the result stays bit-identical to the direct scatter.
+// table). Within phase (py, px), output row oyf + yi*s reads input row
+// (oyf + pad - ky)/s + yi for tap ky (oyf: the phase's first output
+// row), and likewise for columns: each phase is a stride-1 convolution
+// over the input zero-padded by P = floor((k-1-pad)/s) — tap ky reads
+// input rows from (oyf + pad - ky)/s >= -(k-1-pad)/s on — with its own
+// shape-only tap table into that one buffer (see PaddedInput). Each
+// phase runs one GEMM per band into a scratch tile on the phase's wide
+// grid, and the strided scatter onto y copies the nx real columns of
+// each row. Stride 1 is the one-phase case. Dropping the structural
+// zeros removes exact no-op additions from each element's chain, so the
+// result stays bit-identical to the direct scatter.
 void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
                                    int w, int oh, int ow) {
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
@@ -357,14 +570,12 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   const int s = stride_;
   arena_.reset();
   // Int8 path: the per-phase weight matrices were snapshotted by
-  // quantize(); each phase's column panel is quantized against the one
-  // whole-input activation scale (band-invariant) before its compact
-  // int8 GEMM.
+  // quantize(), and the padded input is coded once against the one
+  // whole-input activation scale (band-invariant).
   const bool int8 = quantized_;
-  const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
 
   // Packed weight panel per (py, px) phase: one indexed copy of w_,
-  // rows (ic, jy, jx) matching the phase column matrix below.
+  // rows (ic, jy, jx) matching the phase's tap table below.
   std::vector<double*> wp(phase_rows_.size(), nullptr);
   if (!int8)
     for (std::size_t ph = 0; ph < phase_rows_.size(); ++ph) {
@@ -375,28 +586,66 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
       pack_a_indexed(w_.data(), kk2, rows.data(), cout_, kdim, wp[ph]);
     }
 
+  // The first output row (or column) of phase p, and how many of the
+  // `extent` output rows the phase holds.
+  const auto first = [&](int p) { return ((p - pad_) % s + s) % s; };
+  const auto count = [&](int p, int extent) {
+    return first(p) < extent ? (extent - first(p) + s - 1) / s : 0;
+  };
+  const int pad_in = std::max(0, k_ - 1 - pad_) / s;
+  PaddedInput in = padded_geometry(cin_, h, w, 1, pad_in, (ow + s - 1) / s);
+  const int nr = gemm_nr();
+  // Tap tables, phase after phase in (py, px) order, each in the rows'
+  // (ic, jy, jx) order; `reach` covers the widest band of any phase.
+  boff_.clear();
+  std::size_t reach = 0;
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      const std::size_t seg = boff_.size();
+      for (int ic = 0; ic < cin_; ++ic)
+        for (const int ky : taps_[static_cast<std::size_t>(py)])
+          for (const int kx : taps_[static_cast<std::size_t>(px)])
+            boff_.push_back(static_cast<std::ptrdiff_t>(
+                static_cast<std::size_t>(ic) * in.plane +
+                static_cast<std::size_t>(pad_in +
+                                         (first(py) + pad_ - ky) / s) *
+                    in.wq +
+                static_cast<std::size_t>(pad_in +
+                                         (first(px) + pad_ - kx) / s)));
+      if (boff_.size() == seg) continue;
+      reach = std::max(
+          reach, static_cast<std::size_t>(
+                     *std::max_element(boff_.begin() +
+                                           static_cast<std::ptrdiff_t>(seg),
+                                       boff_.end())) +
+                     static_cast<std::size_t>(count(py, oh)) * in.wq + nr - 1);
+    }
+  const std::size_t macs = static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
+                           static_cast<std::size_t>(n) * h * w;
+  build_padded(x.data(), n, cin_, h, w, pad_in, reach, macs, int8, arena_, in);
+
   // One band of one image: every phase subgrid intersecting output rows
-  // [oy_lo, oy_hi) of image b gets its compact GEMM. Extracted so the
+  // [oy_lo, oy_hi) of image b gets its GEMM. Extracted so the
   // cross-image band pass below can split a chunk at image boundaries.
   const auto run_band = [&](int b, int oy_lo, int oy_hi,
                             util::ScratchArena& band_arena) {
-    const double* xb = x.data() + static_cast<std::size_t>(b) * cin_ * h * w;
     double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
+    std::size_t seg = 0;  // this phase's slice of boff_
     for (int py = 0; py < s; ++py)
       for (int px = 0; px < s; ++px) {
+        const std::size_t ph = static_cast<std::size_t>(py) * s + px;
+        const int kdim = static_cast<int>(phase_rows_[ph].size());
+        const std::ptrdiff_t* table = boff_.data() + seg;
+        seg += static_cast<std::size_t>(kdim);
         // This phase's output subgrid within the band: rows
         // oy0, oy0+s, ... and columns ox0, ox0+s, ...
         int oy0 = oy_lo;
         while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
         const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
-        const int ox0_raw = (px - pad_) % s;
-        const int ox0 = ox0_raw < 0 ? ox0_raw + s : ox0_raw;
-        const int nx = ox0 < ow ? (ow - ox0 + s - 1) / s : 0;
+        const int ox0 = first(px);
+        const int nx = count(px, ow);
         if (ny == 0 || nx == 0) continue;
 
-        const std::size_t ph = static_cast<std::size_t>(py) * s + px;
-        const int kdim = static_cast<int>(phase_rows_[ph].size());
-        const int nph = ny * nx;
         if (kdim == 0) {
           // No tap reaches this phase (kernel shorter than the stride):
           // those pixels are pure bias.
@@ -410,47 +659,22 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
           continue;
         }
 
-        // Phase membership makes s divide oy0 + pad - ky for every tap
-        // ky of this phase, so phase row yi reads input row iy0 + yi
-        // with iy0 = (oy0 + pad - ky) / s (likewise ix0 + xi for
-        // columns): each lowered row is one contiguous span of an input
-        // row with zero-filled edges, clamped once per (tap, row).
-        double* col = band_arena.alloc(static_cast<std::size_t>(kdim) * nph);
-        double* row = col;
-        for (int ic = 0; ic < cin_; ++ic) {
-          const double* plane = xb + static_cast<std::size_t>(ic) * h * w;
-          for (const int ky : taps_[static_cast<std::size_t>(py)]) {
-            const int iy0 = (oy0 + pad_ - ky) / s;
-            for (const int kx : taps_[static_cast<std::size_t>(px)]) {
-              const int ix0 = (ox0 + pad_ - kx) / s;
-              for (int yi = 0; yi < ny; ++yi) {
-                double* dst = row + static_cast<std::size_t>(yi) * nx;
-                const int iy = iy0 + yi;
-                if (iy < 0 || iy >= h)
-                  std::fill_n(dst, nx, 0.0);
-                else
-                  gather_row(plane + static_cast<std::size_t>(iy) * w, ix0,
-                             1, w, nx, dst);
-              }
-              row += static_cast<std::size_t>(nph);
-            }
-          }
-        }
-
-        double* tile = band_arena.alloc(static_cast<std::size_t>(cout_) * nph);
-        for (int oc = 0; oc < cout_; ++oc)
-          std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
-                      b_[static_cast<std::size_t>(oc)]);
-        if (int8)
-          gemm_int8_panel(qw_ph_[ph], nph, col, xs, band_arena, tile, nph);
-        else
-          gemm_packed(cout_, nph, kdim, wp[ph], col, nph, tile, nph);
+        const LoweredWeights a{cout_, kdim, wp[ph],
+                               int8 ? &qw_ph_[ph] : nullptr};
+        const std::size_t base =
+            static_cast<std::size_t>(b) * in.image +
+            static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq;
+        const int ncols = round_up(ny * in.wq, nr);
+        double* tile =
+            band_arena.alloc(static_cast<std::size_t>(cout_) * ncols);
+        band_gemm(a, in, table, base, ncols, b_.data(), tile,
+                  static_cast<std::size_t>(ncols));
         for (int oc = 0; oc < cout_; ++oc) {
-          const double* trow = tile + static_cast<std::size_t>(oc) * nph;
+          const double* trow = tile + static_cast<std::size_t>(oc) * ncols;
           for (int yi = 0; yi < ny; ++yi) {
             double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
                            static_cast<std::size_t>(oy0 + yi * s) * ow;
-            const double* tsrc = trow + static_cast<std::size_t>(yi) * nx;
+            const double* tsrc = trow + static_cast<std::size_t>(yi) * in.wq;
             for (int xi = 0; xi < nx; ++xi) yrow[ox0 + xi * s] = tsrc[xi];
           }
         }
@@ -458,10 +682,8 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   };
 
   // Band space is the flattened (image, output-row) grid, so a batched
-  // forward shards across the batch axis in one pass (see
-  // Conv2D::forward_gemm for the bit-exactness argument).
-  const std::size_t macs = static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
-                           static_cast<std::size_t>(n) * h * w;
+  // forward shards across the batch axis in one pass (see conv_forward
+  // for the bit-exactness argument).
   parallel_bands(
       static_cast<std::size_t>(n) * oh, macs, arena_,
       [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
@@ -496,12 +718,15 @@ Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
 
 // GEMM backward. The deconv's backward-input pass is a *plain* strided
 // convolution of grad_out with the un-flipped kernel (W viewed as
-// [cin, cout*k*k]): the forward's scatter oy = iy*s + ky - pad becomes
-// a gather with the stride folded into the im2col addressing, so no
-// phase decomposition is needed — unlike the forward there are no
-// structural zeros to skip. Per image:
-//   gW += X_b x im2col(G_b)ᵀ   (reduction over input pixels, ascending)
-//   dx_b = W x im2col(G_b)      (banded over input rows, like a forward)
+// [cin, cout*k*k]) and zero bias: the forward's scatter
+// oy = iy*s + ky - pad becomes a gather, so no phase decomposition is
+// needed — unlike the forward there are no structural zeros to skip.
+//   gW += X_b x im2col_t(G_b)  (per image; reduction over input pixels,
+//                               ascending)
+//   dx = conv_forward(G, W)    (the whole batch, banded over input rows
+//                               like Conv2D's forward; each element's
+//                               chain starts from 0 like the direct
+//                               loop's acc)
 // Same sharding rules as Conv2D::backward_gemm, so bit-identical to the
 // direct loops at every thread count.
 void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
@@ -524,9 +749,8 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
         grad_out.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
     const double* xb =
         last_x_.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
-    double* dxb = dx.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
 
-    // im2col(G_b)ᵀ over the adjoint-conv geometry: its "output" pixels
+    // im2col_t(G_b) over the adjoint-conv geometry: its "output" pixels
     // are the deconv's input pixels, so bands split input rows.
     parallel_bands(static_cast<std::size_t>(h), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
@@ -543,24 +767,11 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
                                  static_cast<int>(in_hw), xpk, colt + lo,
                                  kdim, gw_.data() + lo, kdim);
                    });
-
-    // dx_b = W x im2col(G_b), banded over input rows with per-band
-    // column panels (mirrors Conv2D::forward_gemm; dx is zero-init so
-    // each element's chain starts from 0 like the direct loop's acc).
-    parallel_bands(
-        static_cast<std::size_t>(h), macs, arena_,
-        [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-          const int iy_lo = static_cast<int>(lo), iy_hi = static_cast<int>(hi);
-          const int width = (iy_hi - iy_lo) * w;
-          band_arena.reset();
-          double* col =
-              band_arena.alloc(static_cast<std::size_t>(kdim) * width);
-          im2col(gb, cout_, oh, ow, k_, stride_, pad_, w, iy_lo, iy_hi, col);
-          gemm_packed(cin_, width, kdim, wp, col, width,
-                      dxb + static_cast<std::size_t>(iy_lo) * w,
-                      static_cast<int>(in_hw));
-        });
   }
+
+  conv_forward(grad_out.data(), n, cout_, oh, ow, k_, stride_, pad_,
+               LoweredWeights{cin_, kdim, wp, nullptr}, nullptr, boff_,
+               dx.data(), h, w, arena_);
 }
 
 void ConvTranspose2D::quantize() {

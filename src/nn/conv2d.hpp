@@ -3,18 +3,24 @@
 // These back the BEV detector backbones (lidar), the occupancy decoder's
 // upsampling stages, and the optical-flow networks (neuro).
 //
-// Forward AND backward passes run as im2col + cache-blocked GEMM
-// (nn/im2col.hpp, nn/gemm.hpp) with per-layer ScratchArena workspaces.
-// The lowered matrix rows follow the direct loops' accumulation order,
-// so every output and gradient element is bit-identical to those loops
-// (see docs/ARCHITECTURE.md, "Kernels & memory"). Weight gradients lower
-// to grad_out x im2col(input)ᵀ, input gradients to Wᵀ x grad_out folded
-// by col2im (Conv2D) or to a plain strided convolution of grad_out by
-// the adjoint kernel (ConvTranspose2D). The direct loops live in the
-// test tree as the oracle (tests/nn_oracle.hpp): the kernel equivalence
-// tests diff both directions against it bit-for-bit, and the
-// finite-difference gradient checks pin the arithmetic. After
-// quantize() the forward runs int8 (nn/quant.hpp) and backward() fails.
+// Every pass runs as a cache-blocked GEMM (nn/gemm.hpp) with per-layer
+// ScratchArena workspaces. The forwards build no lowered matrix: each
+// copies its input once into a zero-padded buffer (s*s polyphase
+// planes for a stride-s conv) and the GEMM reads every B row straight
+// out of it through a table of row offsets (gemm_packed_rows). The
+// deconv splits into sub-pixel phases, each a stride-1 conv over the
+// same padded input with its own tap table. Weight gradients lower to
+// grad_out x im2col_t(input) (nn/im2col.hpp), input gradients to
+// Wᵀ x grad_out folded by col2im_band (Conv2D) or to a plain strided
+// convolution of grad_out by the adjoint kernel, through the forward's
+// padded-input path (ConvTranspose2D). Every GEMM reduces in the direct
+// loops' accumulation order, so every output and gradient element is
+// bit-identical to those loops (see docs/ARCHITECTURE.md, "Kernels &
+// memory"). The direct loops live in the test tree as the oracle
+// (tests/nn_oracle.hpp): the kernel equivalence tests diff both
+// directions against it bit-for-bit, and the finite-difference gradient
+// checks pin the arithmetic. After quantize() the forward runs int8
+// (nn/quant.hpp) over the same padded input and backward() fails.
 // infer() runs the same forward kernels without keeping the input for
 // backward(); it still records the output size macs_per_sample() reads.
 #pragma once
@@ -64,7 +70,11 @@ class Conv2D : public Layer {
   Tensor w_, b_, gw_, gb_;  // w: [Cout, Cin, k, k]
   Tensor last_x_;
   std::size_t last_out_hw_ = 0;  // set by forward/infer, used by macs
-  // im2col panels + packed weights; sized on first forward, reused after.
+  // The forward's tap table into its padded input (shape-only, rebuilt
+  // per call into the same storage).
+  std::vector<std::ptrdiff_t> boff_;
+  // Padded input, packed weights and band tiles; sized on first
+  // forward, reused after.
   util::ScratchArena arena_;
 };
 
@@ -113,6 +123,9 @@ class ConvTranspose2D : public Layer {
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]
   Tensor last_x_;
   std::size_t last_in_hw_ = 0;  // set by forward/infer, used by macs
+  // Tap tables into the padded input: every phase's for the forward,
+  // the adjoint conv's for the input gradient.
+  std::vector<std::ptrdiff_t> boff_;
   util::ScratchArena arena_;
 };
 

@@ -17,14 +17,14 @@ using detail::GemmMicroKernel;
 // over the k panel in ascending order, and stored back — one contiguous
 // slice of each C element's accumulation chain. Always compiled; this
 // is the bit-exactness oracle the vector kernels are diffed against.
-void micro_full(int kc, const double* ap, const double* b, int ldb,
-                double* c, int ldc) {
+void micro_full(int kc, const double* ap, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc) {
   double acc[kGemmMR][kGemmNR];
   for (int i = 0; i < kGemmMR; ++i)
     for (int j = 0; j < kGemmNR; ++j)
       acc[i][j] = c[static_cast<std::size_t>(i) * ldc + j];
   for (int kk = 0; kk < kc; ++kk) {
-    const double* brow = b + static_cast<std::size_t>(kk) * ldb;
+    const double* brow = b + boff[kk];
     const double* acol = ap + static_cast<std::size_t>(kk) * kGemmMR;
     for (int i = 0; i < kGemmMR; ++i) {
       const double a = acol[i];
@@ -40,14 +40,15 @@ void micro_full(int kc, const double* ap, const double* b, int ldb,
 // the packed A panel at the family's row stride `astride`. Same
 // per-element arithmetic — `acc += a*b` in ascending k — so edge tiles
 // stay bit-identical to what the full kernel would have produced.
-void micro_tail(int kc, const double* ap, const double* b, int ldb,
-                double* c, int ldc, int mr, int nr, int astride) {
+void micro_tail(int kc, const double* ap, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc, int mr, int nr,
+                int astride) {
   double acc[kGemmMaxMR][kGemmMaxNR] = {};
   for (int i = 0; i < mr; ++i)
     for (int j = 0; j < nr; ++j)
       acc[i][j] = c[static_cast<std::size_t>(i) * ldc + j];
   for (int kk = 0; kk < kc; ++kk) {
-    const double* brow = b + static_cast<std::size_t>(kk) * ldb;
+    const double* brow = b + boff[kk];
     const double* acol = ap + static_cast<std::size_t>(kk) * astride;
     for (int i = 0; i < mr; ++i) {
       const double a = acol[i];
@@ -62,12 +63,12 @@ void micro_tail(int kc, const double* ap, const double* b, int ldb,
 // One-column tile (see GemmMicroKernel::col). The fixed kGemmMR-wide
 // row loop is what the compiler vectorizes; rows past `rows` are the
 // packed panel's zero padding and are never stored.
-void micro_col(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc, int rows) {
+void micro_col(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
   double acc[kGemmMR] = {};
   for (int i = 0; i < rows; ++i) acc[i] = c[static_cast<std::size_t>(i) * ldc];
   for (int kk = 0; kk < kc; ++kk) {
-    const double bv = b[static_cast<std::size_t>(kk) * ldb];
+    const double bv = b[boff[kk]];
     const double* acol = ap + static_cast<std::size_t>(kk) * kGemmMR;
     for (int i = 0; i < kGemmMR; ++i) acc[i] += acol[i] * bv;
   }
@@ -99,6 +100,59 @@ const GemmMicroKernel& kernel_for(util::SimdIsa isa) {
 
 const GemmMicroKernel& active_kernel() {
   return kernel_for(util::active_simd_isa());
+}
+
+// One k panel's view of B: column block jc starts at `b`, and row kk of
+// the panel at b + boff[kk].
+struct Panel {
+  const double* b;
+  const std::ptrdiff_t* boff;
+};
+
+// The blocked driver both entry points share. panel_of(jc, pc, kc)
+// returns the B view of column block jc, k panel [pc, pc+kc); it is
+// called once per (jc, pc), in ascending pc within each jc.
+template <typename PanelOf>
+void blocked(int m, int n, int k, const double* a_packed, double* c, int ldc,
+             PanelOf&& panel_of) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  const GemmMicroKernel& K = active_kernel();
+  const int MR = K.mr;
+  const int NR = K.nr;
+  const std::size_t panel_stride =
+      static_cast<std::size_t>(k) * MR;  // one MR row-panel, all of k
+  for (int jc = 0; jc < n; jc += kGemmNC) {
+    const int nc = std::min(kGemmNC, n - jc);
+    // k panels ascend so each C element's chain stays in k order.
+    for (int pc = 0; pc < k; pc += kGemmKC) {
+      const int kc = std::min(kGemmKC, k - pc);
+      const Panel bp = panel_of(jc, pc, kc);
+      // jr outer / ic inner: one kc x nr B strip is reused across every
+      // row panel while still hot in L1. B rows sit at table offsets
+      // (KiB apart for conv taps), so a cold strip is latency-bound —
+      // the reuse plus the kernels' software prefetch is what closes
+      // the gap to the hot-loop peak.
+      for (int jr = 0; jr < nc; jr += NR) {
+        const int nr = std::min(NR, nc - jr);
+        const double* bj = bp.b + jr;
+        for (int ic = 0; ic < m; ic += MR) {
+          const int mr = std::min(MR, m - ic);
+          const double* ap = a_packed +
+                             static_cast<std::size_t>(ic / MR) * panel_stride +
+                             static_cast<std::size_t>(pc) * MR;
+          double* ctile = c + static_cast<std::size_t>(ic) * ldc + jc + jr;
+          if (mr == MR && nr == NR)
+            K.full(kc, ap, bj, bp.boff, ctile, ldc);
+          else if (2 * mr == MR && nr == NR && K.half != nullptr)
+            K.half(kc, ap, bj, bp.boff, ctile, ldc);
+          else if (nr == 1)
+            K.col(kc, ap, bj, bp.boff, ctile, ldc, mr);
+          else
+            micro_tail(kc, ap, bj, bp.boff, ctile, ldc, mr, nr, MR);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -142,45 +196,24 @@ void pack_a_indexed(const double* a, std::size_t row_stride,
   }
 }
 
+void gemm_packed_rows(int m, int n, int k, const double* a_packed,
+                      const double* b, const std::ptrdiff_t* boff, double* c,
+                      int ldc) {
+  blocked(m, n, k, a_packed, c, ldc, [b, boff](int jc, int pc, int) {
+    return Panel{b + jc, boff + pc};
+  });
+}
+
 void gemm_packed(int m, int n, int k, const double* a_packed,
                  const double* b, int ldb, double* c, int ldc) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  const GemmMicroKernel& K = active_kernel();
-  const int MR = K.mr;
-  const int NR = K.nr;
-  const std::size_t panel_stride =
-      static_cast<std::size_t>(k) * MR;  // one MR row-panel, all of k
-  for (int jc = 0; jc < n; jc += kGemmNC) {
-    const int nc = std::min(kGemmNC, n - jc);
-    // k panels ascend so each C element's chain stays in k order.
-    for (int pc = 0; pc < k; pc += kGemmKC) {
-      const int kc = std::min(kGemmKC, k - pc);
-      const double* bpanel = b + static_cast<std::size_t>(pc) * ldb + jc;
-      // jr outer / ic inner: one kc x nr B strip is reused across every
-      // row panel while still hot in L1. B rows are ldb-strided (KiB
-      // apart for conv stripes), so a cold strip is latency-bound — the
-      // reuse plus the kernels' software prefetch is what closes the
-      // gap to the hot-loop peak.
-      for (int jr = 0; jr < nc; jr += NR) {
-        const int nr = std::min(NR, nc - jr);
-        for (int ic = 0; ic < m; ic += MR) {
-          const int mr = std::min(MR, m - ic);
-          const double* ap = a_packed +
-                             static_cast<std::size_t>(ic / MR) * panel_stride +
-                             static_cast<std::size_t>(pc) * MR;
-          double* ctile = c + static_cast<std::size_t>(ic) * ldc + jc + jr;
-          if (mr == MR && nr == NR)
-            K.full(kc, ap, bpanel + jr, ldb, ctile, ldc);
-          else if (2 * mr == MR && nr == NR && K.half != nullptr)
-            K.half(kc, ap, bpanel + jr, ldb, ctile, ldc);
-          else if (nr == 1)
-            K.col(kc, ap, bpanel + jr, ldb, ctile, ldc, mr);
-          else
-            micro_tail(kc, ap, bpanel + jr, ldb, ctile, ldc, mr, nr, MR);
-        }
-      }
-    }
-  }
+  // The strided form is a row table of multiples of ldb, filled per k
+  // panel on the stack (the rows of one panel are all the kernels read).
+  std::ptrdiff_t boff[kGemmKC];
+  blocked(m, n, k, a_packed, c, ldc, [b, ldb, &boff](int jc, int pc, int kc) {
+    for (int kk = 0; kk < kc; ++kk)
+      boff[kk] = static_cast<std::ptrdiff_t>(pc + kk) * ldb;
+    return Panel{b + jc, boff};
+  });
 }
 
 void gemm(int m, int n, int k, const double* a, int lda, const double* b,

@@ -1,10 +1,22 @@
 // Cache-blocked double-precision GEMM for the conv/deconv hot path,
 // with runtime-dispatched SIMD micro-kernels.
 //
-// Computes C += A * B where A is [m,k], B is [k,n] (row-major, strided)
-// and C is [m,n] (row-major, strided). C must be pre-initialized by the
-// caller — the conv layers seed it with the bias so the whole
-// bias-plus-dot-product chain is a single accumulation stream.
+// Computes C += A * B where A is [m,k], B is [k,n] and C is [m,n]
+// (row-major, strided). C must be pre-initialized by the caller — the
+// conv layers seed it with the bias so the whole bias-plus-dot-product
+// chain is a single accumulation stream.
+//
+// B addressing: the kernels read B row kk at b + boff[kk] through a
+// table of row offsets, and the n columns of a row are contiguous.
+// gemm_packed_rows takes that table from the caller; gemm_packed (the
+// plain row stride ldb) fills a kGemmKC-entry table of kk*ldb on the
+// stack per k panel and runs the same driver. The conv layers use the
+// table to read every B row straight out of one zero-padded input
+// buffer (nn/conv2d.cpp): a row is one contiguous span of an input
+// plane, the table holds where each tap's span starts, and the forwards
+// build no lowered matrix. Offsets may repeat, overlap and go in any
+// order; they only have to keep every read inside the caller's
+// buffer.
 //
 // Determinism contract (load-bearing — see docs/ARCHITECTURE.md):
 // every C element accumulates its k products in ascending-k order, as
@@ -14,7 +26,9 @@
 // only regroup *which elements* are computed together, never the order
 // of additions within an element — so results are bit-identical to the
 // naive triple loop and invariant under thread-count, tile-size, or
-// kernel-ISA changes. k panels are visited in ascending order and the
+// kernel-ISA changes. The row table changes where a B value is read,
+// never which value or in which order it is used, so both entry points
+// obey the same contract. k panels are visited in ascending order and the
 // micro-kernel reloads C between panels, which keeps the per-element
 // chain unbroken. The vector kernels keep the contract by issuing an
 // explicit multiply then an explicit add per k step (their TUs are
@@ -27,7 +41,7 @@
 //                 baseline x86-64; bigger scalar tiles spill.
 //   avx2    4x8   8 ymm accumulators + 2 B + 1 A = 11 of 16 ymm.
 //   avx512  8x16  16 zmm accumulators + 2 B + 1 A = 19 of 32 zmm; the
-//                 tall M halves the passes over the (strided,
+//                 tall M halves the passes over the (table-addressed,
 //                 prefetcher-hostile) B strip, and a 4x16 half tile
 //                 keeps 4-row panels (the deconv phase GEMMs) on the
 //                 vector path.
@@ -108,6 +122,13 @@ void pack_a_indexed(const double* a, std::size_t row_stride,
 /// stride ldc, pre-initialized.
 void gemm_packed(int m, int n, int k, const double* a_packed,
                  const double* b, int ldb, double* c, int ldc);
+
+/// gemm_packed with B reached through a row table: B[kk][j] is
+/// b[boff[kk] + j], for kk in [0, k) and j in [0, n). Same contract and
+/// same bits as gemm_packed on the materialized matrix.
+void gemm_packed_rows(int m, int n, int k, const double* a_packed,
+                      const double* b, const std::ptrdiff_t* boff, double* c,
+                      int ldc);
 
 /// Convenience wrapper: packs A into `arena` (one alloc, freed by the
 /// caller's next arena.reset()) and runs gemm_packed.

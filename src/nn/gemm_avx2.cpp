@@ -14,11 +14,12 @@ namespace {
 // 4 rows x 8 columns: 8 __m256d accumulators + 2 B vectors + 1 A
 // broadcast = 11 of the 16 ymm registers. Per k step: two B loads
 // shared across four A broadcasts. The prefetch pulls the B row 8 k
-// steps ahead — B rows are ldb-strided (several KiB apart for the conv
-// column panels), which defeats the hardware stride prefetchers, and
-// the first pass over a B strip is otherwise latency-bound.
-void micro_4x8(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc) {
+// steps ahead — B rows come from the caller's row table (for a conv, a
+// tap jumps a whole input plane), which defeats the hardware stride
+// prefetchers, and the first pass over a B strip is otherwise
+// latency-bound. The table ends at kc, hence the guard.
+void micro_4x8(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc) {
   __m256d acc00 = _mm256_loadu_pd(c);
   __m256d acc01 = _mm256_loadu_pd(c + 4);
   __m256d acc10 = _mm256_loadu_pd(c + static_cast<std::size_t>(ldc));
@@ -28,8 +29,8 @@ void micro_4x8(int kc, const double* ap, const double* b, int ldb, double* c,
   __m256d acc30 = _mm256_loadu_pd(c + 3 * static_cast<std::size_t>(ldc));
   __m256d acc31 = _mm256_loadu_pd(c + 3 * static_cast<std::size_t>(ldc) + 4);
   for (int kk = 0; kk < kc; ++kk) {
-    const double* brow = b + static_cast<std::size_t>(kk) * ldb;
-    __builtin_prefetch(brow + 8 * static_cast<std::size_t>(ldb));
+    const double* brow = b + boff[kk];
+    if (kk + 8 < kc) __builtin_prefetch(b + boff[kk + 8]);
     const __m256d b0 = _mm256_loadu_pd(brow);
     const __m256d b1 = _mm256_loadu_pd(brow + 4);
     const double* acol = ap + static_cast<std::size_t>(kk) * 4;
@@ -57,15 +58,15 @@ void micro_4x8(int kc, const double* ap, const double* b, int ldb, double* c,
 }
 
 // 2-row half tile against the 4-row packing (A row stride stays 4).
-void micro_2x8(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc) {
+void micro_2x8(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc) {
   __m256d acc00 = _mm256_loadu_pd(c);
   __m256d acc01 = _mm256_loadu_pd(c + 4);
   __m256d acc10 = _mm256_loadu_pd(c + static_cast<std::size_t>(ldc));
   __m256d acc11 = _mm256_loadu_pd(c + static_cast<std::size_t>(ldc) + 4);
   for (int kk = 0; kk < kc; ++kk) {
-    const double* brow = b + static_cast<std::size_t>(kk) * ldb;
-    __builtin_prefetch(brow + 8 * static_cast<std::size_t>(ldb));
+    const double* brow = b + boff[kk];
+    if (kk + 8 < kc) __builtin_prefetch(b + boff[kk + 8]);
     const __m256d b0 = _mm256_loadu_pd(brow);
     const __m256d b1 = _mm256_loadu_pd(brow + 4);
     const double* acol = ap + static_cast<std::size_t>(kk) * 4;
@@ -85,14 +86,13 @@ void micro_2x8(int kc, const double* ap, const double* b, int ldb, double* c,
 // One-column tile: the 4 panel rows are one ymm accumulator, and each k
 // step multiplies the packed A column by the broadcast B value. Rows
 // past `rows` are pack_a's zero padding; they are computed, not stored.
-void micro_4x1(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc, int rows) {
+void micro_4x1(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
   double cv[4] = {};
   for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
   __m256d acc = _mm256_loadu_pd(cv);
   for (int kk = 0; kk < kc; ++kk) {
-    const __m256d bv =
-        _mm256_broadcast_sd(b + static_cast<std::size_t>(kk) * ldb);
+    const __m256d bv = _mm256_broadcast_sd(b + boff[kk]);
     const __m256d a = _mm256_loadu_pd(ap + static_cast<std::size_t>(kk) * 4);
     acc = _mm256_add_pd(acc, _mm256_mul_pd(a, bv));
   }

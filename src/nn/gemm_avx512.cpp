@@ -13,22 +13,25 @@ namespace {
 
 // 8 rows x 16 columns: 16 __m512d accumulators + 2 B vectors + 1 A
 // broadcast = 19 of the 32 zmm registers. The wide M halves how many
-// passes the (ldb-strided, prefetcher-hostile) B strip takes, and the
-// software prefetch pulls the row 8 k steps ahead for the cold first
-// pass. The 4-row half tile below covers m-tail panels of exactly 4
-// rows — the stride-2 deconv phase GEMMs are m=4 — at full vector
-// width; A keeps the 8-row packed stride in both.
-void micro_8x16(int kc, const double* ap, const double* b, int ldb, double* c,
-                int ldc) {
+// passes the (table-addressed, prefetcher-hostile) B strip takes, and
+// the software prefetch pulls the row 8 k steps ahead (inside the
+// table) for the cold first pass. The 4-row half tile below covers
+// m-tail panels of exactly 4 rows — the stride-2 deconv phase GEMMs
+// are m=4 — at full vector width; A keeps the 8-row packed stride in
+// both.
+void micro_8x16(int kc, const double* ap, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc) {
   __m512d acc[8][2];
   for (int i = 0; i < 8; ++i) {
     acc[i][0] = _mm512_loadu_pd(c + static_cast<std::size_t>(i) * ldc);
     acc[i][1] = _mm512_loadu_pd(c + static_cast<std::size_t>(i) * ldc + 8);
   }
   for (int kk = 0; kk < kc; ++kk) {
-    const double* brow = b + static_cast<std::size_t>(kk) * ldb;
-    __builtin_prefetch(brow + 8 * static_cast<std::size_t>(ldb));
-    __builtin_prefetch(brow + 8 * static_cast<std::size_t>(ldb) + 8);
+    const double* brow = b + boff[kk];
+    if (kk + 8 < kc) {
+      __builtin_prefetch(b + boff[kk + 8]);
+      __builtin_prefetch(b + boff[kk + 8] + 8);
+    }
     const __m512d b0 = _mm512_loadu_pd(brow);
     const __m512d b1 = _mm512_loadu_pd(brow + 8);
     const double* acol = ap + static_cast<std::size_t>(kk) * 8;
@@ -44,17 +47,19 @@ void micro_8x16(int kc, const double* ap, const double* b, int ldb, double* c,
   }
 }
 
-void micro_4x16(int kc, const double* ap, const double* b, int ldb, double* c,
-                int ldc) {
+void micro_4x16(int kc, const double* ap, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc) {
   __m512d acc[4][2];
   for (int i = 0; i < 4; ++i) {
     acc[i][0] = _mm512_loadu_pd(c + static_cast<std::size_t>(i) * ldc);
     acc[i][1] = _mm512_loadu_pd(c + static_cast<std::size_t>(i) * ldc + 8);
   }
   for (int kk = 0; kk < kc; ++kk) {
-    const double* brow = b + static_cast<std::size_t>(kk) * ldb;
-    __builtin_prefetch(brow + 8 * static_cast<std::size_t>(ldb));
-    __builtin_prefetch(brow + 8 * static_cast<std::size_t>(ldb) + 8);
+    const double* brow = b + boff[kk];
+    if (kk + 8 < kc) {
+      __builtin_prefetch(b + boff[kk + 8]);
+      __builtin_prefetch(b + boff[kk + 8] + 8);
+    }
     const __m512d b0 = _mm512_loadu_pd(brow);
     const __m512d b1 = _mm512_loadu_pd(brow + 8);
     // A row stride is the full kernel's 8 even in the half tile.
@@ -74,13 +79,13 @@ void micro_4x16(int kc, const double* ap, const double* b, int ldb, double* c,
 // One-column tile: the 8 panel rows are one zmm accumulator, and each k
 // step multiplies the packed A column by the broadcast B value. Rows
 // past `rows` are pack_a's zero padding; they are computed, not stored.
-void micro_8x1(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc, int rows) {
+void micro_8x1(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
   double cv[8] = {};
   for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
   __m512d acc = _mm512_loadu_pd(cv);
   for (int kk = 0; kk < kc; ++kk) {
-    const __m512d bv = _mm512_set1_pd(b[static_cast<std::size_t>(kk) * ldb]);
+    const __m512d bv = _mm512_set1_pd(b[boff[kk]]);
     const __m512d a = _mm512_loadu_pd(ap + static_cast<std::size_t>(kk) * 8);
     acc = _mm512_add_pd(acc, _mm512_mul_pd(a, bv));
   }

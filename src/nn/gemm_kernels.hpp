@@ -11,6 +11,8 @@
 // descriptors; nothing else should include this header.
 #pragma once
 
+#include <cstddef>
+
 namespace s2a::nn::detail {
 
 /// One micro-kernel family. `full` computes an mr x nr C tile;
@@ -19,8 +21,10 @@ namespace s2a::nn::detail {
 /// exactly mr/2 rows (e.g. the m=4 stride-2 deconv phase GEMMs under
 /// the 8-row AVX-512 packing) without dropping to the scalar tail.
 /// Both take kc (panel depth), the packed A panel slice, a B panel
-/// (row-major, stride ldb) and the C tile (row-major, stride ldc), and
-/// accumulate in ascending-k order per element.
+/// whose row kk starts at b + boff[kk] (boff is the k panel's slice of
+/// the caller's row table; the nr columns of a row are contiguous) and
+/// the C tile (row-major, stride ldc), and accumulate in ascending-k
+/// order per element.
 ///
 /// `col` computes a one-column tile — the whole of a batch-1 Dense
 /// forward, where B is a single column. It sweeps all mr rows of the
@@ -31,12 +35,12 @@ struct GemmMicroKernel {
   const char* name;
   int mr;
   int nr;
-  void (*full)(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc);
-  void (*half)(int kc, const double* ap, const double* b, int ldb, double* c,
-               int ldc);
-  void (*col)(int kc, const double* ap, const double* b, int ldb, double* c,
-              int ldc, int rows);
+  void (*full)(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc);
+  void (*half)(int kc, const double* ap, const double* b,
+               const std::ptrdiff_t* boff, double* c, int ldc);
+  void (*col)(int kc, const double* ap, const double* b,
+              const std::ptrdiff_t* boff, double* c, int ldc, int rows);
 };
 
 #if defined(__x86_64__) || defined(_M_X64)

@@ -4,56 +4,6 @@
 
 namespace s2a::nn {
 
-void im2col(const double* x, int cin, int h, int w, int k, int stride,
-            int pad, int ow, int oy_lo, int oy_hi, double* col) {
-  const int band = oy_hi - oy_lo;
-  double* out = col;
-  for (int ic = 0; ic < cin; ++ic) {
-    const double* plane = x + static_cast<std::size_t>(ic) * h * w;
-    for (int ky = 0; ky < k; ++ky)
-      for (int kx = 0; kx < k; ++kx) {
-        // One lowered row: tap (ic, ky, kx) for every output pixel in
-        // the band, in (oy, ox) order; output row oy reads input row
-        // iy at columns ox*stride + kx - pad.
-        for (int oy = oy_lo; oy < oy_hi; ++oy) {
-          double* row = out + static_cast<std::size_t>(oy - oy_lo) * ow;
-          const int iy = oy * stride + ky - pad;
-          if (iy < 0 || iy >= h) {
-            std::fill_n(row, ow, 0.0);
-            continue;
-          }
-          gather_row(plane + static_cast<std::size_t>(iy) * w, kx - pad,
-                     stride, w, ow, row);
-        }
-        out += static_cast<std::size_t>(band) * ow;
-      }
-  }
-}
-
-void col2im(const double* col, int cin, int h, int w, int k, int stride,
-            int pad, int ow, int oy_lo, int oy_hi, double* x) {
-  const int band = oy_hi - oy_lo;
-  const double* in = col;
-  for (int ic = 0; ic < cin; ++ic) {
-    double* plane = x + static_cast<std::size_t>(ic) * h * w;
-    for (int ky = 0; ky < k; ++ky)
-      for (int kx = 0; kx < k; ++kx) {
-        for (int oy = oy_lo; oy < oy_hi; ++oy) {
-          const double* row = in + static_cast<std::size_t>(oy - oy_lo) * ow;
-          const int iy = oy * stride + ky - pad;
-          if (iy < 0 || iy >= h) continue;
-          double* dst = plane + static_cast<std::size_t>(iy) * w;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * stride + kx - pad;
-            if (ix < 0 || ix >= w) continue;
-            dst[ix] += row[ox];
-          }
-        }
-        in += static_cast<std::size_t>(band) * ow;
-      }
-  }
-}
-
 void im2col_t(const double* x, int cin, int h, int w, int k, int stride,
               int pad, int ow, int oy_lo, int oy_hi, double* colt) {
   double* row = colt;

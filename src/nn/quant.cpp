@@ -26,6 +26,14 @@ std::int8_t quantize_one(double x, double inv_scale) {
   return static_cast<std::int8_t>(q);
 }
 
+// The row table of a plain row-major B with row stride ldb.
+std::vector<std::ptrdiff_t> stride_rows(int k, int ldb) {
+  std::vector<std::ptrdiff_t> boff(static_cast<std::size_t>(k));
+  for (int kk = 0; kk < k; ++kk)
+    boff[static_cast<std::size_t>(kk)] = static_cast<std::ptrdiff_t>(kk) * ldb;
+  return boff;
+}
+
 }  // namespace
 
 QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols) {
@@ -81,8 +89,9 @@ std::int8_t* alloc_int8(util::ScratchArena& arena, std::size_t count) {
 namespace detail {
 
 void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
-                      const double* a_scales, const std::int8_t* b, int ldb,
-                      double b_scale, double* c, int ldc) {
+                      const double* a_scales, const std::int8_t* b,
+                      const std::ptrdiff_t* boff, double b_scale, double* c,
+                      int ldc) {
   for (int i = 0; i < m; ++i) {
     const std::int8_t* arow = a + static_cast<std::size_t>(i) * k;
     double* crow = c + static_cast<std::size_t>(i) * ldc;
@@ -91,11 +100,17 @@ void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
       std::int32_t acc = 0;
       for (int kk = 0; kk < k; ++kk)
         acc += static_cast<std::int32_t>(arow[kk]) *
-               static_cast<std::int32_t>(b[static_cast<std::size_t>(kk) * ldb +
-                                           j]);
+               static_cast<std::int32_t>(b[boff[kk] + j]);
       crow[j] += deq * static_cast<double>(acc);
     }
   }
+}
+
+void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
+                      const double* a_scales, const std::int8_t* b, int ldb,
+                      double b_scale, double* c, int ldc) {
+  gemm_int8_scalar(m, n, k, a, a_scales, b, stride_rows(k, ldb).data(),
+                   b_scale, c, ldc);
 }
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -107,7 +122,8 @@ void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
 // exact, so the result matches gemm_int8_scalar bit for bit.
 __attribute__((target("avx2"))) void gemm_int8_avx2(
     int m, int n, int k, const std::int8_t* a, const double* a_scales,
-    const std::int8_t* b, int ldb, double b_scale, double* c, int ldc) {
+    const std::int8_t* b, const std::ptrdiff_t* boff, double b_scale,
+    double* c, int ldc) {
   const int n8 = n - (n % 8);
   const int k2 = k - (k % 2);
   for (int i = 0; i < m; ++i) {
@@ -117,8 +133,8 @@ __attribute__((target("avx2"))) void gemm_int8_avx2(
     for (int j = 0; j < n8; j += 8) {
       __m256i acc = _mm256_setzero_si256();
       for (int kk = 0; kk < k2; kk += 2) {
-        const std::int8_t* b0 = b + static_cast<std::size_t>(kk) * ldb + j;
-        const std::int8_t* b1 = b0 + ldb;
+        const std::int8_t* b0 = b + boff[kk] + j;
+        const std::int8_t* b1 = b + boff[kk + 1] + j;
         // [b0[0],b1[0],b0[1],b1[1],...] as 16 int8, widened to int16.
         const __m128i lo = _mm_loadl_epi64(
             reinterpret_cast<const __m128i*>(b0));
@@ -138,7 +154,7 @@ __attribute__((target("avx2"))) void gemm_int8_avx2(
       alignas(32) std::int32_t lanes[8];
       _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
       if (k2 < k) {  // odd-k tail: one scalar k step for these columns
-        const std::int8_t* brow = b + static_cast<std::size_t>(k2) * ldb + j;
+        const std::int8_t* brow = b + boff[k2] + j;
         const std::int32_t av = arow[k2];
         for (int v = 0; v < 8; ++v)
           lanes[v] += av * static_cast<std::int32_t>(brow[v]);
@@ -150,31 +166,43 @@ __attribute__((target("avx2"))) void gemm_int8_avx2(
       std::int32_t acc = 0;
       for (int kk = 0; kk < k; ++kk)
         acc += static_cast<std::int32_t>(arow[kk]) *
-               static_cast<std::int32_t>(b[static_cast<std::size_t>(kk) * ldb +
-                                           j]);
+               static_cast<std::int32_t>(b[boff[kk] + j]);
       crow[j] += deq * static_cast<double>(acc);
     }
   }
+}
+
+void gemm_int8_avx2(int m, int n, int k, const std::int8_t* a,
+                    const double* a_scales, const std::int8_t* b, int ldb,
+                    double b_scale, double* c, int ldc) {
+  gemm_int8_avx2(m, n, k, a, a_scales, b, stride_rows(k, ldb).data(), b_scale,
+                 c, ldc);
 }
 
 #endif  // x86-64
 
 }  // namespace detail
 
-void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
-               double b_scale, double* c, int ldc) {
+void gemm_int8_rows(const QuantizedMatrix& a, int n, const std::int8_t* b,
+                    const std::ptrdiff_t* boff, double b_scale, double* c,
+                    int ldc) {
   S2A_CHECK(n >= 0);
   if (a.rows == 0 || a.cols == 0 || n == 0) return;
 #if defined(__x86_64__) || defined(_M_X64)
   if (util::cpu_features().avx2 &&
       util::active_simd_isa() != util::SimdIsa::kScalar) {
     detail::gemm_int8_avx2(a.rows, n, a.cols, a.data.data(), a.scales.data(),
-                           b, ldb, b_scale, c, ldc);
+                           b, boff, b_scale, c, ldc);
     return;
   }
 #endif
   detail::gemm_int8_scalar(a.rows, n, a.cols, a.data.data(), a.scales.data(),
-                           b, ldb, b_scale, c, ldc);
+                           b, boff, b_scale, c, ldc);
+}
+
+void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
+               double b_scale, double* c, int ldc) {
+  gemm_int8_rows(a, n, b, stride_rows(a.cols, ldb).data(), b_scale, c, ldc);
 }
 
 void gemm_int8_panel(const QuantizedMatrix& a, int n, const double* b,

@@ -69,25 +69,44 @@ std::int8_t* alloc_int8(util::ScratchArena& arena, std::size_t count);
 void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
                double b_scale, double* c, int ldc);
 
-/// The layers' int8 step: quantizes the float panel b ([a.cols, n],
+/// gemm_int8 with B reached through a row table, as gemm_packed_rows
+/// (nn/gemm.hpp): B[kk][j] is b[boff[kk] + j]. The conv layers read
+/// their int8-coded padded input this way; gemm_int8 is this with
+/// boff[kk] = kk*ldb.
+void gemm_int8_rows(const QuantizedMatrix& a, int n, const std::int8_t* b,
+                    const std::ptrdiff_t* boff, double b_scale, double* c,
+                    int ldc);
+
+/// Dense's int8 step: quantizes the float panel b ([a.cols, n],
 /// row-major, row stride n) against b_scale into arena scratch, then
 /// gemm_int8 into c. A column of b holding a non-finite value sets that
 /// column of c to NaN — the float GEMM would have produced a non-finite
-/// value there too.
+/// value there too. (The conv layers quantize their padded input once
+/// per call instead and apply the same column rule themselves.)
 void gemm_int8_panel(const QuantizedMatrix& a, int n, const double* b,
                      double b_scale, util::ScratchArena& arena, double* c,
                      int ldc);
 
 namespace detail {
 
-/// Reference int8 GEMM (also the tail path of the AVX2 kernel).
+/// Reference int8 GEMM. B row kk starts at b + boff[kk]; the ldb
+/// overload is the table kk*ldb.
+void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
+                      const double* a_scales, const std::int8_t* b,
+                      const std::ptrdiff_t* boff, double b_scale, double* c,
+                      int ldc);
 void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
                       const double* a_scales, const std::int8_t* b, int ldb,
                       double b_scale, double* c, int ldc);
 
 #if defined(__x86_64__) || defined(_M_X64)
 /// AVX2 int8 GEMM (vpmaddwd over widened int16 pairs). Exactly equal to
-/// the scalar kernel — exposed for the differential tests.
+/// the scalar kernel — exposed for the differential tests. B addressing
+/// as gemm_int8_scalar.
+void gemm_int8_avx2(int m, int n, int k, const std::int8_t* a,
+                    const double* a_scales, const std::int8_t* b,
+                    const std::ptrdiff_t* boff, double b_scale, double* c,
+                    int ldc);
 void gemm_int8_avx2(int m, int n, int k, const std::int8_t* a,
                     const double* a_scales, const std::int8_t* b, int ldb,
                     double b_scale, double* c, int ldc);

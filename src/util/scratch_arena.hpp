@@ -1,7 +1,8 @@
 // Grow-only aligned scratch allocator for kernel workspaces.
 //
-// The im2col column panels and repacked weight panels in src/nn are
-// rebuilt on every forward pass but have stable sizes across calls, so
+// The padded-input copies, GEMM tiles, backward lowering panels and
+// repacked weight panels in src/nn are rebuilt on every pass but have
+// stable sizes across calls, so
 // heap-allocating them per forward wastes most of the kernel's memory
 // bandwidth on page faults and allocator traffic. A ScratchArena keeps
 // one aligned backing region alive for the lifetime of its owner (a
@@ -9,8 +10,8 @@
 // it:
 //
 //   arena.reset();                       // frame start: watermark -> 0
-//   double* col = arena.alloc(k * n);    // 64-byte aligned, zero-copy
-//   double* wp  = arena.alloc(pack_sz);  // valid until the next reset()
+//   double* wp  = arena.alloc(pack_sz);  // 64-byte aligned, zero-copy
+//   double* in  = arena.alloc(padded);   // valid until the next reset()
 //
 // Growth policy: alloc() never returns memory overlapping a live
 // allocation from the current frame. When the current block is

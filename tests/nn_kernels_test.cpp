@@ -1,5 +1,7 @@
-// Equivalence and memory-contract tests for the im2col + blocked-GEMM
-// conv path (nn/gemm.hpp, nn/im2col.hpp, util/scratch_arena.hpp).
+// Equivalence and memory-contract tests for the blocked-GEMM conv path:
+// the padded-input forwards, the im2col_t/col2im_band backwards and the
+// GEMM itself (nn/gemm.hpp, nn/conv2d.hpp, nn/im2col.hpp,
+// util/scratch_arena.hpp).
 //
 // The load-bearing property is the determinism contract from
 // docs/ARCHITECTURE.md: the GEMM path must reproduce the direct loops
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,6 +102,9 @@ TEST(Gemm, PackedASizeCoversPadding) {
 }
 
 std::size_t diff_count(const Tensor& a, const Tensor& b);
+std::size_t value_diff_count(const Tensor& a, const Tensor& b);
+oracle::Grads run_backward(Layer& layer, const Tensor& x,
+                           const Tensor& grad_out);
 
 // Forces a kernel family for the scope; restores auto selection on exit.
 class ScopedSimd {
@@ -159,6 +165,52 @@ TEST(SimdDispatch, EveryKernelHandlesEdgeShapes) {
            arena);
       for (std::size_t i = 0; i < c_ref.size(); ++i)
         ASSERT_EQ(c_ref[i], c_gemm[i])
+            << util::simd_isa_name(isa) << " m=" << s.m << " n=" << s.n
+            << " k=" << s.k << " at " << i;
+    }
+  }
+}
+
+TEST(SimdDispatch, RowTableGemmMatchesNaiveUnderEveryKernel) {
+  // gemm_packed_rows reads B row kk at b + boff[kk]. The conv layers'
+  // tables jump between planes, repeat a span (a 1x1 tap grid), go
+  // backwards and overlap, so the tables here are irregular: random
+  // offsets into one small buffer, some rows repeated. Shapes cover m
+  // tails and the half tile (m = MR/2 of every family), n < NR, n = 1,
+  // and k > kGemmKC so the table is sliced per k panel.
+  const GemmShape shapes[] = {
+      {1, 1, 1},   {2, 1, 300}, {4, 1, 257}, {8, 1, 513}, {13, 1, 40},
+      {2, 3, 7},   {3, 5, 9},   {4, 16, 20}, {8, 16, 33}, {4, 33, 300},
+      {7, 15, 13}, {9, 17, 29}, {16, 40, 260}, {17, 31, 513}, {32, 64, 144},
+  };
+  Rng rng(101);
+  for (const auto isa : util::supported_simd_isas()) {
+    ScopedSimd scoped(isa);
+    for (const auto& s : shapes) {
+      const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
+      const auto buf = random_vec(static_cast<std::size_t>(3 * s.n + 40), rng);
+      std::vector<std::ptrdiff_t> boff(static_cast<std::size_t>(s.k));
+      for (int kk = 0; kk < s.k; ++kk)
+        boff[static_cast<std::size_t>(kk)] =
+            kk > 0 && kk % 5 == 0 ? boff[static_cast<std::size_t>(kk - 1)]
+                                  : rng.uniform_int(0, 2 * s.n + 40);
+      auto c_ref = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
+      auto c_rows = c_ref;
+      for (int i = 0; i < s.m; ++i)
+        for (int j = 0; j < s.n; ++j) {
+          double acc = c_ref[static_cast<std::size_t>(i) * s.n + j];
+          for (int kk = 0; kk < s.k; ++kk)
+            acc += a[static_cast<std::size_t>(i) * s.k + kk] *
+                   buf[static_cast<std::size_t>(
+                       boff[static_cast<std::size_t>(kk)] + j)];
+          c_ref[static_cast<std::size_t>(i) * s.n + j] = acc;
+        }
+      std::vector<double> ap(packed_a_size(s.m, s.k));
+      pack_a(a.data(), s.k, s.m, s.k, ap.data());
+      gemm_packed_rows(s.m, s.n, s.k, ap.data(), buf.data(), boff.data(),
+                       c_rows.data(), s.n);
+      for (std::size_t i = 0; i < c_ref.size(); ++i)
+        ASSERT_EQ(c_ref[i], c_rows[i])
             << util::simd_isa_name(isa) << " m=" << s.m << " n=" << s.n
             << " k=" << s.k << " at " << i;
     }
@@ -350,6 +402,58 @@ TEST(Quant, NonFiniteActivationsStayNonFiniteInInt8) {
   }
 }
 
+TEST(Quant, Int8ConvForwardsMatchLoweredOracle) {
+  // The int8 forwards code the padded input once and read it through
+  // the tap table; the oracle codes an explicit lowering (im2col, and a
+  // per-phase gather for the deconv) against the same whole-input scale
+  // and multiplies it with gemm_int8. Same codes, same integer sums,
+  // same dequantization: the outputs are equal, non-finite inputs
+  // included, at every thread count.
+  struct Case {
+    bool deconv;
+    int cin, cout, k, stride, pad, h, w;
+  };
+  const Case cases[] = {
+      {false, 4, 16, 3, 2, 1, 24, 24}, {false, 3, 5, 3, 1, 1, 9, 7},
+      {false, 2, 3, 5, 3, 2, 11, 10},  {false, 5, 3, 1, 1, 0, 6, 7},
+      {true, 8, 4, 4, 2, 1, 12, 12},   {true, 3, 2, 3, 1, 1, 6, 5},
+      {true, 2, 3, 5, 3, 1, 4, 5},
+  };
+  Rng rng(27);
+  for (const double bad : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE(testing::Message()
+                   << (c.deconv ? "deconv" : "conv") << " k=" << c.k
+                   << " stride=" << c.stride << " pad=" << c.pad
+                   << " bad=" << bad);
+      Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+      if (bad != 0.0) x[static_cast<std::size_t>(c.cin) * c.h * c.w + 3] = bad;
+      Tensor expect;
+      std::unique_ptr<Layer> layer;
+      if (c.deconv) {
+        auto d = std::make_unique<ConvTranspose2D>(c.cin, c.cout, c.k,
+                                                   c.stride, c.pad, rng);
+        expect = oracle::conv_transpose2d_forward_int8(
+            x, *d->params()[0], *d->params()[1], c.stride, c.pad);
+        layer = std::move(d);
+      } else {
+        auto v = std::make_unique<Conv2D>(c.cin, c.cout, c.k, c.stride,
+                                          c.pad, rng);
+        expect = oracle::conv2d_forward_int8(x, *v->params()[0],
+                                             *v->params()[1], c.stride, c.pad);
+        layer = std::move(v);
+      }
+      layer->quantize();
+      for (int threads : {1, 4}) {
+        util::ScopedGlobalThreads scoped(threads);
+        EXPECT_EQ(value_diff_count(expect, layer->forward(x)), 0u)
+            << threads << " threads";
+      }
+    }
+  }
+}
+
 TEST(Quant, NonFiniteWeightPoisonsItsRow) {
   // quantize_rows cannot encode a NaN weight either: its row gets a NaN
   // scale, so every output of that row is NaN, as in float.
@@ -401,14 +505,16 @@ TEST(Im2Col, RoundTripScalesByReadCount) {
     const std::size_t cols =
         static_cast<std::size_t>(im2col_rows(cin, k)) * oh * ow;
     std::vector<double> col(cols), col_ones(cols);
-    im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, oh, col.data());
-    im2col(ones.data(), cin, h, w, k, stride, pad, ow, 0, oh,
-           col_ones.data());
+    oracle::im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, oh,
+                   col.data());
+    oracle::im2col(ones.data(), cin, h, w, k, stride, pad, ow, 0, oh,
+                   col_ones.data());
 
     std::vector<double> back(x.size(), 0.0), counts(x.size(), 0.0);
-    col2im(col.data(), cin, h, w, k, stride, pad, ow, 0, oh, back.data());
-    col2im(col_ones.data(), cin, h, w, k, stride, pad, ow, 0, oh,
-           counts.data());
+    oracle::col2im(col.data(), cin, h, w, k, stride, pad, ow, 0, oh,
+                   back.data());
+    oracle::col2im(col_ones.data(), cin, h, w, k, stride, pad, ow, 0, oh,
+                   counts.data());
     for (std::size_t i = 0; i < x.size(); ++i)
       ASSERT_EQ(back[i], x[i] * counts[i]) << "stride=" << stride << " i=" << i;
   }
@@ -435,17 +541,17 @@ TEST(Im2Col, BandDecompositionMatchesFullLowering) {
     const int rows = im2col_rows(c.cin, c.k);
 
     std::vector<double> full(static_cast<std::size_t>(rows) * oh * ow);
-    im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, oh,
-           full.data());
+    oracle::im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0,
+                   oh, full.data());
 
     for (int split = 1; split < oh; ++split) {
       std::vector<double> lo_band(static_cast<std::size_t>(rows) * split * ow);
       std::vector<double> hi_band(static_cast<std::size_t>(rows) *
                                   (oh - split) * ow);
-      im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, split,
-             lo_band.data());
-      im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, split, oh,
-             hi_band.data());
+      oracle::im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0,
+                     split, lo_band.data());
+      oracle::im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow,
+                     split, oh, hi_band.data());
       for (int r = 0; r < rows; ++r) {
         for (int j = 0; j < split * ow; ++j)
           ASSERT_EQ(full[static_cast<std::size_t>(r) * oh * ow + j],
@@ -517,6 +623,99 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
         << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
         << " w=" << c.w;
+  }
+}
+
+// Elements that differ, with NaN matching NaN: a NaN input pixel must
+// turn exactly the outputs that read it into NaN.
+std::size_t value_diff_count(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return a.numel() + b.numel();
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.numel(); ++i)
+    if (!(a[i] == b[i] || (std::isnan(a[i]) && std::isnan(b[i])))) ++bad;
+  return bad;
+}
+
+struct GeometryCase {
+  int cin, cout, k, stride, pad, h, w;
+};
+
+// A batch of 3 with a NaN pixel in the middle image: the wide-grid
+// columns of image 0 that run past its planes read image 1's, and
+// those of the last image read the slack, so a leak of either shows up
+// as a NaN (or a changed value) the oracle does not have.
+Tensor geometry_input(const GeometryCase& c, Rng& rng) {
+  Tensor x = Tensor::randn({3, c.cin, c.h, c.w}, rng);
+  x[static_cast<std::size_t>(c.cin) * c.h * c.w + 1] =
+      std::numeric_limits<double>::quiet_NaN();
+  return x;
+}
+
+TEST(ConvBackendEquivalence, Conv2DPaddingGeometryAcrossThreadCounts) {
+  // The padded-input lowering's edges: strides 3 and 4 (9 and 16
+  // polyphase planes), inputs narrower than the kernel, wide grids
+  // whose rows*wq is no multiple of any NR, a pad wider than the
+  // kernel (the wide grid is then the output row), the 1x1 case that
+  // reads x itself, and shapes big enough to shard.
+  const GeometryCase cases[] = {
+      {2, 3, 3, 3, 1, 10, 11}, {3, 2, 5, 4, 2, 13, 9},  {2, 3, 5, 1, 2, 6, 3},
+      {1, 2, 4, 2, 1, 7, 3},   {3, 4, 3, 1, 1, 7, 5},   {4, 9, 3, 2, 1, 30, 29},
+      {5, 3, 1, 1, 0, 7, 9},   {3, 4, 1, 2, 0, 9, 8},   {2, 3, 2, 1, 2, 5, 4},
+      {3, 5, 4, 3, 0, 4, 14},
+  };
+  Rng rng(49);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
+                 << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+                 << " w=" << c.w);
+    Conv2D conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
+    const Tensor x = geometry_input(c, rng);
+    const Tensor naive = oracle::conv2d_forward(
+        x, *conv.params()[0], *conv.params()[1], c.stride, c.pad);
+    for (int threads : {1, 2, 3, 4, 7}) {
+      util::ScopedGlobalThreads scoped(threads);
+      EXPECT_EQ(value_diff_count(naive, conv.forward(x)), 0u)
+          << threads << " threads";
+    }
+  }
+}
+
+TEST(ConvBackendEquivalence, ConvTranspose2DPaddingGeometryAcrossThreadCounts) {
+  // The same edges for the deconv's phase convolutions over one padded
+  // input (strides 3 and 4, inputs narrower than the kernel, k == s, a
+  // pad wider than k-1 so the input needs none, stride 1, and input
+  // paddings (k-1-pad)/s that round down), plus its
+  // input gradient, which is a strided conv of grad_out through the
+  // same lowering.
+  const GeometryCase cases[] = {
+      {2, 3, 5, 3, 1, 4, 5},  {3, 2, 6, 4, 1, 3, 4},  {2, 3, 4, 2, 1, 5, 3},
+      {2, 2, 3, 3, 0, 4, 2},  {3, 4, 4, 2, 1, 9, 7},  {8, 6, 4, 2, 1, 12, 11},
+      {2, 3, 2, 2, 2, 5, 6},  {3, 2, 3, 1, 1, 6, 5},  {2, 3, 7, 4, 2, 3, 2},
+      {2, 3, 5, 2, 1, 4, 6},
+  };
+  Rng rng(50);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
+                 << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+                 << " w=" << c.w);
+    ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
+    const Tensor x = geometry_input(c, rng);
+    const Tensor naive = oracle::conv_transpose2d_forward(
+        x, *deconv.params()[0], *deconv.params()[1], c.stride, c.pad);
+    const Tensor xf = Tensor::randn({3, c.cin, c.h, c.w}, rng);
+    const Tensor g = Tensor::randn(
+        {3, c.cout, deconv.out_size(c.h), deconv.out_size(c.w)}, rng);
+    const auto grads = oracle::conv_transpose2d_backward(
+        xf, *deconv.params()[0], g, c.stride, c.pad);
+    for (int threads : {1, 2, 3, 4, 7}) {
+      util::ScopedGlobalThreads scoped(threads);
+      EXPECT_EQ(value_diff_count(naive, deconv.forward(x)), 0u)
+          << threads << " threads";
+      EXPECT_EQ(diff_count(grads.dx, run_backward(deconv, xf, g).dx), 0u)
+          << "dx, " << threads << " threads";
+    }
   }
 }
 
@@ -594,8 +793,8 @@ TEST(Im2Col, TransposedGatherMatchesIm2Col) {
     const auto x = random_vec(static_cast<std::size_t>(c.cin) * c.h * c.w, rng);
 
     std::vector<double> col(static_cast<std::size_t>(kdim) * oh * ow);
-    im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, oh,
-           col.data());
+    oracle::im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0,
+                   oh, col.data());
     std::vector<double> colt(static_cast<std::size_t>(oh) * ow * kdim);
     im2col_t(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, oh,
              colt.data());
@@ -633,7 +832,8 @@ TEST(Im2Col, Col2ImBandDecompositionMatchesFullScatter) {
       random_vec(static_cast<std::size_t>(kdim) * oh * ow, rng);
 
   std::vector<double> full(static_cast<std::size_t>(cin) * h * w, 0.0);
-  col2im(col.data(), cin, h, w, k, stride, pad, ow, 0, oh, full.data());
+  oracle::col2im(col.data(), cin, h, w, k, stride, pad, ow, 0, oh,
+                 full.data());
 
   for (int split = 1; split < h; ++split) {
     std::vector<double> banded(full.size(), 0.0);
@@ -924,6 +1124,42 @@ TEST(ScratchArena, EnsureSlotsNeverShrinks) {
   arena.ensure_slots(2);
   EXPECT_EQ(arena.slots(), 4u);
   EXPECT_EQ(arena.slot(3).capacity(), cap);
+}
+
+TEST(ScratchArena, ForwardFootprintBelowTheLoweredPanels) {
+  // The forwards keep one padded copy of the input plus per-band output
+  // tiles, not a lowered matrix that copies each input value once per
+  // tap reading it. On the occupancy autoencoder's layers at B = 1 each
+  // deconv's whole scratch is below the size of its phase-lowered
+  // panels, and the four-layer stack's is below all four lowered
+  // matrices. (A conv layer alone sits near its lowered size: the
+  // padded input plus the arena's 4096-double minimum block.)
+  util::ScopedGlobalThreads threads(1);
+  Rng rng(94);
+  Conv2D conv1(4, 16, 3, 2, 1, rng);
+  Conv2D conv2(16, 32, 3, 2, 1, rng);
+  ConvTranspose2D deconv1(32, 16, 4, 2, 1, rng);
+  ConvTranspose2D deconv2(16, 4, 4, 2, 1, rng);
+  Tensor h = Tensor::randn({1, 4, 48, 48}, rng);
+  for (Layer* l : {static_cast<Layer*>(&conv1), static_cast<Layer*>(&conv2),
+                   static_cast<Layer*>(&deconv1),
+                   static_cast<Layer*>(&deconv2)})
+    h = l->infer(std::move(h));
+  // Lowered rows x output pixels: Cin*k*k x OH*OW for a conv; for a
+  // stride-2 k=4 deconv, 4 phases of Cin*2*2 x (OH/2)*(OW/2).
+  const std::size_t panels[] = {36u * 24 * 24, 144u * 12 * 12,
+                                4u * 128 * 12 * 12, 4u * 64 * 24 * 24};
+  const Layer* layers[] = {&conv1, &conv2, &deconv1, &deconv2};
+  std::size_t total = 0, total_panels = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t cap = layers[i]->scratch()->total_capacity();
+    if (i >= 2) {
+      EXPECT_LT(cap, panels[i]) << "layer " << i;
+    }
+    total += cap;
+    total_panels += panels[i];
+  }
+  EXPECT_LT(total, total_panels);
 }
 
 TEST(ScratchArena, TrainingStepsStopGrowingAfterWarmup) {

@@ -1,20 +1,95 @@
 // Direct-loop reference implementations of the conv, deconv and dense
 // layers, for the kernel equivalence tests (nn_kernels_test.cpp).
 //
-// The library runs every layer as im2col + blocked GEMM; these are the
-// original nested loops, written in the GEMM chain order so the two agree
-// bit-for-bit (the tests compare with ==, no tolerance). They are serial:
-// each output element has exactly one accumulation chain, so sharding
-// would not change its bits. Each takes the layer's input, its weights
-// and bias (layer.params()), and the stride and padding; the kernel size
-// and channel counts come from the weight shape.
+// The library runs every layer as a blocked GEMM — the conv forwards
+// read a zero-padded input through a row table, the backwards lower
+// with im2col_t/col2im_band; these are the original nested loops,
+// written in the GEMM chain order so the two agree bit-for-bit (the
+// tests compare with ==, no tolerance). They are serial: each output
+// element has exactly one accumulation chain, so sharding would not
+// change its bits. Each takes the layer's input, its weights and bias
+// (layer.params()), and the stride and padding; the kernel size and
+// channel counts come from the weight shape.
+//
+// im2col and col2im, the explicit lowering (the library builds none),
+// are here too: the int8 conv oracle multiplies an im2col matrix with
+// gemm_int8, and the lowering tests pin im2col_t and col2im_band
+// against them.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "nn/im2col.hpp"
+#include "nn/quant.hpp"
 #include "nn/tensor.hpp"
 
 namespace s2a::nn::oracle {
+
+/// Writes the im2col matrix for output rows [oy_lo, oy_hi) of a direct
+/// convolution over x (one image, [cin, h, w] row-major): col is
+/// [cin*k*k, (oy_hi-oy_lo)*ow] row-major. Column j holds every input
+/// tap output pixel j reads, and row r walks the taps in (ic, ky, kx)
+/// order — the direct loops' accumulation order; out-of-bounds taps
+/// are 0.0.
+inline void im2col(const double* x, int cin, int h, int w, int k, int stride,
+                   int pad, int ow, int oy_lo, int oy_hi, double* col) {
+  const int band = oy_hi - oy_lo;
+  double* out = col;
+  for (int ic = 0; ic < cin; ++ic) {
+    const double* plane = x + static_cast<std::size_t>(ic) * h * w;
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx) {
+        // One lowered row: tap (ic, ky, kx) for every output pixel in
+        // the band, in (oy, ox) order; output row oy reads input row
+        // iy at columns ox*stride + kx - pad.
+        for (int oy = oy_lo; oy < oy_hi; ++oy) {
+          double* row = out + static_cast<std::size_t>(oy - oy_lo) * ow;
+          const int iy = oy * stride + ky - pad;
+          if (iy < 0 || iy >= h) {
+            std::fill_n(row, ow, 0.0);
+            continue;
+          }
+          gather_row(plane + static_cast<std::size_t>(iy) * w, kx - pad,
+                     stride, w, ow, row);
+        }
+        out += static_cast<std::size_t>(band) * ow;
+      }
+  }
+}
+
+/// Adjoint of im2col: scatters col (layout as above) back onto x,
+/// *accumulating* into it — each input pixel receives one addend per
+/// output pixel that reads it. col2im(im2col(x)) therefore multiplies
+/// every pixel by its read count.
+inline void col2im(const double* col, int cin, int h, int w, int k,
+                   int stride, int pad, int ow, int oy_lo, int oy_hi,
+                   double* x) {
+  const int band = oy_hi - oy_lo;
+  const double* in = col;
+  for (int ic = 0; ic < cin; ++ic) {
+    double* plane = x + static_cast<std::size_t>(ic) * h * w;
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx) {
+        for (int oy = oy_lo; oy < oy_hi; ++oy) {
+          const double* row = in + static_cast<std::size_t>(oy - oy_lo) * ow;
+          const int iy = oy * stride + ky - pad;
+          if (iy < 0 || iy >= h) continue;
+          double* dst = plane + static_cast<std::size_t>(iy) * w;
+          for (int ox = 0; ox < ow; ++ox) {
+            const int ix = ox * stride + kx - pad;
+            if (ix < 0 || ix >= w) continue;
+            dst[ix] += row[ox];
+          }
+        }
+        in += static_cast<std::size_t>(band) * ow;
+      }
+  }
+}
 
 /// Gradients of one backward pass, accumulated from zero.
 struct Grads {
@@ -197,6 +272,125 @@ inline Grads conv_transpose2d_backward(const Tensor& x, const Tensor& w,
           r.dx[idx4(bi, ic, iy, ix, cin, h, wd)] = acc;
         }
   return r;
+}
+
+/// The int8 step on an explicit lowered matrix: y[i][j] = bias[i] +
+/// gemm_int8(qw, codes of col) for col ([qw.cols, ncols], row-major),
+/// coded against scale xs; a column holding a non-finite value is NaN.
+/// y has row stride ldy.
+inline void int8_lowered(const QuantizedMatrix& qw, const double* bias,
+                         const std::vector<double>& col, int ncols, double xs,
+                         double* y, int ldy) {
+  std::vector<std::int8_t> codes(col.size());
+  quantize_values(col.data(), col.size(), xs, codes.data());
+  for (int i = 0; i < qw.rows; ++i)
+    std::fill_n(y + static_cast<std::size_t>(i) * ldy, ncols,
+                bias[static_cast<std::size_t>(i)]);
+  gemm_int8(qw, ncols, codes.data(), ncols, xs, y, ldy);
+  for (int j = 0; j < ncols; ++j)
+    for (int r = 0; r < qw.cols; ++r)
+      if (!std::isfinite(col[static_cast<std::size_t>(r) * ncols + j])) {
+        for (int i = 0; i < qw.rows; ++i)
+          y[static_cast<std::size_t>(i) * ldy + j] =
+              std::numeric_limits<double>::quiet_NaN();
+        break;
+      }
+}
+
+/// Conv2D's int8 forward (after quantize()) on the explicit lowering:
+/// per-output-channel weight codes, one whole-input activation scale,
+/// and im2col of each image multiplied by gemm_int8.
+inline Tensor conv2d_forward_int8(const Tensor& x, const Tensor& w,
+                                  const Tensor& b, int stride, int pad) {
+  const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int cout = w.dim(0), k = w.dim(2);
+  const int oh = (h + 2 * pad - k) / stride + 1;
+  const int ow = (wd + 2 * pad - k) / stride + 1;
+  const int kdim = cin * k * k, npix = oh * ow;
+  const QuantizedMatrix qw = quantize_rows(w.data(), kdim, cout, kdim);
+  const double xs = activation_scale(x.data(), x.numel());
+  Tensor y({n, cout, oh, ow});
+  std::vector<double> col(static_cast<std::size_t>(kdim) * npix);
+  for (int bi = 0; bi < n; ++bi) {
+    im2col(x.data() + static_cast<std::size_t>(bi) * cin * h * wd, cin, h, wd,
+           k, stride, pad, ow, 0, oh, col.data());
+    int8_lowered(qw, b.data(), col, npix, xs,
+                 y.data() + static_cast<std::size_t>(bi) * cout * npix, npix);
+  }
+  return y;
+}
+
+/// ConvTranspose2D's int8 forward on an explicit lowering: each
+/// sub-pixel phase (py, px) — the output pixels with (oy + pad) % s ==
+/// py and likewise for x — gathers the input behind its taps (ky % s ==
+/// py, descending, so the inputs ascend) into a dense matrix with rows
+/// (ic, ky, kx), and multiplies the int8 codes of the matching weight
+/// rows by it.
+inline Tensor conv_transpose2d_forward_int8(const Tensor& x, const Tensor& w,
+                                            const Tensor& b, int stride,
+                                            int pad) {
+  const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int cout = w.dim(1), k = w.dim(2), s = stride;
+  const int oh = (h - 1) * s - 2 * pad + k;
+  const int ow = (wd - 1) * s - 2 * pad + k;
+  const double xs = activation_scale(x.data(), x.numel());
+  Tensor y({n, cout, oh, ow});
+  for (int i = 0; i < n * cout; ++i)
+    std::fill_n(y.data() + static_cast<std::size_t>(i) * oh * ow, oh * ow,
+                b[static_cast<std::size_t>(i % cout)]);
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      std::vector<int> ty, tx, oys, oxs;
+      for (int t = k - 1; t >= 0; --t) {
+        if (t % s == py) ty.push_back(t);
+        if (t % s == px) tx.push_back(t);
+      }
+      for (int oy = 0; oy < oh; ++oy)
+        if ((oy + pad) % s == py) oys.push_back(oy);
+      for (int ox = 0; ox < ow; ++ox)
+        if ((ox + pad) % s == px) oxs.push_back(ox);
+      const int kdim = cin * static_cast<int>(ty.size() * tx.size());
+      const int npix = static_cast<int>(oys.size() * oxs.size());
+      if (kdim == 0 || npix == 0) continue;
+      std::vector<double> wph(static_cast<std::size_t>(cout) * kdim);
+      for (int oc = 0; oc < cout; ++oc) {
+        int r = 0;
+        for (int ic = 0; ic < cin; ++ic)
+          for (int ky : ty)
+            for (int kx : tx)
+              wph[static_cast<std::size_t>(oc) * kdim + r++] =
+                  w[idx4(ic, oc, ky, kx, cout, k, k)];
+      }
+      const QuantizedMatrix qw = quantize_rows(wph.data(), kdim, cout, kdim);
+      std::vector<double> col(static_cast<std::size_t>(kdim) * npix);
+      std::vector<double> tile(static_cast<std::size_t>(cout) * npix);
+      for (int bi = 0; bi < n; ++bi) {
+        int r = 0;
+        for (int ic = 0; ic < cin; ++ic)
+          for (int ky : ty)
+            for (int kx : tx) {
+              int j = 0;
+              for (int oy : oys)
+                for (int ox : oxs) {
+                  const int ny = oy + pad - ky, nx = ox + pad - kx;
+                  const int iy = ny / s, ix = nx / s;
+                  const bool in = ny >= 0 && nx >= 0 && iy < h && ix < wd;
+                  col[static_cast<std::size_t>(r) * npix + j++] =
+                      in ? x[idx4(bi, ic, iy, ix, cin, h, wd)] : 0.0;
+                }
+              ++r;
+            }
+        int8_lowered(qw, b.data(), col, npix, xs, tile.data(), npix);
+        for (int oc = 0; oc < cout; ++oc) {
+          int j = 0;
+          for (int oy : oys)
+            for (int ox : oxs)
+              y[idx4(bi, oc, oy, ox, cout, oh, ow)] =
+                  tile[static_cast<std::size_t>(oc) * npix + j++];
+        }
+      }
+    }
+  return y;
 }
 
 /// Dense forward: y = x·Wᵀ, then the bias added per element.
