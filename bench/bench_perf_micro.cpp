@@ -8,29 +8,14 @@
 // of instrumentation when disabled (the <2% overhead budget quoted in
 // docs/OBSERVABILITY.md). Run with S2A_TRACE=<path> to also write a
 // Chrome trace of the instrumented benchmark bodies.
-// With S2A_BENCH_PARALLEL=<out.json> the binary instead times the three
-// pool-sharded hot paths (lidar.voxelize, lidar.ae_reconstruct,
-// fed.round) at 1 thread and at 4 threads and writes serial-vs-parallel
-// p50/p95 latencies plus speedups to the given JSON file.
-// With S2A_BENCH_KERNELS=<out.json> it times the float autoencoder
-// reconstruct (single-threaded), the int8 quantized reconstruct against
-// it, and the raw nn::gemm shapes the
-// autoencoder runs — swept once per compiled-in SIMD kernel (scalar,
-// avx2, ...) with speedups vs the scalar oracle — and writes
-// BENCH_kernels.json. Every report header and JSON payload records the
-// detected CPU features and the SIMD kernel the dispatcher selected.
-// With S2A_BENCH_TRAIN=<out.json> it times the *training* hot paths:
-// one autoencoder pretrain step under the GEMM backward kernels
-// (single-threaded, a fresh seeded model), plus one federated client
-// update, and writes BENCH_train.json.
-// With S2A_BENCH_FLEET=<out.json> it times the execution engines: a
-// 64-loop fleet on a 4-slot pool vs the serial one-loop-at-a-time
-// baseline, the pipelined single-loop engine vs the synchronous one,
-// and a FaultPlan straggler chaos run with finite deadlines, writing
-// aggregate ticks/sec, per-loop p50/p95 tick latency, and the chaos
-// shed/stall outcome to BENCH_fleet.json (speedups flagged
+// With S2A_BENCH_FLEET=<out.json> the binary instead times the
+// execution engines: a 64-loop fleet on a 4-slot pool vs the serial
+// one-loop-at-a-time baseline, the pipelined single-loop engine vs the
+// synchronous one, and a FaultPlan straggler chaos run with finite
+// deadlines, writing aggregate ticks/sec, per-loop p50/p95 tick latency,
+// and the chaos shed/stall outcome to BENCH_fleet.json (speedups flagged
 // "speedup_measurable": false on hosts with fewer than 4 hardware
-// threads, as in the parallel report).
+// threads).
 // With S2A_BENCH_OFFLOAD=<out.json> it evaluates the uncertainty-gated
 // offload policy against the always-local and always-remote baselines
 // across a link loss × latency sweep, runs a mid-run partition stall
@@ -46,8 +31,10 @@
 // any point exceeds the smallest point's (the streaming reduction's
 // O(levels + threads) bound must not grow with client count).
 // With S2A_BENCH_BUDGETS=<budgets.json> it becomes the perf regression
-// gate: re-times the budgeted hot paths and exits non-zero if any p95
-// exceeds its recorded budget by more than the file's tolerance.
+// gate: re-times every HotPathFixtures workload and exits non-zero if any
+// p95 exceeds its recorded budget by more than the file's tolerance.
+// Every report's JSON payload records the detected CPU features, the
+// SIMD kernel the dispatcher selected, and the host's core count.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -94,12 +81,6 @@
 namespace {
 
 using namespace s2a;
-
-// Name of the SIMD ISA the GEMM dispatch resolved to — recorded in every
-// BENCH_*.json payload so regression history is comparable across hosts.
-const char* active_simd_name() {
-  return util::simd_isa_name(util::active_simd_isa());
-}
 
 // One-line hardware banner printed at the top of every report mode.
 void print_cpu_banner() {
@@ -267,17 +248,10 @@ void BM_LoopTickObsOn(benchmark::State& state) {
 BENCHMARK(BM_LoopTickObsOff);
 BENCHMARK(BM_LoopTickObsOn);
 
-// ---- Serial-vs-parallel report (S2A_BENCH_PARALLEL=<out.json>) ----
+// ---- Timing and report helpers shared by the report modes and the gate ----
 //
-// Times each pool-sharded hot path at 1 thread and at kParallelThreads
-// with steady_clock (google-benchmark stays out of the way so the two
-// configurations see identical call sequences), then writes p50/p95 and
-// the p50 speedup per workload. A 4-slot pool shards even on a host with
-// fewer cores, so there the 4-thread column times oversubscription, not
-// parallel speed: every workload is then marked
-// "speedup_measurable": false.
-
-constexpr int kParallelThreads = 4;
+// The modes time fixed call sequences with steady_clock; google-benchmark
+// stays out of the way so every run replays the same calls.
 
 struct Percentiles {
   double p50_ms = 0.0;
@@ -301,11 +275,30 @@ std::vector<double> time_reps(int reps, const std::function<void()>& fn) {
   return ms;
 }
 
-struct ParallelWorkload {
+struct Workload {
   const char* name;
   int reps;
   std::function<void()> fn;
 };
+
+// Opens `path` for a JSON report and writes the fields every report
+// shares, so report history is comparable across hosts: the detected CPU
+// features, the SIMD kernel the dispatcher selected, and the host's real
+// core count. Returns false, after saying why, when the file cannot be
+// opened.
+bool open_report(std::ofstream& out, const char* path) {
+  out.open(path);
+  if (!out) {
+    fprintf(stderr, "cannot open %s for writing\n", path);
+    return false;
+  }
+  out << "{\n  \"cpu\": \"" << util::cpu_feature_string()
+      << "\",\n  \"simd\": \""
+      << util::simd_isa_name(util::active_simd_isa())
+      << "\",\n  \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency();
+  return true;
+}
 
 // Offload executor fixtures, shared by the core.offload_tick budget
 // workload and the S2A_BENCH_OFFLOAD report. The models scale the
@@ -430,9 +423,9 @@ struct FedScaleFixture {
   }
 };
 
-// Inputs for the pool-sharded hot paths, built once and shared by the
-// parallel report, the kernels report, and the budget gate so every mode
-// times the exact same call sequences.
+// Inputs for the budgeted hot paths, built once. workloads() is the one
+// timed list: the budget gate times each entry against its budget in
+// BENCH_budgets.json, and the gate fails on an entry without one.
 struct HotPathFixtures {
   sim::PointCloud pc;
   lidar::VoxelGridConfig gc;
@@ -572,8 +565,8 @@ struct HotPathFixtures {
     return fx;
   }
 
-  std::vector<ParallelWorkload> workloads() {
-    std::vector<ParallelWorkload> w;
+  std::vector<Workload> workloads() {
+    std::vector<Workload> w;
     w.push_back({"lidar.voxelize", 100, [this] {
                    benchmark::DoNotOptimize(
                        lidar::VoxelGrid::from_cloud(pc, gc));
@@ -637,243 +630,6 @@ void BM_AePretrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AePretrainStep);
 
-int run_parallel_report(const char* out_path) {
-  HotPathFixtures fx = HotPathFixtures::make();
-  std::vector<ParallelWorkload> workloads = fx.workloads();
-  print_cpu_banner();
-
-  std::ofstream out(out_path);
-  if (!out) {
-    fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool measurable = static_cast<unsigned>(kParallelThreads) <= hw;
-  if (!measurable)
-    printf("warning: %d threads on %u hardware threads; speedups below "
-           "measure oversubscription, not parallel speed\n",
-           kParallelThreads, hw);
-  out << "{\n  \"parallel_threads\": " << kParallelThreads
-      << ",\n  \"hardware_concurrency\": " << hw << ",\n  \"cpu\": \""
-      << util::cpu_feature_string() << "\",\n  \"simd\": \""
-      << active_simd_name() << "\",\n  \"workloads\": [\n";
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    const auto& wl = workloads[i];
-    Percentiles serial, parallel;
-    {
-      util::ScopedGlobalThreads threads(1);
-      serial = percentiles(time_reps(wl.reps, wl.fn));
-    }
-    {
-      util::ScopedGlobalThreads threads(kParallelThreads);
-      parallel = percentiles(time_reps(wl.reps, wl.fn));
-    }
-    const double speedup = parallel.p50_ms > 0.0 ? serial.p50_ms / parallel.p50_ms : 0.0;
-    printf("%-22s serial p50 %8.3f ms p95 %8.3f ms | %d threads p50 %8.3f ms p95 %8.3f ms | p50 speedup %.2fx\n",
-           wl.name, serial.p50_ms, serial.p95_ms, kParallelThreads,
-           parallel.p50_ms, parallel.p95_ms, speedup);
-    out << "    {\"name\": \"" << wl.name << "\", \"reps\": " << wl.reps
-        << ",\n     \"serial\": {\"p50_ms\": " << serial.p50_ms
-        << ", \"p95_ms\": " << serial.p95_ms
-        << "},\n     \"parallel\": {\"p50_ms\": " << parallel.p50_ms
-        << ", \"p95_ms\": " << parallel.p95_ms
-        << "},\n     \"p50_speedup\": " << speedup
-        << ", \"speedup_measurable\": " << (measurable ? "true" : "false")
-        << "}" << (i + 1 < workloads.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  printf("Wrote parallel report to %s\n", out_path);
-  return 0;
-}
-
-// ---- Kernel report (S2A_BENCH_KERNELS=<out.json>) ----
-//
-// Times lidar.ae_reconstruct single-threaded on the float GEMM path and
-// on the int8 quantized path, plus the raw nn::gemm shapes the
-// autoencoder's conv/deconv layers reduce to (deconvs as their
-// per-phase compact GEMMs). The gemm shapes are swept once
-// per compiled-in SIMD ISA (via set_simd_isa), recording each vector
-// kernel's p50 speedup over the always-available scalar oracle.
-int run_kernels_report(const char* out_path) {
-  HotPathFixtures fx = HotPathFixtures::make();
-  util::ScopedGlobalThreads threads(1);
-  const int reps = 60;
-  print_cpu_banner();
-
-  const Percentiles gemm_path = percentiles(time_reps(
-      reps, [&] { benchmark::DoNotOptimize(fx.ae.reconstruct(fx.bev)); }));
-
-  // Int8 path over the identical reconstruct (fx.ae_int8 is the
-  // quantized twin of fx.ae); the accuracy side of this trade lives in
-  // the frontier section of bench_table2_lidar_energy.
-  const Percentiles int8_path = percentiles(time_reps(reps, [&] {
-    benchmark::DoNotOptimize(fx.ae_int8->reconstruct(fx.bev));
-  }));
-  const double int8_speedup =
-      int8_path.p50_ms > 0.0 ? gemm_path.p50_ms / int8_path.p50_ms : 0.0;
-  printf("lidar.ae_reconstruct  float p50 %8.3f ms p95 %8.3f ms |  int8 p50 %8.3f ms p95 %8.3f ms | speedup %.2fx\n",
-         gemm_path.p50_ms, gemm_path.p95_ms, int8_path.p50_ms,
-         int8_path.p95_ms, int8_speedup);
-
-  // The dense products behind each autoencoder layer: conv layers are
-  // one [cout, cin*k*k] x [cin*k*k, oh*ow] product, stride-2 deconvs are
-  // four per-phase products over the phase-valid taps.
-  struct GemmShape {
-    const char* name;
-    int m, n, k;
-  } shapes[] = {
-      {"conv1 16x576x36", 16, 576, 36},
-      {"conv2 32x144x144", 32, 144, 144},
-      {"dec1.phase 16x144x128", 16, 144, 128},
-      {"dec2.phase 4x576x64", 4, 576, 64},
-  };
-  const int num_shapes = static_cast<int>(std::size(shapes));
-
-  // Sweep every compiled-in ISA over every shape. supported_simd_isas()
-  // always starts with kScalar, so scalar_p50 is filled before any
-  // vector ISA needs it for its speedup column.
-  const std::vector<util::SimdIsa> isas = util::supported_simd_isas();
-  std::vector<std::vector<Percentiles>> per_isa(isas.size());
-  std::vector<double> scalar_p50(static_cast<std::size_t>(num_shapes), 0.0);
-  for (std::size_t vi = 0; vi < isas.size(); ++vi) {
-    util::set_simd_isa(isas[vi]);
-    for (int i = 0; i < num_shapes; ++i) {
-      const auto& s = shapes[i];
-      Rng rng(11);
-      const nn::Tensor a = nn::Tensor::randn({s.m, s.k}, rng);
-      const nn::Tensor b = nn::Tensor::randn({s.k, s.n}, rng);
-      nn::Tensor c({s.m, s.n});
-      util::ScratchArena arena;
-      const Percentiles p = percentiles(time_reps(400, [&] {
-        nn::gemm(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c.data(), s.n,
-                 arena);
-        benchmark::DoNotOptimize(c.data());
-        arena.reset();
-      }));
-      per_isa[vi].push_back(p);
-      if (isas[vi] == util::SimdIsa::kScalar)
-        scalar_p50[static_cast<std::size_t>(i)] = p.p50_ms;
-      const double gmacs =
-          static_cast<double>(s.m) * s.n * s.k / (p.p50_ms * 1e6);
-      const double vs_scalar =
-          p.p50_ms > 0.0 ? scalar_p50[static_cast<std::size_t>(i)] / p.p50_ms
-                         : 0.0;
-      printf("gemm[%-9s] %-22s p50 %8.4f ms  %6.2f GMAC/s  %5.2fx vs scalar\n",
-             util::simd_isa_name(isas[vi]), s.name, p.p50_ms, gmacs,
-             vs_scalar);
-    }
-  }
-  util::set_simd_isa(util::SimdIsa::kAuto);
-
-  // Index of the ISA auto-dispatch resolved to: the top-level
-  // "gemm_shapes" section reports that kernel's numbers, so the budget
-  // history tracks what the library actually runs by default.
-  std::size_t auto_idx = 0;
-  for (std::size_t vi = 0; vi < isas.size(); ++vi)
-    if (isas[vi] == util::active_simd_isa()) auto_idx = vi;
-
-  std::ofstream out(out_path);
-  if (!out) {
-    fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  out << "{\n  \"threads\": 1,\n  \"cpu\": \"" << util::cpu_feature_string()
-      << "\",\n  \"simd\": \"" << active_simd_name()
-      << "\",\n  \"ae_reconstruct\": {\n"
-      << "    \"gemm\": {\"p50_ms\": " << gemm_path.p50_ms
-      << ", \"p95_ms\": " << gemm_path.p95_ms
-      << "}\n  },\n  \"ae_reconstruct_int8\": {\n"
-      << "    \"float\": {\"p50_ms\": " << gemm_path.p50_ms
-      << ", \"p95_ms\": " << gemm_path.p95_ms << "},\n"
-      << "    \"int8\": {\"p50_ms\": " << int8_path.p50_ms
-      << ", \"p95_ms\": " << int8_path.p95_ms << "},\n"
-      << "    \"p50_speedup\": " << int8_speedup
-      << "\n  },\n  \"gemm_shapes\": [\n";
-  for (int i = 0; i < num_shapes; ++i) {
-    const auto& s = shapes[i];
-    const Percentiles& p = per_isa[auto_idx][static_cast<std::size_t>(i)];
-    const double gmacs =
-        static_cast<double>(s.m) * s.n * s.k / (p.p50_ms * 1e6);
-    const double vs_scalar =
-        p.p50_ms > 0.0 ? scalar_p50[static_cast<std::size_t>(i)] / p.p50_ms
-                       : 0.0;
-    out << "    {\"name\": \"" << s.name << "\", \"m\": " << s.m
-        << ", \"n\": " << s.n << ", \"k\": " << s.k
-        << ", \"p50_ms\": " << p.p50_ms << ", \"gmacs\": " << gmacs
-        << ", \"p50_speedup_vs_scalar\": " << vs_scalar << "}"
-        << (i + 1 < num_shapes ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"gemm_shapes_by_isa\": {\n";
-  for (std::size_t vi = 0; vi < isas.size(); ++vi) {
-    out << "    \"" << util::simd_isa_name(isas[vi]) << "\": [\n";
-    for (int i = 0; i < num_shapes; ++i) {
-      const auto& s = shapes[i];
-      const Percentiles& p = per_isa[vi][static_cast<std::size_t>(i)];
-      const double gmacs =
-          static_cast<double>(s.m) * s.n * s.k / (p.p50_ms * 1e6);
-      const double vs_scalar =
-          p.p50_ms > 0.0 ? scalar_p50[static_cast<std::size_t>(i)] / p.p50_ms
-                         : 0.0;
-      out << "      {\"name\": \"" << s.name << "\", \"p50_ms\": " << p.p50_ms
-          << ", \"gmacs\": " << gmacs
-          << ", \"p50_speedup_vs_scalar\": " << vs_scalar << "}"
-          << (i + 1 < num_shapes ? "," : "") << "\n";
-    }
-    out << "    ]" << (vi + 1 < isas.size() ? "," : "") << "\n";
-  }
-  out << "  }\n}\n";
-  printf("Wrote kernel report to %s\n", out_path);
-  return 0;
-}
-
-// ---- Training report (S2A_BENCH_TRAIN=<out.json>) ----
-//
-// Times one autoencoder pretrain step (forward + BCE + GEMM backward +
-// Adam) single-threaded on a fresh seeded model, and one federated
-// client update (local_train; the federated MLP is hand-rolled).
-int run_train_report(const char* out_path) {
-  HotPathFixtures fx = HotPathFixtures::make();
-  util::ScopedGlobalThreads threads(1);
-  const int reps = 25;
-  print_cpu_banner();
-
-  Rng rng(7);
-  lidar::OccupancyAutoencoder ae(fx.ac, rng);
-  nn::Adam opt(1e-3);
-  opt.attach(ae.params(), ae.grads());
-  const Percentiles gemm_path = percentiles(time_reps(reps, [&] {
-    benchmark::DoNotOptimize(ae.train_step(fx.ae_masked, fx.ae_target, opt));
-  }));
-  printf("lidar.ae_pretrain_step gemm p50 %8.3f ms p95 %8.3f ms\n",
-         gemm_path.p50_ms, gemm_path.p95_ms);
-
-  const Percentiles fed = percentiles(time_reps(60, [&] {
-    federated::MlpParams local = fx.fed_global;
-    Rng client_rng(13);
-    benchmark::DoNotOptimize(federated::local_train(
-        local, fx.train, fx.shards[0], fx.fed_active,
-        federated::PrecisionConfig{}, fx.fc.local_epochs, fx.fc.batch,
-        fx.fc.lr, client_rng));
-  }));
-  printf("fed.client_update      p50 %8.3f ms p95 %8.3f ms\n", fed.p50_ms,
-         fed.p95_ms);
-
-  std::ofstream out(out_path);
-  if (!out) {
-    fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  out << "{\n  \"threads\": 1,\n  \"cpu\": \"" << util::cpu_feature_string()
-      << "\",\n  \"simd\": \"" << active_simd_name()
-      << "\",\n  \"ae_pretrain_step\": {\n"
-      << "    \"gemm\": {\"p50_ms\": " << gemm_path.p50_ms
-      << ", \"p95_ms\": " << gemm_path.p95_ms << "}\n  },\n"
-      << "  \"fed_client_update\": {\"p50_ms\": " << fed.p50_ms
-      << ", \"p95_ms\": " << fed.p95_ms << "}\n}\n";
-  printf("Wrote training report to %s\n", out_path);
-  return 0;
-}
-
 // ---- Fleet report (S2A_BENCH_FLEET=<out.json>) ----
 //
 // Times the execution engines on a loop whose stages have honest edge
@@ -882,13 +638,16 @@ int run_train_report(const char* out_path) {
 // fills the buffer), the processor burns CPU. The fleet's win is
 // overlapping many loops' acquisition waits; the pipeline's win is
 // hiding one loop's sensing latency behind its processing latency.
-// Three sections:
-//  * fleet:    64 loops, serial one-at-a-time baseline vs Fleet on a
-//              4-slot pool (the ISSUE's >= 2x acceptance bar).
-//  * pipeline: one loop, synchronous vs pipelined engine.
-//  * chaos:    finite-deadline fleet with FaultPlan-driven fault
-//              windows plus wall-clock stragglers — checks shedding
-//              isolates the stragglers and no healthy loop stalls.
+// Five sections:
+//  * fleet:     64 loops, serial one-at-a-time baseline vs Fleet on a
+//               4-slot pool.
+//  * pipeline:  one loop, synchronous vs pipelined engine.
+//  * chaos:     finite-deadline fleet with FaultPlan-driven fault
+//               windows plus wall-clock stragglers — checks shedding
+//               isolates the stragglers and no healthy loop stalls.
+//  * batched:   64 loops serving one shared model vs private copies.
+//  * admission: straggler waves against a healthy fleet — checks no
+//               healthy member misses a deadline.
 
 class BlockingSensor : public core::Sensor {
  public:
@@ -986,15 +745,16 @@ struct EdgeLoop {
 
 int run_fleet_report(const char* out_path) {
   print_cpu_banner();
-  // As in the parallel report: a 4-slot pool on fewer hardware threads
-  // times oversubscription, so the fleet, pipeline and batched speedups
-  // are then marked "speedup_measurable": false.
+  // A 4-slot pool shards even on fewer hardware threads, where it times
+  // oversubscription, so the fleet, pipeline and batched speedups are
+  // then marked "speedup_measurable": false.
+  constexpr int kFleetThreads = 4;
   const unsigned hw = std::thread::hardware_concurrency();
-  const bool measurable = static_cast<unsigned>(kParallelThreads) <= hw;
+  const bool measurable = static_cast<unsigned>(kFleetThreads) <= hw;
   if (!measurable)
     printf("warning: %d threads on %u hardware threads; speedups below "
            "measure oversubscription, not parallel speed\n",
-           kParallelThreads, hw);
+           kFleetThreads, hw);
   const char* measurable_json = measurable ? "true" : "false";
   constexpr int kLoops = 64, kTicks = 20;
   constexpr int kAcquireUs = 400, kSpinIters = 4000;
@@ -1028,7 +788,7 @@ int run_fleet_report(const char* out_path) {
   // Fleet: same workload on a 4-slot pool (acquisition waits overlap).
   core::FleetStats fs;
   {
-    util::ScopedGlobalThreads threads(kParallelThreads);
+    util::ScopedGlobalThreads threads(kFleetThreads);
     std::vector<std::unique_ptr<EdgeLoop>> loops;
     core::Fleet fleet(core::FleetConfig{/*batch=*/4});
     for (int i = 0; i < kLoops; ++i) {
@@ -1045,7 +805,7 @@ int run_fleet_report(const char* out_path) {
   const double mean_p50_ms = p50_sum / fs.loops.size();
   const double fleet_speedup = fs.ticks_per_s / serial_tps;
   printf("fleet      %3d loops x %d ticks  serial %8.0f ticks/s | fleet(%d threads) %8.0f ticks/s | speedup %.2fx (mean p50 %.3f ms, max p95 %.3f ms)\n",
-         kLoops, kTicks, serial_tps, kParallelThreads, fs.ticks_per_s,
+         kLoops, kTicks, serial_tps, kFleetThreads, fs.ticks_per_s,
          fleet_speedup, mean_p50_ms, p95_max);
 
   // Pipelined single loop: balanced stages so the overlap is visible —
@@ -1054,7 +814,7 @@ int run_fleet_report(const char* out_path) {
   double sync_wall_s = 0.0, pipe_wall_s = 0.0;
   constexpr int kPipeTicks = 300, kPipeSpin = 24000;
   {
-    util::ScopedGlobalThreads threads(kParallelThreads);
+    util::ScopedGlobalThreads threads(kFleetThreads);
     EdgeLoop sync_loop(kAcquireUs,
                        std::make_unique<SpinProcessor>(kPipeSpin));
     core::PipelinedRunner sync_runner(
@@ -1081,7 +841,7 @@ int run_fleet_report(const char* out_path) {
   constexpr int kChaosLoops = 32, kChaosTicks = 30, kStragglers = 4;
   core::FleetStats cs;
   {
-    util::ScopedGlobalThreads threads(kParallelThreads);
+    util::ScopedGlobalThreads threads(kFleetThreads);
     std::vector<std::unique_ptr<EdgeLoop>> loops;
     core::Fleet fleet(core::FleetConfig{/*batch=*/4});
     for (int i = 0; i < kChaosLoops; ++i) {
@@ -1165,7 +925,7 @@ int run_fleet_report(const char* out_path) {
 
   core::FleetStats per_loop_fs;
   {
-    util::ScopedGlobalThreads threads(kParallelThreads);
+    util::ScopedGlobalThreads threads(kFleetThreads);
     std::vector<std::unique_ptr<ModelLoop>> loops;
     core::Fleet fleet(core::FleetConfig{/*batch=*/4});
     for (int i = 0; i < kBatchLoops; ++i) {
@@ -1178,7 +938,7 @@ int run_fleet_report(const char* out_path) {
   core::FleetStats batched_fs;
   long batched_forwards = 0;
   {
-    util::ScopedGlobalThreads threads(kParallelThreads);
+    util::ScopedGlobalThreads threads(kFleetThreads);
     Rng wr(7);
     lidar::OccupancyAutoencoder shared_ae(acfg, wr);
     lidar::BatchedReconstructionProcessor shared(shared_ae, 1e-4);
@@ -1213,7 +973,7 @@ int run_fleet_report(const char* out_path) {
   double adm_pressure = 0.0;
   bool wave2_degraded = false, wave3_rejected = false;
   {
-    util::ScopedGlobalThreads threads(kParallelThreads);
+    util::ScopedGlobalThreads threads(kFleetThreads);
     core::FleetConfig fc;
     fc.batch = 4;
     fc.admission.enabled = true;
@@ -1276,16 +1036,10 @@ int run_fleet_report(const char* out_path) {
          kHealthy, adm_admitted, adm_degraded, adm_rejected, adm_pressure,
          healthy_misses, healthy_shed, zero_healthy_misses ? "ok" : "FAIL");
 
-  std::ofstream out(out_path);
-  if (!out) {
-    fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  out << "{\n  \"threads\": " << kParallelThreads
-      << ",\n  \"hardware_concurrency\": " << hw
-      << ",\n  \"cpu\": \"" << util::cpu_feature_string()
-      << "\",\n  \"simd\": \"" << active_simd_name()
-      << "\",\n  \"fleet\": {\n    \"loops\": " << kLoops
+  std::ofstream out;
+  if (!open_report(out, out_path)) return 1;
+  out << ",\n  \"threads\": " << kFleetThreads
+      << ",\n  \"fleet\": {\n    \"loops\": " << kLoops
       << ", \"ticks_per_loop\": " << kTicks
       << ",\n    \"serial_ticks_per_s\": " << serial_tps
       << ",\n    \"fleet_ticks_per_s\": " << fs.ticks_per_s
@@ -1558,14 +1312,9 @@ int run_offload_report(const char* out_path) {
          kMembers - strict_members, part_misses, part_shed,
          nonfinite ? "yes" : "no", partition_ok ? "ok" : "FAIL");
 
-  std::ofstream out(out_path);
-  if (!out) {
-    fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  out << "{\n  \"cpu\": \"" << util::cpu_feature_string()
-      << "\",\n  \"simd\": \"" << active_simd_name()
-      << "\",\n  \"ticks_per_point\": " << kSweepTicks
+  std::ofstream out;
+  if (!open_report(out, out_path)) return 1;
+  out << ",\n  \"ticks_per_point\": " << kSweepTicks
       << ",\n  \"accuracy_floor\": " << kAccuracyFloor
       << ",\n  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -1681,14 +1430,9 @@ int run_fed_scale_report(const char* out_path) {
     }
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  out << "{\n  \"cpu\": \"" << util::cpu_feature_string() << "\",\n  \"simd\": \""
-      << active_simd_name()
-      << "\",\n  \"sampled_config\": {\"sample_fraction\": 0.05, "
+  std::ofstream out;
+  if (!open_report(out, out_path)) return 1;
+  out << ",\n  \"sampled_config\": {\"sample_fraction\": 0.05, "
          "\"topk_fraction\": 0.25, \"error_feedback\": true, "
          "\"bill_uplink\": true},\n  \"peak_memory_flat\": "
       << (failures == 0 ? "true" : "false") << ",\n  \"points\": [\n";
@@ -1724,9 +1468,11 @@ int run_fed_scale_report(const char* out_path) {
 
 // ---- Perf regression gate (S2A_BENCH_BUDGETS=<budgets.json>) ----
 //
-// Re-times the budgeted hot paths single-threaded and fails if any p95
-// exceeds its committed budget by more than the file's tolerance
-// (default 1.25: a >25% p95 regression). scripts/check.sh runs this as
+// Re-times every HotPathFixtures workload single-threaded and fails if
+// any p95 exceeds its committed budget by more than the file's tolerance
+// (default 1.25: a >25% p95 regression). It also fails, before timing
+// anything, on a malformed or duplicate budget and on a budget or
+// workload without its counterpart. scripts/check.sh runs this as
 // its `perf` stage; S2A_SKIP_PERF=1 skips it there (e.g. on noisy
 // shared runners).
 
@@ -1737,34 +1483,43 @@ struct Budget {
 
 // Purpose-built scanner for the committed BENCH_budgets.json — the file
 // is machine-written with one "name"/"p95_ms" pair per budget entry, so
-// a full JSON parser would be dead weight here.
-bool parse_budgets(const std::string& text, double* tolerance,
-                   std::vector<Budget>* budgets) {
+// a full JSON parser would be dead weight here. Returns why the text is
+// malformed, or an empty string when it is not.
+std::string parse_budgets(const std::string& text, double* tolerance,
+                          std::vector<Budget>* budgets) {
+  // The number after the next ':', accepted only when strtod consumed a
+  // positive finite value (it turns garbage into 0).
   const auto number_after = [&](std::size_t pos, double* out) {
     pos = text.find(':', pos);
     if (pos == std::string::npos) return false;
-    *out = std::strtod(text.c_str() + pos + 1, nullptr);
-    return true;
+    const char* begin = text.c_str() + pos + 1;
+    char* end = nullptr;
+    *out = std::strtod(begin, &end);
+    return end != begin && std::isfinite(*out) && *out > 0.0;
   };
   const std::size_t tol_pos = text.find("\"tolerance\"");
-  if (tol_pos == std::string::npos || !number_after(tol_pos, tolerance))
-    return false;
+  if (tol_pos == std::string::npos || !number_after(tol_pos, tolerance) ||
+      *tolerance < 1.0)
+    return "\"tolerance\" is not a number >= 1";
   std::size_t pos = text.find("\"budgets\"");
-  if (pos == std::string::npos) return false;
+  if (pos == std::string::npos) return "no \"budgets\" list";
   while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
     const std::size_t q0 = text.find('"', text.find(':', pos) + 1);
     const std::size_t q1 = text.find('"', q0 + 1);
     const std::size_t p95_pos = text.find("\"p95_ms\"", q1);
     if (q0 == std::string::npos || q1 == std::string::npos ||
         p95_pos == std::string::npos)
-      return false;
+      return "a budget entry has no \"name\" or no \"p95_ms\"";
     Budget b;
     b.name = text.substr(q0 + 1, q1 - q0 - 1);
-    if (!number_after(p95_pos, &b.p95_ms)) return false;
+    if (!number_after(p95_pos, &b.p95_ms))
+      return "the p95_ms of '" + b.name + "' is not a positive finite number";
+    for (const Budget& seen : *budgets)
+      if (seen.name == b.name) return "'" + b.name + "' is budgeted twice";
     budgets->push_back(std::move(b));
     pos = p95_pos;
   }
-  return !budgets->empty();
+  return budgets->empty() ? "no budget entries" : "";
 }
 
 int run_budget_gate(const char* budgets_path) {
@@ -1777,26 +1532,45 @@ int run_budget_gate(const char* budgets_path) {
                          std::istreambuf_iterator<char>());
   double tolerance = 0.0;
   std::vector<Budget> budgets;
-  if (!parse_budgets(text, &tolerance, &budgets) || tolerance < 1.0) {
-    fprintf(stderr, "malformed budgets file %s\n", budgets_path);
+  const std::string malformed = parse_budgets(text, &tolerance, &budgets);
+  if (!malformed.empty()) {
+    fprintf(stderr, "malformed budgets file %s: %s\n", budgets_path,
+            malformed.c_str());
     return 1;
   }
 
   HotPathFixtures fx = HotPathFixtures::make();
-  std::vector<ParallelWorkload> workloads = fx.workloads();
+  const std::vector<Workload> workloads = fx.workloads();
+  const auto find_workload = [&](const std::string& name) {
+    return std::find_if(workloads.begin(), workloads.end(),
+                        [&](const Workload& w) { return name == w.name; });
+  };
+  // The budgets and workloads() are one-to-one: a budget without a
+  // workload is a typo, and a workload without a budget is timed by
+  // nothing.
+  int unmatched = 0;
+  for (const Budget& b : budgets) {
+    if (find_workload(b.name) == workloads.end()) {
+      fprintf(stderr, "budget names unknown workload '%s'\n", b.name.c_str());
+      ++unmatched;
+    }
+  }
+  for (const Workload& w : workloads) {
+    if (std::none_of(budgets.begin(), budgets.end(),
+                     [&](const Budget& b) { return b.name == w.name; })) {
+      fprintf(stderr, "workload '%s' has no budget in %s\n", w.name,
+              budgets_path);
+      ++unmatched;
+    }
+  }
+  if (unmatched > 0) return 1;
+
   util::ScopedGlobalThreads threads(1);
   print_cpu_banner();
   int failures = 0;
   for (const Budget& b : budgets) {
-    const ParallelWorkload* wl = nullptr;
-    for (const ParallelWorkload& w : workloads)
-      if (b.name == w.name) wl = &w;
-    if (wl == nullptr) {
-      fprintf(stderr, "budget names unknown workload '%s'\n", b.name.c_str());
-      ++failures;
-      continue;
-    }
-    const Percentiles p = percentiles(time_reps(wl->reps, wl->fn));
+    const Workload& wl = *find_workload(b.name);
+    const Percentiles p = percentiles(time_reps(wl.reps, wl.fn));
     const double limit = b.p95_ms * tolerance;
     const bool ok = p.p95_ms <= limit;
     printf("%-22s p95 %8.3f ms  budget %8.3f ms x%.2f = %8.3f ms  %s\n",
@@ -1818,12 +1592,6 @@ int run_budget_gate(const char* budgets_path) {
 int main(int argc, char** argv) {
   // Report/gate modes replace the google-benchmark run entirely so every
   // configuration executes an identical call sequence.
-  if (const char* out = std::getenv("S2A_BENCH_PARALLEL"))
-    return run_parallel_report(out);
-  if (const char* out = std::getenv("S2A_BENCH_KERNELS"))
-    return run_kernels_report(out);
-  if (const char* out = std::getenv("S2A_BENCH_TRAIN"))
-    return run_train_report(out);
   if (const char* out = std::getenv("S2A_BENCH_FLEET"))
     return run_fleet_report(out);
   if (const char* out = std::getenv("S2A_BENCH_OFFLOAD"))

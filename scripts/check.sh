@@ -127,9 +127,14 @@ run_docs() {
   #  2. every `S2A_*` row of README's env table names a variable something
   #     reads: a quoted "S2A_..." literal in the C++/Python sources (which
   #     also catches env_double("S2A_...")-style helpers), or the bare
-  #     name in scripts/ (which catches ${S2A_...}).
+  #     name in scripts/ (which catches ${S2A_...});
+  #  3. every S2A_...= assignment in README.md, docs/*.md and the CI
+  #     workflows names a variable something reads, by the same test. A
+  #     leftover assignment of a deleted mode would otherwise pass, and in
+  #     CI run the microbench suite in its place. -DS2A_... CMake options
+  #     are not env vars and are skipped.
   local missing=0 stale=0
-  local vars rows
+  local vars rows assigned
   vars="$(grep -rhoE 'getenv\("S2A_[A-Z0-9_]+"\)' src bench examples tests 2>/dev/null \
           | sed -E 's/getenv\("([^"]+)"\)/\1/' | sort -u)"
   for var in $vars; do
@@ -138,11 +143,23 @@ run_docs() {
       missing=1
     fi
   done
+  is_read() {
+    grep -rqF "\"$1\"" src bench examples tests perfbench \
+      || grep -rqw "$1" scripts/
+  }
   rows="$(grep -oE '^\| `S2A_[A-Z0-9_]+`' README.md | sed -E 's/^\| `([^`]+)`/\1/' | sort -u)"
   for var in $rows; do
-    if ! grep -rqF "\"$var\"" src bench examples tests perfbench \
-       && ! grep -rqw "$var" scripts/; then
+    if ! is_read "$var"; then
       echo "ERROR: README's env table documents $var but nothing in the tree reads it" >&2
+      stale=1
+    fi
+  done
+  assigned="$(grep -ohE '(^|[^A-Za-z0-9_])S2A_[A-Z0-9_]+=' \
+                README.md docs/*.md .github/workflows/*.yml \
+              | sed -E 's/.*(S2A_[A-Z0-9_]+)=$/\1/' | sort -u)"
+  for var in $assigned; do
+    if ! is_read "$var"; then
+      echo "ERROR: $var= is assigned in README.md, docs/ or CI but nothing in the tree reads it" >&2
       stale=1
     fi
   done
@@ -151,7 +168,8 @@ run_docs() {
     return 1
   fi
   echo "    $(echo "$vars" | wc -l) env vars read, all documented;" \
-       "$(echo "$rows" | wc -l) README rows, all read"
+       "$(echo "$rows" | wc -l) README rows and" \
+       "$(echo "$assigned" | wc -l) assigned vars, all read"
 }
 
 case "$STAGE" in

@@ -133,7 +133,10 @@ void write_chrome_trace(const TraceBuffer& buffer, std::ostream& os) {
        << ",\"ts\":" << static_cast<double>(ev.start_ns) / 1e3
        << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3 << "}";
   }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  // Events the ring overwrote before this export: a non-zero count marks
+  // a truncated trace that kept only the newest spans.
+  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":"
+     << buffer.pushed() - buffer.size() << "}}\n";
   os.precision(old_precision);
 }
 

@@ -98,7 +98,9 @@ std::uint32_t current_thread_depth();
 
 /// Writes the buffer as Chrome trace_event JSON ({"traceEvents":[...]}).
 /// Timestamps are microseconds; nesting is reconstructed by Perfetto from
-/// the spans' time containment per thread.
+/// the spans' time containment per thread. "otherData" carries
+/// "dropped_events" (pushed() - size()): the oldest spans a wrapped ring
+/// overwrote, so a truncated trace says so.
 void write_chrome_trace(const TraceBuffer& buffer, std::ostream& os);
 
 /// Convenience: write_chrome_trace to `path`; returns false on I/O error.

@@ -213,6 +213,11 @@ TEST(Trace, RingBufferWrapsKeepingNewestEvents) {
   for (int i = 0; i < 8; ++i)
     EXPECT_EQ(events[static_cast<std::size_t>(i)].start_ns,
               static_cast<std::uint64_t>(12 + i));
+  // The export says the trace was truncated: 20 pushed, 8 retained.
+  std::ostringstream os;
+  obs::write_chrome_trace(buf, os);
+  EXPECT_NE(os.str().find("\"otherData\":{\"dropped_events\":12}"),
+            std::string::npos);
 }
 
 TEST(Trace, ChromeExportIsWellFormedAndNested) {
@@ -229,6 +234,8 @@ TEST(Trace, ChromeExportIsWellFormedAndNested) {
   EXPECT_NE(json.find("\"obs_test.export_outer\""), std::string::npos);
   EXPECT_NE(json.find("\"obs_test.export_inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"otherData\":{\"dropped_events\":0}"),
+            std::string::npos);
   // Balanced braces/brackets — cheap structural validity check.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
