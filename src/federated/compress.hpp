@@ -7,7 +7,8 @@
 // client participates, so the compression error is fed back instead of
 // lost ("error feedback" / EF-SGD). Selection is deterministic — ties
 // break on the lower flat index — so compressed runs are bit-identical
-// at every thread count.
+// at every thread count. The selection sorts nothing: a threshold on
+// integer magnitude keys, then one pass in index order (topk_compress).
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,13 @@ std::size_t dense_wire_bytes(std::size_t numel);
 std::size_t topk_keep_count(std::size_t eligible_count, double k_fraction);
 
 /// Magnitude top-k compression of `delta` (modified in place), with
-/// optional error feedback and an optional eligibility mask.
+/// optional error feedback and an optional eligibility mask. The
+/// compressed delta is written to `out` (its previous entries are
+/// discarded); `keys` is selection scratch. Both are caller-owned and
+/// only ever grow, so a caller that keeps them across calls (one pair
+/// per worker, as the hierarchical engine's work slots do) allocates
+/// nothing in steady state once `keys` holds delta.size() entries and
+/// `out.entries` one more than the eligible count.
 ///
 ///  * If `residual` is non-null it must be empty or sized like `delta`;
 ///    it is added into `delta` on eligible positions before selection
@@ -54,10 +61,34 @@ std::size_t topk_keep_count(std::size_t eligible_count, double k_fraction);
 ///    ship — or carry residual for — the hidden units they did not
 ///    train this round).
 ///  * Selection keeps the topk_keep_count() largest |value| entries,
-///    ties broken toward the lower index; exact zeros are never
+///    ties broken toward the lower index; exact zeros (±0.0) are never
 ///    shipped. k_fraction must be in (0, 1]; 1.0 ships every eligible
 ///    nonzero entry, so a residual (if present) drains to zero on the
 ///    eligible positions.
+///
+/// Method: each value's magnitude is ranked by its integer key — the
+/// IEEE-754 bits with the sign cleared, whose unsigned order is the
+/// order of |value| (±0.0 is key 0). A most-significant-digit radix
+/// select over the nonzero eligible keys finds the keep-th largest key
+/// T (on 276-entry client deltas: 1.0–1.4 µs, against 2.9–3.4 µs for
+/// nth_element on the same keys, 4-vCPU AVX-512 host); one pass in index
+/// order then ships every key above T plus the first keep − #(key > T)
+/// keys equal to T, which is exactly the lower-index tie-break. The
+/// entries therefore come out sorted by ascending index by
+/// construction, and the same pass writes the residual.
+///
+/// Non-finite values are ranked by the same key, so the order is total
+/// and defined: +/-inf ranks above every finite magnitude, and NaN
+/// above inf (NaNs among themselves by payload bits), ties toward the
+/// lower index as usual. A shipped NaN/inf travels as is — callers that
+/// must not ship one (the hierarchical engine) quarantine non-finite
+/// deltas before compressing.
+void topk_compress(std::vector<double>& delta, double k_fraction,
+                   std::vector<double>* residual,
+                   const std::vector<unsigned char>* eligible,
+                   SparseDelta& out, std::vector<std::uint64_t>& keys);
+
+/// The same selection into a fresh SparseDelta, with its own scratch.
 SparseDelta topk_compress(std::vector<double>& delta, double k_fraction,
                           std::vector<double>* residual,
                           const std::vector<unsigned char>* eligible);

@@ -41,43 +41,58 @@ std::size_t mlp_macs(const MlpParams& p, int active_hidden) {
 
 namespace {
 
-// Forward for one sample; h and logits are outputs. Applies activation
-// quantization when bits < 32.
-void forward_one(const MlpParams& p, const double* x,
-                 const std::vector<bool>& active, int act_bits,
-                 std::vector<double>& h, std::vector<double>& logits) {
-  h.assign(static_cast<std::size_t>(p.hidden), 0.0);
+// Forward for one sample over the listed hidden units (ascending); h
+// (hidden entries) and logits (classes entries) are outputs, h zero on
+// the unlisted units. Applies activation quantization when bits < 32.
+void forward_one(const MlpParams& p, const double* x, const int* units,
+                 std::size_t n_units, int act_bits, double* h,
+                 double* logits) {
+  std::fill(h, h + p.hidden, 0.0);
   double act_scale = 0.0;
-  for (int j = 0; j < p.hidden; ++j) {
-    if (!active[static_cast<std::size_t>(j)]) continue;
+  for (std::size_t u = 0; u < n_units; ++u) {
+    const int j = units[u];
     double a = p.b1[static_cast<std::size_t>(j)];
     const double* w = p.w1.data() + static_cast<std::size_t>(j) * p.in;
     for (int i = 0; i < p.in; ++i) a += w[i] * x[i];
-    h[static_cast<std::size_t>(j)] = a > 0.0 ? a : 0.0;  // ReLU
-    act_scale = std::max(act_scale, std::abs(h[static_cast<std::size_t>(j)]));
+    h[j] = a > 0.0 ? a : 0.0;  // ReLU
+    act_scale = std::max(act_scale, std::abs(h[j]));
   }
+  // The unlisted units hold +0.0, which quantizes to itself.
   if (act_bits < 32 && act_scale > 0.0)
-    for (auto& v : h) v = quantize_value(v, act_scale, act_bits);
+    for (std::size_t u = 0; u < n_units; ++u)
+      h[units[u]] = quantize_value(h[units[u]], act_scale, act_bits);
 
-  logits.assign(static_cast<std::size_t>(p.classes), 0.0);
   for (int c = 0; c < p.classes; ++c) {
     double a = p.b2[static_cast<std::size_t>(c)];
     const double* w = p.w2.data() + static_cast<std::size_t>(c) * p.hidden;
-    for (int j = 0; j < p.hidden; ++j)
-      if (active[static_cast<std::size_t>(j)]) a += w[j] * h[static_cast<std::size_t>(j)];
-    logits[static_cast<std::size_t>(c)] = a;
+    for (std::size_t u = 0; u < n_units; ++u) a += w[units[u]] * h[units[u]];
+    logits[c] = a;
   }
 }
 
-void softmax_inplace(std::vector<double>& v) {
+void softmax_inplace(double* v, int n) {
   double mx = v[0];
-  for (double x : v) mx = std::max(mx, x);
+  for (int i = 0; i < n; ++i) mx = std::max(mx, v[i]);
   double sum = 0.0;
-  for (auto& x : v) {
-    x = std::exp(x - mx);
-    sum += x;
+  for (int i = 0; i < n; ++i) {
+    v[i] = std::exp(v[i] - mx);
+    sum += v[i];
   }
-  for (auto& x : v) x /= sum;
+  for (int i = 0; i < n; ++i) v[i] /= sum;
+}
+
+/// Per-thread local_train workspace. It only grows (to the largest
+/// model and shard the thread has trained), so steady-state client
+/// updates allocate nothing.
+struct TrainScratch {
+  std::vector<int> units;  // active hidden units, ascending
+  std::vector<int> order;  // the epoch's sample order
+  std::vector<double> h, logits, dlogits, dh;
+};
+
+TrainScratch& train_scratch() {
+  thread_local TrainScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -97,13 +112,16 @@ double evaluate_accuracy(const MlpParams& p,
   std::vector<int> chunk_correct(chunks, 0);
   pool.parallel_for_chunks(
       0, n, grain, [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
-        std::vector<bool> active(static_cast<std::size_t>(p.hidden), true);
-        std::vector<double> h, logits;
+        std::vector<int> units(static_cast<std::size_t>(p.hidden));
+        for (int j = 0; j < p.hidden; ++j) units[static_cast<std::size_t>(j)] = j;
+        std::vector<double> h(static_cast<std::size_t>(p.hidden));
+        std::vector<double> logits(static_cast<std::size_t>(p.classes));
         int correct = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const std::size_t idx =
               indices.empty() ? i : static_cast<std::size_t>(indices[i]);
-          forward_one(p, data.features[idx].data(), active, 32, h, logits);
+          forward_one(p, data.features[idx].data(), units.data(), units.size(),
+                      32, h.data(), logits.data());
           int best = 0;
           for (int c = 1; c < p.classes; ++c)
             if (logits[static_cast<std::size_t>(c)] >
@@ -130,60 +148,73 @@ double local_train(MlpParams& p, const sim::ClassificationDataset& data,
   // Quantize weights in place once per round (weights are re-broadcast by
   // the server each round, so this models quantized local compute).
   if (precision.weight_bits < 32) {
-    std::vector<double> w(p.w1.data(), p.w1.data() + p.w1.numel());
-    fake_quantize(w, precision.weight_bits);
-    std::copy(w.begin(), w.end(), p.w1.data());
-    w.assign(p.w2.data(), p.w2.data() + p.w2.numel());
-    fake_quantize(w, precision.weight_bits);
-    std::copy(w.begin(), w.end(), p.w2.data());
+    fake_quantize(p.w1.data(), p.w1.numel(), precision.weight_bits);
+    fake_quantize(p.w2.data(), p.w2.numel(), precision.weight_bits);
   }
 
-  int active_count = 0;
-  for (bool a : active)
-    if (a) ++active_count;
+  // The mask is read once, into an ascending unit list: every loop below
+  // visits the active units in the order the mask test did, so each
+  // accumulation chain — and so every result bit — is unchanged.
+  TrainScratch& s = train_scratch();
+  s.units.clear();
+  for (int j = 0; j < p.hidden; ++j)
+    if (active[static_cast<std::size_t>(j)]) s.units.push_back(j);
+  const int* units = s.units.data();
+  const std::size_t n_units = s.units.size();
+  s.order.assign(shard.begin(), shard.end());
+  s.h.resize(static_cast<std::size_t>(p.hidden));
+  s.dh.resize(static_cast<std::size_t>(p.hidden));
+  s.logits.resize(static_cast<std::size_t>(p.classes));
+  s.dlogits.resize(static_cast<std::size_t>(p.classes));
+  double* h = s.h.data();
+  double* dh = s.dh.data();
+  double* logits = s.logits.data();
+  double* dlogits = s.dlogits.data();
 
-  std::vector<int> order = shard;
-  std::vector<double> h, logits;
+  const double sample_macs =
+      3.0 * static_cast<double>(mlp_macs(p, static_cast<int>(n_units)));
   double macs = 0.0;
   (void)batch;  // per-sample SGD: batch kept in the signature for clarity
 
   for (int e = 0; e < epochs; ++e) {
-    rng.shuffle(order);
-    for (int idx : order) {
-      const auto& x = data.features[static_cast<std::size_t>(idx)];
+    rng.shuffle(s.order);
+    for (int idx : s.order) {
+      const double* x = data.features[static_cast<std::size_t>(idx)].data();
       const int y = data.labels[static_cast<std::size_t>(idx)];
-      forward_one(p, x.data(), active, precision.activation_bits, h, logits);
-      macs += 3.0 * static_cast<double>(mlp_macs(p, active_count));
+      forward_one(p, x, units, n_units, precision.activation_bits, h, logits);
+      macs += sample_macs;
 
-      softmax_inplace(logits);
-      std::vector<double> dlogits = logits;
-      dlogits[static_cast<std::size_t>(y)] -= 1.0;
+      softmax_inplace(logits, p.classes);
+      std::copy(logits, logits + p.classes, dlogits);
+      dlogits[y] -= 1.0;
       if (precision.gradient_bits < 32)
-        fake_quantize(dlogits, precision.gradient_bits);
+        fake_quantize(dlogits, static_cast<std::size_t>(p.classes),
+                      precision.gradient_bits);
 
-      // Backward + SGD update.
-      std::vector<double> dh(static_cast<std::size_t>(p.hidden), 0.0);
+      // Backward + SGD update; lr * g is formed first, exactly as the
+      // left-to-right product lr * g * h[j] evaluates it.
+      std::fill(dh, dh + p.hidden, 0.0);
       for (int c = 0; c < p.classes; ++c) {
         double* w = p.w2.data() + static_cast<std::size_t>(c) * p.hidden;
-        const double g = dlogits[static_cast<std::size_t>(c)];
-        for (int j = 0; j < p.hidden; ++j) {
-          if (!active[static_cast<std::size_t>(j)]) continue;
-          dh[static_cast<std::size_t>(j)] += g * w[j];
-          w[j] -= lr * g * h[static_cast<std::size_t>(j)];
+        const double g = dlogits[c];
+        const double lg = lr * g;
+        for (std::size_t u = 0; u < n_units; ++u) {
+          const int j = units[u];
+          dh[j] += g * w[j];
+          w[j] -= lg * h[j];
         }
-        p.b2[static_cast<std::size_t>(c)] -= lr * g;
+        p.b2[static_cast<std::size_t>(c)] -= lg;
       }
       if (precision.gradient_bits < 32)
-        fake_quantize(dh, precision.gradient_bits);
-      for (int j = 0; j < p.hidden; ++j) {
-        if (!active[static_cast<std::size_t>(j)] ||
-            h[static_cast<std::size_t>(j)] <= 0.0)
-          continue;  // ReLU gate
-        const double g = dh[static_cast<std::size_t>(j)];
+        fake_quantize(dh, static_cast<std::size_t>(p.hidden),
+                      precision.gradient_bits);
+      for (std::size_t u = 0; u < n_units; ++u) {
+        const int j = units[u];
+        if (h[j] <= 0.0) continue;  // ReLU gate
+        const double lg = lr * dh[j];
         double* w = p.w1.data() + static_cast<std::size_t>(j) * p.in;
-        for (int i = 0; i < p.in; ++i)
-          w[i] -= lr * g * x[static_cast<std::size_t>(i)];
-        p.b1[static_cast<std::size_t>(j)] -= lr * g;
+        for (int i = 0; i < p.in; ++i) w[i] -= lg * x[i];
+        p.b1[static_cast<std::size_t>(j)] -= lg;
       }
     }
   }

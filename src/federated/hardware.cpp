@@ -64,11 +64,16 @@ double quantize_value(double v, double scale, int bits) {
 }
 
 void fake_quantize(std::vector<double>& values, int bits) {
-  if (bits >= 32 || values.empty()) return;
+  fake_quantize(values.data(), values.size(), bits);
+}
+
+void fake_quantize(double* values, std::size_t n, int bits) {
+  if (bits >= 32 || n == 0) return;
   double scale = 0.0;
-  for (double v : values) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < n; ++i) scale = std::max(scale, std::abs(values[i]));
   if (scale == 0.0) return;
-  for (double& v : values) v = quantize_value(v, scale, bits);
+  for (std::size_t i = 0; i < n; ++i)
+    values[i] = quantize_value(values[i], scale, bits);
 }
 
 }  // namespace s2a::federated

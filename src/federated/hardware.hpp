@@ -54,6 +54,7 @@ RoundCost round_cost(double training_macs, const HardwareProfile& hw,
 /// Symmetric uniform fake-quantization of a value set to `bits`
 /// (per-tensor max scaling). 32 bits returns inputs unchanged.
 void fake_quantize(std::vector<double>& values, int bits);
+void fake_quantize(double* values, std::size_t n, int bits);
 double quantize_value(double v, double scale, int bits);
 
 }  // namespace s2a::federated

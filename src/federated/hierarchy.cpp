@@ -39,14 +39,16 @@ namespace {
 
 constexpr double kFixedScale = 4294967296.0;  // 2^32
 
-inline long long to_fixed(double v) {
+inline long long to_fixed(double v, long& saturated) {
   const double scaled = v * kFixedScale;
   // Saturate instead of invoking llround UB on out-of-range values; the
-  // clamp is itself deterministic.
-  if (scaled >= 9.2233720368547758e18)
-    return std::numeric_limits<long long>::max();
-  if (scaled <= -9.2233720368547758e18)
-    return std::numeric_limits<long long>::min();
+  // clamp is itself deterministic. Every clamped (finite but wrong) term
+  // is counted with a compare-and-add, not a branch.
+  const bool high = scaled >= 9.2233720368547758e18;
+  const bool low = scaled <= -9.2233720368547758e18;
+  saturated += high | low;
+  if (high) return std::numeric_limits<long long>::max();
+  if (low) return std::numeric_limits<long long>::min();
   return std::llround(scaled);
 }
 
@@ -82,6 +84,7 @@ struct FixedAcc {
   long long round_w = 0;
   int survivors = 0;
   long quarantined = 0;  // client deltas rejected by the finite check
+  long saturated = 0;    // terms to_fixed clamped to the Q32.32 range
 
   void resize(const FlatLayout& l) {
     v.assign(l.total, 0);
@@ -89,6 +92,7 @@ struct FixedAcc {
     round_w = 0;
     survivors = 0;
     quarantined = 0;
+    saturated = 0;
   }
   void reset() {
     std::fill(v.begin(), v.end(), static_cast<__int128>(0));
@@ -96,6 +100,7 @@ struct FixedAcc {
     round_w = 0;
     survivors = 0;
     quarantined = 0;
+    saturated = 0;
   }
   void merge(const FixedAcc& o) {
     for (std::size_t i = 0; i < v.size(); ++i) v[i] += o.v[i];
@@ -103,6 +108,7 @@ struct FixedAcc {
     round_w += o.round_w;
     survivors += o.survivors;
     quarantined += o.quarantined;
+    saturated += o.saturated;
   }
   std::size_t bytes() const {
     return v.capacity() * sizeof(__int128) +
@@ -130,15 +136,16 @@ void fold_dense(FixedAcc& acc, const std::vector<double>& d,
   for (int j = 0; j < l.hidden; ++j) {
     if (!active[static_cast<std::size_t>(j)]) continue;
     const std::size_t row = l.w1 + static_cast<std::size_t>(j) * l.in;
-    for (int i = 0; i < l.in; ++i) acc.v[row + i] += to_fixed(w * d[row + i]);
-    acc.v[l.b1 + j] += to_fixed(w * d[l.b1 + j]);
+    for (int i = 0; i < l.in; ++i)
+      acc.v[row + i] += to_fixed(w * d[row + i], acc.saturated);
+    acc.v[l.b1 + j] += to_fixed(w * d[l.b1 + j], acc.saturated);
     for (int k = 0; k < l.classes; ++k) {
       const std::size_t idx = l.w2 + static_cast<std::size_t>(k) * l.hidden + j;
-      acc.v[idx] += to_fixed(w * d[idx]);
+      acc.v[idx] += to_fixed(w * d[idx], acc.saturated);
     }
   }
   for (int k = 0; k < l.classes; ++k)
-    acc.v[l.b2 + k] += to_fixed(w * d[l.b2 + k]);
+    acc.v[l.b2 + k] += to_fixed(w * d[l.b2 + k], acc.saturated);
 }
 
 /// Fold a compressed delta: the client still earns full renormalization
@@ -149,7 +156,15 @@ void fold_sparse(FixedAcc& acc, const SparseDelta& sd,
   credit_weights(acc, active, wgt);
   const double w = static_cast<double>(wgt);
   for (const SparseEntry& e : sd.entries)
-    acc.v[e.index] += to_fixed(w * e.value);
+    acc.v[e.index] += to_fixed(w * e.value, acc.saturated);
+}
+
+/// Wire bytes of one fixed-point aggregate forwarded up a level (edge →
+/// region, region → global): a 16-byte header, the Q32.32 values, the
+/// per-unit weights and the round weight.
+std::size_t aggregate_wire_bytes(const FlatLayout& l) {
+  return 16 + l.total * sizeof(__int128) +
+         static_cast<std::size_t>(l.hidden) * sizeof(long long) + 8;
 }
 
 /// Apply the (global-level) aggregate to the model in place, mirroring
@@ -377,6 +392,7 @@ HierResult run_federated_hier(FlStrategy strategy,
     residuals.resize(static_cast<std::size_t>(clients));
 
   const net::LinkSim uplink(cfg.uplink, net::LinkFaultSchedule{}, 0, 0);
+  const std::size_t forward_bytes = aggregate_wire_bytes(layout);
 
   util::ThreadPool& pool = util::global_pool();
   const std::size_t pool_size = static_cast<std::size_t>(pool.size());
@@ -389,6 +405,8 @@ HierResult run_federated_hier(FlStrategy strategy,
     std::vector<bool> active;
     std::vector<double> delta;
     std::vector<unsigned char> eligible;
+    SparseDelta sparse;                    // top-k output
+    std::vector<std::uint64_t> topk_keys;  // top-k selection scratch
     FixedAcc acc;
     std::size_t bytes_wire = 0;
     std::size_t bytes_dense = 0;
@@ -400,10 +418,12 @@ HierResult run_federated_hier(FlStrategy strategy,
   global_acc.resize(layout);
 
   const auto slot_bytes = [&](const WorkSlot& s) {
-    return layout.total * sizeof(double)         // model workspace
-           + s.delta.capacity() * sizeof(double) // flattened delta
-           + s.eligible.capacity()               // compression mask
-           + s.acc.bytes();                      // chunk accumulator
+    return layout.total * sizeof(double)          // model workspace
+           + s.delta.capacity() * sizeof(double)  // flattened delta
+           + s.eligible.capacity()                // compression mask
+           + s.sparse.entries.capacity() * sizeof(SparseEntry)  // top-k out
+           + s.topk_keys.capacity() * sizeof(std::uint64_t)     // top-k keys
+           + s.acc.bytes();                       // chunk accumulator
   };
   const auto note_peak = [&] {
     std::size_t live =
@@ -647,7 +667,13 @@ HierResult run_federated_hier(FlStrategy strategy,
         while (slots.size() < chunks) {
           WorkSlot s;
           s.delta.resize(layout.total);
-          if (compressing) s.eligible.resize(layout.total);
+          if (compressing) {
+            // Sized once for the largest possible update, so top-k never
+            // grows them mid-round and the peak accounting stays exact.
+            s.eligible.resize(layout.total);
+            s.sparse.entries.reserve(layout.total + 1);
+            s.topk_keys.reserve(layout.total);
+          }
           s.acc.resize(layout);
           slots.push_back(std::move(s));
         }
@@ -692,10 +718,10 @@ HierResult run_federated_hier(FlStrategy strategy,
                       cfg.error_feedback
                           ? &residuals[static_cast<std::size_t>(c)]
                           : nullptr;
-                  const SparseDelta sd = topk_compress(
-                      s.delta, cfg.topk_fraction, resid, &s.eligible);
-                  s.bytes_wire += sparse_wire_bytes(sd);
-                  fold_sparse(s.acc, sd, s.active, wgt);
+                  topk_compress(s.delta, cfg.topk_fraction, resid,
+                                &s.eligible, s.sparse, s.topk_keys);
+                  s.bytes_wire += sparse_wire_bytes(s.sparse);
+                  fold_sparse(s.acc, s.sparse, s.active, wgt);
                 } else {
                   s.bytes_wire += dense_wire_bytes(layout.total);
                   fold_dense(s.acc, s.delta, s.active, wgt, layout);
@@ -716,21 +742,13 @@ HierResult run_federated_hier(FlStrategy strategy,
         // compression ratio isolates the client-uplink savings.
         region_acc.merge(edge_acc);
         region_has_data = true;
-        const std::size_t forward = 16 + layout.total * sizeof(__int128) +
-                                    static_cast<std::size_t>(layout.hidden) *
-                                        sizeof(long long) +
-                                    8;
-        round_bytes += forward;
-        round_dense += forward;
+        round_bytes += forward_bytes;
+        round_dense += forward_bytes;
       }
       if (region_has_data) {
         global_acc.merge(region_acc);
-        const std::size_t forward = 16 + layout.total * sizeof(__int128) +
-                                    static_cast<std::size_t>(layout.hidden) *
-                                        sizeof(long long) +
-                                    8;
-        round_bytes += forward;
-        round_dense += forward;
+        round_bytes += forward_bytes;
+        round_dense += forward_bytes;
       }
     }
     hier.bytes_on_wire += static_cast<double>(round_bytes);
@@ -742,6 +760,10 @@ HierResult run_federated_hier(FlStrategy strategy,
     if (global_acc.quarantined > 0)
       S2A_COUNTER_ADD("fed.nonfinite_deltas",
                       static_cast<std::int64_t>(global_acc.quarantined));
+    hier.saturated_terms += global_acc.saturated;
+    if (global_acc.saturated > 0)
+      S2A_COUNTER_ADD("fed.hier.saturated_terms",
+                      static_cast<std::int64_t>(global_acc.saturated));
     res.survivors_per_round.push_back(global_acc.survivors);
     S2A_GAUGE_SET("fed.round_survivors", global_acc.survivors);
 

@@ -131,6 +131,12 @@ struct HierStats {
   /// Asserted flat across client counts by S2A_BENCH_FED_SCALE.
   std::size_t peak_accumulator_bytes = 0;
 
+  /// Weighted client-delta terms whose Q32.32 value fell outside the
+  /// fixed-point range and were clamped by the fold: finite but wrong
+  /// updates. Counted per term (not per client), identically at every
+  /// thread count; such deltas are still aggregated, clamped.
+  long saturated_terms = 0;
+
   /// Rounds each client participated in (survived sampling and plan
   /// dropout; it may still have been dropped or quarantined later).
   std::vector<int> client_participation;

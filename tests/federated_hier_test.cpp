@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 
 #include "fault/fault.hpp"
 #include "federated/compress.hpp"
@@ -13,6 +16,7 @@
 #include "federated/hierarchy.hpp"
 #include "sim/dataset.hpp"
 #include "util/thread_pool.hpp"
+#include "federated_oracle.hpp"
 
 namespace s2a::federated {
 namespace {
@@ -274,6 +278,130 @@ TEST(FedCompress, FullFractionShipsEverythingAndDrainsResidual) {
   EXPECT_LT(sparse_wire_bytes(sd), dense_wire_bytes(3) + 16);
 }
 
+/// A delta that exercises every ordering edge the selection has: runs
+/// of equal magnitudes of both signs, ±0.0, subnormals and a spread of
+/// exponents. `coarse` draws from a handful of magnitudes so the
+/// keep-th key is almost always tied.
+std::vector<double> adversarial_delta(std::size_t n, bool coarse, Rng& rng) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double sign = rng.bernoulli(0.5) ? -1.0 : 1.0;
+    const double u = rng.uniform();
+    if (u < 0.08) {
+      d[i] = sign * 0.0;
+    } else if (u < 0.16) {
+      d[i] = sign * tiny * static_cast<double>(rng.uniform_int(1, 4));
+    } else if (coarse) {
+      d[i] = sign * std::ldexp(1.0, rng.uniform_int(-3, 0));
+    } else if (u < 0.4 && i > 0) {
+      // A tie with an earlier position, either sign.
+      d[i] = sign * std::abs(d[static_cast<std::size_t>(
+                        rng.uniform_int(0, static_cast<int>(i) - 1))]);
+    } else {
+      d[i] = rng.normal() * std::ldexp(1.0, rng.uniform_int(-20, 2));
+    }
+  }
+  return d;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << " @" << i;
+}
+
+void expect_same_entries(const SparseDelta& got, const SparseDelta& want) {
+  EXPECT_EQ(got.dense_numel, want.dense_numel);
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (std::size_t i = 0; i < want.entries.size(); ++i) {
+    ASSERT_EQ(got.entries[i].index, want.entries[i].index) << i;
+    ASSERT_EQ(bits(got.entries[i].value), bits(want.entries[i].value)) << i;
+  }
+}
+
+TEST(FedCompress, ThresholdSelectionMatchesComparatorOracleBitForBit) {
+  // One output and one key buffer across every case: reuse after larger
+  // and smaller calls must not leak entries or stale keys.
+  SparseDelta out;
+  std::vector<std::uint64_t> keys;
+  Rng rng(2024);
+  int cases = 0;
+  for (std::size_t n : {1u, 2u, 5u, 276u, 4099u}) {
+    for (double k : {1.0 / static_cast<double>(n), 0.25, 0.5, 1.0}) {
+      for (int variant = 0; variant < 12; ++variant) {
+        const bool coarse = variant % 2 == 1;
+        const bool masked = (variant / 2) % 2 == 1;
+        const int resid_mode = variant / 4;  // 0 none, 1 empty, 2 carried
+        std::vector<double> delta = adversarial_delta(n, coarse, rng);
+        std::vector<unsigned char> eligible(n, 1);
+        if (masked)
+          for (auto& e : eligible) e = rng.bernoulli(0.7) ? 1 : 0;
+        std::vector<double> resid;
+        if (resid_mode == 2) resid = adversarial_delta(n, coarse, rng);
+
+        const auto* el = masked ? &eligible : nullptr;
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
+                                          << " variant=" << variant);
+        std::vector<double> want_delta = delta, want_resid = resid;
+        const SparseDelta want = oracle::topk_compress(
+            want_delta, k, resid_mode > 0 ? &want_resid : nullptr, el);
+
+        // Both forms: into the reused buffers, and the returning one.
+        for (const bool reuse : {true, false}) {
+          std::vector<double> got_delta = delta, got_resid = resid;
+          std::vector<double>* r = resid_mode > 0 ? &got_resid : nullptr;
+          if (reuse) {
+            topk_compress(got_delta, k, r, el, out, keys);
+            expect_same_entries(out, want);
+          } else {
+            expect_same_entries(topk_compress(got_delta, k, r, el), want);
+          }
+          expect_same_bits(got_delta, want_delta, "delta");
+          expect_same_bits(got_resid, want_resid, "residual");
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5 * 4 * 12);
+}
+
+TEST(FedCompress, NonFiniteValuesRankAboveEveryFiniteMagnitude) {
+  // The key order is total: NaN above inf above every finite magnitude,
+  // ties (here -inf vs +inf) toward the lower index.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> in{1.0, nan, -inf, 2.0, inf, -3.0};
+
+  std::vector<double> delta = in;
+  std::vector<double> resid;
+  const SparseDelta three = topk_compress(delta, 0.5, &resid, nullptr);
+  ASSERT_EQ(three.entries.size(), 3u);
+  EXPECT_EQ(three.entries[0].index, 1u);
+  EXPECT_TRUE(std::isnan(three.entries[0].value));
+  EXPECT_EQ(three.entries[1].index, 2u);
+  EXPECT_EQ(three.entries[1].value, -inf);
+  EXPECT_EQ(three.entries[2].index, 4u);
+  EXPECT_EQ(three.entries[2].value, inf);
+  // Every finite entry is carried, every shipped one discharged.
+  EXPECT_EQ(resid, (std::vector<double>{1.0, 0.0, 0.0, 2.0, 0.0, -3.0}));
+
+  delta = in;
+  const SparseDelta two = topk_compress(delta, 0.3, nullptr, nullptr);
+  ASSERT_EQ(two.entries.size(), 2u);
+  EXPECT_EQ(two.entries[0].index, 1u);
+  EXPECT_EQ(two.entries[1].index, 2u);
+
+  delta = in;
+  const SparseDelta four = topk_compress(delta, 0.6, nullptr, nullptr);
+  ASSERT_EQ(four.entries.size(), 4u);
+  EXPECT_EQ(four.entries[3].index, 5u);  // the largest finite magnitude
+}
+
 TEST(FedCompress, CompressedRunConvergesNearDenseAndSavesBytes) {
   const FlFixture f = make_fixture(6);
   HierConfig dense;
@@ -407,6 +535,46 @@ TEST(FedHierFaults, RegionLossLeavesModelUnchanged) {
                    res.fl.accuracy_per_round[1]);
   // Round 2 aggregates normally again.
   EXPECT_EQ(res.fl.survivors_per_round[2], 6);
+}
+
+TEST(FedHierFaults, HugeFiniteDeltaSaturationIsCountedAtAnyThreadCount) {
+  // A learning rate this large drives client deltas far past the Q32.32
+  // range while they stay finite: the fold clamps those terms, and the
+  // clamp count is a per-term integer sum, so it (and everything the
+  // clamped aggregate produces) is identical at every thread count.
+  const FlFixture f = make_fixture(9);
+  HierConfig hier;
+  hier.fl.rounds = 2;
+  hier.fl.local_epochs = 1;
+  hier.fl.lr = 1e3;
+  hier.clients_per_edge = 3;
+  hier.edges_per_region = 2;
+
+  HierResult serial;
+  {
+    util::ScopedGlobalThreads threads(1);
+    Rng rng(101);
+    serial = run_federated_hier(FlStrategy::kStaticFl, f.tr, f.te, f.shards,
+                                f.fleet, hier, rng);
+  }
+  EXPECT_GT(serial.hier.saturated_terms, 0);
+  EXPECT_EQ(serial.fl.nonfinite_deltas, 0);  // finite: not quarantined
+  {
+    util::ScopedGlobalThreads threads(4);
+    Rng rng(101);
+    const HierResult pooled = run_federated_hier(
+        FlStrategy::kStaticFl, f.tr, f.te, f.shards, f.fleet, hier, rng);
+    EXPECT_EQ(pooled.hier.saturated_terms, serial.hier.saturated_terms);
+    expect_results_equal(pooled.fl, serial.fl);
+  }
+
+  // A sane learning rate never saturates.
+  HierConfig sane = hier;
+  sane.fl.lr = 0.08;
+  Rng rng(101);
+  const HierResult ok = run_federated_hier(FlStrategy::kStaticFl, f.tr, f.te,
+                                           f.shards, f.fleet, sane, rng);
+  EXPECT_EQ(ok.hier.saturated_terms, 0);
 }
 
 // ---------------------------------------------------------------------------

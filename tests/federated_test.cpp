@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "federated/fedavg.hpp"
 #include "federated/hardware.hpp"
@@ -130,6 +132,55 @@ TEST(Mlp, MaskedChannelsStayUntouched) {
   for (int i = 0; i < 8; ++i)
     EXPECT_DOUBLE_EQ(p.w1[static_cast<std::size_t>(3) * 8 + i],
                      orig.w1[static_cast<std::size_t>(3) * 8 + i]);
+}
+
+/// FNV-1a over the IEEE-754 bytes of every parameter, w1|b1|w2|b2.
+std::uint64_t params_digest(const MlpParams& p) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const nn::Tensor* t : {&p.w1, &p.b1, &p.w2, &p.b2})
+    for (std::size_t i = 0; i < t->numel(); ++i) {
+      const std::uint64_t b = std::bit_cast<std::uint64_t>((*t)[i]);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (b >> (8 * byte)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  return h;
+}
+
+TEST(Mlp, LocalTrainPinnedBitsForSeed32) {
+  // Every trained bit of local_train, pinned: the fp32 path, 8-bit
+  // weights/activations/gradients, and a partial DC-NAS mask (alone and
+  // with low precision). Any reordering of its arithmetic changes a
+  // digest.
+  struct Case {
+    const char* name;
+    PrecisionConfig precision;
+    bool partial_mask;
+    std::uint64_t digest;
+    double macs;
+  };
+  const Case cases[] = {
+      {"fp32", {32, 32, 32}, false, 0xca50a0a592b5ce1cULL, 61440.0},
+      {"int8", {8, 8, 8}, false, 0x379fb0311caeba0cULL, 61440.0},
+      {"dcnas", {32, 32, 32}, true, 0x97377bdbb52d8388ULL, 42240.0},
+      {"dcnas_low_precision", {6, 6, 8}, true, 0xbc1532831396edfcULL, 42240.0},
+  };
+  Rng data_rng(31);
+  const auto ds = sim::make_gaussian_classes(96, 12, 4, 3.0, data_rng);
+  std::vector<int> shard;
+  for (int i = 0; i < 40; ++i) shard.push_back((i * 7) % 96);
+  for (const Case& c : cases) {
+    Rng rng(32);
+    MlpParams p = init_mlp(12, 16, 4, rng);
+    std::vector<bool> active(16, true);
+    if (c.partial_mask)
+      for (int j = 0; j < 16; ++j) active[static_cast<std::size_t>(j)] = j % 3 != 1;
+    const double macs =
+        local_train(p, ds, shard, active, c.precision, 2, 8, 0.1, rng);
+    EXPECT_EQ(params_digest(p), c.digest) << c.name;
+    EXPECT_EQ(macs, c.macs) << c.name;
+  }
 }
 
 TEST(Selection, WeakClientGetsNarrowWidth) {
