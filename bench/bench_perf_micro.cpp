@@ -61,6 +61,7 @@
 #include "federated/hierarchy.hpp"
 #include "lidar/autoencoder.hpp"
 #include "lidar/batched.hpp"
+#include "lidar/masking.hpp"
 #include "lidar/voxel_grid.hpp"
 #include "monitor/starnet.hpp"
 #include "neuro/spiking.hpp"
@@ -463,6 +464,14 @@ struct HotPathFixtures {
   // iterations) and one clean embedding to score.
   std::unique_ptr<monitor::StarNet> starnet;
   std::vector<double> starnet_embedding;
+  // lidar.ae_reconstruct_sensed: another float twin of `ae` (same seed,
+  // never trained) on what the loop senses: the voxelized selective
+  // scan of one R-MAE beam plan (the loop's default LiDAR, masker and
+  // grid), the first draw with 4 to 8 occupied voxels. The timer's
+  // warm-up calls key and build its active-site snapshot, so the timed
+  // calls recompute only the sites those voxels reach.
+  std::unique_ptr<lidar::OccupancyAutoencoder> ae_sensed;
+  nn::Tensor sensed;
 
   static HotPathFixtures make() {
     // lidar.voxelize: a 360x32 scan (11520 returns) is well above the
@@ -478,8 +487,9 @@ struct HotPathFixtures {
 
     // lidar.ae_reconstruct: default 48x48 grid keeps the conv/deconv
     // MACs above the inline threshold.
-    lidar::AutoencoderConfig ac;
+      lidar::AutoencoderConfig ac;
     Rng ae_int8_rng = rng;
+    Rng ae_sensed_rng = rng;
     lidar::OccupancyAutoencoder ae(ac, rng);
     nn::Tensor bev =
         nn::Tensor::randn({1, ac.grid.nz, ac.grid.ny, ac.grid.nx}, rng);
@@ -507,7 +517,8 @@ struct HotPathFixtures {
                        {},              {},
                        {},              nullptr,
                        nullptr,         nullptr,
-                       nullptr,         {}};
+                       nullptr,         {},
+                       nullptr,         nn::Tensor{}};
 
     // lidar.ae_pretrain_step: sparse occupancy target (~6% occupied),
     // masked input keeping ~10% of sensed voxels.
@@ -539,6 +550,21 @@ struct HotPathFixtures {
     fx.ae_int8 =
         std::make_unique<lidar::OccupancyAutoencoder>(fx.ac, ae_int8_rng);
     fx.ae_int8->quantize();
+
+    fx.ae_sensed =
+        std::make_unique<lidar::OccupancyAutoencoder>(fx.ac, ae_sensed_rng);
+    const sim::LidarSimulator loop_lidar{sim::LidarConfig{}};
+    const lidar::RadialMasker masker;
+    for (int occupied = 0; occupied < 4 || occupied > 8;) {
+      fx.sensed = lidar::VoxelGrid::from_cloud(
+                      loop_lidar.selective_scan(
+                          scene, masker.beam_plan(loop_lidar.config(), rng), rng),
+                      fx.ac.grid)
+                      .to_tensor();
+      occupied = static_cast<int>(std::count_if(
+          fx.sensed.data(), fx.sensed.data() + fx.sensed.numel(),
+          [](double v) { return v != 0.0; }));
+    }
 
     // fed.hier_round_1k: the 1k point of the S2A_BENCH_FED_SCALE sweep
     // under the constrained-uplink configuration.
@@ -594,6 +620,9 @@ struct HotPathFixtures {
                  }});
     w.push_back({"lidar.ae_reconstruct_int8", 30, [this] {
                    benchmark::DoNotOptimize(ae_int8->reconstruct(bev));
+                 }});
+    w.push_back({"lidar.ae_reconstruct_sensed", 1000, [this] {
+                   benchmark::DoNotOptimize(ae_sensed->reconstruct(sensed));
                  }});
     w.push_back({"core.offload_tick", 60,
                  [fx = std::make_shared<OffloadTickFixture>()] {

@@ -57,6 +57,7 @@ run_tsan() {
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-tsan -j "$JOBS" \
     --target thread_pool_test obs_test nn_kernels_test lidar_test \
+             active_site_test \
              federated_test federated_hier_test fault_test fleet_test \
              net_test fleet_batch_test
   # Run every tsan-labeled suite (concurrency-bearing: kernel sharding,

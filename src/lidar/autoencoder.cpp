@@ -10,8 +10,22 @@
 
 namespace s2a::lidar {
 
+namespace {
+
+std::vector<nn::Layer*> layers_of(std::initializer_list<nn::Sequential*> nets) {
+  std::vector<nn::Layer*> out;
+  for (nn::Sequential* net : nets)
+    for (std::size_t i = 0; i < net->size(); ++i) out.push_back(&net->layer(i));
+  return out;
+}
+
+}  // namespace
+
 OccupancyAutoencoder::OccupancyAutoencoder(AutoencoderConfig config, Rng& rng)
-    : cfg_(config) {
+    : cfg_(config),
+      sigmoid_(std::make_unique<nn::Sigmoid>()),
+      recon_({}),
+      encoder_stack_({}) {
   const int nz = cfg_.grid.nz;
   S2A_CHECK_MSG(cfg_.grid.nx % 4 == 0 && cfg_.grid.ny % 4 == 0,
                 "grid must be divisible by the encoder stride (4)");
@@ -20,13 +34,23 @@ OccupancyAutoencoder::OccupancyAutoencoder(AutoencoderConfig config, Rng& rng)
   conv2_ = &encoder_.emplace<nn::Conv2D>(cfg_.c1, cfg_.c2, 3, 2, 1, rng);
   encoder_.emplace<nn::ReLU>();
 
-  decoder_.emplace<nn::ConvTranspose2D>(cfg_.c2, cfg_.c1, 4, 2, 1, rng);
+  deconv1_ =
+      &decoder_.emplace<nn::ConvTranspose2D>(cfg_.c2, cfg_.c1, 4, 2, 1, rng);
   decoder_.emplace<nn::ReLU>();
-  decoder_.emplace<nn::ConvTranspose2D>(cfg_.c1, nz, 4, 2, 1, rng);
+  deconv2_ = &decoder_.emplace<nn::ConvTranspose2D>(cfg_.c1, nz, 4, 2, 1, rng);
+
+  std::vector<nn::Layer*> full = layers_of({&encoder_, &decoder_});
+  full.push_back(sigmoid_.get());
+  recon_ = nn::ActiveSiteStack(std::move(full));
+  encoder_stack_ = nn::ActiveSiteStack(layers_of({&encoder_}));
 }
 
 nn::Tensor OccupancyAutoencoder::encode(const nn::Tensor& grid) {
   return encoder_.forward(grid);
+}
+
+nn::Tensor OccupancyAutoencoder::infer_latent(const nn::Tensor& grids) {
+  return encoder_stack_.infer(grids);
 }
 
 nn::Tensor OccupancyAutoencoder::decode(const nn::Tensor& latent) {
@@ -35,20 +59,11 @@ nn::Tensor OccupancyAutoencoder::decode(const nn::Tensor& latent) {
 
 nn::Tensor OccupancyAutoencoder::reconstruct(const nn::Tensor& masked_grid) {
   S2A_TRACE_SCOPE_CAT("lidar.ae_reconstruct", "lidar");
-  // Inference only: infer() runs the training layers' kernels without
-  // capturing activations for a backward pass that never comes. The
-  // conv/deconv forwards shard across BEV rows internally (conv2d.cpp
-  // via util::global_pool); the elementwise sigmoid shards here, one
-  // call per 4096-voxel chunk. Both are per-element independent, so
-  // reconstruction is bit-exact at every thread count.
-  nn::Tensor logits = decoder_.infer(encoder_.infer(masked_grid));
-  double* d = logits.data();
-  util::global_pool().parallel_for_chunks(
-      0, logits.numel(), 4096,
-      [d](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) d[i] = 1.0 / (1.0 + std::exp(-d[i]));
-      });
-  return logits;
+  // Inference only: nothing is captured for a backward pass. The
+  // active-site stack recomputes only the sites the input reaches (or,
+  // on weights it has not seen twice, runs each layer's infer()); both
+  // are bit-exact at every thread count.
+  return recon_.infer(masked_grid);
 }
 
 std::vector<double> surface_weights(const nn::Tensor& target,
@@ -118,7 +133,7 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
 
 std::vector<double> OccupancyAutoencoder::embedding(const nn::Tensor& grid) {
   // Inference only: nothing backpropagates through an embedding.
-  const nn::Tensor z = encoder_.infer(grid);
+  const nn::Tensor z = infer_latent(grid);
   const int c = z.dim(1), h = z.dim(2), w = z.dim(3);
   std::vector<double> e(static_cast<std::size_t>(c), 0.0);
   for (int ci = 0; ci < c; ++ci) {
@@ -146,8 +161,10 @@ std::size_t OccupancyAutoencoder::param_count() {
   return encoder_.param_count() + decoder_.param_count();
 }
 
-std::size_t OccupancyAutoencoder::macs_per_scan() {
-  return encoder_.macs_per_sample() + decoder_.macs_per_sample();
+std::size_t OccupancyAutoencoder::macs_per_scan() const {
+  const int h = cfg_.grid.ny, w = cfg_.grid.nx;
+  return conv1_->macs_for(h, w) + conv2_->macs_for(h / 2, w / 2) +
+         deconv1_->macs_for(h / 4, w / 4) + deconv2_->macs_for(h / 2, w / 2);
 }
 
 }  // namespace s2a::lidar

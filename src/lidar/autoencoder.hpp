@@ -6,14 +6,23 @@
 // The paper's encoder is a 3-D spatially sparse convolution network; here
 // the nz height slices are channels of a dense 2-D convolution, which
 // preserves the encode-masked/decode-full structure at in-process scale
-// (see DESIGN.md).
+// (see DESIGN.md). Like the sparse original, inference skips the sites
+// the input leaves untouched: reconstruct() and embedding() run through
+// an nn::ActiveSiteStack, which recomputes only the BEV sites a sensed
+// voxel can reach and takes every other site from the all-zero input's
+// output, bit-identical to the dense forward (nn/frozen.hpp). The MAC
+// count and the energy billed for it stay the dense ones
+// (macs_per_scan, lidar/energy.hpp).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "lidar/masking.hpp"
 #include "lidar/voxel_grid.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/frozen.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 
@@ -41,6 +50,10 @@ class OccupancyAutoencoder {
 
   /// Latent features [1, c2, ny/4, nx/4] of a (masked) occupancy tensor.
   nn::Tensor encode(const nn::Tensor& grid);
+  /// The same latents ([B, c2, ny/4, nx/4] for a [B, nz, ny, nx] stack)
+  /// through the inference path: nothing is captured for backward(),
+  /// and only the sites a sensed voxel reaches are recomputed.
+  nn::Tensor infer_latent(const nn::Tensor& grids);
   /// Occupancy logits [1, nz, ny, nx] from a latent tensor.
   nn::Tensor decode(const nn::Tensor& latent);
   /// Full forward pass returning occupancy probabilities in [0, 1].
@@ -59,9 +72,10 @@ class OccupancyAutoencoder {
   std::vector<nn::Tensor*> params();
   std::vector<nn::Tensor*> grads();
   std::size_t param_count();
-  /// Forward MACs for one scan (encoder + decoder) — the Table II
+  /// Dense forward MACs for one scan of the configured grid (encoder +
+  /// decoder), whatever the last call ran or skipped — the Table II
   /// "FLOPs per 360° scan" quantity is 2× this.
-  std::size_t macs_per_scan();
+  std::size_t macs_per_scan() const;
 
   /// Snapshots encoder + decoder weights into int8 (nn/quant.hpp): from
   /// then on reconstruct() runs the int8 forward. A quantized model is
@@ -87,6 +101,13 @@ class OccupancyAutoencoder {
   nn::Sequential decoder_;
   nn::Conv2D* conv1_ = nullptr;
   nn::Conv2D* conv2_ = nullptr;
+  nn::ConvTranspose2D* deconv1_ = nullptr;
+  nn::ConvTranspose2D* deconv2_ = nullptr;
+  // reconstruct()'s output activation; heap-held so the stacks' layer
+  // pointers survive a move of the model.
+  std::unique_ptr<nn::Sigmoid> sigmoid_;
+  nn::ActiveSiteStack recon_;    // encoder, decoder, sigmoid
+  nn::ActiveSiteStack encoder_stack_;  // encoder (embeddings)
 };
 
 /// Surface weighting for the ALSO-style objective: weight 1 for voxels

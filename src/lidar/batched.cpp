@@ -39,7 +39,7 @@ std::vector<std::vector<double>> BatchedReconstructionProcessor::process_batch(
 std::vector<std::vector<double>> batched_embeddings(OccupancyAutoencoder& ae,
                                                     const nn::Tensor& grids) {
   S2A_CHECK(grids.shape().size() == 4);
-  const nn::Tensor z = ae.encode(grids);
+  const nn::Tensor z = ae.infer_latent(grids);
   const int n = z.dim(0), c = z.dim(1), h = z.dim(2), w = z.dim(3);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   std::vector<std::vector<double>> out;

@@ -24,7 +24,8 @@ inline std::size_t idx_chw(int c, int y, int x, int h, int w) {
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 }  // namespace
 
-BevDetector::BevDetector(DetectorConfig config, Rng& rng) : cfg_(config) {
+BevDetector::BevDetector(DetectorConfig config, Rng& rng)
+    : cfg_(config), embed_({}) {
   S2A_CHECK(cfg_.grid.nx % 4 == 0 && cfg_.grid.ny % 4 == 0);
   h2_ = cfg_.grid.ny / 2;
   w2_ = cfg_.grid.nx / 2;
@@ -38,6 +39,8 @@ BevDetector::BevDetector(DetectorConfig config, Rng& rng) : cfg_(config) {
 
   cls_head_.emplace<nn::Conv2D>(cfg_.c1, kNumClasses, 1, 1, 0, rng);
   off_head_.emplace<nn::Conv2D>(cfg_.c1, 2, 1, 1, 0, rng);
+  embed_ = nn::ActiveSiteStack({&backbone_.layer(0), &backbone_.layer(1),
+                                &backbone_.layer(2), &backbone_.layer(3)});
 }
 
 void BevDetector::init_from_pretrained(OccupancyAutoencoder& ae) {
@@ -195,8 +198,7 @@ double BevDetector::train_step(const nn::Tensor& grid, const sim::Scene& gt,
 std::vector<double> BevDetector::feature_embedding(const nn::Tensor& grid) {
   // Pool the stride-4 backbone features (after conv2+ReLU): run the first
   // four backbone layers only.
-  nn::Tensor h = grid;
-  for (std::size_t i = 0; i < 4; ++i) h = backbone_.layer(i).infer(std::move(h));
+  const nn::Tensor h = embed_.infer(grid);
   const int c = h.dim(1), hh = h.dim(2), ww = h.dim(3);
   std::vector<double> e(static_cast<std::size_t>(c), 0.0);
   for (int ci = 0; ci < c; ++ci) {
@@ -214,8 +216,7 @@ std::vector<std::vector<double>> BevDetector::feature_embeddings(
   // batch-first conv kernels make row b's features bit-identical to a
   // B=1 forward, and the per-image pooling below repeats
   // feature_embedding's accumulation order exactly.
-  nn::Tensor h = grids;
-  for (std::size_t i = 0; i < 4; ++i) h = backbone_.layer(i).infer(std::move(h));
+  const nn::Tensor h = embed_.infer(grids);
   const int n = h.dim(0), c = h.dim(1), hh = h.dim(2), ww = h.dim(3);
   const std::size_t plane = static_cast<std::size_t>(hh) * ww;
   std::vector<std::vector<double>> out;

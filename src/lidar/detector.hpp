@@ -18,6 +18,7 @@
 #include "lidar/autoencoder.hpp"
 #include "lidar/voxel_grid.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/frozen.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 #include "sim/scene.hpp"
@@ -61,6 +62,8 @@ class BevDetector {
                     nn::Optimizer& opt);
 
   /// Spatially pooled backbone features — the embedding STARNet monitors.
+  /// Recomputes only the sites a sensed voxel reaches, bit-identical to
+  /// the dense backbone (see nn::ActiveSiteStack).
   std::vector<double> feature_embedding(const nn::Tensor& grid);
   /// Batched feature_embedding: one backbone forward over a
   /// [B, nz, ny, nx] stack (lidar/batched.hpp); row i is bit-identical
@@ -107,6 +110,9 @@ class BevDetector {
   nn::Sequential cls_head_;   // 1x1 conv -> 3
   nn::Sequential off_head_;   // 1x1 conv -> 2
   nn::Tensor last_neck_;
+  // The first four backbone layers (conv1 ReLU conv2 ReLU) the
+  // embeddings pool, through active-site inference (nn/frozen.hpp).
+  nn::ActiveSiteStack embed_;
 };
 
 /// Two-stage detector: BevDetector proposals + point-statistics refinement.

@@ -12,6 +12,13 @@
 // sweeps (bench_table2_lidar_energy). An int8-quantized scan reports its
 // MACs in int8_macs_per_scan and is billed at kJoulesPerInt8Mac; float
 // scans leave that field zero.
+//
+// Billed MACs are the dense count: OccupancyAutoencoder::macs_per_scan()
+// is the configured grid's full forward, although reconstruct() only
+// recomputes the sites a sensed voxel reaches (nn/frozen.hpp). That
+// keeps Table II the paper's per-scan compute cost, makes the bill a
+// property of the model rather than of the scene, and keeps the energy
+// of a scan the same whichever path served it.
 #pragma once
 
 #include <cstddef>

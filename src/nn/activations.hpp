@@ -1,9 +1,18 @@
 // Elementwise activation layers.
 #pragma once
 
+#include <cstddef>
+
 #include "nn/layer.hpp"
 
 namespace s2a::nn {
+
+/// The in-place kernels ReLU::infer and Sigmoid::infer run over n
+/// values, shared with nn::FrozenConv so both paths produce the same
+/// bits. relu_inplace is d < 0.0 ? 0.0 : d (-0.0 and NaN keep their
+/// bits); sigmoid_inplace is 1.0 / (1.0 + exp(-d)).
+void relu_inplace(double* d, std::size_t n);
+void sigmoid_inplace(double* d, std::size_t n);
 
 class ReLU : public Layer {
  public:
@@ -39,6 +48,9 @@ class Tanh : public Layer {
 class Sigmoid : public Layer {
  public:
   Tensor forward(const Tensor& x) override;
+  /// In place, sharded over the global pool in 4096-value chunks
+  /// (elementwise, so bit-exact at every thread count).
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:

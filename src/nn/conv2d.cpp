@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "nn/conv_rows.hpp"
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "obs/obs.hpp"
@@ -11,6 +12,9 @@
 #include "util/thread_pool.hpp"
 
 namespace s2a::nn {
+
+using detail::LoweredWeights;
+using detail::OutputRows;
 
 namespace {
 
@@ -48,6 +52,57 @@ void parallel_bands(
 }
 
 int round_up(int v, int to) { return (v + to - 1) / to * to; }
+
+// Runs band(b, oy_lo, oy_hi, x0, x1, band_arena) over the sites `rows`
+// lists of an [n, oh] (image, output-row) grid with ow columns, sharded
+// by parallel_bands. Each chunk of the list splits into bands: a run of
+// consecutive full rows of one image is one band (x0 = 0, x1 = ow), and
+// a partial row is a band of its own (oy_hi = oy_lo + 1). With every
+// row listed, a chunk's bands are its rows split at image boundaries.
+// `macs` is the MACs of all n * oh full rows; the listed share of it
+// gates the sharding.
+template <typename Band>
+void for_each_band(int n, int oh, int ow, OutputRows rows, std::size_t macs,
+                   util::ScratchArena& arena, Band&& band) {
+  const std::size_t all = static_cast<std::size_t>(n) * oh;
+  const bool every = rows.spans == nullptr;
+  const std::size_t total = every ? all : rows.count;
+  std::size_t columns = 0;  // listed output columns over all rows
+  for (std::size_t p = 0; p < rows.count && !every; ++p)
+    columns += static_cast<std::size_t>(rows.spans[p].x1 - rows.spans[p].x0);
+  const std::size_t share =
+      all == 0 ? 0
+      : every  ? macs
+               : macs / all * columns / static_cast<std::size_t>(ow);
+  const auto site = [&rows, every, ow](std::size_t p) {
+    return every ? detail::RowSpan{static_cast<std::int32_t>(p), 0, ow}
+                 : rows.spans[p];
+  };
+  const auto full = [ow](const detail::RowSpan& r) {
+    return r.x0 == 0 && r.x1 == ow;
+  };
+  parallel_bands(
+      total, share, arena,
+      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
+        band_arena.reset();
+        for (std::size_t p = lo; p < hi;) {
+          const detail::RowSpan s = site(p);
+          const std::size_t u = static_cast<std::size_t>(s.unit);
+          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
+          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
+          std::size_t q = p + 1;
+          while (full(s) && q < hi &&
+                 static_cast<std::size_t>(oy_lo) + (q - p) <
+                     static_cast<std::size_t>(oh) &&
+                 static_cast<std::size_t>(site(q).unit) == u + (q - p) &&
+                 full(site(q)))
+            ++q;
+          band(b, oy_lo, oy_lo + static_cast<int>(q - p), s.x0, s.x1,
+               band_arena);
+          p = q;
+        }
+      });
+}
 
 // ---- The one lowering: a zero-padded copy of the input ----
 //
@@ -123,64 +178,79 @@ void code_int8(const double* x, std::size_t x_count, std::size_t size,
 // offset plus the widest rounded band. The buffer ends `reach` past the
 // last image's base, and that slack is zeroed, so no read lands outside
 // it and none reads an uninitialized value. One copy per (image,
-// channel), sharded over the pool like the band pass.
+// channel), sharded over the pool like the band pass. With a `cache`
+// the buffer is the caller's (see detail::PaddedCache): built in full
+// when its batch size changes, else rewritten on the listed rows only.
 void build_padded(const double* x, int n, int c, int h, int w, int pad,
                   std::size_t reach, std::size_t macs, bool int8,
-                  util::ScratchArena& arena, PaddedInput& g) {
+                  util::ScratchArena& arena, PaddedInput& g,
+                  detail::PaddedCache* cache = nullptr) {
   S2A_CHECK_MSG(reach <= g.image + g.plane + kGemmMaxNR,
                 "a band would read past its image's padded planes");
+  S2A_CHECK(cache == nullptr || !int8);
   const std::size_t body = static_cast<std::size_t>(n) * g.image;
   const std::size_t size = body - g.image + std::max(g.image, reach);
-  double* buf = arena.alloc(size);
   const int s = g.s;
   const std::size_t in_hw = static_cast<std::size_t>(h) * w;
-  parallel_bands(
-      static_cast<std::size_t>(n) * c, macs, arena,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
-        for (std::size_t u = lo; u < hi; ++u) {
-          const double* src = x + u * in_hw;
-          double* dst = buf + u * static_cast<std::size_t>(s) * s * g.plane;
-          for (int ry = 0; ry < s; ++ry)
-            for (int rx = 0; rx < s; ++rx) {
-              // Plane column qx reads x column qx*s + rx - pad; the
-              // in-image ones are the span [jlo, jhi), the same for
-              // every row of the plane.
-              const int i0 = rx - pad;
-              const int jlo = std::min(g.wq, i0 >= 0 ? 0 : (s - 1 - i0) / s);
-              const int jhi =
-                  std::clamp(i0 < w ? (w - 1 - i0) / s + 1 : 0, jlo, g.wq);
-              for (int qy = 0; qy < g.hq; ++qy, dst += g.wq) {
-                const int iy = qy * s + ry - pad;
-                if (iy < 0 || iy >= h) {
-                  std::fill_n(dst, g.wq, 0.0);
-                  continue;
-                }
-                const double* srow =
-                    src + static_cast<std::ptrdiff_t>(iy) * w + i0;
-                std::fill(dst, dst + jlo, 0.0);
-                if (s == 1)
-                  for (int j = jlo; j < jhi; ++j) dst[j] = srow[j];
-                else
-                  for (int j = jlo; j < jhi; ++j)
-                    dst[j] = srow[static_cast<std::ptrdiff_t>(j) * s];
-                std::fill(dst + jhi, dst + g.wq, 0.0);
-              }
-            }
-        }
-      });
+  // Plane (channel u, ry, rx), row qy: input row qy*s + ry - pad, whose
+  // columns qx*s + rx - pad for qx in [jlo, jhi) are in the image.
+  const auto fill_row = [&](double* buf, std::size_t u, int ry, int rx,
+                            int qy) {
+    double* dst = buf + (u * s * s + static_cast<std::size_t>(ry) * s + rx) *
+                            g.plane +
+                  static_cast<std::size_t>(qy) * g.wq;
+    const int iy = qy * s + ry - pad;
+    if (iy < 0 || iy >= h) {
+      std::fill_n(dst, g.wq, 0.0);
+      return;
+    }
+    const int i0 = rx - pad;
+    const int jlo = std::min(g.wq, i0 >= 0 ? 0 : (s - 1 - i0) / s);
+    const int jhi = std::clamp(i0 < w ? (w - 1 - i0) / s + 1 : 0, jlo, g.wq);
+    const double* srow =
+        x + u * in_hw + static_cast<std::ptrdiff_t>(iy) * w + i0;
+    std::fill(dst, dst + jlo, 0.0);
+    if (s == 1)
+      for (int j = jlo; j < jhi; ++j) dst[j] = srow[j];
+    else
+      for (int j = jlo; j < jhi; ++j)
+        dst[j] = srow[static_cast<std::ptrdiff_t>(j) * s];
+    std::fill(dst + jhi, dst + g.wq, 0.0);
+  };
+
+  if (cache != nullptr && cache->images == n && cache->buf.size() == size) {
+    for (std::size_t r = 0; r < cache->count; ++r) {
+      const int b = cache->refresh[r] / h, iy = cache->refresh[r] % h;
+      const int ry = (iy + pad) % s, qy = (iy + pad) / s;
+      for (int ic = 0; ic < c; ++ic)
+        for (int rx = 0; rx < s; ++rx)
+          fill_row(cache->buf.data(), static_cast<std::size_t>(b) * c + ic, ry,
+                   rx, qy);
+    }
+    g.data = cache->buf.data();
+    return;
+  }
+  double* buf = nullptr;
+  if (cache != nullptr) {
+    cache->buf.resize(size);
+    cache->images = n;
+    buf = cache->buf.data();
+  } else {
+    buf = arena.alloc(size);
+  }
+  parallel_bands(static_cast<std::size_t>(n) * c, macs, arena,
+                 [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
+                   for (std::size_t u = lo; u < hi; ++u)
+                     for (int ry = 0; ry < s; ++ry)
+                       for (int rx = 0; rx < s; ++rx)
+                         for (int qy = 0; qy < g.hq; ++qy)
+                           fill_row(buf, u, ry, rx, qy);
+                 });
   std::fill(buf + body, buf + size, 0.0);
   g.data = buf;
   if (int8)
     code_int8(x, static_cast<std::size_t>(n) * c * in_hw, size, arena, g);
 }
-
-// The weight side of one lowered GEMM: m output rows over kdim taps,
-// as a packed float panel, or as the int8 snapshot quantize() took.
-struct LoweredWeights {
-  int m = 0, kdim = 0;
-  const double* packed = nullptr;
-  const QuantizedMatrix* q = nullptr;
-};
 
 // tile[i][j] = seed_i + sum_kk A[i][kk] * B[kk][j] for j in [0, ncols),
 // where B[kk][j] is in.data[base + boff[kk] + j] and seed_i is bias[i]
@@ -212,26 +282,27 @@ void band_gemm(const LoweredWeights& a, const PaddedInput& in,
     }
 }
 
-// y ([n, a.m, oh, ow]) = a stride-s convolution of x ([n, c, h, w],
-// zero-padded by `pad`) by the k x k kernel behind `a`, each output
-// starting from bias (nullptr: 0.0). Conv2D's forward and
-// ConvTranspose2D's input gradient both run through here; boff is the
-// caller's table storage.
+}  // namespace
+
+// Conv2D's forward and ConvTranspose2D's input gradient both run
+// through here.
 //
 // The band space is the flattened (image, output-row) grid — one
 // parallel pass covers the whole batch, so a batched forward
 // (nn/batch.hpp, the fleet's cross-loop inference path) shards across
 // the batch axis instead of serializing per image. Each band runs one
-// GEMM into a private [m, round_up(rows*wq, NR)] tile (rounded so every
-// tile is a full micro-tile) and copies the ow real columns of each row
-// into y. Bands are disjoint in y, so this is bit-exact across thread
-// counts and batch compositions. A 1x1, stride-1, unpadded conv (the
+// GEMM into a private [m, round_up(ncols, NR)] tile, ncols the band's
+// stretch of the wide grid (rounded so every tile is a full
+// micro-tile), and copies the real columns of each row into y. Bands
+// are disjoint in y, so this is bit-exact across thread counts, batch
+// compositions and row lists. A 1x1, stride-1, unpadded conv (the
 // detector heads) needs no copy: its one plane is x itself, its wide
 // grid is y's, and the GEMM writes y directly.
-void conv_forward(const double* x, int n, int c, int h, int w, int k, int s,
-                  int pad, const LoweredWeights& a, const double* bias,
-                  std::vector<std::ptrdiff_t>& boff, double* y, int oh, int ow,
-                  util::ScratchArena& arena) {
+void detail::conv_forward(const double* x, int n, int c, int h, int w, int k,
+                          int s, int pad, const LoweredWeights& a,
+                          const double* bias, std::vector<std::ptrdiff_t>& boff,
+                          double* y, int oh, int ow, util::ScratchArena& arena,
+                          OutputRows rows, detail::PaddedCache* padded) {
   PaddedInput in = padded_geometry(c, h, w, s, pad, ow);
   boff.clear();
   for (int ic = 0; ic < c; ++ic)
@@ -255,46 +326,41 @@ void conv_forward(const double* x, int n, int c, int h, int w, int k, int s,
     const std::size_t reach =
         static_cast<std::size_t>(*std::max_element(boff.begin(), boff.end())) +
         static_cast<std::size_t>(oh) * in.wq + nr - 1;
-    build_padded(x, n, c, h, w, pad, reach, macs, int8, arena, in);
+    build_padded(x, n, c, h, w, pad, reach, macs, int8, arena, in, padded);
   }
 
-  parallel_bands(
-      static_cast<std::size_t>(n) * oh, macs, arena,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-        band_arena.reset();
-        // A chunk may span image boundaries; split it at each one so
-        // every GEMM below reads the planes of a single image.
-        for (std::size_t u = lo; u < hi;) {
-          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
-          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
-          const int oy_hi = static_cast<int>(
-              std::min<std::size_t>(static_cast<std::size_t>(oh),
-                                    static_cast<std::size_t>(oy_lo) + (hi - u)));
-          const int rows = oy_hi - oy_lo;
-          double* yb = y + static_cast<std::size_t>(b) * a.m * out_hw;
-          const std::size_t base = static_cast<std::size_t>(b) * in.image +
-                                   static_cast<std::size_t>(oy_lo) * in.wq;
-          if (direct) {
-            band_gemm(a, in, boff.data(), base, rows * ow, bias,
-                      yb + static_cast<std::size_t>(oy_lo) * ow, out_hw);
-          } else {
-            const int ncols = round_up(rows * in.wq, nr);
-            double* tile =
-                band_arena.alloc(static_cast<std::size_t>(a.m) * ncols);
-            band_gemm(a, in, boff.data(), base, ncols, bias, tile,
-                      static_cast<std::size_t>(ncols));
-            for (int oc = 0; oc < a.m; ++oc)
-              for (int r = 0; r < rows; ++r)
-                std::copy_n(tile + static_cast<std::size_t>(oc) * ncols +
-                                static_cast<std::size_t>(r) * in.wq,
-                            ow,
-                            yb + static_cast<std::size_t>(oc) * out_hw +
-                                static_cast<std::size_t>(oy_lo + r) * ow);
-          }
-          u += static_cast<std::size_t>(rows);
+  // A band never crosses an image boundary, so its GEMM reads the
+  // planes of one image; its sites are the wide-grid columns from
+  // oy_lo*wq + x0 to (oy_hi-1)*wq + x1, one contiguous stretch.
+  for_each_band(
+      n, oh, ow, rows, macs, arena,
+      [&](int b, int oy_lo, int oy_hi, int x0, int x1,
+          util::ScratchArena& band_arena) {
+        const int nrows = oy_hi - oy_lo;
+        const int span = (nrows - 1) * in.wq + x1 - x0;
+        double* yb = y + static_cast<std::size_t>(b) * a.m * out_hw +
+                     static_cast<std::size_t>(oy_lo) * ow + x0;
+        const std::size_t base = static_cast<std::size_t>(b) * in.image +
+                                 static_cast<std::size_t>(oy_lo) * in.wq + x0;
+        if (direct) {
+          band_gemm(a, in, boff.data(), base, span, bias, yb, out_hw);
+          return;
         }
+        const int ncols = round_up(span, nr);
+        double* tile = band_arena.alloc(static_cast<std::size_t>(a.m) * ncols);
+        band_gemm(a, in, boff.data(), base, ncols, bias, tile,
+                  static_cast<std::size_t>(ncols));
+        for (int oc = 0; oc < a.m; ++oc)
+          for (int r = 0; r < nrows; ++r)
+            std::copy_n(tile + static_cast<std::size_t>(oc) * ncols +
+                            static_cast<std::size_t>(r) * in.wq,
+                        x1 - x0,
+                        yb + static_cast<std::size_t>(oc) * out_hw +
+                            static_cast<std::size_t>(r) * ow);
       });
 }
+
+namespace {
 
 // Bias gradient: one addend per output pixel of the channel,
 // accumulated in (b, oy, ox) order onto gb.
@@ -376,8 +442,8 @@ void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
     pack_a(w_.data(), kdim, cout_, kdim, wp);
     a.packed = wp;
   }
-  conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_, a, b_.data(), boff_,
-               y.data(), oh, ow, arena_);
+  detail::conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_, a,
+                       b_.data(), boff_, y.data(), oh, ow, arena_);
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
@@ -486,6 +552,29 @@ void Conv2D::quantize() {
   quantized_ = true;
 }
 
+detail::DeconvPhases detail::deconv_phases(int cin, int cout, int k, int s) {
+  // Phase p reads the kernel offsets t with t % s == p. Each list is
+  // descending, so ascending list order is ascending source row (or
+  // column) — the direct scatter's order.
+  DeconvPhases ph;
+  ph.taps.resize(static_cast<std::size_t>(s));
+  for (int p = 0; p < s; ++p)
+    for (int t = k - 1; t >= 0; --t)
+      if (t % s == p) ph.taps[static_cast<std::size_t>(p)].push_back(t);
+  ph.rows.resize(static_cast<std::size_t>(s) * s);
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      auto& rows = ph.rows[static_cast<std::size_t>(py) * s + px];
+      for (int ic = 0; ic < cin; ++ic) {
+        const std::size_t plane = static_cast<std::size_t>(ic) * cout * k * k;
+        for (int ky : ph.taps[static_cast<std::size_t>(py)])
+          for (int kx : ph.taps[static_cast<std::size_t>(px)])
+            rows.push_back(plane + static_cast<std::size_t>(ky) * k + kx);
+      }
+    }
+  return ph;
+}
+
 ConvTranspose2D::ConvTranspose2D(int in_channels, int out_channels, int kernel,
                                  int stride, int padding, Rng& rng)
     : cin_(in_channels),
@@ -498,26 +587,7 @@ ConvTranspose2D::ConvTranspose2D(int in_channels, int out_channels, int kernel,
       gw_({in_channels, out_channels, kernel, kernel}),
       gb_({out_channels}) {
   S2A_CHECK(kernel > 0 && stride > 0 && padding >= 0);
-  // Phase p reads the kernel offsets t with t % s == p. Each list is
-  // descending, so ascending list order is ascending source row (or
-  // column) — the direct scatter's order.
-  const int s = stride_;
-  taps_.resize(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k_ - 1; t >= 0; --t)
-      if (t % s == p) taps_[static_cast<std::size_t>(p)].push_back(t);
-  phase_rows_.resize(static_cast<std::size_t>(s) * s);
-  for (int py = 0; py < s; ++py)
-    for (int px = 0; px < s; ++px) {
-      auto& rows = phase_rows_[static_cast<std::size_t>(py) * s + px];
-      for (int ic = 0; ic < cin_; ++ic) {
-        const std::size_t plane =
-            static_cast<std::size_t>(ic) * cout_ * k_ * k_;
-        for (int ky : taps_[static_cast<std::size_t>(py)])
-          for (int kx : taps_[static_cast<std::size_t>(px)])
-            rows.push_back(plane + static_cast<std::size_t>(ky) * k_ + kx);
-      }
-    }
+  phases_ = detail::deconv_phases(cin_, cout_, k_, stride_);
 }
 
 Tensor ConvTranspose2D::forward(const Tensor& x) {
@@ -551,153 +621,147 @@ Tensor ConvTranspose2D::apply(const Tensor& x) {
 // for x) reach an output pixel — a full-K GEMM would spend (s*s-1)/(s*s)
 // of its MACs multiplying structural zeros. So the output is split into
 // its s*s sub-pixel phase grids, each with a dense tap list and its own
-// weight panel (packed per call through the constructor's phase_rows_
-// table). Within phase (py, px), output row oyf + yi*s reads input row
-// (oyf + pad - ky)/s + yi for tap ky (oyf: the phase's first output
-// row), and likewise for columns: each phase is a stride-1 convolution
-// over the input zero-padded by P = floor((k-1-pad)/s) — tap ky reads
-// input rows from (oyf + pad - ky)/s >= -(k-1-pad)/s on — with its own
-// shape-only tap table into that one buffer (see PaddedInput). Each
+// weight panel (packed through the phase's row table, see
+// detail::DeconvPhases). Within phase (py, px), output row oyf + yi*s
+// reads input row (oyf + pad - ky)/s + yi for tap ky (oyf: the phase's
+// first output row), and likewise for columns: each phase is a stride-1
+// convolution over the input zero-padded by P = floor((k-1-pad)/s) —
+// tap ky reads input rows from (oyf + pad - ky)/s >= -(k-1-pad)/s on —
+// with its own shape-only tap table into that one buffer (see
+// PaddedInput). Each
 // phase runs one GEMM per band into a scratch tile on the phase's wide
 // grid, and the strided scatter onto y copies the nx real columns of
 // each row. Stride 1 is the one-phase case. Dropping the structural
 // zeros removes exact no-op additions from each element's chain, so the
 // result stays bit-identical to the direct scatter.
-void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
-                                   int w, int oh, int ow) {
+void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
+                            int cout, int k, int s, int pad,
+                            const DeconvPhases& phases, const LoweredWeights* a,
+                            const double* bias,
+                            std::vector<std::ptrdiff_t>& boff, double* y,
+                            int oh, int ow, util::ScratchArena& arena,
+                            OutputRows rows, detail::PaddedCache* padded) {
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
-  const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
-  const int s = stride_;
-  arena_.reset();
-  // Int8 path: the per-phase weight matrices were snapshotted by
-  // quantize(), and the padded input is coded once against the one
-  // whole-input activation scale (band-invariant).
-  const bool int8 = quantized_;
-
-  // Packed weight panel per (py, px) phase: one indexed copy of w_,
-  // rows (ic, jy, jx) matching the phase's tap table below.
-  std::vector<double*> wp(phase_rows_.size(), nullptr);
-  if (!int8)
-    for (std::size_t ph = 0; ph < phase_rows_.size(); ++ph) {
-      const auto& rows = phase_rows_[ph];
-      if (rows.empty()) continue;
-      const int kdim = static_cast<int>(rows.size());
-      wp[ph] = arena_.alloc(packed_a_size(cout_, kdim));
-      pack_a_indexed(w_.data(), kk2, rows.data(), cout_, kdim, wp[ph]);
-    }
+  const bool int8 = a[0].q != nullptr;  // every phase is int8, or none
 
   // The first output row (or column) of phase p, and how many of the
   // `extent` output rows the phase holds.
-  const auto first = [&](int p) { return ((p - pad_) % s + s) % s; };
+  const auto first = [&](int p) { return ((p - pad) % s + s) % s; };
   const auto count = [&](int p, int extent) {
     return first(p) < extent ? (extent - first(p) + s - 1) / s : 0;
   };
-  const int pad_in = std::max(0, k_ - 1 - pad_) / s;
-  PaddedInput in = padded_geometry(cin_, h, w, 1, pad_in, (ow + s - 1) / s);
+  const int pad_in = std::max(0, k - 1 - pad) / s;
+  PaddedInput in = padded_geometry(cin, h, w, 1, pad_in, (ow + s - 1) / s);
   const int nr = gemm_nr();
   // Tap tables, phase after phase in (py, px) order, each in the rows'
   // (ic, jy, jx) order; `reach` covers the widest band of any phase.
-  boff_.clear();
+  boff.clear();
   std::size_t reach = 0;
   for (int py = 0; py < s; ++py)
     for (int px = 0; px < s; ++px) {
-      const std::size_t seg = boff_.size();
-      for (int ic = 0; ic < cin_; ++ic)
-        for (const int ky : taps_[static_cast<std::size_t>(py)])
-          for (const int kx : taps_[static_cast<std::size_t>(px)])
-            boff_.push_back(static_cast<std::ptrdiff_t>(
+      const std::size_t seg = boff.size();
+      for (int ic = 0; ic < cin; ++ic)
+        for (const int ky : phases.taps[static_cast<std::size_t>(py)])
+          for (const int kx : phases.taps[static_cast<std::size_t>(px)])
+            boff.push_back(static_cast<std::ptrdiff_t>(
                 static_cast<std::size_t>(ic) * in.plane +
-                static_cast<std::size_t>(pad_in +
-                                         (first(py) + pad_ - ky) / s) *
+                static_cast<std::size_t>(pad_in + (first(py) + pad - ky) / s) *
                     in.wq +
-                static_cast<std::size_t>(pad_in +
-                                         (first(px) + pad_ - kx) / s)));
-      if (boff_.size() == seg) continue;
+                static_cast<std::size_t>(pad_in + (first(px) + pad - kx) / s)));
+      if (boff.size() == seg) continue;
       reach = std::max(
-          reach, static_cast<std::size_t>(
-                     *std::max_element(boff_.begin() +
-                                           static_cast<std::ptrdiff_t>(seg),
-                                       boff_.end())) +
+          reach, static_cast<std::size_t>(*std::max_element(
+                     boff.begin() + static_cast<std::ptrdiff_t>(seg),
+                     boff.end())) +
                      static_cast<std::size_t>(count(py, oh)) * in.wq + nr - 1);
     }
-  const std::size_t macs = static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
+  const std::size_t macs = static_cast<std::size_t>(cin) * cout * k * k *
                            static_cast<std::size_t>(n) * h * w;
-  build_padded(x.data(), n, cin_, h, w, pad_in, reach, macs, int8, arena_, in);
+  build_padded(x, n, cin, h, w, pad_in, reach, macs, int8, arena, in,
+               padded);
 
   // One band of one image: every phase subgrid intersecting output rows
-  // [oy_lo, oy_hi) of image b gets its GEMM. Extracted so the
-  // cross-image band pass below can split a chunk at image boundaries.
-  const auto run_band = [&](int b, int oy_lo, int oy_hi,
-                            util::ScratchArena& band_arena) {
-    double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
-    std::size_t seg = 0;  // this phase's slice of boff_
+  // [oy_lo, oy_hi) of image b gets its GEMM.
+  for_each_band(n, oh, ow, rows, macs, arena,
+                [&](int b, int oy_lo, int oy_hi, int x0, int x1,
+                    util::ScratchArena& band_arena) {
+    double* yb = y + static_cast<std::size_t>(b) * cout * out_hw;
+    std::size_t seg = 0;  // this phase's slice of boff
     for (int py = 0; py < s; ++py)
       for (int px = 0; px < s; ++px) {
         const std::size_t ph = static_cast<std::size_t>(py) * s + px;
-        const int kdim = static_cast<int>(phase_rows_[ph].size());
-        const std::ptrdiff_t* table = boff_.data() + seg;
+        const int kdim = a[ph].kdim;
+        const std::ptrdiff_t* table = boff.data() + seg;
         seg += static_cast<std::size_t>(kdim);
         // This phase's output subgrid within the band: rows
         // oy0, oy0+s, ... and columns ox0, ox0+s, ...
         int oy0 = oy_lo;
-        while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
+        while (oy0 < oy_hi && (oy0 + pad) % s != py) ++oy0;
         const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
+        // ... and within the band's columns [x0, x1), the phase columns
+        // xi0 <= xi < xi1: output column ox0 + xi*s.
         const int ox0 = first(px);
-        const int nx = count(px, ow);
-        if (ny == 0 || nx == 0) continue;
+        const int xi0 = x0 > ox0 ? (x0 - ox0 + s - 1) / s : 0;
+        const int xi1 = std::min(count(px, ow),
+                                 x1 > ox0 ? (x1 - ox0 + s - 1) / s : 0);
+        const int nx = xi1 - xi0;
+        if (ny == 0 || nx <= 0) continue;
+        const auto yrow = [&](int oc, int yi) {
+          return yb + static_cast<std::size_t>(oc) * out_hw +
+                 static_cast<std::size_t>(oy0 + yi * s) * ow + ox0 + xi0 * s;
+        };
 
         if (kdim == 0) {
           // No tap reaches this phase (kernel shorter than the stride):
           // those pixels are pure bias.
-          for (int oc = 0; oc < cout_; ++oc)
+          for (int oc = 0; oc < cout; ++oc)
             for (int yi = 0; yi < ny; ++yi) {
-              double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
-                             static_cast<std::size_t>(oy0 + yi * s) * ow;
+              double* yr = yrow(oc, yi);
               for (int xi = 0; xi < nx; ++xi)
-                yrow[ox0 + xi * s] = b_[static_cast<std::size_t>(oc)];
+                yr[xi * s] = bias[static_cast<std::size_t>(oc)];
             }
           continue;
         }
 
-        const LoweredWeights a{cout_, kdim, wp[ph],
-                               int8 ? &qw_ph_[ph] : nullptr};
         const std::size_t base =
             static_cast<std::size_t>(b) * in.image +
-            static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq;
-        const int ncols = round_up(ny * in.wq, nr);
-        double* tile =
-            band_arena.alloc(static_cast<std::size_t>(cout_) * ncols);
-        band_gemm(a, in, table, base, ncols, b_.data(), tile,
+            static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq + xi0;
+        const int ncols = round_up((ny - 1) * in.wq + nx, nr);
+        double* tile = band_arena.alloc(static_cast<std::size_t>(cout) * ncols);
+        band_gemm(a[ph], in, table, base, ncols, bias, tile,
                   static_cast<std::size_t>(ncols));
-        for (int oc = 0; oc < cout_; ++oc) {
+        for (int oc = 0; oc < cout; ++oc) {
           const double* trow = tile + static_cast<std::size_t>(oc) * ncols;
           for (int yi = 0; yi < ny; ++yi) {
-            double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
-                           static_cast<std::size_t>(oy0 + yi * s) * ow;
+            double* yr = yrow(oc, yi);
             const double* tsrc = trow + static_cast<std::size_t>(yi) * in.wq;
-            for (int xi = 0; xi < nx; ++xi) yrow[ox0 + xi * s] = tsrc[xi];
+            for (int xi = 0; xi < nx; ++xi) yr[xi * s] = tsrc[xi];
           }
         }
       }
-  };
+  });
+}
 
-  // Band space is the flattened (image, output-row) grid, so a batched
-  // forward shards across the batch axis in one pass (see conv_forward
-  // for the bit-exactness argument).
-  parallel_bands(
-      static_cast<std::size_t>(n) * oh, macs, arena_,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-        band_arena.reset();
-        for (std::size_t u = lo; u < hi;) {
-          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
-          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
-          const int oy_hi = static_cast<int>(
-              std::min<std::size_t>(static_cast<std::size_t>(oh),
-                                    static_cast<std::size_t>(oy_lo) + (hi - u)));
-          run_band(b, oy_lo, oy_hi, band_arena);
-          u += static_cast<std::size_t>(oy_hi - oy_lo);
-        }
-      });
+// Packed weight panel per (py, px) phase: one indexed copy of w_, rows
+// (ic, jy, jx) matching the phase's tap table; after quantize() the
+// int8 snapshots quantize() took instead.
+void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
+                                   int w, int oh, int ow) {
+  const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
+  arena_.reset();
+  std::vector<LoweredWeights> a(phases_.rows.size());
+  for (std::size_t ph = 0; ph < a.size(); ++ph) {
+    const auto& rows = phases_.rows[ph];
+    a[ph] = {cout_, static_cast<int>(rows.size()), nullptr,
+             quantized_ ? &qw_ph_[ph] : nullptr};
+    if (quantized_ || rows.empty()) continue;
+    double* wp = arena_.alloc(packed_a_size(cout_, a[ph].kdim));
+    pack_a_indexed(w_.data(), kk2, rows.data(), cout_, a[ph].kdim, wp);
+    a[ph].packed = wp;
+  }
+  detail::deconv_forward(x.data(), n, cin_, h, w, cout_, k_, stride_, pad_,
+                         phases_, a.data(), b_.data(), boff_, y.data(), oh, ow,
+                         arena_);
 }
 
 Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
@@ -769,9 +833,9 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
                    });
   }
 
-  conv_forward(grad_out.data(), n, cout_, oh, ow, k_, stride_, pad_,
-               LoweredWeights{cin_, kdim, wp, nullptr}, nullptr, boff_,
-               dx.data(), h, w, arena_);
+  detail::conv_forward(grad_out.data(), n, cout_, oh, ow, k_, stride_, pad_,
+                       LoweredWeights{cin_, kdim, wp, nullptr}, nullptr, boff_,
+                       dx.data(), h, w, arena_);
 }
 
 void ConvTranspose2D::quantize() {
@@ -779,10 +843,10 @@ void ConvTranspose2D::quantize() {
   // the float forward packs per call, read through the same table — one
   // QuantizedMatrix per (py, px) phase.
   const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
-  qw_ph_.assign(phase_rows_.size(), QuantizedMatrix{});
+  qw_ph_.assign(phases_.rows.size(), QuantizedMatrix{});
   std::vector<double> wph;
-  for (std::size_t ph = 0; ph < phase_rows_.size(); ++ph) {
-    const auto& rows = phase_rows_[ph];
+  for (std::size_t ph = 0; ph < phases_.rows.size(); ++ph) {
+    const auto& rows = phases_.rows[ph];
     const std::size_t kdim = rows.size();
     if (kdim == 0) continue;
     wph.resize(static_cast<std::size_t>(cout_) * kdim);

@@ -23,10 +23,14 @@
 // (nn/quant.hpp) over the same padded input and backward() fails.
 // infer() runs the same forward kernels without keeping the input for
 // backward(); it still records the output size macs_per_sample() reads.
+// The forward loops themselves live in nn/conv_rows.hpp, which
+// nn::FrozenConv (nn/frozen.hpp) also drives on a subset of output
+// sites.
 #pragma once
 
 #include <vector>
 
+#include "nn/conv_rows.hpp"
 #include "nn/layer.hpp"
 #include "nn/quant.hpp"
 #include "util/scratch_arena.hpp"
@@ -50,9 +54,18 @@ class Conv2D : public Layer {
   int out_size(int in_size) const {
     return (in_size + 2 * pad_ - k_) / stride_ + 1;
   }
+  /// Dense forward MACs of one h x w sample, whatever the last call ran.
+  std::size_t macs_for(int h, int w) const {
+    return static_cast<std::size_t>(cout_) * cin_ * k_ * k_ *
+           static_cast<std::size_t>(out_size(h)) * out_size(w);
+  }
   int in_channels() const { return cin_; }
   int out_channels() const { return cout_; }
   int kernel() const { return k_; }
+  int stride() const { return stride_; }
+  int padding() const { return pad_; }
+  const Tensor& weight() const { return w_; }
+  const Tensor& bias() const { return b_; }
   const util::ScratchArena* scratch() const override { return &arena_; }
 
  private:
@@ -97,6 +110,19 @@ class ConvTranspose2D : public Layer {
   int out_size(int in_size) const {
     return (in_size - 1) * stride_ - 2 * pad_ + k_;
   }
+  /// Dense forward MACs of one h x w sample, whatever the last call ran.
+  std::size_t macs_for(int h, int w) const {
+    return static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
+           static_cast<std::size_t>(h) * w;
+  }
+  int in_channels() const { return cin_; }
+  int out_channels() const { return cout_; }
+  int kernel() const { return k_; }
+  int stride() const { return stride_; }
+  int padding() const { return pad_; }
+  const Tensor& weight() const { return w_; }
+  const Tensor& bias() const { return b_; }
+  const detail::DeconvPhases& phases() const { return phases_; }
   const util::ScratchArena* scratch() const override { return &arena_; }
 
  private:
@@ -108,14 +134,9 @@ class ConvTranspose2D : public Layer {
 
   int cin_, cout_, k_, stride_, pad_;
   // Shape-only sub-pixel phase tables, built once by the constructor.
-  // taps_[p]: the kernel offsets t with t % stride == p, descending.
-  // phase_rows_[py * stride + px]: for each row r = (ic, jy, jx) of
-  // that phase's dense [Cout, kdim] weight matrix, the offset in w_ of
-  // w[ic, 0, taps_[py][jy], taps_[px][jx]] — output channel oc adds
-  // oc*k*k. Offsets only, never weight values: the forward packs its
-  // panels through this table on every call, and quantize() reads it.
-  std::vector<std::vector<int>> taps_;
-  std::vector<std::vector<std::size_t>> phase_rows_;
+  // Offsets only, never weight values: the forward packs its panels
+  // through them on every call, and quantize() reads them.
+  detail::DeconvPhases phases_;
   bool quantized_ = false;
   // One int8 weight snapshot per (py, px) sub-pixel phase, taken at
   // quantize() time through phase_rows_. Indexed py * stride + px.

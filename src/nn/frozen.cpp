@@ -1,10 +1,14 @@
 #include "nn/frozen.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
 #include "util/check.hpp"
@@ -65,6 +69,333 @@ const double* Frozen::forward(const double* x) {
     width = op.out;
   }
   return in;
+}
+
+// ---- FrozenConv ----
+
+namespace {
+
+enum class Act { kNone, kRelu, kSigmoid };
+
+bool same_bits(const Tensor& live, const std::vector<double>& key) {
+  return live.numel() == key.size() &&
+         std::memcmp(live.data(), key.data(), key.size() * sizeof(double)) == 0;
+}
+
+// floor(a / b) for b > 0.
+int floor_div(int a, int b) { return a >= 0 ? a / b : -((-a + b - 1) / b); }
+
+}  // namespace
+
+struct FrozenConv::Stage {
+  const Layer* layer = nullptr;  // the live layer, for the key check
+  const Tensor* live_w = nullptr;
+  const Tensor* live_b = nullptr;
+  bool transposed = false;
+  int cin = 0, cout = 0, k = 0, s = 0, pad = 0;
+  int h = 0, w = 0, oh = 0, ow = 0;  // one sample's input and output
+  Act act = Act::kNone;
+  std::vector<double> wkey, bkey;  // the key: bitwise copies
+  detail::DeconvPhases phases;     // deconv only
+  std::vector<double> packed;      // every phase's panel, back to back
+  std::vector<detail::LoweredWeights> a;  // one per phase (one for a conv)
+  std::vector<double> background;  // [cout, oh, ow] for an all-zero input
+  // The stage's padded input, kept across calls, and the input rows
+  // (units b * h + iy) that held non-background values at the last call
+  // that reached this stage.
+  detail::PaddedCache padded;
+  std::vector<std::int32_t> dirty;
+
+  // The output rows [reach_lo(i), reach_hi(i)] input row i reaches,
+  // before clamping; the same for columns.
+  int reach_lo(int i) const {
+    return transposed ? i * s - pad : floor_div(i + pad - k + 1 + s - 1, s);
+  }
+  int reach_hi(int i) const {
+    return transposed ? i * s - pad + k - 1 : floor_div(i + pad, s);
+  }
+};
+
+FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
+                       const std::vector<int>& sample)
+    : kernel_(gemm_kernel_name()) {
+  S2A_CHECK_MSG(sample.size() == 3 || sample.size() == 4,
+                "FrozenConv: sample shape must be [C,H,W] or [N,C,H,W]");
+  const std::size_t off = sample.size() - 3;
+  c_ = sample[off];
+  h_ = sample[off + 1];
+  w_ = sample[off + 2];
+  int c = c_, h = h_, w = w_;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    Layer* l = layers[i];
+    S2A_CHECK_MSG(!l->is_quantized(), "FrozenConv of an int8-quantized layer");
+    const bool relu = dynamic_cast<const ReLU*>(l) != nullptr;
+    if (relu || dynamic_cast<const Sigmoid*>(l) != nullptr) {
+      S2A_CHECK_MSG(!stages_.empty() && stages_.back().act == Act::kNone,
+                    "FrozenConv: layer " << i
+                                         << " is an activation without a conv");
+      stages_.back().act = relu ? Act::kRelu : Act::kSigmoid;
+      continue;
+    }
+    Stage st;
+    st.layer = l;
+    if (const auto* cv = dynamic_cast<const Conv2D*>(l)) {
+      st.cin = cv->in_channels();
+      st.cout = cv->out_channels();
+      st.k = cv->kernel();
+      st.s = cv->stride();
+      st.pad = cv->padding();
+      st.oh = cv->out_size(h);
+      st.ow = cv->out_size(w);
+      st.live_w = &cv->weight();
+      st.live_b = &cv->bias();
+    } else {
+      const auto* dc = dynamic_cast<const ConvTranspose2D*>(l);
+      S2A_CHECK_MSG(dc != nullptr, "FrozenConv supports Conv2D, "
+                                   "ConvTranspose2D, ReLU and Sigmoid only");
+      st.transposed = true;
+      st.cin = dc->in_channels();
+      st.cout = dc->out_channels();
+      st.k = dc->kernel();
+      st.s = dc->stride();
+      st.pad = dc->padding();
+      st.oh = dc->out_size(h);
+      st.ow = dc->out_size(w);
+      st.live_w = &dc->weight();
+      st.live_b = &dc->bias();
+      st.phases = dc->phases();
+    }
+    S2A_CHECK_MSG(st.cin == c, "FrozenConv: layer " << i << " expects "
+                                                    << st.cin << " channels");
+    S2A_CHECK_MSG(st.oh > 0 && st.ow > 0, "FrozenConv: layer "
+                                              << i << " output collapsed");
+    st.h = h;
+    st.w = w;
+    st.wkey.assign(st.live_w->data(), st.live_w->data() + st.live_w->numel());
+    st.bkey.assign(st.live_b->data(), st.live_b->data() + st.live_b->numel());
+    c = st.cout;
+    h = st.oh;
+    w = st.ow;
+    stages_.push_back(std::move(st));
+  }
+  S2A_CHECK_MSG(!stages_.empty(), "FrozenConv needs at least one conv");
+}
+
+FrozenConv::~FrozenConv() = default;
+
+bool FrozenConv::matches(const Tensor& x) const {
+  if (gemm_kernel_name() != kernel_) return false;
+  const auto& sh = x.shape();
+  if (sh.size() != 4 || sh[1] != c_ || sh[2] != h_ || sh[3] != w_) return false;
+  for (const Stage& st : stages_)
+    if (st.layer->is_quantized() || !same_bits(*st.live_w, st.wkey) ||
+        !same_bits(*st.live_b, st.bkey))
+      return false;
+  return true;
+}
+
+void FrozenConv::prepare() {
+  for (Stage& st : stages_) {
+    if (st.transposed) {
+      // One panel per sub-pixel phase, packed through the phase's row
+      // table exactly as ConvTranspose2D's forward packs them.
+      const std::size_t kk2 = static_cast<std::size_t>(st.k) * st.k;
+      std::size_t total = 0;
+      for (const auto& rows : st.phases.rows)
+        total += packed_a_size(st.cout, static_cast<int>(rows.size()));
+      st.packed.resize(total);
+      double* p = st.packed.data();
+      for (const auto& rows : st.phases.rows) {
+        const int kdim = static_cast<int>(rows.size());
+        st.a.push_back({st.cout, kdim, kdim > 0 ? p : nullptr, nullptr});
+        if (kdim == 0) continue;
+        pack_a_indexed(st.wkey.data(), kk2, rows.data(), st.cout, kdim, p);
+        p += packed_a_size(st.cout, kdim);
+      }
+    } else {
+      const int kdim = st.cin * st.k * st.k;
+      st.packed.resize(packed_a_size(st.cout, kdim));
+      pack_a(st.wkey.data(), kdim, st.cout, kdim, st.packed.data());
+      st.a.push_back({st.cout, kdim, st.packed.data(), nullptr});
+    }
+  }
+  // Backgrounds: the stack on one all-zero sample, every row computed.
+  std::vector<double> zero(static_cast<std::size_t>(c_) * h_ * w_, 0.0);
+  const double* x = zero.data();
+  for (Stage& st : stages_) {
+    st.background.resize(static_cast<std::size_t>(st.cout) * st.oh * st.ow);
+    run(st, x, 1, st.background.data(), {}, nullptr);
+    x = st.background.data();
+  }
+  prepared_ = true;
+}
+
+void FrozenConv::run(const Stage& st, const double* x, int n, double* y,
+                     detail::OutputRows rows, detail::PaddedCache* padded) {
+  arena_.reset();
+  if (st.transposed)
+    detail::deconv_forward(x, n, st.cin, st.h, st.w, st.cout, st.k, st.s,
+                           st.pad, st.phases, st.a.data(), st.bkey.data(),
+                           boff_, y, st.oh, st.ow, arena_, rows, padded);
+  else
+    detail::conv_forward(x, n, st.cin, st.h, st.w, st.k, st.s, st.pad,
+                         st.a.front(), st.bkey.data(), boff_, y, st.oh, st.ow,
+                         arena_, rows, padded);
+  if (st.act == Act::kNone) return;
+  const std::size_t all = static_cast<std::size_t>(n) * st.oh;
+  const std::size_t count = rows.spans != nullptr ? rows.count : all;
+  for (std::size_t p = 0; p < count; ++p) {
+    const detail::RowSpan sp =
+        rows.spans != nullptr
+            ? rows.spans[p]
+            : detail::RowSpan{static_cast<std::int32_t>(p), 0, st.ow};
+    const std::size_t b = static_cast<std::size_t>(sp.unit / st.oh);
+    const std::size_t oy = static_cast<std::size_t>(sp.unit % st.oh);
+    const auto len = static_cast<std::size_t>(sp.x1 - sp.x0);
+    for (int oc = 0; oc < st.cout; ++oc) {
+      double* row = y + ((b * st.cout + oc) * st.oh + oy) * st.ow + sp.x0;
+      if (st.act == Act::kRelu)
+        relu_inplace(row, len);
+      else
+        sigmoid_inplace(row, len);
+    }
+  }
+}
+
+Tensor FrozenConv::infer(const Tensor& x) {
+  S2A_CHECK_MSG(x.shape().size() == 4 && x.dim(1) == c_ && x.dim(2) == h_ &&
+                    x.dim(3) == w_,
+                "FrozenConv: input is not [N," << c_ << "," << h_ << "," << w_
+                                               << "]");
+  if (!prepared_) prepare();
+  const int n = x.dim(0);
+
+  // The input's changed sites: elements whose bits are not +0.0, as
+  // one span per (image, row) over all channels.
+  changed_.clear();
+  const std::size_t in_hw = static_cast<std::size_t>(h_) * w_;
+  for (int b = 0; b < n; ++b)
+    for (int iy = 0; iy < h_; ++iy) {
+      int x0 = w_, x1 = 0;
+      for (int ic = 0; ic < c_; ++ic) {
+        const double* row = x.data() +
+                            (static_cast<std::size_t>(b) * c_ + ic) * in_hw +
+                            static_cast<std::size_t>(iy) * w_;
+        const auto bits = [row](int j) {
+          return std::bit_cast<std::uint64_t>(row[j]);
+        };
+        std::uint64_t any = 0;
+        for (int j = 0; j < w_; ++j) any |= bits(j);
+        if (any == 0) continue;
+        int lo = 0, hi = w_;
+        while (bits(lo) == 0) ++lo;
+        while (bits(hi - 1) == 0) --hi;
+        x0 = std::min(x0, lo);
+        x1 = std::max(x1, hi);
+      }
+      if (x0 < x1) changed_.push_back({b * h_ + iy, x0, x1});
+    }
+
+  Tensor cur;
+  const double* in = x.data();
+  for (Stage& st : stages_) {
+    // Nothing changed: every later output is its background.
+    const Stage& out = changed_.empty() ? stages_.back() : st;
+    const std::size_t image = out.background.size();
+    std::vector<double> y;
+    y.reserve(static_cast<std::size_t>(n) * image);
+    for (int b = 0; b < n; ++b)
+      y.insert(y.end(), out.background.begin(), out.background.end());
+    if (changed_.empty())
+      return Tensor({n, out.cout, out.oh, out.ow}, std::move(y));
+
+    // Candidates: the changed spans dilated by the stage's footprint,
+    // hulled per output row.
+    lo_.assign(static_cast<std::size_t>(n) * st.oh, st.ow);
+    hi_.assign(static_cast<std::size_t>(n) * st.oh, 0);
+    for (const detail::RowSpan& c : changed_) {
+      const int b = c.unit / st.h, iy = c.unit % st.h;
+      const int x0 = std::max(0, st.reach_lo(c.x0));
+      const int x1 = std::min(st.ow, st.reach_hi(c.x1 - 1) + 1);
+      const int oy1 = std::min(st.oh - 1, st.reach_hi(iy));
+      for (int oy = std::max(0, st.reach_lo(iy)); oy <= oy1; ++oy) {
+        const std::size_t u = static_cast<std::size_t>(b) * st.oh + oy;
+        lo_[u] = std::min(lo_[u], x0);
+        hi_[u] = std::max(hi_[u], x1);
+      }
+    }
+    candidates_.clear();
+    for (std::size_t u = 0; u < lo_.size(); ++u)
+      if (lo_[u] < hi_[u])
+        candidates_.push_back({static_cast<std::int32_t>(u), lo_[u], hi_[u]});
+    // The padded input is rewritten on the rows that changed now or at
+    // the last call; every other row already holds the background.
+    units_.clear();
+    for (const detail::RowSpan& c : changed_) units_.push_back(c.unit);
+    refresh_.clear();
+    std::set_union(st.dirty.begin(), st.dirty.end(), units_.begin(),
+                   units_.end(), std::back_inserter(refresh_));
+    st.dirty = units_;
+    st.padded.refresh = refresh_.data();
+    st.padded.count = refresh_.size();
+    run(st, in, n, y.data(), {candidates_.data(), candidates_.size()},
+        &st.padded);
+
+    // Changed: the part of each candidate span whose bits differ from
+    // the background's.
+    changed_.clear();
+    const std::size_t plane = static_cast<std::size_t>(st.oh) * st.ow;
+    for (const detail::RowSpan& c : candidates_) {
+      const std::size_t b = static_cast<std::size_t>(c.unit / st.oh);
+      const std::size_t oy = static_cast<std::size_t>(c.unit % st.oh);
+      int x0 = c.x1, x1 = c.x0;
+      for (int oc = 0; oc < st.cout; ++oc) {
+        const std::size_t at =
+            static_cast<std::size_t>(oc) * plane + oy * st.ow;
+        const double* got = y.data() + b * image + at;
+        const double* bg = st.background.data() + at;
+        const auto same = [got, bg](int j) {
+          return std::bit_cast<std::uint64_t>(got[j]) ==
+                 std::bit_cast<std::uint64_t>(bg[j]);
+        };
+        int lo = c.x0, hi = c.x1;
+        while (lo < hi && same(lo)) ++lo;
+        while (hi > lo && same(hi - 1)) --hi;
+        if (lo == hi) continue;
+        x0 = std::min(x0, lo);
+        x1 = std::max(x1, hi);
+      }
+      if (x0 < x1) changed_.push_back({c.unit, x0, x1});
+    }
+    cur = Tensor({n, st.cout, st.oh, st.ow}, std::move(y));
+    in = cur.data();
+  }
+  return cur;
+}
+
+// ---- ActiveSiteStack ----
+
+ActiveSiteStack::ActiveSiteStack(std::vector<Layer*> layers)
+    : layers_(std::move(layers)) {}
+
+ActiveSiteStack::ActiveSiteStack(ActiveSiteStack&&) noexcept = default;
+ActiveSiteStack& ActiveSiteStack::operator=(ActiveSiteStack&&) noexcept =
+    default;
+ActiveSiteStack::~ActiveSiteStack() = default;
+
+Tensor ActiveSiteStack::infer(Tensor x) {
+  if (snap_ != nullptr && snap_->matches(x)) return snap_->infer(x);
+  // Dense, then key a snapshot to the weights this call saw: the next
+  // call builds it if they have not moved.
+  snap_.reset();
+  const std::vector<int> shape = x.shape();
+  for (Layer* l : layers_) x = l->infer(std::move(x));
+  const bool quantized = std::any_of(
+      layers_.begin(), layers_.end(),
+      [](const Layer* l) { return l->is_quantized(); });
+  if (!quantized && shape.size() == 4)
+    snap_ = std::make_unique<FrozenConv>(layers_, shape);
+  return x;
 }
 
 }  // namespace s2a::nn

@@ -16,13 +16,48 @@
 // panels follow the gemm kernel active at construction (never switch
 // S2A_SIMD between building a snapshot and evaluating it), and the copy
 // does not see later writes to the source network's weights. The one
-// user builds a fresh snapshot per call and drops it on return, so no
-// packed value outlives the call that packed it (see nn/gemm.hpp).
+// user builds a fresh snapshot per call and drops it on return.
+//
+// FrozenConv is the same idea for a Conv2D/ConvTranspose2D stack, each
+// conv optionally followed by a ReLU or Sigmoid: active-site inference.
+// It holds a bitwise copy of every weight and bias (its key), the
+// packed A panels, the identity of the gemm kernel they were packed
+// for, and, for one sample geometry, each stage's background: its
+// output for an all-zero input, border effects included. infer() plans
+// from the input. The changed set is every input element that is not
+// bitwise +0.0 (so NaN, inf and -0.0 count as changed), kept per
+// (image, row) as the span from its first to its last changed column
+// over all channels. Each stage dilates every changed span by its
+// footprint, in rows and in columns, to get the candidate output
+// sites (the span hull per output row), recomputes only those through
+// the layers' own band loop (nn/conv_rows.hpp), takes every other site
+// from the background, and keeps as changed the part of each candidate
+// span whose bits differ from the background's. Each stage keeps its
+// padded input across calls and rewrites only the rows that hold
+// changed values now or held them at the last call (every other row
+// already holds the background). A dense input runs the same loop with
+// every full row a candidate; an empty one copies the last background.
+// The result is bit-identical to the layers' infer():
+// an output outside the candidates reads only background inputs and
+// zero padding, through the same reduction chain as the background, so
+// it is the background bit for bit (tests/active_site_test.cpp diffs
+// the two). As in the dense path across thread counts, the one thing
+// the tiling decides is which NaN an add of two NaNs returns; NaN
+// positions are exact.
+//
+// ActiveSiteStack decides per call whether a FrozenConv may serve. The
+// key is checked against the live weights on every call, so the
+// snapshot cannot go stale and the weight writers (optimizers, loads,
+// federated updates, quantize()) need not know it exists.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "nn/conv_rows.hpp"
 #include "nn/sequential.hpp"
+#include "util/scratch_arena.hpp"
 
 namespace s2a::nn {
 
@@ -51,6 +86,73 @@ class Frozen {
   int in_ = 0, out_ = 0;
   std::vector<Op> ops_;
   std::vector<double> buf_[2];  // ping-pong activations, widest layer
+};
+
+class FrozenConv {
+ public:
+  /// Keys a snapshot of `layers` (borrowed; they must outlive it) for
+  /// inputs whose sample shape is `sample` ([C, H, W], or a full
+  /// [N, C, H, W] whose N is ignored). Each Conv2D or ConvTranspose2D
+  /// may be followed by one ReLU or Sigmoid; any other layer, a leading
+  /// activation or an int8-quantized layer fails S2A_CHECK. Copies only
+  /// the key: the first infer() packs the panels and computes the
+  /// backgrounds.
+  FrozenConv(const std::vector<Layer*>& layers,
+             const std::vector<int>& sample);
+  ~FrozenConv();
+
+  /// True when this snapshot may serve x: x has the keyed sample shape,
+  /// the active gemm kernel is the keyed one, no layer is quantized, and
+  /// every live weight and bias memcmp-equals the key.
+  bool matches(const Tensor& x) const;
+
+  /// The stack's output for x ([N, C, H, W] of the keyed sample shape),
+  /// bit-identical to running each layer's infer() on the keyed
+  /// weights.
+  Tensor infer(const Tensor& x);
+
+ private:
+  struct Stage;
+  void prepare();
+  // Runs stage st over n images of x into y on the listed sites (conv
+  // or deconv, then the activation on those sites), reading the padded
+  // input from `padded` when given.
+  void run(const Stage& st, const double* x, int n, double* y,
+           detail::OutputRows rows, detail::PaddedCache* padded);
+
+  const char* kernel_;
+  int c_ = 0, h_ = 0, w_ = 0;  // keyed sample shape
+  std::vector<Stage> stages_;
+  bool prepared_ = false;
+  // Per-call plan: the current changed sites and the candidates, as
+  // one column span per (image, row) unit, ascending; lo_/hi_ hold a
+  // stage's candidate columns per output unit while they are gathered.
+  std::vector<detail::RowSpan> changed_, candidates_;
+  std::vector<int> lo_, hi_;
+  std::vector<std::int32_t> units_, refresh_;  // padded-input rows
+  std::vector<std::ptrdiff_t> boff_;
+  util::ScratchArena arena_;
+};
+
+/// A borrowed conv stack that runs through a FrozenConv when one
+/// matches the live weights, and through each layer's infer()
+/// otherwise. A call that misses re-keys the snapshot to the weights it
+/// saw, so the panels and backgrounds are built on the second
+/// consecutive call that sees the same weights: a caller that trains
+/// between calls pays the dense forward plus the key check. A stack
+/// with an int8-quantized layer always runs its layers' infer().
+class ActiveSiteStack {
+ public:
+  explicit ActiveSiteStack(std::vector<Layer*> layers);
+  ActiveSiteStack(ActiveSiteStack&&) noexcept;
+  ActiveSiteStack& operator=(ActiveSiteStack&&) noexcept;
+  ~ActiveSiteStack();
+
+  Tensor infer(Tensor x);
+
+ private:
+  std::vector<Layer*> layers_;
+  std::unique_ptr<FrozenConv> snap_;
 };
 
 }  // namespace s2a::nn

@@ -59,10 +59,13 @@
 // packed form is the "repacked weight panel" that lives in the layer's
 // ScratchArena and is rebuilt once per forward: weights move between
 // forwards (optimizers, loads and federated updates all write them
-// through params()), so packed values are never cached across calls.
-// nn::Frozen (nn/frozen.hpp) packs a Dense stack once for many batch-1
-// evaluations; its one user builds it per call and drops it on return,
-// so the rule holds there too.
+// through params()), and a layer keeps no packed value across calls.
+// A packed panel outlives its call only inside a content-keyed
+// snapshot (nn/frozen.hpp): nn::FrozenConv keeps a bitwise copy of the
+// weights it packed and the kernel it packed them for, and serves a
+// call only when both memcmp-equal the live weights and the active
+// kernel, so no writer has to invalidate it. nn::Frozen (Dense stacks)
+// is built per call and dropped on return.
 // ConvTranspose2D builds its per-phase panels with pack_a_indexed(),
 // one indexed copy out of the kernel tensor through a shape-only
 // (phase, row) -> offset table made in its constructor.
