@@ -424,7 +424,8 @@ Tensor Conv2D::apply(const Tensor& x) {
 
 // Padded-input + blocked-GEMM path (conv_forward above). The weight
 // panel is packed ONCE per call, covering every image: weights move
-// between forwards during training, so it is never cached — O(cout *
+// between forwards during training, so the layer keeps no packed panel
+// across calls (nn::FrozenConv keeps a content-keyed one) — O(cout *
 // cin * k^2), noise next to the GEMM itself. After quantize() the same
 // lowering runs int8: the padded input is coded once against ONE
 // whole-input activation scale, so the band split cannot change the
