@@ -61,6 +61,7 @@
 #include "federated/hierarchy.hpp"
 #include "lidar/autoencoder.hpp"
 #include "lidar/batched.hpp"
+#include "lidar/detector.hpp"
 #include "lidar/masking.hpp"
 #include "lidar/voxel_grid.hpp"
 #include "monitor/starnet.hpp"
@@ -472,6 +473,15 @@ struct HotPathFixtures {
   // calls recompute only the sites those voxels reach.
   std::unique_ptr<lidar::OccupancyAutoencoder> ae_sensed;
   nn::Tensor sensed;
+  // lidar.detect_loop: a BevDetector of the loop's shape (default
+  // config: 16/32 channels on the 48x48x4 grid) on what the loop feeds
+  // it: max(background, sensed), where background is ae_sensed's
+  // reconstruction of an empty grid and sensed the 4-8 voxels above.
+  // make() calls detect(background) twice, which adopts it as the
+  // snapshot's reference input, so the timed calls recompute only the
+  // sites the sensed voxels reach.
+  std::unique_ptr<lidar::BevDetector> det_loop;
+  nn::Tensor det_input;
 
   static HotPathFixtures make() {
     // lidar.voxelize: a 360x32 scan (11520 returns) is well above the
@@ -518,6 +528,7 @@ struct HotPathFixtures {
                        {},              nullptr,
                        nullptr,         nullptr,
                        nullptr,         {},
+                       nullptr,         nn::Tensor{},
                        nullptr,         nn::Tensor{}};
 
     // lidar.ae_pretrain_step: sparse occupancy target (~6% occupied),
@@ -565,6 +576,17 @@ struct HotPathFixtures {
           fx.sensed.data(), fx.sensed.data() + fx.sensed.numel(),
           [](double v) { return v != 0.0; }));
     }
+
+    Rng det_rng(12);
+    fx.det_loop = std::make_unique<lidar::BevDetector>(lidar::DetectorConfig{},
+                                                       det_rng);
+    const nn::Tensor background = fx.ae_sensed->reconstruct(nn::Tensor(
+        {1, fx.ac.grid.nz, fx.ac.grid.ny, fx.ac.grid.nx}));
+    fx.det_input = background;
+    for (std::size_t i = 0; i < fx.det_input.numel(); ++i)
+      fx.det_input[i] = std::max(fx.det_input[i], fx.sensed[i]);
+    fx.det_loop->detect(background);
+    fx.det_loop->detect(background);
 
     // fed.hier_round_1k: the 1k point of the S2A_BENCH_FED_SCALE sweep
     // under the constrained-uplink configuration.
@@ -623,6 +645,9 @@ struct HotPathFixtures {
                  }});
     w.push_back({"lidar.ae_reconstruct_sensed", 1000, [this] {
                    benchmark::DoNotOptimize(ae_sensed->reconstruct(sensed));
+                 }});
+    w.push_back({"lidar.detect_loop", 1000, [this] {
+                   benchmark::DoNotOptimize(det_loop->detect(det_input));
                  }});
     w.push_back({"core.offload_tick", 60,
                  [fx = std::make_shared<OffloadTickFixture>()] {

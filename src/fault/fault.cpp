@@ -1,5 +1,6 @@
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -39,6 +40,35 @@ FaultPlan::FaultPlan(std::vector<FaultEvent> events)
     if (ev.kind == FaultKind::kLatencySpike)
       S2A_CHECK_MSG(ev.magnitude >= 0.0, "latency spike must be >= 0");
   }
+  for (const FaultEvent& ev : events_)
+    if (ev.is_client_kind()) {
+      bounds_.push_back(ev.start);
+      bounds_.push_back(ev.end);
+    }
+  std::sort(bounds_.begin(), bounds_.end());
+  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
+  if (bounds_.size() < 2) return;
+  // Window [start, end) covers segments [index of start, index of end):
+  // a round in a segment is >= every bound up to the segment's and <
+  // every bound after it. Two passes (count, then fill in plan order)
+  // build the lists.
+  const auto index = [this](double v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
+  };
+  seg_start_.assign(bounds_.size(), 0);
+  for (const FaultEvent& ev : events_)
+    if (ev.is_client_kind())
+      for (std::size_t i = index(ev.start); i < index(ev.end); ++i)
+        ++seg_start_[i + 1];
+  for (std::size_t i = 1; i < seg_start_.size(); ++i)
+    seg_start_[i] += seg_start_[i - 1];
+  seg_events_.resize(seg_start_.back());
+  std::vector<std::size_t> fill(seg_start_.begin(), seg_start_.end() - 1);
+  for (std::size_t e = 0; e < events_.size(); ++e)
+    if (events_[e].is_client_kind())
+      for (std::size_t i = index(events_[e].start); i < index(events_[e].end); ++i)
+        seg_events_[fill[i]++] = e;
 }
 
 const FaultEvent* FaultPlan::component_fault_at(double t) const {
@@ -49,10 +79,14 @@ const FaultEvent* FaultPlan::component_fault_at(double t) const {
 
 const FaultEvent* FaultPlan::client_fault_at(long round, int client) const {
   const double r = static_cast<double>(round);
-  for (const FaultEvent& ev : events_)
-    if (ev.is_client_kind() && r >= ev.start && r < ev.end &&
-        (ev.target < 0 || ev.target == client))
-      return &ev;
+  // No window is active before the first bound or from the last on.
+  const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), r);
+  if (it == bounds_.begin() || it == bounds_.end()) return nullptr;
+  const auto seg = static_cast<std::size_t>(it - bounds_.begin()) - 1;
+  for (std::size_t k = seg_start_[seg]; k < seg_start_[seg + 1]; ++k) {
+    const FaultEvent& ev = events_[seg_events_[k]];
+    if (ev.target < 0 || ev.target == client) return &ev;
+  }
   return nullptr;
 }
 

@@ -67,7 +67,10 @@ class FaultPlan {
 
   /// First active sensor/processor-side event at time/call-index `t`.
   const FaultEvent* component_fault_at(double t) const;
-  /// First active client-side event for (round, client).
+  /// First active client-side event for (round, client). A binary
+  /// search over the client windows' sorted bounds finds the one
+  /// segment between two bounds that holds `round`, then its short list
+  /// of active events (plan order) is scanned for the client.
   const FaultEvent* client_fault_at(long round, int client) const;
 
   /// Seeded random sensor-fault plan: `events` windows over
@@ -84,6 +87,13 @@ class FaultPlan {
 
  private:
   std::vector<FaultEvent> events_;
+  // The client-kind index: every distinct window start and end,
+  // ascending; segment i is [bounds_[i], bounds_[i + 1]), and the
+  // events active on all of it (every one active anywhere in it) are
+  // seg_events_[seg_start_[i] .. seg_start_[i + 1]), indices into
+  // events_ in plan order.
+  std::vector<double> bounds_;
+  std::vector<std::size_t> seg_start_, seg_events_;
 };
 
 /// Decorator injecting the plan's component faults into a Sensor.

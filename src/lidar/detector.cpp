@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "nn/activations.hpp"
@@ -25,7 +26,7 @@ double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 }  // namespace
 
 BevDetector::BevDetector(DetectorConfig config, Rng& rng)
-    : cfg_(config), embed_({}) {
+    : cfg_(config), embed_({}), detect_({}) {
   S2A_CHECK(cfg_.grid.nx % 4 == 0 && cfg_.grid.ny % 4 == 0);
   h2_ = cfg_.grid.ny / 2;
   w2_ = cfg_.grid.nx / 2;
@@ -41,6 +42,12 @@ BevDetector::BevDetector(DetectorConfig config, Rng& rng)
   off_head_.emplace<nn::Conv2D>(cfg_.c1, 2, 1, 1, 0, rng);
   embed_ = nn::ActiveSiteStack({&backbone_.layer(0), &backbone_.layer(1),
                                 &backbone_.layer(2), &backbone_.layer(3)});
+  std::vector<nn::Layer*> backbone;
+  for (std::size_t i = 0; i < backbone_.size(); ++i)
+    backbone.push_back(&backbone_.layer(i));
+  detect_ = nn::ActiveSiteStack(std::move(backbone),
+                                {&cls_head_.layer(0), &off_head_.layer(0)},
+                                nn::Reference::kRepeated);
 }
 
 void BevDetector::init_from_pretrained(OccupancyAutoencoder& ae) {
@@ -85,14 +92,6 @@ BevDetector::Forward BevDetector::forward(const nn::Tensor& grid) {
   return f;
 }
 
-BevDetector::Forward BevDetector::infer(const nn::Tensor& grid) {
-  nn::Tensor neck = backbone_.infer(grid);
-  Forward f;
-  f.cls_logits = cls_head_.infer(neck);
-  f.offsets = off_head_.infer(std::move(neck));
-  return f;
-}
-
 void BevDetector::backward(const nn::Tensor& dcls, const nn::Tensor& doff) {
   nn::Tensor dneck = cls_head_.backward(dcls);
   dneck.add_scaled(off_head_.backward(doff), 1.0);
@@ -108,24 +107,36 @@ Vec3 BevDetector::cell_center(int cx, int cy) const {
 
 std::vector<Detection> BevDetector::detect(const nn::Tensor& grid) {
   S2A_TRACE_SCOPE_CAT("lidar.detect", "lidar");
-  const Forward f = infer(grid);
+  const nn::Tensor heads = detect_.infer(grid);
+  const double* cls_logits = heads.data();
+  const double* offsets =
+      heads.data() + static_cast<std::size_t>(kNumClasses) * h2_ * w2_;
   const double cell_w = 2.0 * cfg_.grid.extent / w2_;
   const double cell_h = 2.0 * cfg_.grid.extent / h2_;
+  // A logit this far below the threshold's scores below it however the
+  // sigmoid rounds (it is monotone, and 1e-3 of logit moves a score in
+  // [1e-6, 1 - 1e-6] by far more than its rounding), so the scan skips
+  // its exp. Closer logits, NaN among them, take the exact test.
+  const double thr = cfg_.score_threshold;
+  const double skip_below = thr >= 1e-6 && thr <= 1.0 - 1e-6
+                                ? std::log(thr / (1.0 - thr)) - 1e-3
+                                : -std::numeric_limits<double>::infinity();
 
   std::vector<Detection> out;
   for (int c = 0; c < kNumClasses; ++c) {
     for (int y = 0; y < h2_; ++y)
       for (int x = 0; x < w2_; ++x) {
-        const double logit = f.cls_logits[idx_chw(c, y, x, h2_, w2_)];
+        const double logit = cls_logits[idx_chw(c, y, x, h2_, w2_)];
+        if (logit < skip_below) continue;
         const double score = sigmoid(logit);
-        if (score < cfg_.score_threshold) continue;
+        if (score < thr) continue;
         // 3×3 same-class local maximum (greedy NMS on the heatmap).
         bool is_max = true;
         for (int dy = -1; dy <= 1 && is_max; ++dy)
           for (int dx = -1; dx <= 1; ++dx) {
             const int yy = y + dy, xx = x + dx;
             if (yy < 0 || yy >= h2_ || xx < 0 || xx >= w2_) continue;
-            if (f.cls_logits[idx_chw(c, yy, xx, h2_, w2_)] > logit) {
+            if (cls_logits[idx_chw(c, yy, xx, h2_, w2_)] > logit) {
               is_max = false;
               break;
             }
@@ -133,9 +144,9 @@ std::vector<Detection> BevDetector::detect(const nn::Tensor& grid) {
         if (!is_max) continue;
 
         const double ox =
-            std::clamp(f.offsets[idx_chw(0, y, x, h2_, w2_)], -0.5, 0.5);
+            std::clamp(offsets[idx_chw(0, y, x, h2_, w2_)], -0.5, 0.5);
         const double oy =
-            std::clamp(f.offsets[idx_chw(1, y, x, h2_, w2_)], -0.5, 0.5);
+            std::clamp(offsets[idx_chw(1, y, x, h2_, w2_)], -0.5, 0.5);
         Detection d;
         d.cls = static_cast<sim::ObjectClass>(c);
         d.score = score;

@@ -56,6 +56,12 @@ class BevDetector {
   /// "+pretraining" rows of Table I). Architectures must match.
   void init_from_pretrained(OccupancyAutoencoder& ae);
 
+  /// Heatmap peaks above score_threshold. The backbone and heads run
+  /// through active-site inference keyed to a repeated input (see
+  /// nn::ActiveSiteStack, Reference::kRepeated): once two consecutive
+  /// calls on the same weights see one grid bit for bit, a call
+  /// recomputes only the sites where its grid differs from that one,
+  /// bit-identical to the dense forward. Int8 detectors run dense.
   std::vector<Detection> detect(const nn::Tensor& grid);
   /// One supervised step against scene ground truth; returns total loss.
   double train_step(const nn::Tensor& grid, const sim::Scene& gt,
@@ -96,8 +102,6 @@ class BevDetector {
   };
   /// Training forward: captures activations for backward().
   Forward forward(const nn::Tensor& grid);
-  /// The same outputs through nn::Layer::infer, capturing nothing.
-  Forward infer(const nn::Tensor& grid);
   void backward(const nn::Tensor& dcls, const nn::Tensor& doff);
   /// Map cell (stride-2) center to sensor-frame x/y.
   Vec3 cell_center(int cx, int cy) const;
@@ -113,6 +117,9 @@ class BevDetector {
   // The first four backbone layers (conv1 ReLU conv2 ReLU) the
   // embeddings pool, through active-site inference (nn/frozen.hpp).
   nn::ActiveSiteStack embed_;
+  // detect()'s forward: the backbone, then both heads stacked on
+  // channels ([1, 3 + 2, h2, w2]: class logits, then offsets).
+  nn::ActiveSiteStack detect_;
 };
 
 /// Two-stage detector: BevDetector proposals + point-statistics refinement.

@@ -77,9 +77,10 @@ namespace {
 
 enum class Act { kNone, kRelu, kSigmoid };
 
-bool same_bits(const Tensor& live, const std::vector<double>& key) {
-  return live.numel() == key.size() &&
-         std::memcmp(live.data(), key.data(), key.size() * sizeof(double)) == 0;
+// live's bits equal the first live.numel() of the `left` key values.
+bool same_bits(const Tensor& live, const double* key, std::size_t left) {
+  return live.numel() <= left &&
+         std::memcmp(live.data(), key, live.numel() * sizeof(double)) == 0;
 }
 
 // floor(a / b) for b > 0.
@@ -88,18 +89,23 @@ int floor_div(int a, int b) { return a >= 0 ? a / b : -((-a + b - 1) / b); }
 }  // namespace
 
 struct FrozenConv::Stage {
-  const Layer* layer = nullptr;  // the live layer, for the key check
-  const Tensor* live_w = nullptr;
-  const Tensor* live_b = nullptr;
+  // The live layers the stage runs, for the key check: one conv, or the
+  // heads, whose rows the stage stacks.
+  struct Part {
+    const Layer* layer;
+    const Tensor* w;
+    const Tensor* b;
+  };
+  std::vector<Part> parts;
   bool transposed = false;
   int cin = 0, cout = 0, k = 0, s = 0, pad = 0;
   int h = 0, w = 0, oh = 0, ow = 0;  // one sample's input and output
   Act act = Act::kNone;
-  std::vector<double> wkey, bkey;  // the key: bitwise copies
+  std::vector<double> wkey, bkey;  // the key: bitwise copies, parts in order
   detail::DeconvPhases phases;     // deconv only
   std::vector<double> packed;      // every phase's panel, back to back
   std::vector<detail::LoweredWeights> a;  // one per phase (one for a conv)
-  std::vector<double> background;  // [cout, oh, ow] for an all-zero input
+  std::vector<double> background;  // [cout, oh, ow] for the reference input
   // The stage's padded input, kept across calls, and the input rows
   // (units b * h + iy) that held non-background values at the last call
   // that reached this stage.
@@ -114,10 +120,18 @@ struct FrozenConv::Stage {
   int reach_hi(int i) const {
     return transposed ? i * s - pad + k - 1 : floor_div(i + pad, s);
   }
+
+  void add_part(const Layer* l, const Tensor& lw, const Tensor& lb) {
+    parts.push_back({l, &lw, &lb});
+    wkey.insert(wkey.end(), lw.data(), lw.data() + lw.numel());
+    bkey.insert(bkey.end(), lb.data(), lb.data() + lb.numel());
+  }
 };
 
 FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
-                       const std::vector<int>& sample)
+                       const std::vector<int>& sample,
+                       const std::vector<Layer*>& heads,
+                       const double* reference)
     : kernel_(gemm_kernel_name()) {
   S2A_CHECK_MSG(sample.size() == 3 || sample.size() == 4,
                 "FrozenConv: sample shape must be [C,H,W] or [N,C,H,W]");
@@ -126,6 +140,12 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
   h_ = sample[off + 1];
   w_ = sample[off + 2];
   int c = c_, h = h_, w = w_;
+  const auto check_shape = [&c](const Stage& st, std::size_t i) {
+    S2A_CHECK_MSG(st.cin == c, "FrozenConv: layer " << i << " expects "
+                                                    << st.cin << " channels");
+    S2A_CHECK_MSG(st.oh > 0 && st.ow > 0, "FrozenConv: layer "
+                                              << i << " output collapsed");
+  };
   for (std::size_t i = 0; i < layers.size(); ++i) {
     Layer* l = layers[i];
     S2A_CHECK_MSG(!l->is_quantized(), "FrozenConv of an int8-quantized layer");
@@ -138,7 +158,6 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
       continue;
     }
     Stage st;
-    st.layer = l;
     if (const auto* cv = dynamic_cast<const Conv2D*>(l)) {
       st.cin = cv->in_channels();
       st.cout = cv->out_channels();
@@ -147,8 +166,7 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
       st.pad = cv->padding();
       st.oh = cv->out_size(h);
       st.ow = cv->out_size(w);
-      st.live_w = &cv->weight();
-      st.live_b = &cv->bias();
+      st.add_part(l, cv->weight(), cv->bias());
     } else {
       const auto* dc = dynamic_cast<const ConvTranspose2D*>(l);
       S2A_CHECK_MSG(dc != nullptr, "FrozenConv supports Conv2D, "
@@ -161,24 +179,50 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
       st.pad = dc->padding();
       st.oh = dc->out_size(h);
       st.ow = dc->out_size(w);
-      st.live_w = &dc->weight();
-      st.live_b = &dc->bias();
+      st.add_part(l, dc->weight(), dc->bias());
       st.phases = dc->phases();
     }
-    S2A_CHECK_MSG(st.cin == c, "FrozenConv: layer " << i << " expects "
-                                                    << st.cin << " channels");
-    S2A_CHECK_MSG(st.oh > 0 && st.ow > 0, "FrozenConv: layer "
-                                              << i << " output collapsed");
+    check_shape(st, i);
     st.h = h;
     st.w = w;
-    st.wkey.assign(st.live_w->data(), st.live_w->data() + st.live_w->numel());
-    st.bkey.assign(st.live_b->data(), st.live_b->data() + st.live_b->numel());
     c = st.cout;
     h = st.oh;
     w = st.ow;
     stages_.push_back(std::move(st));
   }
+  if (!heads.empty()) {
+    // One stage whose [sum cout, cin * k * k] weight stacks the heads'.
+    Stage st;
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      const Layer* l = heads[i];
+      S2A_CHECK_MSG(!l->is_quantized(), "FrozenConv of an int8-quantized head");
+      const auto* cv = dynamic_cast<const Conv2D*>(l);
+      S2A_CHECK_MSG(cv != nullptr, "FrozenConv: heads must be Conv2D");
+      S2A_CHECK_MSG(i == 0 || (cv->in_channels() == st.cin &&
+                               cv->kernel() == st.k &&
+                               cv->stride() == st.s &&
+                               cv->padding() == st.pad),
+                    "FrozenConv: head " << i << " differs in geometry");
+      st.cin = cv->in_channels();
+      st.cout += cv->out_channels();
+      st.k = cv->kernel();
+      st.s = cv->stride();
+      st.pad = cv->padding();
+      st.oh = cv->out_size(h);
+      st.ow = cv->out_size(w);
+      st.add_part(l, cv->weight(), cv->bias());
+    }
+    check_shape(st, layers.size());
+    st.h = h;
+    st.w = w;
+    stages_.push_back(std::move(st));
+  }
   S2A_CHECK_MSG(!stages_.empty(), "FrozenConv needs at least one conv");
+  if (reference != nullptr)
+    reference_.assign(reference,
+                      reference + static_cast<std::size_t>(c_) * h_ * w_);
+  else
+    zero_row_.assign(static_cast<std::size_t>(w_), 0.0);
 }
 
 FrozenConv::~FrozenConv() = default;
@@ -187,15 +231,50 @@ bool FrozenConv::matches(const Tensor& x) const {
   if (gemm_kernel_name() != kernel_) return false;
   const auto& sh = x.shape();
   if (sh.size() != 4 || sh[1] != c_ || sh[2] != h_ || sh[3] != w_) return false;
-  for (const Stage& st : stages_)
-    if (st.layer->is_quantized() || !same_bits(*st.live_w, st.wkey) ||
-        !same_bits(*st.live_b, st.bkey))
-      return false;
+  for (const Stage& st : stages_) {
+    std::size_t wo = 0, bo = 0;
+    for (const Stage::Part& p : st.parts) {
+      if (p.layer->is_quantized() ||
+          !same_bits(*p.w, st.wkey.data() + wo, st.wkey.size() - wo) ||
+          !same_bits(*p.b, st.bkey.data() + bo, st.bkey.size() - bo))
+        return false;
+      wo += p.w->numel();
+      bo += p.b->numel();
+    }
+    if (wo != st.wkey.size() || bo != st.bkey.size()) return false;
+  }
   return true;
+}
+
+bool FrozenConv::is_reference(const Tensor& x) const {
+  const std::size_t image = static_cast<std::size_t>(c_) * h_ * w_;
+  if (x.shape().size() != 4 || x.dim(0) != 1 || x.numel() != image)
+    return false;
+  if (!reference_.empty())
+    return std::memcmp(x.data(), reference_.data(), image * sizeof(double)) == 0;
+  return std::all_of(x.data(), x.data() + image, [](double v) {
+    return std::bit_cast<std::uint64_t>(v) == 0;
+  });
+}
+
+void FrozenConv::set_reference(const Tensor& x) {
+  S2A_CHECK_MSG(x.shape().size() == 4 && x.dim(0) == 1 && x.dim(1) == c_ &&
+                    x.dim(2) == h_ && x.dim(3) == w_,
+                "FrozenConv: a reference is one [1," << c_ << "," << h_ << ","
+                                                     << w_ << "] sample");
+  reference_.assign(x.data(), x.data() + x.numel());
+  zero_row_.clear();
+  // The backgrounds and every kept padded input belong to the old R.
+  prepared_ = false;
+  for (Stage& st : stages_) {
+    st.padded.images = 0;
+    st.dirty.clear();
+  }
 }
 
 void FrozenConv::prepare() {
   for (Stage& st : stages_) {
+    if (packed_) break;  // the panels outlive a change of reference
     if (st.transposed) {
       // One panel per sub-pixel phase, packed through the phase's row
       // table exactly as ConvTranspose2D's forward packs them.
@@ -219,9 +298,12 @@ void FrozenConv::prepare() {
       st.a.push_back({st.cout, kdim, st.packed.data(), nullptr});
     }
   }
-  // Backgrounds: the stack on one all-zero sample, every row computed.
-  std::vector<double> zero(static_cast<std::size_t>(c_) * h_ * w_, 0.0);
-  const double* x = zero.data();
+  packed_ = true;
+  // Backgrounds: the stack on one reference sample, every row computed.
+  std::vector<double> zero;
+  if (reference_.empty())
+    zero.assign(static_cast<std::size_t>(c_) * h_ * w_, 0.0);
+  const double* x = reference_.empty() ? zero.data() : reference_.data();
   for (Stage& st : stages_) {
     st.background.resize(static_cast<std::size_t>(st.cout) * st.oh * st.ow);
     run(st, x, 1, st.background.data(), {}, nullptr);
@@ -229,7 +311,6 @@ void FrozenConv::prepare() {
   }
   prepared_ = true;
 }
-
 void FrozenConv::run(const Stage& st, const double* x, int n, double* y,
                      detail::OutputRows rows, detail::PaddedCache* padded) {
   arena_.reset();
@@ -270,7 +351,7 @@ Tensor FrozenConv::infer(const Tensor& x) {
   if (!prepared_) prepare();
   const int n = x.dim(0);
 
-  // The input's changed sites: elements whose bits are not +0.0, as
+  // The input's changed sites: elements whose bits differ from R's, as
   // one span per (image, row) over all channels.
   changed_.clear();
   const std::size_t in_hw = static_cast<std::size_t>(h_) * w_;
@@ -278,18 +359,21 @@ Tensor FrozenConv::infer(const Tensor& x) {
     for (int iy = 0; iy < h_; ++iy) {
       int x0 = w_, x1 = 0;
       for (int ic = 0; ic < c_; ++ic) {
-        const double* row = x.data() +
-                            (static_cast<std::size_t>(b) * c_ + ic) * in_hw +
-                            static_cast<std::size_t>(iy) * w_;
-        const auto bits = [row](int j) {
-          return std::bit_cast<std::uint64_t>(row[j]);
+        const std::size_t at =
+            static_cast<std::size_t>(ic) * in_hw + static_cast<std::size_t>(iy) * w_;
+        const double* row = x.data() + static_cast<std::size_t>(b) * c_ * in_hw + at;
+        const double* ref =
+            reference_.empty() ? zero_row_.data() : reference_.data() + at;
+        const auto diff = [row, ref](int j) {
+          return std::bit_cast<std::uint64_t>(row[j]) ^
+                 std::bit_cast<std::uint64_t>(ref[j]);
         };
         std::uint64_t any = 0;
-        for (int j = 0; j < w_; ++j) any |= bits(j);
+        for (int j = 0; j < w_; ++j) any |= diff(j);
         if (any == 0) continue;
         int lo = 0, hi = w_;
-        while (bits(lo) == 0) ++lo;
-        while (bits(hi - 1) == 0) --hi;
+        while (diff(lo) == 0) ++lo;
+        while (diff(hi - 1) == 0) --hi;
         x0 = std::min(x0, lo);
         x1 = std::max(x1, hi);
       }
@@ -375,27 +459,69 @@ Tensor FrozenConv::infer(const Tensor& x) {
 
 // ---- ActiveSiteStack ----
 
-ActiveSiteStack::ActiveSiteStack(std::vector<Layer*> layers)
-    : layers_(std::move(layers)) {}
+ActiveSiteStack::ActiveSiteStack(std::vector<Layer*> layers,
+                                 std::vector<Layer*> heads, Reference reference)
+    : layers_(std::move(layers)), heads_(std::move(heads)),
+      reference_(reference) {}
 
 ActiveSiteStack::ActiveSiteStack(ActiveSiteStack&&) noexcept = default;
 ActiveSiteStack& ActiveSiteStack::operator=(ActiveSiteStack&&) noexcept =
     default;
 ActiveSiteStack::~ActiveSiteStack() = default;
 
-Tensor ActiveSiteStack::infer(Tensor x) {
-  if (snap_ != nullptr && snap_->matches(x)) return snap_->infer(x);
-  // Dense, then key a snapshot to the weights this call saw: the next
-  // call builds it if they have not moved.
+Tensor ActiveSiteStack::infer(const Tensor& x) {
+  const bool batch1 = x.shape().size() == 4 && x.dim(0) == 1;
+  if (snap_ != nullptr && snap_->matches(x)) {
+    if (adopted_ || snap_->is_reference(x)) {
+      adopted_ = true;
+      return snap_->infer(x);
+    }
+    // Same weights, another input: it is the candidate R now.
+    if (batch1)
+      snap_->set_reference(x);
+    else
+      snap_.reset();
+    return dense(x);
+  }
+  // Key a snapshot to the weights this call saw (and, for kRepeated, to
+  // its input as the candidate R): the next call builds it if neither
+  // has moved.
   snap_.reset();
-  const std::vector<int> shape = x.shape();
-  for (Layer* l : layers_) x = l->infer(std::move(x));
-  const bool quantized = std::any_of(
-      layers_.begin(), layers_.end(),
-      [](const Layer* l) { return l->is_quantized(); });
-  if (!quantized && shape.size() == 4)
-    snap_ = std::make_unique<FrozenConv>(layers_, shape);
-  return x;
+  const bool quantized =
+      std::any_of(layers_.begin(), layers_.end(),
+                  [](const Layer* l) { return l->is_quantized(); }) ||
+      std::any_of(heads_.begin(), heads_.end(),
+                  [](const Layer* l) { return l->is_quantized(); });
+  const bool zero = reference_ == Reference::kZero;
+  if (!quantized && x.shape().size() == 4 && (zero || batch1)) {
+    snap_ = std::make_unique<FrozenConv>(layers_, x.shape(), heads_,
+                                         zero ? nullptr : x.data());
+    adopted_ = zero;
+  }
+  return dense(x);
+}
+
+Tensor ActiveSiteStack::dense(const Tensor& x) {
+  Tensor y = x;
+  for (Layer* l : layers_) y = l->infer(std::move(y));
+  if (heads_.empty()) return y;
+  // Each head on the stack's output, stacked along channels per image.
+  std::vector<Tensor> outs;
+  for (std::size_t i = 0; i < heads_.size(); ++i)
+    outs.push_back(i + 1 < heads_.size() ? heads_[i]->infer(y)
+                                          : heads_[i]->infer(std::move(y)));
+  const int n = outs.front().dim(0), oh = outs.front().dim(2),
+            ow = outs.front().dim(3);
+  int channels = 0;
+  for (const Tensor& o : outs) channels += o.dim(1);
+  Tensor out({n, channels, oh, ow});
+  double* dst = out.data();
+  for (int b = 0; b < n; ++b)
+    for (const Tensor& o : outs) {
+      const std::size_t image = o.numel() / static_cast<std::size_t>(n);
+      dst = std::copy_n(o.data() + static_cast<std::size_t>(b) * image, image, dst);
+    }
+  return out;
 }
 
 }  // namespace s2a::nn

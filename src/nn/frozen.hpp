@@ -19,36 +19,50 @@
 // user builds a fresh snapshot per call and drops it on return.
 //
 // FrozenConv is the same idea for a Conv2D/ConvTranspose2D stack, each
-// conv optionally followed by a ReLU or Sigmoid: active-site inference.
-// It holds a bitwise copy of every weight and bias (its key), the
-// packed A panels, the identity of the gemm kernel they were packed
-// for, and, for one sample geometry, each stage's background: its
-// output for an all-zero input, border effects included. infer() plans
-// from the input. The changed set is every input element that is not
-// bitwise +0.0 (so NaN, inf and -0.0 count as changed), kept per
-// (image, row) as the span from its first to its last changed column
-// over all channels. Each stage dilates every changed span by its
-// footprint, in rows and in columns, to get the candidate output
-// sites (the span hull per output row), recomputes only those through
-// the layers' own band loop (nn/conv_rows.hpp), takes every other site
-// from the background, and keeps as changed the part of each candidate
-// span whose bits differ from the background's. Each stage keeps its
-// padded input across calls and rewrites only the rows that hold
-// changed values now or held them at the last call (every other row
-// already holds the background). A dense input runs the same loop with
-// every full row a candidate; an empty one copies the last background.
+// conv optionally followed by a ReLU or Sigmoid, and optionally ending
+// in a group of heads (Conv2Ds that all read the stack's output, run as
+// one stage whose panel stacks their rows): active-site inference. It
+// holds a bitwise copy of every weight and bias (its key), the packed A
+// panels, the identity of the gemm kernel they were packed for, one
+// sample of its keyed geometry as the reference input R (all zeros
+// unless the caller gives one), and each stage's background: its output
+// for R, border effects included. infer() plans from the input. The
+// changed set is every input element whose bits differ from R's (so
+// against the all-zero R a NaN, an inf and a -0.0 all count as
+// changed), kept per (image, row) as the span from its first to its
+// last changed column over all channels. Each stage dilates every
+// changed span by its footprint, in rows and in columns, to get the
+// candidate output sites (the span hull per output row), recomputes
+// only those through the layers' own band loop (nn/conv_rows.hpp),
+// takes every other site from the background, and keeps as changed the
+// part of each candidate span whose bits differ from the background's.
+// Each stage keeps its padded input across calls and rewrites only the
+// rows that hold changed values now or held them at the last call
+// (every other row already holds R's values). A dense input runs the
+// same loop with every full row a candidate; an input equal to R copies
+// the last background.
 // The result is bit-identical to the layers' infer():
-// an output outside the candidates reads only background inputs and
-// zero padding, through the same reduction chain as the background, so
-// it is the background bit for bit (tests/active_site_test.cpp diffs
-// the two). As in the dense path across thread counts, the one thing
-// the tiling decides is which NaN an add of two NaNs returns; NaN
+// an output outside the candidates reads only R's values and zero
+// padding, through the same reduction chain as the background, so it
+// is the background bit for bit (tests/active_site_test.cpp diffs the
+// two). Stacking the heads' rows changes no element's chain either: the
+// GEMM's chain per element does not depend on the panel it sits in
+// (nn/gemm.hpp). As in the dense path across thread counts, the one
+// thing the tiling decides is which NaN an add of two NaNs returns; NaN
 // positions are exact.
 //
 // ActiveSiteStack decides per call whether a FrozenConv may serve. The
 // key is checked against the live weights on every call, so the
 // snapshot cannot go stale and the weight writers (optimizers, loads,
-// federated updates, quantize()) need not know it exists.
+// federated updates, quantize()) need not know it exists. It also picks
+// R, by one of two rules. Reference::kZero keeps the all-zero R, which
+// is right for a stack fed sensed occupancy (most of it is empty).
+// Reference::kRepeated adopts as R a batch-1 input that two consecutive
+// calls on the same weights saw bit for bit; that suits a stack whose
+// input is some other stage's output (the detector reads a
+// reconstruction, whose empty-scene value is far from zero but recurs
+// whenever nothing is sensed). Both need only the calls themselves: no
+// threshold and no setting.
 #pragma once
 
 #include <cstdint>
@@ -90,15 +104,19 @@ class Frozen {
 
 class FrozenConv {
  public:
-  /// Keys a snapshot of `layers` (borrowed; they must outlive it) for
-  /// inputs whose sample shape is `sample` ([C, H, W], or a full
-  /// [N, C, H, W] whose N is ignored). Each Conv2D or ConvTranspose2D
-  /// may be followed by one ReLU or Sigmoid; any other layer, a leading
-  /// activation or an int8-quantized layer fails S2A_CHECK. Copies only
-  /// the key: the first infer() packs the panels and computes the
-  /// backgrounds.
-  FrozenConv(const std::vector<Layer*>& layers,
-             const std::vector<int>& sample);
+  /// Keys a snapshot of `layers` (borrowed; they must outlive it), then
+  /// `heads`, for inputs whose sample shape is `sample` ([C, H, W], or a
+  /// full [N, C, H, W] whose N is ignored). Each Conv2D or
+  /// ConvTranspose2D may be followed by one ReLU or Sigmoid; any other
+  /// layer, a leading activation or an int8-quantized layer fails
+  /// S2A_CHECK. The heads are Conv2Ds of one geometry that all read the
+  /// output of `layers`; the snapshot's output stacks theirs along
+  /// channels, in order. `reference` is one sample of the keyed shape,
+  /// R (null: all zeros). Copies only the key and R: the first infer()
+  /// packs the panels and computes the backgrounds.
+  FrozenConv(const std::vector<Layer*>& layers, const std::vector<int>& sample,
+             const std::vector<Layer*>& heads = {},
+             const double* reference = nullptr);
   ~FrozenConv();
 
   /// True when this snapshot may serve x: x has the keyed sample shape,
@@ -106,9 +124,15 @@ class FrozenConv {
   /// every live weight and bias memcmp-equals the key.
   bool matches(const Tensor& x) const;
 
+  /// True when x is one sample whose bits equal R's.
+  bool is_reference(const Tensor& x) const;
+  /// Makes x (one sample of the keyed shape) the reference; the next
+  /// infer() recomputes the backgrounds.
+  void set_reference(const Tensor& x);
+
   /// The stack's output for x ([N, C, H, W] of the keyed sample shape),
   /// bit-identical to running each layer's infer() on the keyed
-  /// weights.
+  /// weights (and each head's on the last layer's output, stacked).
   Tensor infer(const Tensor& x);
 
  private:
@@ -123,7 +147,10 @@ class FrozenConv {
   const char* kernel_;
   int c_ = 0, h_ = 0, w_ = 0;  // keyed sample shape
   std::vector<Stage> stages_;
-  bool prepared_ = false;
+  bool packed_ = false, prepared_ = false;
+  // R, one [c_, h_, w_] sample; empty for all zeros, when zero_row_
+  // (w_ zeros) stands in for each of its rows.
+  std::vector<double> reference_, zero_row_;
   // Per-call plan: the current changed sites and the candidates, as
   // one column span per (image, row) unit, ascending; lo_/hi_ hold a
   // stage's candidate columns per output unit while they are gathered.
@@ -134,25 +161,42 @@ class FrozenConv {
   util::ScratchArena arena_;
 };
 
-/// A borrowed conv stack that runs through a FrozenConv when one
-/// matches the live weights, and through each layer's infer()
+/// Which input a stack's backgrounds are computed for (see above).
+enum class Reference { kZero, kRepeated };
+
+/// A borrowed conv stack (with optional stacked heads, as FrozenConv)
+/// that runs through a FrozenConv when one matches the live weights and
+/// its reference is adopted, and through each layer's infer()
 /// otherwise. A call that misses re-keys the snapshot to the weights it
-/// saw, so the panels and backgrounds are built on the second
+/// saw. With Reference::kZero the snapshot serves from the second
 /// consecutive call that sees the same weights: a caller that trains
-/// between calls pays the dense forward plus the key check. A stack
-/// with an int8-quantized layer always runs its layers' infer().
+/// between calls pays the dense forward plus the key check. With
+/// Reference::kRepeated each dense batch-1 call also makes its input
+/// the candidate R, and the snapshot serves from the call that repeats
+/// the candidate on the same weights, for as long as they stay; a
+/// caller whose inputs never repeat stays dense. A stack with an
+/// int8-quantized layer always runs its layers' infer().
 class ActiveSiteStack {
  public:
-  explicit ActiveSiteStack(std::vector<Layer*> layers);
+  explicit ActiveSiteStack(std::vector<Layer*> layers,
+                           std::vector<Layer*> heads = {},
+                           Reference reference = Reference::kZero);
   ActiveSiteStack(ActiveSiteStack&&) noexcept;
   ActiveSiteStack& operator=(ActiveSiteStack&&) noexcept;
   ~ActiveSiteStack();
 
-  Tensor infer(Tensor x);
+  Tensor infer(const Tensor& x);
+  /// True when the next call, on unchanged weights, kernel and sample
+  /// shape, runs through the snapshot whatever its input.
+  bool serving() const { return snap_ != nullptr && adopted_; }
 
  private:
-  std::vector<Layer*> layers_;
+  Tensor dense(const Tensor& x);
+
+  std::vector<Layer*> layers_, heads_;
+  Reference reference_;
   std::unique_ptr<FrozenConv> snap_;
+  bool adopted_ = false;  // snap_ may serve (its R is adopted)
 };
 
 }  // namespace s2a::nn

@@ -1,10 +1,13 @@
 // Oracle tests for active-site inference (nn/frozen.hpp): a FrozenConv
-// recomputes only the output rows an input's non-zero elements reach and
-// takes every other row from the all-zero input's output. Its result
-// must be bit-identical (memcmp, no tolerance) to running each layer's
-// infer() on the same weights, for every stride, padding and input,
+// recomputes only the output sites the input elements that differ from
+// its reference input R reach, and takes every other site from R's
+// output (R is all zeros unless given). Its result must be
+// bit-identical (memcmp, no tolerance) to running each layer's infer()
+// on the same weights, for every stride, padding, reference and input,
 // at 1 and 4 pool threads. The invalidation tests write the weights in
-// every way the library does and check that the next call sees them.
+// every way the library does and check that the next call sees them;
+// the detector tests diff detect() against a dense decode kept here.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +27,8 @@
 #include "nn/frozen.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
+#include "sim/lidar_sim.hpp"
+#include "sim/scene.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -392,6 +397,431 @@ TEST(ActiveSite, MacCountIsTheDenseCountForTheConfiguredGrid) {
   for (int call = 0; call < 3; ++call) fresh.reconstruct(x);
   fresh.reconstruct(empty);
   EXPECT_EQ(fresh.macs_per_scan(), macs);
+}
+
+// ---- Reference-keyed snapshots: the detector's backbone and heads ----
+
+// The detector's forward at a given grid: conv1, conv2 and the deconv,
+// each with a ReLU, then the class and offset heads, with non-zero
+// biases. infer() is the oracle: every layer's infer(), the heads'
+// outputs stacked on channels per image.
+struct DetectorStack {
+  nn::Sequential backbone, cls, off;
+  int c, h, w;
+
+  DetectorStack(int c_, int h_, int w_, Rng& rng) : c(c_), h(h_), w(w_) {
+    backbone.emplace<nn::Conv2D>(c, 16, 3, 2, 1, rng);
+    backbone.emplace<nn::ReLU>();
+    backbone.emplace<nn::Conv2D>(16, 32, 3, 2, 1, rng);
+    backbone.emplace<nn::ReLU>();
+    backbone.emplace<nn::ConvTranspose2D>(32, 16, 4, 2, 1, rng);
+    backbone.emplace<nn::ReLU>();
+    cls.emplace<nn::Conv2D>(16, 3, 1, 1, 0, rng);
+    off.emplace<nn::Conv2D>(16, 2, 1, 1, 0, rng);
+    for (nn::Sequential* net : {&backbone, &cls, &off})
+      for (std::size_t i = 0; i < net->size(); ++i)
+        if (net->layer(i).params().size() == 2) {
+          nn::Tensor& b = *net->layer(i).params()[1];
+          for (std::size_t j = 0; j < b.numel(); ++j) b[j] = rng.normal(0.0, 0.3);
+        }
+  }
+  std::vector<nn::Layer*> heads() { return {&cls.layer(0), &off.layer(0)}; }
+
+  nn::Tensor infer(const nn::Tensor& x) {
+    const nn::Tensor neck = backbone.infer(x);
+    const nn::Tensor a = cls.infer(neck), b = off.infer(neck);
+    const int n = a.dim(0);
+    const std::size_t ia = a.numel() / static_cast<std::size_t>(n),
+                      ib = b.numel() / static_cast<std::size_t>(n);
+    nn::Tensor out({n, a.dim(1) + b.dim(1), a.dim(2), a.dim(3)});
+    double* dst = out.data();
+    for (int i = 0; i < n; ++i) {
+      dst = std::copy_n(a.data() + static_cast<std::size_t>(i) * ia, ia, dst);
+      dst = std::copy_n(b.data() + static_cast<std::size_t>(i) * ib, ib, dst);
+    }
+    return out;
+  }
+
+  // A reference like the loop's: every element a small positive value,
+  // as a reconstruction's empty-scene occupancy is.
+  nn::Tensor reference(Rng& rng) const {
+    nn::Tensor r({1, c, h, w});
+    for (std::size_t i = 0; i < r.numel(); ++i) r[i] = rng.uniform(0.01, 0.2);
+    return r;
+  }
+};
+
+// images stacked into one batch.
+nn::Tensor batch_of(const std::vector<const nn::Tensor*>& images) {
+  std::vector<double> data;
+  for (const nn::Tensor* t : images)
+    data.insert(data.end(), t->data(), t->data() + t->numel());
+  std::vector<int> shape = images.front()->shape();
+  shape[0] = static_cast<int>(images.size());
+  return nn::Tensor(shape, std::move(data));
+}
+
+// The inputs a reference-keyed stack is checked on: R itself, R with a
+// 2x2 patch of 1.0 at each corner and edge midpoint, R with a NaN,
+// +inf, -inf or -0.0 voxel, an input that differs from R everywhere,
+// the all-zero input, and a batch of R, a patch and a dense input.
+std::vector<std::pair<std::string, nn::Tensor>> reference_inputs(
+    const DetectorStack& net, const nn::Tensor& r, Rng& rng) {
+  std::vector<std::pair<std::string, nn::Tensor>> out;
+  out.emplace_back("reference", r);
+  const std::size_t hw = static_cast<std::size_t>(net.h) * net.w;
+  const auto at = [&](int ch, int y, int x) {
+    return static_cast<std::size_t>(ch) * hw + static_cast<std::size_t>(y) * net.w + x;
+  };
+  for (int y : {0, net.h / 2, net.h - 2})
+    for (int x : {0, net.w / 2, net.w - 2}) {
+      nn::Tensor t = r;
+      for (int dy = 0; dy < 2; ++dy)
+        for (int dx = 0; dx < 2; ++dx) t[at(net.c - 1, y + dy, x + dx)] = 1.0;
+      out.emplace_back("patch_" + std::to_string(y) + "_" + std::to_string(x),
+                       std::move(t));
+    }
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0};
+  for (double v : specials) {
+    nn::Tensor t = r;
+    t[at(0, net.h / 2, net.w - 1)] = v;
+    t[at(net.c - 1, 0, 0)] = v;
+    out.emplace_back("special_" + std::to_string(v), std::move(t));
+  }
+  nn::Tensor shifted = r;
+  for (std::size_t i = 0; i < shifted.numel(); ++i) shifted[i] += 0.5;
+  out.emplace_back("everywhere", shifted);
+  out.emplace_back("zero", nn::Tensor({1, net.c, net.h, net.w}));
+  const nn::Tensor dense = nn::Tensor::randn({1, net.c, net.h, net.w}, rng);
+  out.emplace_back("batch", batch_of({&r, &out[1].second, &dense}));
+  return out;
+}
+
+TEST_P(ActiveSiteThreads, ReferenceKeyedDetectorStackMatchesLayerInferBitwise) {
+  util::ScopedGlobalThreads threads(GetParam());
+  Rng rng(67);
+  DetectorStack net(4, 48, 48, rng);
+  const nn::Tensor r = net.reference(rng);
+  std::vector<nn::Layer*> backbone = layers_of(net.backbone);
+  nn::FrozenConv frozen(backbone, {net.c, net.h, net.w}, net.heads(), r.data());
+  const auto inputs = reference_inputs(net, r, rng);
+  // Twice through, so the second pass plans against the padded inputs
+  // the first one left.
+  for (int pass = 0; pass < 2; ++pass)
+    for (const auto& [name, x] : inputs) {
+      ASSERT_TRUE(frozen.matches(x));
+      EXPECT_TRUE(same_bits(frozen.infer(x), net.infer(x)))
+          << name << ", pass " << pass;
+    }
+  // A new reference: backgrounds and kept padded inputs follow it. The
+  // last call before it leaves a batch-1 input in every stage's padded
+  // input, which a call on R' would otherwise read on its unchanged rows.
+  const nn::Tensor& everywhere = inputs[inputs.size() - 3].second;
+  EXPECT_TRUE(same_bits(frozen.infer(everywhere), net.infer(everywhere)));
+  frozen.set_reference(inputs[1].second);
+  EXPECT_TRUE(frozen.is_reference(inputs[1].second));
+  EXPECT_FALSE(frozen.is_reference(r));
+  for (const auto& [name, x] : inputs)
+    EXPECT_TRUE(same_bits(frozen.infer(x), net.infer(x)))
+        << name << ", after set_reference";
+}
+
+TEST(ActiveSite, RepeatedReferenceIsAdoptedOnTheSecondIdenticalInput) {
+  Rng rng(71);
+  DetectorStack net(4, 16, 12, rng);
+  const nn::Tensor a = net.reference(rng), b = net.reference(rng);
+  // Runs x through `on`, checks the bits, and says whether the next
+  // call will run the snapshot.
+  const auto call_on = [&net](nn::ActiveSiteStack& on, const nn::Tensor& x) {
+    EXPECT_TRUE(same_bits(on.infer(x), net.infer(x)));
+    return on.serving();
+  };
+  nn::ActiveSiteStack stack(layers_of(net.backbone), net.heads(),
+                            nn::Reference::kRepeated);
+  const auto call = [&](const nn::Tensor& x) { return call_on(stack, x); };
+  EXPECT_FALSE(call(a));
+  EXPECT_FALSE(call(b));  // a different input: b is the candidate now
+  EXPECT_FALSE(call(a));
+  EXPECT_TRUE(call(a));  // a twice in a row on the same weights
+  EXPECT_TRUE(call(b));  // served against R = a from here on
+  EXPECT_TRUE(call(a));
+
+  // A batch is never a candidate, and breaks a run of repeats.
+  nn::ActiveSiteStack batched(layers_of(net.backbone), net.heads(),
+                              nn::Reference::kRepeated);
+  const nn::Tensor aa = batch_of({&a, &a});
+  EXPECT_FALSE(call_on(batched, aa));
+  EXPECT_FALSE(call_on(batched, aa));
+  EXPECT_FALSE(call_on(batched, a));
+  EXPECT_FALSE(call_on(batched, aa));
+  EXPECT_FALSE(call_on(batched, a));
+  EXPECT_TRUE(call_on(batched, a));
+  EXPECT_TRUE(call_on(batched, aa));
+
+  // A weight write re-keys: dense until an input repeats on the new
+  // weights.
+  nn::Tensor& bias = *net.cls.layer(0).params()[1];
+  bias[1] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(bias[1]) ^ 1u);
+  EXPECT_FALSE(call(b));
+  EXPECT_TRUE(call(b));
+  EXPECT_TRUE(call(a));
+
+  // The zero reference serves from the second call on the same weights,
+  // whatever the inputs.
+  nn::ActiveSiteStack zero(layers_of(net.backbone), net.heads());
+  EXPECT_FALSE(zero.serving());
+  EXPECT_TRUE(call_on(zero, a));
+  EXPECT_TRUE(call_on(zero, b));
+}
+
+// ---- detect() against a dense decode ----
+
+// Every field of every detection, floats compared by their bits.
+::testing::AssertionResult same_detections(
+    const std::vector<lidar::Detection>& got,
+    const std::vector<lidar::Detection>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure()
+           << got.size() << " detections vs " << want.size();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const lidar::Detection &g = got[i], &w = want[i];
+    const double gv[] = {g.score, g.box.center.x, g.box.center.y, g.box.center.z,
+                         g.box.size.x, g.box.size.y, g.box.size.z};
+    const double wv[] = {w.score, w.box.center.x, w.box.center.y, w.box.center.z,
+                         w.box.size.x, w.box.size.y, w.box.size.z};
+    bool same = g.cls == w.cls;
+    for (int k = 0; k < 7; ++k) same = same && bits(gv[k]) == bits(wv[k]);
+    if (!same)
+      return ::testing::AssertionFailure()
+             << "detection " << i << ": score " << g.score << " vs " << w.score;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The dense reference for BevDetector::detect: the detector's layers
+// rebuilt from its config, its weights copied in (and quantized when
+// it is), every layer's infer(), then the heatmap decode detect()
+// documents: a sigmoid score per cell and class, kept at or above the
+// threshold when no 3x3 same-class neighbour has a larger logit, with
+// the clamped offsets moving the box from the cell centre.
+std::vector<lidar::Detection> dense_detect(lidar::BevDetector& det,
+                                           const nn::Tensor& grid) {
+  const lidar::DetectorConfig& cfg = det.config();
+  Rng rng(1);
+  nn::Sequential backbone, cls, off;
+  backbone.emplace<nn::Conv2D>(cfg.grid.nz, cfg.c1, 3, 2, 1, rng);
+  backbone.emplace<nn::ReLU>();
+  backbone.emplace<nn::Conv2D>(cfg.c1, cfg.c2, 3, 2, 1, rng);
+  backbone.emplace<nn::ReLU>();
+  backbone.emplace<nn::ConvTranspose2D>(cfg.c2, cfg.c1, 4, 2, 1, rng);
+  backbone.emplace<nn::ReLU>();
+  cls.emplace<nn::Conv2D>(cfg.c1, sim::kNumObjectClasses, 1, 1, 0, rng);
+  off.emplace<nn::Conv2D>(cfg.c1, 2, 1, 1, 0, rng);
+  std::vector<nn::Tensor*> dst = backbone.params();
+  for (nn::Tensor* p : cls.params()) dst.push_back(p);
+  for (nn::Tensor* p : off.params()) dst.push_back(p);
+  const std::vector<nn::Tensor*> src = det.params();
+  EXPECT_EQ(src.size(), dst.size());
+  for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
+  if (det.is_quantized())
+    for (nn::Sequential* net : {&backbone, &cls, &off}) net->quantize();
+
+  const nn::Tensor neck = backbone.infer(grid);
+  const nn::Tensor logits = cls.infer(neck), offsets = off.infer(neck);
+  const int h2 = cfg.grid.ny / 2, w2 = cfg.grid.nx / 2;
+  const double cell_w = 2.0 * cfg.grid.extent / w2;
+  const double cell_h = 2.0 * cfg.grid.extent / h2;
+  const auto at = [h2, w2](int c, int y, int x) {
+    return (static_cast<std::size_t>(c) * h2 + y) * w2 + x;
+  };
+  std::vector<lidar::Detection> out;
+  for (int c = 0; c < sim::kNumObjectClasses; ++c)
+    for (int y = 0; y < h2; ++y)
+      for (int x = 0; x < w2; ++x) {
+        const double logit = logits[at(c, y, x)];
+        const double score = 1.0 / (1.0 + std::exp(-logit));
+        if (score < cfg.score_threshold) continue;
+        bool is_max = true;
+        for (int dy = -1; dy <= 1; ++dy)
+          for (int dx = -1; dx <= 1; ++dx) {
+            const int yy = y + dy, xx = x + dx;
+            if (yy >= 0 && yy < h2 && xx >= 0 && xx < w2 &&
+                logits[at(c, yy, xx)] > logit)
+              is_max = false;
+          }
+        if (!is_max) continue;
+        lidar::Detection d;
+        d.cls = static_cast<sim::ObjectClass>(c);
+        d.score = score;
+        const Vec3 size = sim::class_archetype_size(d.cls);
+        d.box.center = {-cfg.grid.extent + (x + 0.5) * cell_w +
+                            std::clamp(offsets[at(0, y, x)], -0.5, 0.5) * cell_w,
+                        -cfg.grid.extent + (y + 0.5) * cell_h +
+                            std::clamp(offsets[at(1, y, x)], -0.5, 0.5) * cell_h,
+                        size.z / 2.0};
+        d.box.size = size;
+        out.push_back(d);
+      }
+  return out;
+}
+
+// A sequence shaped like the loop's detector inputs: the reconstruction
+// of an empty scan (`background`) on every other tick, twice at the
+// start, and max(background, sensed) with 4 to 8 sensed voxels on the
+// others.
+std::vector<nn::Tensor> loop_sequence(const nn::Tensor& background, Rng& rng,
+                                      int ticks) {
+  std::vector<nn::Tensor> out{background, background};
+  for (int t = 0; t < ticks; ++t) {
+    nn::Tensor x = background;
+    if (t % 2 == 0) {
+      const int voxels = rng.uniform_int(4, 8);
+      for (int v = 0; v < voxels; ++v)
+        x[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(x.numel()) - 1))] = 1.0;
+    }
+    out.push_back(std::move(x));
+  }
+  return out;
+}
+
+nn::Tensor empty_reconstruction(lidar::OccupancyAutoencoder& ae) {
+  const lidar::VoxelGridConfig& g = ae.config().grid;
+  return ae.reconstruct(nn::Tensor({1, g.nz, g.ny, g.nx}));
+}
+
+TEST(ActiveSite, DetectMatchesTheDenseDecodeOverALoopSequence) {
+  lidar::DetectorConfig cfg;  // the loop's grid and widths
+  Rng rng(73);
+  lidar::AutoencoderConfig acfg;
+  acfg.grid = cfg.grid;
+  lidar::OccupancyAutoencoder ae(acfg, rng);
+  lidar::BevDetector det(cfg, rng);
+  std::size_t found = 0;
+  for (const nn::Tensor& x : loop_sequence(empty_reconstruction(ae), rng, 16)) {
+    const std::vector<lidar::Detection> want = dense_detect(det, x);
+    found += want.size();
+    EXPECT_TRUE(same_detections(det.detect(x), want));
+  }
+  EXPECT_GT(found, 0u) << "the sequence detects nothing: a vacuous check";
+}
+
+TEST(ActiveSite, TwoStageDetectMatchesADenseTwinOverALoopSequence) {
+  lidar::DetectorConfig cfg;
+  Rng rng(79);
+  lidar::AutoencoderConfig acfg;
+  acfg.grid = cfg.grid;
+  lidar::OccupancyAutoencoder ae(acfg, rng);
+  lidar::TwoStageDetector det(cfg, rng);
+  // The refiner reads the points inside each proposal box.
+  sim::PointCloud cloud;
+  for (int i = 0; i < 200; ++i) {
+    sim::LidarReturn r;
+    r.hit = true;
+    r.point = {rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+               rng.uniform(0.0, 3.0)};
+    cloud.returns.push_back(r);
+  }
+  // The reference: a twin on the same weights whose every call is its
+  // first, so dense (the RPN's half is diffed against the dense decode
+  // above).
+  const auto dense = [&](const nn::Tensor& x) {
+    Rng twin_rng(5);
+    lidar::TwoStageDetector twin(cfg, twin_rng);
+    const auto copy = [](std::vector<nn::Tensor*> src,
+                         std::vector<nn::Tensor*> dst) {
+      for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
+    };
+    copy(det.rpn().params(), twin.rpn().params());
+    copy(det.refine_params(), twin.refine_params());
+    return twin.detect(x, cloud);
+  };
+  std::size_t found = 0;
+  for (const nn::Tensor& x : loop_sequence(empty_reconstruction(ae), rng, 16)) {
+    const std::vector<lidar::Detection> want = dense(x);
+    found += want.size();
+    EXPECT_TRUE(same_detections(det.detect(x, cloud), want));
+  }
+  EXPECT_GT(found, 0u) << "the sequence detects nothing: a vacuous check";
+}
+
+// Adopts R = x (two calls), then checks R, a sensed patch and R again
+// against the dense decode.
+void expect_detect_is_dense(lidar::BevDetector& det, const nn::Tensor& x,
+                            const nn::Tensor& patched, const char* what) {
+  for (const nn::Tensor* t : {&x, &x, &patched, &x})
+    EXPECT_TRUE(same_detections(det.detect(*t), dense_detect(det, *t))) << what;
+}
+
+TEST(ActiveSite, DetectSeesEveryWeightWrite) {
+  const lidar::AutoencoderConfig acfg = small_ae();
+  lidar::DetectorConfig cfg;
+  cfg.grid = acfg.grid;
+  cfg.c1 = acfg.c1;
+  cfg.c2 = acfg.c2;
+  cfg.score_threshold = 0.05;
+  Rng rng(83);
+  lidar::OccupancyAutoencoder ae(acfg, rng);
+  lidar::BevDetector det(cfg, rng);
+  const nn::Tensor x = empty_reconstruction(ae);
+  nn::Tensor patched = x;
+  patched[7] = patched[40] = 1.0;
+  expect_detect_is_dense(det, x, patched, "fresh");
+
+  // Each write must move the detections, or serving stale weights
+  // would pass unseen.
+  std::vector<lidar::Detection> before = dense_detect(det, patched);
+  const auto moved = [&] {
+    std::vector<lidar::Detection> now = dense_detect(det, patched);
+    const bool differ = !same_detections(now, before);
+    before = std::move(now);
+    return differ;
+  };
+
+  nn::Adam opt(1e-2);
+  opt.attach(det.params(), det.grads());
+  sim::Scene scene;
+  sim::SceneObject car;
+  car.box.center = {10.0, -5.0, 0.8};
+  scene.objects.push_back(car);
+  det.train_step(x, scene, opt);
+  ASSERT_TRUE(moved());
+  expect_detect_is_dense(det, x, patched, "after an Adam step");
+
+  det.init_from_pretrained(ae);
+  ASSERT_TRUE(moved());
+  expect_detect_is_dense(det, x, patched, "after init_from_pretrained");
+
+  lidar::BevDetector other(cfg, rng);
+  const auto src = other.params();
+  const auto dst = det.params();
+  for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
+  ASSERT_TRUE(moved());
+  expect_detect_is_dense(det, x, patched, "after copying parameters");
+}
+
+TEST(ActiveSite, QuantizedDetectorRunsInt8) {
+  const lidar::AutoencoderConfig acfg = small_ae();
+  lidar::DetectorConfig cfg;
+  cfg.grid = acfg.grid;
+  cfg.c1 = acfg.c1;
+  cfg.c2 = acfg.c2;
+  cfg.score_threshold = 0.05;
+  Rng rng(89);
+  lidar::OccupancyAutoencoder ae(acfg, rng);
+  lidar::BevDetector det(cfg, rng);
+  const nn::Tensor x = empty_reconstruction(ae);
+  nn::Tensor patched = x;
+  patched[11] = 1.0;
+  expect_detect_is_dense(det, x, patched, "float");
+  const std::vector<lidar::Detection> float_dets = dense_detect(det, patched);
+  det.quantize();
+  ASSERT_FALSE(same_detections(dense_detect(det, patched), float_dets))
+      << "int8 and float agree: the check cannot tell them apart";
+  expect_detect_is_dense(det, x, patched, "int8");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "fault/fault.hpp"
 #include "federated/fedavg.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/finite.hpp"
 #include "util/thread_pool.hpp"
 
@@ -99,6 +100,67 @@ TEST(FaultPlan, ClientQueriesRespectTarget) {
   ASSERT_NE(plan.client_fault_at(2, 0), nullptr);  // wildcard straggler
   EXPECT_EQ(plan.client_fault_at(2, 0)->kind, FaultKind::kClientStraggler);
   EXPECT_EQ(plan.component_fault_at(1.0), nullptr);
+}
+
+// The linear scan client_fault_at is defined by: the first event in
+// plan order that is a client kind, whose [start, end) holds the round
+// and whose target is the client or -1.
+const FaultEvent* client_fault_by_scan(const FaultPlan& plan, long round,
+                                       int client) {
+  const double r = static_cast<double>(round);
+  for (const FaultEvent& ev : plan.events())
+    if (ev.is_client_kind() && r >= ev.start && r < ev.end &&
+        (ev.target < 0 || ev.target == client))
+      return &ev;
+  return nullptr;
+}
+
+TEST(FaultPlanIndex, ClientLookupMatchesTheLinearScan) {
+  // Random plans mixing client and component kinds, integer and
+  // fractional bounds, empty windows, wide windows that overlap many
+  // others, shared bounds and wildcard targets, queried on every round
+  // and client around them.
+  Rng rng(97);
+  const FaultKind client_kinds[] = {FaultKind::kClientDropout,
+                                    FaultKind::kClientStraggler,
+                                    FaultKind::kClientCorrupt};
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<FaultEvent> evs;
+    const int events = rng.uniform_int(0, 40);
+    for (int i = 0; i < events; ++i) {
+      FaultEvent ev;
+      if (rng.bernoulli(0.2)) {
+        ev.kind = FaultKind::kDropout;
+      } else {
+        ev.kind = client_kinds[rng.uniform_int(0, 2)];
+        ev.target = rng.bernoulli(0.3) ? -1 : rng.uniform_int(0, 5);
+      }
+      if (ev.kind == FaultKind::kClientStraggler) ev.magnitude = 2.0;
+      ev.start = rng.uniform_int(-3, 30);
+      if (rng.bernoulli(0.3)) ev.start += 0.5;
+      const int len = rng.bernoulli(0.1) ? rng.uniform_int(20, 40)
+                                         : rng.uniform_int(0, 4);
+      ev.end = ev.start + len;
+      evs.push_back(ev);
+    }
+    if (trial % 10 == 0)  // a window with no end
+      evs.push_back({FaultKind::kClientCorrupt, 5.0,
+                     std::numeric_limits<double>::infinity(), -1, 0.0});
+    const FaultPlan plan(evs);
+    for (long round = -6; round < 75; ++round)
+      for (int client = -1; client < 8; ++client)
+        ASSERT_EQ(plan.client_fault_at(round, client),
+                  client_fault_by_scan(plan, round, client))
+            << "trial " << trial << ", round " << round << ", client "
+            << client;
+  }
+  // The plan fed_round draws: 96 windows over 2048 clients.
+  const FaultPlan big = FaultPlan::random_client_plan(5, 400, 2048, 96);
+  FaultPlan copy = big;  // the index travels with the plan
+  for (long round = 0; round < 410; ++round)
+    for (int client = 0; client < 2048; client += 7)
+      ASSERT_EQ(copy.client_fault_at(round, client),
+                client_fault_by_scan(copy, round, client));
 }
 
 TEST(FaultPlan, InvalidEventsRejected) {
