@@ -1,5 +1,9 @@
 #include "monitor/likelihood_regret.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "util/check.hpp"
 
 namespace s2a::monitor {
@@ -64,8 +68,13 @@ RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
   }
 
   // Regret is non-negative by construction up to optimizer noise; clamp
-  // tiny negatives so downstream thresholds behave.
-  res.regret = std::max(0.0, res.elbo_optimized - res.elbo_encoder);
+  // tiny negatives so downstream thresholds behave. A non-finite
+  // difference (an embedding holding a NaN or ±inf, or one large enough
+  // to overflow the ELBO) fails closed as +inf: std::max would turn a
+  // NaN into 0, the score of a perfectly explained input.
+  const double diff = res.elbo_optimized - res.elbo_encoder;
+  res.regret = std::isfinite(diff) ? std::max(0.0, diff)
+                                   : std::numeric_limits<double>::infinity();
   return res;
 }
 

@@ -22,7 +22,9 @@ struct RegretConfig {
 };
 
 struct RegretResult {
-  double regret = 0.0;            ///< ELBO_optimized − ELBO_encoder (≥ ~0)
+  /// ELBO_optimized − ELBO_encoder, ≥ 0; +inf when that difference is not
+  /// finite, so an input the VAE cannot score fails closed.
+  double regret = 0.0;
   double elbo_encoder = 0.0;
   double elbo_optimized = 0.0;
   int function_evaluations = 0;

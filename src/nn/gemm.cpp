@@ -60,19 +60,43 @@ void micro_tail(int kc, const double* ap, const double* b,
       c[static_cast<std::size_t>(i) * ldc + j] = acc[i][j];
 }
 
-// One-column tile (see GemmMicroKernel::col). The fixed kGemmMR-wide
-// row loop is what the compiler vectorizes; rows past `rows` are the
-// packed panel's zero padding and are never stored.
-void micro_col(int kc, const double* ap, const double* b,
-               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
-  double acc[kGemmMR] = {};
-  for (int i = 0; i < rows; ++i) acc[i] = c[static_cast<std::size_t>(i) * ldc];
+// One-column strip (see GemmMicroKernel::col): kColPanels panels of
+// kGemmMR rows (8 accumulators, within the 16 SSE2 xmm registers) are
+// live at once, so their add chains overlap. The fixed-bound row loops
+// let the compiler keep every accumulator in a register; rows past
+// `rows` are the packed panel's zero padding and are never stored.
+constexpr int kColPanels = 4;
+
+template <int P>
+void col_panels(int kc, const double* ap, std::size_t ps, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc,
+                int last_rows) {
+  constexpr int R = P * kGemmMR;
+  const int rows = R - kGemmMR + last_rows;
+  double acc[R];
+#pragma GCC unroll 16
+  for (int i = 0; i < R; ++i)
+    acc[i] = i < rows ? c[static_cast<std::size_t>(i) * ldc] : 0.0;
   for (int kk = 0; kk < kc; ++kk) {
     const double bv = b[boff[kk]];
     const double* acol = ap + static_cast<std::size_t>(kk) * kGemmMR;
-    for (int i = 0; i < kGemmMR; ++i) acc[i] += acol[i] * bv;
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p)
+      for (int i = 0; i < kGemmMR; ++i)
+        acc[p * kGemmMR + i] += acol[p * ps + i] * bv;
   }
-  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = acc[i];
+#pragma GCC unroll 16
+  for (int i = 0; i < R; ++i)
+    if (i < rows) c[static_cast<std::size_t>(i) * ldc] = acc[i];
+}
+
+void micro_col(int m, int kc, const double* ap, std::size_t ps,
+               const double* b, const std::ptrdiff_t* boff, double* c,
+               int ldc) {
+  detail::for_each_col_group<kGemmMR, kColPanels>(
+      m, ap, ps, c, ldc, [&](auto n, const double* a, double* ci, int last) {
+        col_panels<decltype(n)::value>(kc, a, ps, b, boff, ci, ldc, last);
+      });
 }
 
 const GemmMicroKernel& scalar_kernel() {
@@ -135,18 +159,23 @@ void blocked(int m, int n, int k, const double* a_packed, double* c, int ldc,
       for (int jr = 0; jr < nc; jr += NR) {
         const int nr = std::min(NR, nc - jr);
         const double* bj = bp.b + jr;
+        double* cj = c + jc + jr;
+        const double* ak = a_packed + static_cast<std::size_t>(pc) * MR;
+        // A one-column strip (n = 1, or the last column of n = NR + 1)
+        // takes every row panel in one call.
+        if (nr == 1) {
+          K.col(m, kc, ak, panel_stride, bj, bp.boff, cj, ldc);
+          continue;
+        }
         for (int ic = 0; ic < m; ic += MR) {
           const int mr = std::min(MR, m - ic);
-          const double* ap = a_packed +
-                             static_cast<std::size_t>(ic / MR) * panel_stride +
-                             static_cast<std::size_t>(pc) * MR;
-          double* ctile = c + static_cast<std::size_t>(ic) * ldc + jc + jr;
+          const double* ap =
+              ak + static_cast<std::size_t>(ic / MR) * panel_stride;
+          double* ctile = cj + static_cast<std::size_t>(ic) * ldc;
           if (mr == MR && nr == NR)
             K.full(kc, ap, bj, bp.boff, ctile, ldc);
           else if (2 * mr == MR && nr == NR && K.half != nullptr)
             K.half(kc, ap, bj, bp.boff, ctile, ldc);
-          else if (nr == 1)
-            K.col(kc, ap, bj, bp.boff, ctile, ldc, mr);
           else
             micro_tail(kc, ap, bj, bp.boff, ctile, ldc, mr, nr, MR);
         }

@@ -70,9 +70,13 @@
 // one indexed copy out of the kernel tensor through a shape-only
 // (phase, row) -> offset table made in its constructor.
 //
-// A batch-1 Dense forward has n = 1: every tile is one column wide, and
-// each family's `col` kernel runs it as one fixed-width vector over the
-// panel's MR rows per k step instead of the bounds-checked scalar tail.
+// A batch-1 Dense forward has n = 1: its one column strip goes to the
+// family's `col` tile once per k panel, for every row panel at once. The
+// tile keeps several panels' accumulators live (32 rows on the vector
+// families, 8 on scalar), so their dependent add chains overlap where
+// one call per panel ran them back to back, and broadcasts each B value
+// once for all of them. Each element is still one ascending-k chain
+// started from its C value, so the bits do not change.
 #pragma once
 
 #include <cstddef>

@@ -83,28 +83,74 @@ void micro_2x8(int kc, const double* ap, const double* b,
   _mm256_storeu_pd(c + static_cast<std::size_t>(ldc) + 4, acc11);
 }
 
-// One-column tile: the 4 panel rows are one ymm accumulator, and each k
-// step multiplies the packed A column by the broadcast B value. Rows
-// past `rows` are pack_a's zero padding; they are computed, not stored.
-void micro_4x1(int kc, const double* ap, const double* b,
-               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
+// One-column strip (see GemmMicroKernel::col): each 4-row panel is one
+// ymm accumulator, and kColPanels of them (32 rows) are live at once so
+// their add chains overlap; each k step broadcasts the B value once for
+// all of them. A contiguous C column (ldc == 1, every batch-1 Dense
+// forward) is loaded and stored under a row mask; a strided one goes
+// through a stack copy. Rows past the mask are pack_a's zero padding;
+// they are computed, not stored.
+constexpr int kColPanels = 8;
+
+__m256i row_mask(int rows) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(rows),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+__m256d load_col(const double* c, int ldc, int rows) {
+  if (ldc == 1) return _mm256_maskload_pd(c, row_mask(rows));
   double cv[4] = {};
   for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
-  __m256d acc = _mm256_loadu_pd(cv);
+  return _mm256_loadu_pd(cv);
+}
+
+void store_col(double* c, int ldc, int rows, __m256d v) {
+  if (ldc == 1) {
+    _mm256_maskstore_pd(c, row_mask(rows), v);
+    return;
+  }
+  double cv[4];
+  _mm256_storeu_pd(cv, v);
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+}
+
+template <int P>
+void col_panels(int kc, const double* ap, std::size_t ps, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc,
+                int last_rows) {
+  __m256d acc[P];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p)
+    acc[p] = load_col(c + static_cast<std::size_t>(4 * p) * ldc, ldc,
+                      p + 1 < P ? 4 : last_rows);
   for (int kk = 0; kk < kc; ++kk) {
     const __m256d bv = _mm256_broadcast_sd(b + boff[kk]);
-    const __m256d a = _mm256_loadu_pd(ap + static_cast<std::size_t>(kk) * 4);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a, bv));
+    const double* acol = ap + static_cast<std::size_t>(kk) * 4;
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p)
+      acc[p] = _mm256_add_pd(
+          acc[p], _mm256_mul_pd(_mm256_loadu_pd(acol + p * ps), bv));
   }
-  _mm256_storeu_pd(cv, acc);
-  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p)
+    store_col(c + static_cast<std::size_t>(4 * p) * ldc, ldc,
+              p + 1 < P ? 4 : last_rows, acc[p]);
+}
+
+void col_strip(int m, int kc, const double* ap, std::size_t ps,
+               const double* b, const std::ptrdiff_t* boff, double* c,
+               int ldc) {
+  for_each_col_group<4, kColPanels>(
+      m, ap, ps, c, ldc, [&](auto n, const double* a, double* ci, int last) {
+        col_panels<decltype(n)::value>(kc, a, ps, b, boff, ci, ldc, last);
+      });
 }
 
 }  // namespace
 
 const GemmMicroKernel& gemm_kernel_avx2() {
   static const GemmMicroKernel k{"avx2", 4, 8, micro_4x8, micro_2x8,
-                                 micro_4x1};
+                                 col_strip};
   return k;
 }
 

@@ -76,28 +76,70 @@ void micro_4x16(int kc, const double* ap, const double* b,
   }
 }
 
-// One-column tile: the 8 panel rows are one zmm accumulator, and each k
-// step multiplies the packed A column by the broadcast B value. Rows
-// past `rows` are pack_a's zero padding; they are computed, not stored.
-void micro_8x1(int kc, const double* ap, const double* b,
-               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
+// One-column strip (see GemmMicroKernel::col): each 8-row panel is one
+// zmm accumulator, and kColPanels of them (32 rows) are live at once so
+// their four-cycle add chains overlap; each k step broadcasts the B
+// value once for all of them. A contiguous C column (ldc == 1, every
+// batch-1 Dense forward) is loaded and stored under a row mask; a
+// strided one goes through a stack copy. Rows past the mask are pack_a's
+// zero padding; they are computed, not stored.
+constexpr int kColPanels = 4;
+
+__m512d load_col(const double* c, int ldc, int rows) {
+  if (ldc == 1)
+    return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << rows) - 1u), c);
   double cv[8] = {};
   for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
-  __m512d acc = _mm512_loadu_pd(cv);
+  return _mm512_loadu_pd(cv);
+}
+
+void store_col(double* c, int ldc, int rows, __m512d v) {
+  if (ldc == 1) {
+    _mm512_mask_storeu_pd(c, static_cast<__mmask8>((1u << rows) - 1u), v);
+    return;
+  }
+  double cv[8];
+  _mm512_storeu_pd(cv, v);
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+}
+
+template <int P>
+void col_panels(int kc, const double* ap, std::size_t ps, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc,
+                int last_rows) {
+  __m512d acc[P];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p)
+    acc[p] = load_col(c + static_cast<std::size_t>(8 * p) * ldc, ldc,
+                      p + 1 < P ? 8 : last_rows);
   for (int kk = 0; kk < kc; ++kk) {
     const __m512d bv = _mm512_set1_pd(b[boff[kk]]);
-    const __m512d a = _mm512_loadu_pd(ap + static_cast<std::size_t>(kk) * 8);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a, bv));
+    const double* acol = ap + static_cast<std::size_t>(kk) * 8;
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p)
+      acc[p] = _mm512_add_pd(
+          acc[p], _mm512_mul_pd(_mm512_loadu_pd(acol + p * ps), bv));
   }
-  _mm512_storeu_pd(cv, acc);
-  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p)
+    store_col(c + static_cast<std::size_t>(8 * p) * ldc, ldc,
+              p + 1 < P ? 8 : last_rows, acc[p]);
+}
+
+void col_strip(int m, int kc, const double* ap, std::size_t ps,
+               const double* b, const std::ptrdiff_t* boff, double* c,
+               int ldc) {
+  for_each_col_group<8, kColPanels>(
+      m, ap, ps, c, ldc, [&](auto n, const double* a, double* ci, int last) {
+        col_panels<decltype(n)::value>(kc, a, ps, b, boff, ci, ldc, last);
+      });
 }
 
 }  // namespace
 
 const GemmMicroKernel& gemm_kernel_avx512() {
   static const GemmMicroKernel k{"avx512", 8, 16, micro_8x16, micro_4x16,
-                                 micro_8x1};
+                                 col_strip};
   return k;
 }
 

@@ -62,31 +62,77 @@ void micro_2x8(int kc, const double* ap, const double* b,
       vst1q_f64(c + static_cast<std::size_t>(i) * ldc + 2 * v, acc[i][v]);
 }
 
-// One-column tile: the 4 panel rows are two float64x2 accumulators, and
-// each k step multiplies the packed A column by the broadcast B value.
-// Rows past `rows` are pack_a's zero padding; computed, not stored.
-void micro_4x1(int kc, const double* ap, const double* b,
-               const std::ptrdiff_t* boff, double* c, int ldc, int rows) {
+// One-column strip (see GemmMicroKernel::col): each 4-row panel is two
+// float64x2 accumulators, and kColPanels panels (32 rows, 16
+// accumulators) are live at once so their add chains overlap; each k
+// step broadcasts the B value once for all of them. A full panel of a
+// contiguous C column (ldc == 1) is loaded and stored directly; a
+// partial or strided one goes through a stack copy, so the rows past
+// `rows` — pack_a's zero padding — are computed, not stored.
+constexpr int kColPanels = 8;
+
+void load_col(const double* c, int ldc, int rows, float64x2_t* v) {
   double cv[4] = {};
-  for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
-  float64x2_t acc0 = vld1q_f64(cv);
-  float64x2_t acc1 = vld1q_f64(cv + 2);
+  const double* src = cv;
+  if (ldc == 1 && rows == 4)
+    src = c;
+  else
+    for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
+  v[0] = vld1q_f64(src);
+  v[1] = vld1q_f64(src + 2);
+}
+
+void store_col(double* c, int ldc, int rows, const float64x2_t* v) {
+  if (ldc == 1 && rows == 4) {
+    vst1q_f64(c, v[0]);
+    vst1q_f64(c + 2, v[1]);
+    return;
+  }
+  double cv[4];
+  vst1q_f64(cv, v[0]);
+  vst1q_f64(cv + 2, v[1]);
+  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+}
+
+template <int P>
+void col_panels(int kc, const double* ap, std::size_t ps, const double* b,
+                const std::ptrdiff_t* boff, double* c, int ldc,
+                int last_rows) {
+  float64x2_t acc[P][2];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p)
+    load_col(c + static_cast<std::size_t>(4 * p) * ldc, ldc,
+             p + 1 < P ? 4 : last_rows, acc[p]);
   for (int kk = 0; kk < kc; ++kk) {
     const float64x2_t bv = vdupq_n_f64(b[boff[kk]]);
     const double* acol = ap + static_cast<std::size_t>(kk) * 4;
-    acc0 = vaddq_f64(acc0, vmulq_f64(vld1q_f64(acol), bv));
-    acc1 = vaddq_f64(acc1, vmulq_f64(vld1q_f64(acol + 2), bv));
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p) {
+      const double* a = acol + p * ps;
+      acc[p][0] = vaddq_f64(acc[p][0], vmulq_f64(vld1q_f64(a), bv));
+      acc[p][1] = vaddq_f64(acc[p][1], vmulq_f64(vld1q_f64(a + 2), bv));
+    }
   }
-  vst1q_f64(cv, acc0);
-  vst1q_f64(cv + 2, acc1);
-  for (int i = 0; i < rows; ++i) c[static_cast<std::size_t>(i) * ldc] = cv[i];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p)
+    store_col(c + static_cast<std::size_t>(4 * p) * ldc, ldc,
+              p + 1 < P ? 4 : last_rows, acc[p]);
+}
+
+void col_strip(int m, int kc, const double* ap, std::size_t ps,
+               const double* b, const std::ptrdiff_t* boff, double* c,
+               int ldc) {
+  for_each_col_group<4, kColPanels>(
+      m, ap, ps, c, ldc, [&](auto n, const double* a, double* ci, int last) {
+        col_panels<decltype(n)::value>(kc, a, ps, b, boff, ci, ldc, last);
+      });
 }
 
 }  // namespace
 
 const GemmMicroKernel& gemm_kernel_neon() {
   static const GemmMicroKernel k{"neon", 4, 8, micro_4x8, micro_2x8,
-                                 micro_4x1};
+                                 col_strip};
   return k;
 }
 

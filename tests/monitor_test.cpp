@@ -279,6 +279,33 @@ TEST(StarNetMonitor, ScoresArePinnedForFixedSeeds) {
   }
 }
 
+// An embedding the VAE cannot score — a NaN, ±inf, or a finite value
+// large enough to overflow the ELBO — must fail closed: its regret is
+// +inf and trusted() is false, never the 0 of a perfectly explained
+// input. A large but finite shift still scores finite.
+TEST(StarNetMonitor, NonFiniteRegretFailsClosed) {
+  Rng rng(13);
+  StarNetConfig cfg;
+  cfg.vae.input_dim = 8;
+  StarNet net(cfg, rng);
+  const auto clean = make_clean_data(64, 8, rng);
+  net.fit(clean, rng);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 1e300}) {
+    SCOPED_TRACE(bad);
+    auto x = clean[0];
+    x[3] = bad;
+    EXPECT_EQ(net.score(x, rng), inf);
+    EXPECT_FALSE(net.trusted(x, rng));
+  }
+  auto scaled = clean[0];
+  for (auto& v : scaled) v *= 50.0;
+  const double s = net.score(scaled, rng);
+  EXPECT_TRUE(std::isfinite(s));
+  EXPECT_GT(s, net.threshold());
+}
+
 TEST(StarNetMonitor, ScoreBeforeFitThrows) {
   Rng rng(12);
   StarNetConfig cfg;

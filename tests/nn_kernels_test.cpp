@@ -8,6 +8,7 @@
 // (the oracle in nn_oracle.hpp) bit-for-bit (EXPECT_EQ on doubles, no
 // tolerance) for every shape, stride, padding, and thread count,
 // because the ParallelEquivalence suites lean on it.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -137,36 +138,105 @@ TEST(SimdDispatch, ProbeAndSelectionAreConsistent) {
   }
 }
 
+// Bitwise equality, except that a NaN only has to meet a NaN: IEEE 754
+// leaves which NaN an add of two NaNs returns to the hardware and the
+// operand order, which the naive loop and the kernels need not share.
+bool same_value(double got, double want) {
+  if (std::isnan(got) || std::isnan(want))
+    return std::isnan(got) && std::isnan(want);
+  return std::bit_cast<std::uint64_t>(got) ==
+         std::bit_cast<std::uint64_t>(want);
+}
+
 TEST(SimdDispatch, EveryKernelHandlesEdgeShapes) {
   // Degenerate and tail-heavy shapes — m/n/k of 1, [1,1,k], partial
   // MR/NR panels around every compiled-in tile size (2, 4, 8 rows;
   // 4, 8, 16 columns), and KC straddles — against every supported
-  // kernel family, each of which must match the naive loop with
-  // ASSERT_EQ.
+  // kernel family, each of which must match the naive loop bit for bit.
   const GemmShape shapes[] = {
       {1, 1, 1},   {1, 1, 37},  {1, 1, 300}, {1, 16, 5},  {16, 1, 5},
       {2, 4, 1},   {3, 5, 2},   {4, 8, 9},   {5, 9, 11},  {7, 15, 13},
       {8, 16, 17}, {9, 17, 29}, {15, 31, 64}, {4, 576, 64}, {17, 33, 257},
-      // One-column tiles: full panels of every family's MR, partial
-      // panels, k straddling kGemmKC.
+      // One-column strips: full and partial panels of every family's
+      // MR, m spanning one to five 8-row panels (the column tile keeps
+      // 32 rows in flight, so 33 and 43 start a second row group), the
+      // STARNet VAE's Dense shapes, and k straddling kGemmKC.
       {8, 1, 257}, {16, 1, 300}, {24, 1, 513}, {6, 1, 300}, {13, 1, 40},
+      {8, 1, 37},  {9, 1, 37},   {16, 1, 37},  {17, 1, 37}, {31, 1, 37},
+      {32, 1, 37}, {33, 1, 37},  {43, 1, 37},  {48, 1, 6},  {32, 1, 48},
+      {48, 1, 32}, {12, 1, 48},  {33, 1, 257}, {43, 1, 513},
   };
   Rng rng(99);
+  const auto check = [](const char* what, const GemmShape& s,
+                        const std::vector<double>& a,
+                        const std::vector<double>& b,
+                        const std::vector<double>& c0) {
+    auto c_ref = c0;
+    auto c_gemm = c0;
+    naive_gemm(s.m, s.n, s.k, a, b, c_ref);
+    util::ScratchArena arena;
+    gemm(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c_gemm.data(), s.n,
+         arena);
+    for (std::size_t i = 0; i < c_ref.size(); ++i)
+      ASSERT_TRUE(same_value(c_gemm[i], c_ref[i]))
+          << gemm_kernel_name() << " " << what << " m=" << s.m
+          << " n=" << s.n << " k=" << s.k << " at " << i << ": "
+          << c_gemm[i] << " vs " << c_ref[i];
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   for (const auto isa : util::supported_simd_isas()) {
     ScopedSimd scoped(isa);
     for (const auto& s : shapes) {
       const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
       const auto b = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
-      auto c_ref = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-      auto c_gemm = c_ref;
-      naive_gemm(s.m, s.n, s.k, a, b, c_ref);
-      util::ScratchArena arena;
-      gemm(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c_gemm.data(), s.n,
-           arena);
-      for (std::size_t i = 0; i < c_ref.size(); ++i)
-        ASSERT_EQ(c_ref[i], c_gemm[i])
-            << util::simd_isa_name(isa) << " m=" << s.m << " n=" << s.n
-            << " k=" << s.k << " at " << i;
+      const auto c = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
+      check("random", s, a, b, c);
+    }
+    // A one-column strip inside a wider C (n = NR + 1: the last column
+    // is strided by ldc), then NaN, ±inf and -0.0 planted in A, B and
+    // the initial C, on one- and NR+1-column shapes.
+    const int nr = gemm_nr();
+    for (const GemmShape s :
+         {GemmShape{43, nr + 1, 37}, GemmShape{33, nr + 1, 300},
+          GemmShape{43, 1, 37}, GemmShape{33, 1, 300}}) {
+      const std::size_t mk = static_cast<std::size_t>(s.m) * s.k;
+      const std::size_t kn = static_cast<std::size_t>(s.k) * s.n;
+      const std::size_t mn = static_cast<std::size_t>(s.m) * s.n;
+      const auto a = random_vec(mk, rng);
+      auto b = random_vec(kn, rng);
+      const auto c = random_vec(mn, rng);
+      check("random", s, a, b, c);
+      auto a_bad = a;  // rows 5, 9 and 10 of every column go non-finite
+      a_bad[5 * static_cast<std::size_t>(s.k) + 7] = nan;
+      a_bad[9 * static_cast<std::size_t>(s.k)] = inf;
+      a_bad[10 * static_cast<std::size_t>(s.k) + 3] = -inf;
+      check("A specials", s, a_bad, b, c);
+      auto b_bad = b;  // poisons one column each, the last one strided
+      b_bad[3 * static_cast<std::size_t>(s.n) + s.n - 1] = nan;
+      if (s.n > 1) b_bad[5 * static_cast<std::size_t>(s.n)] = inf;
+      check("B specials", s, a, b_bad, c);
+      auto c_bad = c;
+      for (int j = 0; j < s.n; ++j) {
+        c_bad[2 * static_cast<std::size_t>(s.n) + j] = nan;
+        c_bad[8 * static_cast<std::size_t>(s.n) + j] = -inf;
+        c_bad[static_cast<std::size_t>(s.m - 1) * s.n + j] = inf;
+      }
+      check("C specials", s, a, b, c_bad);
+      // -0.0 survives a chain only if it starts from the caller's C:
+      // -0.0 + (-0.0) = -0.0, but a chain wrongly started from +0.0
+      // ends at +0.0. Rows 0, 31, 32 and m-1 (first and last row of a
+      // row group, and the last panel's tail) are all -0.0.
+      for (auto& v : b) v = std::fabs(v);
+      auto a_neg = a;
+      auto c_neg = c;
+      for (const int row : {0, 31, 32, s.m - 1}) {
+        for (int kk = 0; kk < s.k; ++kk)
+          a_neg[static_cast<std::size_t>(row) * s.k + kk] = -0.0;
+        for (int j = 0; j < s.n; ++j)
+          c_neg[static_cast<std::size_t>(row) * s.n + j] = -0.0;
+      }
+      check("-0.0 rows", s, a_neg, b, c_neg);
     }
   }
 }
