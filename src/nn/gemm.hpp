@@ -72,8 +72,8 @@
 //
 // A batch-1 Dense forward has n = 1: its one column strip goes to the
 // family's `col` tile once per k panel, for every row panel at once. The
-// tile keeps several panels' accumulators live (32 rows on the vector
-// families, 8 on scalar), so their dependent add chains overlap where
+// tile keeps four panels' accumulators live (32 rows on AVX-512, 16 on
+// AVX2 and NEON, 8 on scalar), so their dependent add chains overlap where
 // one call per panel ran them back to back, and broadcasts each B value
 // once for all of them. Each element is still one ascending-k chain
 // started from its C value, so the bits do not change.

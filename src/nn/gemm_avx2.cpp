@@ -84,13 +84,15 @@ void micro_2x8(int kc, const double* ap, const double* b,
 }
 
 // One-column strip (see GemmMicroKernel::col): each 4-row panel is one
-// ymm accumulator, and kColPanels of them (32 rows) are live at once so
+// ymm accumulator, and kColPanels of them (16 rows) are live at once so
 // their add chains overlap; each k step broadcasts the B value once for
 // all of them. A contiguous C column (ldc == 1, every batch-1 Dense
 // forward) is loaded and stored under a row mask; a strided one goes
-// through a stack copy. Rows past the mask are pack_a's zero padding;
-// they are computed, not stored.
-constexpr int kColPanels = 8;
+// through a stack copy, whose scalar stores followed by one vector load
+// defeat store-to-load forwarding (the copy alone cost the STARNet
+// decoder's GEMMs about half again). Rows past the mask are pack_a's
+// zero padding; they are computed, not stored.
+constexpr int kColPanels = 4;
 
 __m256i row_mask(int rows) {
   return _mm256_cmpgt_epi64(_mm256_set1_epi64x(rows),

@@ -81,8 +81,10 @@ void micro_4x16(int kc, const double* ap, const double* b,
 // their four-cycle add chains overlap; each k step broadcasts the B
 // value once for all of them. A contiguous C column (ldc == 1, every
 // batch-1 Dense forward) is loaded and stored under a row mask; a
-// strided one goes through a stack copy. Rows past the mask are pack_a's
-// zero padding; they are computed, not stored.
+// strided one goes through a stack copy, whose scalar stores followed by
+// one vector load defeat store-to-load forwarding (the copy alone cost
+// the STARNet decoder's GEMMs about half again). Rows past the mask are
+// pack_a's zero padding; they are computed, not stored.
 constexpr int kColPanels = 4;
 
 __m512d load_col(const double* c, int ldc, int rows) {

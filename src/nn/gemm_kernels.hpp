@@ -32,8 +32,8 @@ namespace s2a::nn::detail {
 /// strip in one call: C rows [0, m) of one column (stride ldc) against
 /// one k panel. `ap` is panel 0's slice of that k panel; panel p's slice
 /// starts panel_stride doubles further on. B row kk is the single value
-/// b[boff[kk]]. Each family keeps several panels' accumulators live at
-/// once (32 rows on the vector families), so their independent add
+/// b[boff[kk]]. Each family keeps four panels' accumulators live at once
+/// (32 rows on AVX-512, 16 on AVX2 and NEON), so their independent add
 /// chains overlap instead of running back to back; a panel sweeps all
 /// mr rows as one fixed-width vector per k step, but only the first m
 /// rows are loaded and stored — the rest of the last panel is pack_a's

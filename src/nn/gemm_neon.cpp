@@ -63,31 +63,22 @@ void micro_2x8(int kc, const double* ap, const double* b,
 }
 
 // One-column strip (see GemmMicroKernel::col): each 4-row panel is two
-// float64x2 accumulators, and kColPanels panels (32 rows, 16
+// float64x2 accumulators, and kColPanels panels (16 rows, 8
 // accumulators) are live at once so their add chains overlap; each k
-// step broadcasts the B value once for all of them. A full panel of a
-// contiguous C column (ldc == 1) is loaded and stored directly; a
-// partial or strided one goes through a stack copy, so the rows past
-// `rows` — pack_a's zero padding — are computed, not stored.
-constexpr int kColPanels = 8;
+// step broadcasts the B value once for all of them. The panel count
+// follows AVX2's 4-row tile and is unmeasured on NEON hardware. C goes
+// through a stack copy, so rows past `rows` (pack_a's zero padding) are
+// computed, not stored.
+constexpr int kColPanels = 4;
 
 void load_col(const double* c, int ldc, int rows, float64x2_t* v) {
   double cv[4] = {};
-  const double* src = cv;
-  if (ldc == 1 && rows == 4)
-    src = c;
-  else
-    for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
-  v[0] = vld1q_f64(src);
-  v[1] = vld1q_f64(src + 2);
+  for (int i = 0; i < rows; ++i) cv[i] = c[static_cast<std::size_t>(i) * ldc];
+  v[0] = vld1q_f64(cv);
+  v[1] = vld1q_f64(cv + 2);
 }
 
 void store_col(double* c, int ldc, int rows, const float64x2_t* v) {
-  if (ldc == 1 && rows == 4) {
-    vst1q_f64(c, v[0]);
-    vst1q_f64(c + 2, v[1]);
-    return;
-  }
   double cv[4];
   vst1q_f64(cv, v[0]);
   vst1q_f64(cv + 2, v[1]);

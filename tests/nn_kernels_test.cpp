@@ -158,13 +158,16 @@ TEST(SimdDispatch, EveryKernelHandlesEdgeShapes) {
       {2, 4, 1},   {3, 5, 2},   {4, 8, 9},   {5, 9, 11},  {7, 15, 13},
       {8, 16, 17}, {9, 17, 29}, {15, 31, 64}, {4, 576, 64}, {17, 33, 257},
       // One-column strips: full and partial panels of every family's
-      // MR, m spanning one to five 8-row panels (the column tile keeps
-      // 32 rows in flight, so 33 and 43 start a second row group), the
-      // STARNet VAE's Dense shapes, and k straddling kGemmKC.
+      // MR, and m running every panel count of a row group in a first
+      // and a later group (groups of 4 panels: 8 rows on scalar, 16 on
+      // AVX2 and NEON, 32 on AVX-512; 60 is one full AVX-512 group plus
+      // four panels), the STARNet VAE's Dense shapes, and k straddling
+      // kGemmKC.
       {8, 1, 257}, {16, 1, 300}, {24, 1, 513}, {6, 1, 300}, {13, 1, 40},
-      {8, 1, 37},  {9, 1, 37},   {16, 1, 37},  {17, 1, 37}, {31, 1, 37},
-      {32, 1, 37}, {33, 1, 37},  {43, 1, 37},  {48, 1, 6},  {32, 1, 48},
-      {48, 1, 32}, {12, 1, 48},  {33, 1, 257}, {43, 1, 513},
+      {8, 1, 37},  {9, 1, 37},   {16, 1, 37},  {17, 1, 37}, {27, 1, 37},
+      {31, 1, 37}, {32, 1, 37},  {33, 1, 37},  {43, 1, 37}, {60, 1, 37},
+      {48, 1, 6},  {32, 1, 48},  {48, 1, 32},  {12, 1, 48}, {33, 1, 257},
+      {43, 1, 513},
   };
   Rng rng(99);
   const auto check = [](const char* what, const GemmShape& s,
