@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "nn/loss.hpp"
@@ -41,9 +42,9 @@ Vae::Vae(VaeConfig config, Rng& rng)
 Vae::Posterior Vae::encode(const std::vector<double>& x) {
   S2A_CHECK(static_cast<int>(x.size()) == cfg_.input_dim);
   nn::Tensor xt({1, cfg_.input_dim}, std::vector<double>(x.begin(), x.end()));
-  const nn::Tensor h = encoder_trunk_.forward(xt);
-  const nn::Tensor mu = mu_head_.forward(h);
-  const nn::Tensor lv = logvar_head_.forward(h);
+  const nn::Tensor h = encoder_trunk_.infer(std::move(xt));
+  const nn::Tensor mu = mu_head_.infer(h);
+  const nn::Tensor lv = logvar_head_.infer(h);
   Posterior q;
   q.mu.assign(mu.data(), mu.data() + mu.numel());
   q.logvar.assign(lv.data(), lv.data() + lv.numel());

@@ -58,10 +58,13 @@ Tensor LeakyReLU::backward(const Tensor& grad_out) {
 }
 
 Tensor Tanh::forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] = std::tanh(y[i]);
-  last_y_ = y;
-  return y;
+  last_y_ = Tanh::infer(x);
+  return last_y_;
+}
+
+Tensor Tanh::infer(Tensor x) {
+  tanh_inplace(x.data(), x.numel());
+  return x;
 }
 
 Tensor Tanh::backward(const Tensor& grad_out) {

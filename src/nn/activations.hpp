@@ -1,4 +1,5 @@
-// Elementwise activation layers.
+// Elementwise activation layers, and the in-place kernels they share
+// with nn::Frozen, nn::FrozenConv and GRUCell.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +14,20 @@ namespace s2a::nn {
 /// bits); sigmoid_inplace is 1.0 / (1.0 + exp(-d)).
 void relu_inplace(double* d, std::size_t n);
 void sigmoid_inplace(double* d, std::size_t n);
+
+/// tanh of n values in place: every tanh in nn (Tanh, GRUCell, Frozen)
+/// runs through it. It is glibc 2.36's tanh (fdlibm's algorithm over
+/// the FMA build of its expm1), ported so that it gives the same bits
+/// on every host: on x86-64 glibc with FMA it equals std::tanh bit for
+/// bit, and unlike std::tanh it does not change with the host's FMA
+/// support. The AVX-512F kernel (S2A_SIMD avx512) and the AVX2 kernel
+/// (avx2, on CPUs that also have FMA) equal the scalar port (every
+/// other case, NEON included) bit for bit on every input
+/// (nn/tanh_kernels.hpp).
+void tanh_inplace(double* d, std::size_t n);
+/// The kernel tanh_inplace runs under the active S2A_SIMD family:
+/// "avx512", "avx2" or "scalar".
+const char* tanh_kernel_name();
 
 class ReLU : public Layer {
  public:
@@ -39,6 +54,8 @@ class LeakyReLU : public Layer {
 class Tanh : public Layer {
  public:
   Tensor forward(const Tensor& x) override;
+  /// In place; the same bits as forward().
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:

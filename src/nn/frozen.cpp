@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -57,7 +56,7 @@ const double* Frozen::forward(const double* x) {
     if (op.tanh) {
       // The constructor rejects a leading Tanh, so y is a Dense output
       // and the tanh runs in place.
-      for (int j = 0; j < width; ++j) y[j] = std::tanh(y[j]);
+      tanh_inplace(y, static_cast<std::size_t>(width));
       continue;
     }
     y = buf_[y == buf_[0].data() ? 1 : 0].data();

@@ -9,8 +9,9 @@
 //
 // The snapshot reproduces Dense::forward's arithmetic exactly — a
 // zero-filled output tile, gemm_packed with n = 1, the bias added after
-// the product, then std::tanh — so its output is bit-identical to
-// Sequential::forward on the same weights (nn_test asserts ==).
+// the product — then runs Tanh's own nn::tanh_inplace, so its output is
+// bit-identical to Sequential::forward on the same weights (nn_test
+// asserts ==).
 //
 // Lifetime is the caller's business and must stay short: the packed
 // panels follow the gemm kernel active at construction (never switch

@@ -1,7 +1,6 @@
 #include "nn/gru.hpp"
 
-#include <cmath>
-
+#include "nn/activations.hpp"
 #include "util/check.hpp"
 
 namespace s2a::nn {
@@ -16,11 +15,6 @@ Tensor affine(const Tensor& x, const Tensor& w, const Tensor& h,
     for (int j = 0; j < m; ++j)
       y[static_cast<std::size_t>(i) * m + j] += b[static_cast<std::size_t>(j)];
   return y;
-}
-
-void sigmoid_inplace(Tensor& t) {
-  for (std::size_t i = 0; i < t.numel(); ++i)
-    t[i] = 1.0 / (1.0 + std::exp(-t[i]));
 }
 
 void bias_grad(Tensor& gb, const Tensor& g) {
@@ -62,15 +56,15 @@ Tensor GRUCell::step(const Tensor& x, const Tensor& h) {
   h_ = h;
 
   z_ = affine(x, wz_, h, uz_, bz_);
-  sigmoid_inplace(z_);
+  sigmoid_inplace(z_.data(), z_.numel());
   r_ = affine(x, wr_, h, ur_, br_);
-  sigmoid_inplace(r_);
+  sigmoid_inplace(r_.data(), r_.numel());
 
   rh_ = r_;
   for (std::size_t i = 0; i < rh_.numel(); ++i) rh_[i] *= h[i];
 
   c_ = affine(x, wc_, rh_, uc_, bc_);
-  for (std::size_t i = 0; i < c_.numel(); ++i) c_[i] = std::tanh(c_[i]);
+  tanh_inplace(c_.data(), c_.numel());
 
   Tensor h_new = c_;
   for (std::size_t i = 0; i < h_new.numel(); ++i)

@@ -11,8 +11,8 @@
 // forward(). It takes its input by value, so a Sequential moves each
 // activation from layer to layer and an elementwise layer can work in
 // place. The layers on the loop's inference calls (Conv2D,
-// ConvTranspose2D, ReLU, Sequential) override it; every other layer
-// falls back to forward() and captures as before.
+// ConvTranspose2D, ReLU, Sigmoid, Tanh, Sequential) override it; every
+// other layer falls back to forward() and captures as before.
 #pragma once
 
 #include <cstddef>

@@ -1318,6 +1318,7 @@ TEST(InferPath, MatchesForwardBitExact) {
   qconv.quantize();
   qdeconv.quantize();
   ReLU relu;
+  Tanh tanh;
   Sequential net;
   net.emplace<Conv2D>(4, 8, 3, 2, 1, rng);
   net.emplace<ReLU>();
@@ -1346,6 +1347,13 @@ TEST(InferPath, MatchesForwardBitExact) {
       EXPECT_TRUE(rr[0] == 0.0 && std::signbit(rr[0]));  // -0.0 kept
       EXPECT_TRUE(std::isnan(rr[1]));
       EXPECT_TRUE(rr[2] == 0.0 && !std::signbit(rr[2]));
+      // Tanh: the same kernel in place; -0.0, NaN and -inf included.
+      EXPECT_EQ(bit_diff_count(tanh.forward(x), tanh.infer(x)), 0u);
+      const Tensor tr = tanh.infer(r);
+      EXPECT_EQ(bit_diff_count(tanh.forward(r), tr), 0u);
+      EXPECT_TRUE(tr[0] == 0.0 && std::signbit(tr[0]));
+      EXPECT_TRUE(std::isnan(tr[1]));
+      EXPECT_EQ(tr[2], -1.0);
       EXPECT_EQ(bit_diff_count(net.forward(x), net.infer(x)), 0u);
     }
   }
@@ -1359,6 +1367,7 @@ TEST(InferPath, BackwardStillSeesTheLastForward) {
   Conv2D conv(3, 6, 3, 2, 1, rng);
   ConvTranspose2D deconv(6, 3, 4, 2, 1, rng);
   ReLU relu;
+  Tanh tanh;
   Sequential net;
   net.emplace<Conv2D>(3, 6, 3, 2, 1, rng);
   net.emplace<ReLU>();
@@ -1375,6 +1384,7 @@ TEST(InferPath, BackwardStillSeesTheLastForward) {
       {&conv, xa, xb, Tensor::randn({1, 6, 8, 8}, rng)},
       {&deconv, za, zb, Tensor::randn({1, 3, 16, 16}, rng)},
       {&relu, xa, xb, Tensor::randn({1, 3, 16, 16}, rng)},
+      {&tanh, xa, xb, Tensor::randn({1, 3, 16, 16}, rng)},
       {&net, xa, xb, Tensor::randn({1, 3, 16, 16}, rng)},
   };
   for (std::size_t c = 0; c < std::size(cases); ++c) {
