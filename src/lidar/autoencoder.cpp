@@ -93,6 +93,7 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
                                         nn::Optimizer& opt,
                                         PretrainObjective objective) {
   S2A_TRACE_SCOPE_CAT("lidar.ae_train_step", "lidar");
+  S2A_CHECK_MSG(!is_quantized(), "train_step on an int8-quantized autoencoder");
   opt.zero_grad();
   nn::Tensor logits = decode(encode(masked));
   auto loss = nn::bce_with_logits(logits, target);
@@ -129,6 +130,12 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
   encoder_.backward(dlatent);
   opt.step();
   return loss.value;
+}
+
+void OccupancyAutoencoder::quantize() {
+  const std::vector<int> sample{cfg_.grid.nz, cfg_.grid.ny, cfg_.grid.nx};
+  recon_.quantize(sample);
+  encoder_stack_.quantize(sample);
 }
 
 std::vector<double> OccupancyAutoencoder::embedding(const nn::Tensor& grid) {

@@ -12,7 +12,10 @@
 // voxel can reach and takes every other site from the all-zero input's
 // output, bit-identical to the dense forward (nn/frozen.hpp). The MAC
 // count and the energy billed for it stay the dense ones
-// (macs_per_scan, lidar/energy.hpp).
+// (macs_per_scan, lidar/energy.hpp). quantize() deploys the model: both
+// stacks freeze the weights into an int8 snapshot that serves every
+// later call, and the training path (encode, decode, train_step) stays
+// float.
 #pragma once
 
 #include <memory>
@@ -48,7 +51,8 @@ class OccupancyAutoencoder {
  public:
   OccupancyAutoencoder(AutoencoderConfig config, Rng& rng);
 
-  /// Latent features [1, c2, ny/4, nx/4] of a (masked) occupancy tensor.
+  /// Latent features [1, c2, ny/4, nx/4] of a (masked) occupancy tensor,
+  /// through the float training forward.
   nn::Tensor encode(const nn::Tensor& grid);
   /// The same latents ([B, c2, ny/4, nx/4] for a [B, nz, ny, nx] stack)
   /// through the inference path: nothing is captured for backward(),
@@ -61,6 +65,7 @@ class OccupancyAutoencoder {
 
   /// One optimization step on (masked input → full target); returns the
   /// BCE loss. The optimizer must be attached via attach_optimizer().
+  /// Fails S2A_CHECK on a quantized model.
   double train_step(const nn::Tensor& masked, const nn::Tensor& target,
                     nn::Optimizer& opt,
                     PretrainObjective objective = PretrainObjective::kOccupancyFull);
@@ -77,17 +82,14 @@ class OccupancyAutoencoder {
   /// "FLOPs per 360° scan" quantity is 2× this.
   std::size_t macs_per_scan() const;
 
-  /// Snapshots encoder + decoder weights into int8 (nn/quant.hpp): from
-  /// then on reconstruct() runs the int8 forward. A quantized model is
-  /// for deployment — train_step() fails S2A_CHECK — so train first,
-  /// then quantize.
-  void quantize() {
-    encoder_.quantize();
-    decoder_.quantize();
-  }
-  bool is_quantized() const {
-    return encoder_.is_quantized() && decoder_.is_quantized();
-  }
+  /// Freezes the encoder and decoder weights as they are now into int8
+  /// snapshots (nn::ActiveSiteStack::quantize, nn/quant.hpp): from then
+  /// on reconstruct(), infer_latent() and embedding() run the int8
+  /// forward, whatever later happens to the weights. A quantized model
+  /// is for deployment — train_step() fails S2A_CHECK — so train first,
+  /// then quantize. Calling it again re-freezes the current weights.
+  void quantize();
+  bool is_quantized() const { return recon_.is_quantized(); }
 
   /// Encoder conv layers, exposed for weight transfer into detector
   /// backbones (the Table I pre-training experiment).

@@ -164,6 +164,7 @@ std::vector<Detection> BevDetector::detect(const nn::Tensor& grid) {
 
 double BevDetector::train_step(const nn::Tensor& grid, const sim::Scene& gt,
                                nn::Optimizer& opt) {
+  S2A_CHECK_MSG(!is_quantized(), "train_step on an int8-quantized detector");
   opt.zero_grad();
   const Forward f = forward(grid);
   const double cell_w = 2.0 * cfg_.grid.extent / w2_;
@@ -204,6 +205,12 @@ double BevDetector::train_step(const nn::Tensor& grid, const sim::Scene& gt,
   backward(cls_loss.grad, off_loss.grad);
   opt.step();
   return total;
+}
+
+void BevDetector::quantize() {
+  const std::vector<int> sample{cfg_.grid.nz, cfg_.grid.ny, cfg_.grid.nx};
+  embed_.quantize(sample);
+  detect_.quantize(sample);
 }
 
 std::vector<double> BevDetector::feature_embedding(const nn::Tensor& grid) {

@@ -61,9 +61,11 @@ class BevDetector {
   /// nn::ActiveSiteStack, Reference::kRepeated): once two consecutive
   /// calls on the same weights see one grid bit for bit, a call
   /// recomputes only the sites where its grid differs from that one,
-  /// bit-identical to the dense forward. Int8 detectors run dense.
+  /// bit-identical to the dense forward. A quantized detector runs its
+  /// int8 snapshot on every site.
   std::vector<Detection> detect(const nn::Tensor& grid);
   /// One supervised step against scene ground truth; returns total loss.
+  /// Fails S2A_CHECK on a quantized detector.
   double train_step(const nn::Tensor& grid, const sim::Scene& gt,
                     nn::Optimizer& opt);
 
@@ -82,17 +84,10 @@ class BevDetector {
   std::size_t param_count();
   const DetectorConfig& config() const { return cfg_; }
 
-  /// Int8 snapshot of backbone + heads (see OccupancyAutoencoder::
-  /// quantize for the semantics).
-  void quantize() {
-    backbone_.quantize();
-    cls_head_.quantize();
-    off_head_.quantize();
-  }
-  bool is_quantized() const {
-    return backbone_.is_quantized() && cls_head_.is_quantized() &&
-           off_head_.is_quantized();
-  }
+  /// Freezes backbone + heads into int8 snapshots for detect() and the
+  /// embeddings (see OccupancyAutoencoder::quantize for the semantics).
+  void quantize();
+  bool is_quantized() const { return detect_.is_quantized(); }
 
  private:
   friend class TwoStageDetector;

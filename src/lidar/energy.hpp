@@ -5,8 +5,9 @@
 // at a fixed edge-accelerator efficiency. The paper reports 335 MFLOPs →
 // 7.1 mJ, i.e. ≈21 pJ/FLOP, which we adopt as the conversion constant.
 //
-// The int8 inference path (nn/quant.hpp, after quantize()) gets its own
-// per-MAC constant: Horowitz-style accounting puts an 8-bit MAC at
+// A deployed int8 model (OccupancyAutoencoder::quantize(), which
+// freezes an int8 snapshot, nn/quant.hpp) gets its own per-MAC
+// constant: Horowitz-style accounting puts an 8-bit MAC at
 // roughly 4–8x below an FP32 one at the same node, and we take 4x —
 // conservative for the energy/accuracy frontier the quantization bench
 // sweeps (bench_table2_lidar_energy). An int8-quantized scan reports its
@@ -14,8 +15,9 @@
 // scans leave that field zero.
 //
 // Billed MACs are the dense count: OccupancyAutoencoder::macs_per_scan()
-// is the configured grid's full forward, although reconstruct() only
-// recomputes the sites a sensed voxel reaches (nn/frozen.hpp). That
+// is the configured grid's full forward, although a float reconstruct()
+// only recomputes the sites a sensed voxel reaches (nn/frozen.hpp; the
+// int8 snapshot computes every site). That
 // keeps Table II the paper's per-scan compute cost, makes the bill a
 // property of the model rather than of the scene, and keeps the energy
 // of a scan the same whichever path served it.

@@ -143,7 +143,7 @@ struct PaddedInput {
   std::size_t plane = 0;  // hq * wq
   std::size_t image = 0;  // channels * s * s * plane: one image's planes
   const double* data = nullptr;    // n images back to back, then slack
-  const std::int8_t* q = nullptr;  // int8 codes of data (quantized layers)
+  const std::int8_t* q = nullptr;  // int8 codes of data (int8 weights)
   double q_scale = 0.0;            // the activation scale of those codes
   bool finite = true;  // false when a coded value had no int8 code
 };
@@ -426,31 +426,21 @@ Tensor Conv2D::apply(const Tensor& x) {
 // panel is packed ONCE per call, covering every image: weights move
 // between forwards during training, so the layer keeps no packed panel
 // across calls (nn::FrozenConv keeps a content-keyed one) — O(cout *
-// cin * k^2), noise next to the GEMM itself. After quantize() the same
-// lowering runs int8: the padded input is coded once against ONE
-// whole-input activation scale, so the band split cannot change the
-// quantization grid, and integer accumulation is order-exact, so this
-// path is deterministic across thread counts too.
+// cin * k^2), noise next to the GEMM itself.
 void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
                           int oh, int ow) {
   const int kdim = im2col_rows(cin_, k_);
   arena_.reset();
-  LoweredWeights a{cout_, kdim, nullptr, nullptr};
-  if (quantized_) {
-    a.q = &qw_;
-  } else {
-    double* wp = arena_.alloc(packed_a_size(cout_, kdim));
-    pack_a(w_.data(), kdim, cout_, kdim, wp);
-    a.packed = wp;
-  }
-  detail::conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_, a,
-                       b_.data(), boff_, y.data(), oh, ow, arena_);
+  double* wp = arena_.alloc(packed_a_size(cout_, kdim));
+  pack_a(w_.data(), kdim, cout_, kdim, wp);
+  detail::conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_,
+                       LoweredWeights{cout_, kdim, wp, nullptr}, b_.data(),
+                       boff_, y.data(), oh, ow, arena_);
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
   S2A_TRACE_SCOPE_CAT("nn.conv_backward", "nn");
   S2A_CHECK(!last_x_.empty());
-  S2A_CHECK_MSG(!quantized_, "backward through an int8-quantized Conv2D");
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
@@ -543,14 +533,6 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
 
 std::size_t Conv2D::macs_per_sample() const {
   return static_cast<std::size_t>(cout_) * cin_ * k_ * k_ * last_out_hw_;
-}
-
-void Conv2D::quantize() {
-  // One row per output channel over the (ic, ky, kx) reduction — w_ is
-  // [Cout, Cin, k, k] row-major, so each row is already contiguous.
-  const int kdim = im2col_rows(cin_, k_);
-  qw_ = quantize_rows(w_.data(), kdim, cout_, kdim);
-  quantized_ = true;
 }
 
 detail::DeconvPhases detail::deconv_phases(int cin, int cout, int k, int s) {
@@ -744,8 +726,7 @@ void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
 }
 
 // Packed weight panel per (py, px) phase: one indexed copy of w_, rows
-// (ic, jy, jx) matching the phase's tap table; after quantize() the
-// int8 snapshots quantize() took instead.
+// (ic, jy, jx) matching the phase's tap table.
 void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
                                    int w, int oh, int ow) {
   const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
@@ -753,9 +734,8 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   std::vector<LoweredWeights> a(phases_.rows.size());
   for (std::size_t ph = 0; ph < a.size(); ++ph) {
     const auto& rows = phases_.rows[ph];
-    a[ph] = {cout_, static_cast<int>(rows.size()), nullptr,
-             quantized_ ? &qw_ph_[ph] : nullptr};
-    if (quantized_ || rows.empty()) continue;
+    a[ph] = {cout_, static_cast<int>(rows.size()), nullptr, nullptr};
+    if (rows.empty()) continue;
     double* wp = arena_.alloc(packed_a_size(cout_, a[ph].kdim));
     pack_a_indexed(w_.data(), kk2, rows.data(), cout_, a[ph].kdim, wp);
     a[ph].packed = wp;
@@ -768,8 +748,6 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
 Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
   S2A_TRACE_SCOPE_CAT("nn.deconv_backward", "nn");
   S2A_CHECK(!last_x_.empty());
-  S2A_CHECK_MSG(!quantized_,
-                "backward through an int8-quantized ConvTranspose2D");
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
@@ -837,27 +815,6 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
   detail::conv_forward(grad_out.data(), n, cout_, oh, ow, k_, stride_, pad_,
                        LoweredWeights{cin_, kdim, wp, nullptr}, nullptr, boff_,
                        dx.data(), h, w, arena_);
-}
-
-void ConvTranspose2D::quantize() {
-  // Snapshot each phase's dense [Cout, kdim] weight matrix — the panel
-  // the float forward packs per call, read through the same table — one
-  // QuantizedMatrix per (py, px) phase.
-  const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
-  qw_ph_.assign(phases_.rows.size(), QuantizedMatrix{});
-  std::vector<double> wph;
-  for (std::size_t ph = 0; ph < phases_.rows.size(); ++ph) {
-    const auto& rows = phases_.rows[ph];
-    const std::size_t kdim = rows.size();
-    if (kdim == 0) continue;
-    wph.resize(static_cast<std::size_t>(cout_) * kdim);
-    for (int oc = 0; oc < cout_; ++oc)
-      for (std::size_t r = 0; r < kdim; ++r)
-        wph[static_cast<std::size_t>(oc) * kdim + r] = w_[rows[r] + oc * kk2];
-    qw_ph_[ph] = quantize_rows(wph.data(), static_cast<int>(kdim), cout_,
-                               static_cast<int>(kdim));
-  }
-  quantized_ = true;
 }
 
 std::size_t ConvTranspose2D::macs_per_sample() const {

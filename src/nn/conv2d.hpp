@@ -19,20 +19,17 @@
 // memory"). The direct loops live in the test tree as the oracle
 // (tests/nn_oracle.hpp): the kernel equivalence tests diff both
 // directions against it bit-for-bit, and the finite-difference gradient
-// checks pin the arithmetic. After quantize() the forward runs int8
-// (nn/quant.hpp) over the same padded input and backward() fails.
-// infer() runs the same forward kernels without keeping the input for
-// backward(); it still records the output size macs_per_sample() reads.
-// The forward loops themselves live in nn/conv_rows.hpp, which
-// nn::FrozenConv (nn/frozen.hpp) also drives on a subset of output
-// sites.
+// checks pin the arithmetic. infer() runs the same forward kernels
+// without keeping the input for backward(); it still records the output
+// size macs_per_sample() reads. The forward loops themselves live in
+// nn/conv_rows.hpp, which nn::FrozenConv (nn/frozen.hpp) also drives,
+// on a subset of output sites, and for a deployed model.
 #pragma once
 
 #include <vector>
 
 #include "nn/conv_rows.hpp"
 #include "nn/layer.hpp"
-#include "nn/quant.hpp"
 #include "util/scratch_arena.hpp"
 
 namespace s2a::nn {
@@ -48,8 +45,6 @@ class Conv2D : public Layer {
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
   std::size_t macs_per_sample() const override;
-  void quantize() override;
-  bool is_quantized() const override { return quantized_; }
 
   int out_size(int in_size) const {
     return (in_size + 2 * pad_ - k_) / stride_ + 1;
@@ -78,8 +73,6 @@ class Conv2D : public Layer {
                      int oh, int ow);
 
   int cin_, cout_, k_, stride_, pad_;
-  bool quantized_ = false;
-  QuantizedMatrix qw_;  // int8 snapshot of w_ as [Cout, Cin*k*k]
   Tensor w_, b_, gw_, gb_;  // w: [Cout, Cin, k, k]
   Tensor last_x_;
   std::size_t last_out_hw_ = 0;  // set by forward/infer, used by macs
@@ -104,8 +97,6 @@ class ConvTranspose2D : public Layer {
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
   std::size_t macs_per_sample() const override;
-  void quantize() override;
-  bool is_quantized() const override { return quantized_; }
 
   int out_size(int in_size) const {
     return (in_size - 1) * stride_ - 2 * pad_ + k_;
@@ -135,12 +126,8 @@ class ConvTranspose2D : public Layer {
   int cin_, cout_, k_, stride_, pad_;
   // Shape-only sub-pixel phase tables, built once by the constructor.
   // Offsets only, never weight values: the forward packs its panels
-  // through them on every call, and quantize() reads them.
+  // through them on every call (nn::FrozenConv reads them too).
   detail::DeconvPhases phases_;
-  bool quantized_ = false;
-  // One int8 weight snapshot per (py, px) sub-pixel phase, taken at
-  // quantize() time through phase_rows_. Indexed py * stride + px.
-  std::vector<QuantizedMatrix> qw_ph_;
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]
   Tensor last_x_;
   std::size_t last_in_hw_ = 0;  // set by forward/infer, used by macs

@@ -25,7 +25,10 @@
 namespace s2a::nn::detail {
 
 // The weight side of one lowered GEMM: m output rows over kdim taps,
-// as a packed float panel, or as the int8 snapshot quantize() took.
+// as a packed float panel, or as the int8 matrix of a deployed model
+// (nn::FrozenConv::quantized, nn/frozen.hpp). A forward given int8
+// weights codes its padded input against one activation scale of its
+// whole input x.
 struct LoweredWeights {
   int m = 0, kdim = 0;
   const double* packed = nullptr;
@@ -76,7 +79,8 @@ void conv_forward(const double* x, int n, int c, int h, int w, int k, int s,
 // [cout, kdim] weight matrix, the offset in the [cin, cout, k, k] weight
 // tensor of w[ic, 0, taps[py][jy], taps[px][jx]]; output channel oc
 // adds oc*k*k. A phase's weight panel is
-// pack_a_indexed(w, k*k, rows[ph], cout, rows[ph].size()).
+// pack_a_indexed(w, k*k, rows[ph], cout, rows[ph].size()); its int8
+// matrix is quantize_rows of the same [cout, rows[ph].size()] gather.
 struct DeconvPhases {
   std::vector<std::vector<int>> taps;
   std::vector<std::vector<std::size_t>> rows;

@@ -19,9 +19,9 @@ Dense::Dense(int in_features, int out_features, Rng& rng, bool bias)
   S2A_CHECK(in_features > 0 && out_features > 0);
 }
 
-// The float path computes yᵀ = W·xᵀ into a zero-initialized scratch
-// tile, so each output element accumulates x[i,p]*w[j,p] in ascending p
-// from 0 — exactly matmul_nt's chain, which the kernel tests use as the
+// The forward computes yᵀ = W·xᵀ into a zero-initialized scratch tile,
+// so each output element accumulates x[i,p]*w[j,p] in ascending p from
+// 0 — exactly matmul_nt's chain, which the kernel tests use as the
 // oracle — and the bias is added afterwards.
 Tensor Dense::forward(const Tensor& x) {
   S2A_CHECK_MSG(x.shape().size() == 2 && x.dim(1) == in_,
@@ -35,17 +35,9 @@ Tensor Dense::forward(const Tensor& x) {
   transpose(x.data(), n, in_, xt);
   double* yt = arena_.alloc(static_cast<std::size_t>(out_) * n);
   std::fill_n(yt, static_cast<std::size_t>(out_) * n, 0.0);
-  if (quantized_) {
-    // Int8 path: the int8 weight snapshot against a per-tensor
-    // activation scale. The int32 accumulation is order-exact; the
-    // result differs from float only by the quantization grid.
-    gemm_int8_panel(qw_, n, xt, activation_scale(x.data(), x.numel()),
-                    arena_, yt, n);
-  } else {
-    double* wp = arena_.alloc(packed_a_size(out_, in_));
-    pack_a(w_.data(), in_, out_, in_, wp);
-    gemm_packed(out_, n, in_, wp, xt, n, yt, n);
-  }
+  double* wp = arena_.alloc(packed_a_size(out_, in_));
+  pack_a(w_.data(), in_, out_, in_, wp);
+  gemm_packed(out_, n, in_, wp, xt, n, yt, n);
   transpose(yt, out_, n, y.data());
   if (has_bias_) {
     for (int i = 0; i < n; ++i)
@@ -59,7 +51,6 @@ Tensor Dense::backward(const Tensor& grad_out) {
   S2A_TRACE_SCOPE_CAT("nn.dense_backward", "nn");
   S2A_CHECK(grad_out.shape().size() == 2 && grad_out.dim(1) == out_);
   S2A_CHECK_MSG(!last_x_.empty(), "backward before forward");
-  S2A_CHECK_MSG(!quantized_, "backward through an int8-quantized Dense");
   // dW += gᵀ·x ; db += column sums of g ; dx = g·W
   const int n = grad_out.dim(0);
   arena_.reset();
@@ -101,11 +92,6 @@ std::vector<Tensor*> Dense::grads() {
 
 std::size_t Dense::macs_per_sample() const {
   return static_cast<std::size_t>(in_) * static_cast<std::size_t>(out_);
-}
-
-void Dense::quantize() {
-  qw_ = quantize_rows(w_.data(), in_, out_, in_);
-  quantized_ = true;
 }
 
 LoRADense::LoRADense(const Dense& base, int rank, double alpha, Rng& rng)

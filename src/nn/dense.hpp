@@ -9,12 +9,10 @@
 // ascending order as the tensor matmuls (matmul_nt / matmul_tn /
 // matmul), so the two are bit-identical for finite inputs; the kernel
 // tests use the matmuls as the oracle and assert EXPECT_EQ, no
-// tolerance. After quantize() the forward runs int8 (nn/quant.hpp) and
-// backward() is refused.
+// tolerance.
 #pragma once
 
 #include "nn/layer.hpp"
-#include "nn/quant.hpp"
 #include "util/scratch_arena.hpp"
 
 namespace s2a::nn {
@@ -29,8 +27,6 @@ class Dense : public Layer {
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
   std::size_t macs_per_sample() const override;
-  void quantize() override;
-  bool is_quantized() const override { return quantized_; }
 
   int in_features() const { return in_; }
   int out_features() const { return out_; }
@@ -51,8 +47,6 @@ class Dense : public Layer {
   int in_, out_;
   bool has_bias_;
   bool frozen_ = false;
-  bool quantized_ = false;
-  QuantizedMatrix qw_;  // int8 snapshot of w_ ([out, in], per-row scales)
   Tensor w_, b_, gw_, gb_;
   Tensor last_x_;
   // Transposed operands + packed panels for the gemm path; sized on the

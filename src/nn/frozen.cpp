@@ -20,7 +20,6 @@ Frozen::Frozen(const Sequential& net) {
   std::size_t widest = 0;
   for (std::size_t i = 0; i < net.size(); ++i) {
     const Layer& l = net.layer(i);
-    S2A_CHECK_MSG(!l.is_quantized(), "Frozen of an int8-quantized layer");
     Op op;
     if (const auto* d = dynamic_cast<const Dense*>(&l)) {
       S2A_CHECK_MSG(width < 0 || width == d->in_features(),
@@ -103,6 +102,7 @@ struct FrozenConv::Stage {
   std::vector<double> wkey, bkey;  // the key: bitwise copies, parts in order
   detail::DeconvPhases phases;     // deconv only
   std::vector<double> packed;      // every phase's panel, back to back
+  std::vector<QuantizedMatrix> q;  // int8 form: one per phase (or conv)
   std::vector<detail::LoweredWeights> a;  // one per phase (one for a conv)
   std::vector<double> background;  // [cout, oh, ow] for the reference input
   // The stage's padded input, kept across calls, and the input rows
@@ -147,7 +147,6 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
   };
   for (std::size_t i = 0; i < layers.size(); ++i) {
     Layer* l = layers[i];
-    S2A_CHECK_MSG(!l->is_quantized(), "FrozenConv of an int8-quantized layer");
     const bool relu = dynamic_cast<const ReLU*>(l) != nullptr;
     if (relu || dynamic_cast<const Sigmoid*>(l) != nullptr) {
       S2A_CHECK_MSG(!stages_.empty() && stages_.back().act == Act::kNone,
@@ -194,7 +193,6 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
     Stage st;
     for (std::size_t i = 0; i < heads.size(); ++i) {
       const Layer* l = heads[i];
-      S2A_CHECK_MSG(!l->is_quantized(), "FrozenConv of an int8-quantized head");
       const auto* cv = dynamic_cast<const Conv2D*>(l);
       S2A_CHECK_MSG(cv != nullptr, "FrozenConv: heads must be Conv2D");
       S2A_CHECK_MSG(i == 0 || (cv->in_channels() == st.cin &&
@@ -226,6 +224,14 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
 
 FrozenConv::~FrozenConv() = default;
 
+std::unique_ptr<FrozenConv> FrozenConv::quantized(
+    const std::vector<Layer*>& layers, const std::vector<int>& sample,
+    const std::vector<Layer*>& heads) {
+  auto snap = std::make_unique<FrozenConv>(layers, sample, heads);
+  snap->int8_ = true;
+  return snap;
+}
+
 bool FrozenConv::matches(const Tensor& x) const {
   if (gemm_kernel_name() != kernel_) return false;
   const auto& sh = x.shape();
@@ -233,8 +239,7 @@ bool FrozenConv::matches(const Tensor& x) const {
   for (const Stage& st : stages_) {
     std::size_t wo = 0, bo = 0;
     for (const Stage::Part& p : st.parts) {
-      if (p.layer->is_quantized() ||
-          !same_bits(*p.w, st.wkey.data() + wo, st.wkey.size() - wo) ||
+      if (!same_bits(*p.w, st.wkey.data() + wo, st.wkey.size() - wo) ||
           !same_bits(*p.b, st.bkey.data() + bo, st.bkey.size() - bo))
         return false;
       wo += p.w->numel();
@@ -274,10 +279,31 @@ void FrozenConv::set_reference(const Tensor& x) {
 void FrozenConv::prepare() {
   for (Stage& st : stages_) {
     if (packed_) break;  // the panels outlive a change of reference
-    if (st.transposed) {
+    const std::size_t kk2 = static_cast<std::size_t>(st.k) * st.k;
+    if (int8_) {
+      // One int8 matrix per conv ([cout, cin*k*k], the heads' rows
+      // stacked) or per deconv phase, gathered through the phase's row
+      // table into the [cout, kdim] matrix the float forward packs.
+      if (!st.transposed) {
+        const int kdim = st.cin * st.k * st.k;
+        st.q.push_back(quantize_rows(st.wkey.data(), kdim, st.cout, kdim));
+      }
+      std::vector<double> wph;
+      for (const auto& rows : st.phases.rows) {
+        const std::size_t kd = rows.size();
+        wph.resize(static_cast<std::size_t>(st.cout) * kd);
+        for (int oc = 0; oc < st.cout; ++oc)
+          for (std::size_t r = 0; r < kd; ++r)
+            wph[static_cast<std::size_t>(oc) * kd + r] =
+                st.wkey[rows[r] + static_cast<std::size_t>(oc) * kk2];
+        st.q.push_back(quantize_rows(wph.data(), static_cast<int>(kd),
+                                     st.cout, static_cast<int>(kd)));
+      }
+      for (const QuantizedMatrix& q : st.q)
+        st.a.push_back({st.cout, q.cols, nullptr, &q});
+    } else if (st.transposed) {
       // One panel per sub-pixel phase, packed through the phase's row
       // table exactly as ConvTranspose2D's forward packs them.
-      const std::size_t kk2 = static_cast<std::size_t>(st.k) * st.k;
       std::size_t total = 0;
       for (const auto& rows : st.phases.rows)
         total += packed_a_size(st.cout, static_cast<int>(rows.size()));
@@ -298,6 +324,10 @@ void FrozenConv::prepare() {
     }
   }
   packed_ = true;
+  if (int8_) {  // the int8 form keeps no backgrounds
+    prepared_ = true;
+    return;
+  }
   // Backgrounds: the stack on one reference sample, every row computed.
   std::vector<double> zero;
   if (reference_.empty())
@@ -349,6 +379,18 @@ Tensor FrozenConv::infer(const Tensor& x) {
                                                << "]");
   if (!prepared_) prepare();
   const int n = x.dim(0);
+  if (int8_) {
+    // Every stage on every site: each layer's int8 forward.
+    Tensor cur;
+    const double* in = x.data();
+    for (const Stage& st : stages_) {
+      Tensor y({n, st.cout, st.oh, st.ow});
+      run(st, in, n, y.data(), {}, nullptr);
+      cur = std::move(y);
+      in = cur.data();
+    }
+    return cur;
+  }
 
   // The input's changed sites: elements whose bits differ from R's, as
   // one span per (image, row) over all channels.
@@ -468,7 +510,13 @@ ActiveSiteStack& ActiveSiteStack::operator=(ActiveSiteStack&&) noexcept =
     default;
 ActiveSiteStack::~ActiveSiteStack() = default;
 
+void ActiveSiteStack::quantize(const std::vector<int>& sample) {
+  snap_ = FrozenConv::quantized(layers_, sample, heads_);
+  adopted_ = true;
+}
+
 Tensor ActiveSiteStack::infer(const Tensor& x) {
+  if (is_quantized()) return snap_->infer(x);
   const bool batch1 = x.shape().size() == 4 && x.dim(0) == 1;
   if (snap_ != nullptr && snap_->matches(x)) {
     if (adopted_ || snap_->is_reference(x)) {
@@ -486,13 +534,8 @@ Tensor ActiveSiteStack::infer(const Tensor& x) {
   // its input as the candidate R): the next call builds it if neither
   // has moved.
   snap_.reset();
-  const bool quantized =
-      std::any_of(layers_.begin(), layers_.end(),
-                  [](const Layer* l) { return l->is_quantized(); }) ||
-      std::any_of(heads_.begin(), heads_.end(),
-                  [](const Layer* l) { return l->is_quantized(); });
   const bool zero = reference_ == Reference::kZero;
-  if (!quantized && x.shape().size() == 4 && (zero || batch1)) {
+  if (x.shape().size() == 4 && (zero || batch1)) {
     snap_ = std::make_unique<FrozenConv>(layers_, x.shape(), heads_,
                                          zero ? nullptr : x.data());
     adopted_ = zero;

@@ -52,18 +52,30 @@
 // thing the tiling decides is which NaN an add of two NaNs returns; NaN
 // positions are exact.
 //
+// FrozenConv::quantized() builds the int8 form of the same snapshot:
+// the deployed int8 model (nn/quant.hpp). It takes the same layer and
+// head lists and the same bitwise copy of the weights, and its first
+// infer() codes each stage with quantize_rows (one matrix per conv,
+// one per deconv phase) in place of packing panels. It runs every
+// stage on every site through the same band loop: its activation scale
+// spans the whole layer input, so a change anywhere can move every
+// output, and it keeps no reference, background or padded input. It is
+// a value: later writes to the layers' weights do not reach it.
+//
 // ActiveSiteStack decides per call whether a FrozenConv may serve. The
 // key is checked against the live weights on every call, so the
 // snapshot cannot go stale and the weight writers (optimizers, loads,
-// federated updates, quantize()) need not know it exists. It also picks
-// R, by one of two rules. Reference::kZero keeps the all-zero R, which
-// is right for a stack fed sensed occupancy (most of it is empty).
-// Reference::kRepeated adopts as R a batch-1 input that two consecutive
-// calls on the same weights saw bit for bit; that suits a stack whose
-// input is some other stage's output (the detector reads a
-// reconstruction, whose empty-scene value is far from zero but recurs
+// federated updates, copies between models) need not know it exists.
+// It also picks R, by one of two rules. Reference::kZero keeps the
+// all-zero R, which is right for a stack fed sensed occupancy (most of
+// it is empty). Reference::kRepeated adopts as R a batch-1 input that
+// two consecutive calls on the same weights saw bit for bit; that suits
+// a stack whose input is some other stage's output (the detector reads
+// a reconstruction, whose empty-scene value is far from zero but recurs
 // whenever nothing is sensed). Both need only the calls themselves: no
-// threshold and no setting.
+// threshold and no setting. ActiveSiteStack::quantize() replaces all of
+// that with an int8 snapshot of the weights it sees, which then serves
+// every call.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +90,8 @@ namespace s2a::nn {
 
 class Frozen {
  public:
-  /// Snapshots `net`, which must hold only Dense and Tanh layers with
-  /// no int8 snapshot (S2A_CHECK-fails otherwise).
+  /// Snapshots `net`, which must hold only Dense and Tanh layers
+  /// (S2A_CHECK-fails otherwise).
   explicit Frozen(const Sequential& net);
 
   int in_features() const { return in_; }
@@ -109,20 +121,28 @@ class FrozenConv {
   /// `heads`, for inputs whose sample shape is `sample` ([C, H, W], or a
   /// full [N, C, H, W] whose N is ignored). Each Conv2D or
   /// ConvTranspose2D may be followed by one ReLU or Sigmoid; any other
-  /// layer, a leading activation or an int8-quantized layer fails
-  /// S2A_CHECK. The heads are Conv2Ds of one geometry that all read the
-  /// output of `layers`; the snapshot's output stacks theirs along
-  /// channels, in order. `reference` is one sample of the keyed shape,
-  /// R (null: all zeros). Copies only the key and R: the first infer()
-  /// packs the panels and computes the backgrounds.
+  /// layer or a leading activation fails S2A_CHECK. The heads are
+  /// Conv2Ds of one geometry that all read the output of `layers`; the
+  /// snapshot's output stacks theirs along channels, in order.
+  /// `reference` is one sample of the keyed shape, R (null: all zeros).
+  /// Copies only the key and R: the first infer() packs the panels and
+  /// computes the backgrounds.
   FrozenConv(const std::vector<Layer*>& layers, const std::vector<int>& sample,
              const std::vector<Layer*>& heads = {},
              const double* reference = nullptr);
   ~FrozenConv();
 
+  /// The int8 form of the snapshot (see above) of `layers` and `heads`,
+  /// taken from their weights as they are now, for inputs of sample
+  /// shape `sample`.
+  static std::unique_ptr<FrozenConv> quantized(
+      const std::vector<Layer*>& layers, const std::vector<int>& sample,
+      const std::vector<Layer*>& heads = {});
+  bool int8() const { return int8_; }
+
   /// True when this snapshot may serve x: x has the keyed sample shape,
-  /// the active gemm kernel is the keyed one, no layer is quantized, and
-  /// every live weight and bias memcmp-equals the key.
+  /// the active gemm kernel is the keyed one, and every live weight and
+  /// bias memcmp-equals the key.
   bool matches(const Tensor& x) const;
 
   /// True when x is one sample whose bits equal R's.
@@ -133,7 +153,8 @@ class FrozenConv {
 
   /// The stack's output for x ([N, C, H, W] of the keyed sample shape),
   /// bit-identical to running each layer's infer() on the keyed
-  /// weights (and each head's on the last layer's output, stacked).
+  /// weights (and each head's on the last layer's output, stacked). The
+  /// int8 form's output is the int8 forward of those weights.
   Tensor infer(const Tensor& x);
 
  private:
@@ -148,6 +169,7 @@ class FrozenConv {
   const char* kernel_;
   int c_ = 0, h_ = 0, w_ = 0;  // keyed sample shape
   std::vector<Stage> stages_;
+  bool int8_ = false;  // quantized(): int8 matrices, every site computed
   bool packed_ = false, prepared_ = false;
   // R, one [c_, h_, w_] sample; empty for all zeros, when zero_row_
   // (w_ zeros) stands in for each of its rows.
@@ -168,15 +190,15 @@ enum class Reference { kZero, kRepeated };
 /// A borrowed conv stack (with optional stacked heads, as FrozenConv)
 /// that runs through a FrozenConv when one matches the live weights and
 /// its reference is adopted, and through each layer's infer()
-/// otherwise. A call that misses re-keys the snapshot to the weights it
-/// saw. With Reference::kZero the snapshot serves from the second
-/// consecutive call that sees the same weights: a caller that trains
-/// between calls pays the dense forward plus the key check. With
+/// otherwise; after quantize(), through its int8 snapshot. A call that
+/// misses re-keys the snapshot to the weights it saw. With
+/// Reference::kZero the snapshot serves from the second consecutive
+/// call that sees the same weights: a caller that trains between calls
+/// pays the dense forward plus the key check. With
 /// Reference::kRepeated each dense batch-1 call also makes its input
 /// the candidate R, and the snapshot serves from the call that repeats
 /// the candidate on the same weights, for as long as they stay; a
-/// caller whose inputs never repeat stays dense. A stack with an
-/// int8-quantized layer always runs its layers' infer().
+/// caller whose inputs never repeat stays dense.
 class ActiveSiteStack {
  public:
   explicit ActiveSiteStack(std::vector<Layer*> layers,
@@ -190,6 +212,13 @@ class ActiveSiteStack {
   /// True when the next call, on unchanged weights, kernel and sample
   /// shape, runs through the snapshot whatever its input.
   bool serving() const { return snap_ != nullptr && adopted_; }
+
+  /// Freezes the stack's weights as they are now into an int8 snapshot
+  /// (FrozenConv::quantized) for inputs of sample shape `sample`; every
+  /// later call runs it, whatever the weights do. Calling it again
+  /// re-freezes.
+  void quantize(const std::vector<int>& sample);
+  bool is_quantized() const { return snap_ != nullptr && snap_->int8(); }
 
  private:
   Tensor dense(const Tensor& x);

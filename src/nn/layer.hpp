@@ -13,6 +13,10 @@
 // place. The layers on the loop's inference calls (Conv2D,
 // ConvTranspose2D, ReLU, Sigmoid, Tanh, Sequential) override it; every
 // other layer falls back to forward() and captures as before.
+//
+// Layers compute in float only. A deployed low-precision model is a
+// frozen snapshot held by the stack that serves it (nn/frozen.hpp), so
+// no layer carries a second arithmetic or refuses backward().
 #pragma once
 
 #include <cstddef>
@@ -45,15 +49,6 @@ class Layer {
   void zero_grad() {
     for (Tensor* g : grads()) g->fill(0.0);
   }
-
-  /// Snapshots the current weights into an int8 form (per-output-channel
-  /// symmetric scales — see nn/quant.hpp). Once quantized, forward()
-  /// runs the int8 kernel and backward() fails S2A_CHECK: the layer is
-  /// a deployed, inference-only model, so train first, then quantize.
-  /// Layers without an int8 path (activations, GRU, attention) are a
-  /// no-op and keep reporting is_quantized() == false.
-  virtual void quantize() {}
-  virtual bool is_quantized() const { return false; }
 
   /// Multiply-accumulate operations for one forward pass of a single sample.
   /// Used by the Fig. 5a / Table II compute-cost instrumentation.

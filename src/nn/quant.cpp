@@ -67,7 +67,8 @@ double activation_scale(const double* x, std::size_t n) {
   double amax = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     if (std::isfinite(x[i])) amax = std::max(amax, std::fabs(x[i]));
-  return amax > 0.0 ? amax / 127.0 : 1.0;
+  const double scale = amax / 127.0;
+  return std::isfinite(1.0 / scale) ? scale : 1.0;
 }
 
 bool quantize_values(const double* x, std::size_t n, double scale,
@@ -203,24 +204,6 @@ void gemm_int8_rows(const QuantizedMatrix& a, int n, const std::int8_t* b,
 void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
                double b_scale, double* c, int ldc) {
   gemm_int8_rows(a, n, b, stride_rows(a.cols, ldb).data(), b_scale, c, ldc);
-}
-
-void gemm_int8_panel(const QuantizedMatrix& a, int n, const double* b,
-                     double b_scale, util::ScratchArena& arena, double* c,
-                     int ldc) {
-  const std::size_t count = static_cast<std::size_t>(a.cols) * n;
-  std::int8_t* bq = alloc_int8(arena, count);
-  const bool finite = quantize_values(b, count, b_scale, bq);
-  gemm_int8(a, n, bq, n, b_scale, c, ldc);
-  if (finite) return;
-  for (int j = 0; j < n; ++j)
-    for (int kk = 0; kk < a.cols; ++kk) {
-      if (std::isfinite(b[static_cast<std::size_t>(kk) * n + j])) continue;
-      for (int i = 0; i < a.rows; ++i)
-        c[static_cast<std::size_t>(i) * ldc + j] =
-            std::numeric_limits<double>::quiet_NaN();
-      break;
-    }
 }
 
 }  // namespace s2a::nn

@@ -12,13 +12,16 @@
 //
 // Overflow headroom: each product is at most 127*127 < 2^14, so the
 // int32 accumulator is safe for k < 2^31 / 2^14 ≈ 131000 — orders of
-// magnitude above the conv/dense reduction depths here (k ≤ ~600).
+// magnitude above the conv reduction depths here (k ≤ ~600).
 //
-// Routing: a layer holding an int8 snapshot (Layer::quantize()) runs
-// the int8 forward, and its backward() fails S2A_CHECK. Non-finite
-// weights and activations have no int8 code, so they turn the outputs
-// that read them into NaN — non-finite exactly where the float path is,
-// which keeps the loop's non-finite quarantine working.
+// Routing: the training layers are float only. The int8 model is a
+// frozen value, nn::FrozenConv::quantized() (nn/frozen.hpp), which
+// codes each conv's and deconv phase's weights with quantize_rows and
+// runs them through the conv band loop (nn/conv_rows.hpp). A model
+// holding one refuses train_step(). Non-finite weights and activations
+// have no int8 code, so they turn the outputs that read them into NaN —
+// non-finite exactly where the float path is, which keeps the loop's
+// non-finite quarantine working.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +33,8 @@
 namespace s2a::nn {
 
 /// A row-major int8 matrix with one symmetric scale per row. For a
-/// conv/dense weight this is [out_channels, reduction], so the per-row
-/// scale is the per-output-channel scale.
+/// conv weight this is [out_channels, reduction], so the per-row scale
+/// is the per-output-channel scale.
 struct QuantizedMatrix {
   int rows = 0;
   int cols = 0;
@@ -45,8 +48,11 @@ struct QuantizedMatrix {
 QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols);
 
 /// Per-tensor symmetric scale: max|x| / 127 over the finite values (1
-/// when none is non-zero). Computed over the WHOLE tensor so any
-/// banding/sharding the caller does cannot change the quantization grid.
+/// when none is non-zero, or when that scale is so small that its
+/// reciprocal overflows, max|x| below about 7.1e-307: every value then
+/// codes to 0 at either scale). Computed over the WHOLE tensor so any
+/// banding/sharding the caller does cannot change the quantization
+/// grid.
 double activation_scale(const double* x, std::size_t n);
 
 /// out[i] = clamp(round(x[i] / scale), -127, 127). Round-half-away
@@ -70,22 +76,12 @@ void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
                double b_scale, double* c, int ldc);
 
 /// gemm_int8 with B reached through a row table, as gemm_packed_rows
-/// (nn/gemm.hpp): B[kk][j] is b[boff[kk] + j]. The conv layers read
-/// their int8-coded padded input this way; gemm_int8 is this with
+/// (nn/gemm.hpp): B[kk][j] is b[boff[kk] + j]. The conv band loop reads
+/// its int8-coded padded input this way; gemm_int8 is this with
 /// boff[kk] = kk*ldb.
 void gemm_int8_rows(const QuantizedMatrix& a, int n, const std::int8_t* b,
                     const std::ptrdiff_t* boff, double b_scale, double* c,
                     int ldc);
-
-/// Dense's int8 step: quantizes the float panel b ([a.cols, n],
-/// row-major, row stride n) against b_scale into arena scratch, then
-/// gemm_int8 into c. A column of b holding a non-finite value sets that
-/// column of c to NaN — the float GEMM would have produced a non-finite
-/// value there too. (The conv layers quantize their padded input once
-/// per call instead and apply the same column rule themselves.)
-void gemm_int8_panel(const QuantizedMatrix& a, int n, const double* b,
-                     double b_scale, util::ScratchArena& arena, double* c,
-                     int ldc);
 
 namespace detail {
 

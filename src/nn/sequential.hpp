@@ -33,19 +33,6 @@ class Sequential : public Layer {
   std::vector<Tensor*> grads() override;
   std::size_t macs_per_sample() const override;
 
-  /// Snapshots every layer's weights into int8 form (a no-op for layers
-  /// without an int8 path). See Layer::quantize() for what that turns on
-  /// and off.
-  void quantize() override {
-    for (auto& l : layers_) l->quantize();
-  }
-  /// True when at least one layer holds an int8 snapshot.
-  bool is_quantized() const override {
-    for (const auto& l : layers_)
-      if (l->is_quantized()) return true;
-    return false;
-  }
-
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
   const Layer& layer(std::size_t i) const { return *layers_[i]; }

@@ -27,6 +27,7 @@
 #include "nn/frozen.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
+#include "nn_oracle.hpp"
 #include "sim/lidar_sim.hpp"
 #include "sim/scene.hpp"
 #include "util/rng.hpp"
@@ -296,6 +297,23 @@ nn::Tensor dense_reconstruct(lidar::OccupancyAutoencoder& ae,
   return y;
 }
 
+// The int8 reference for a quantized autoencoder: each layer's int8
+// forward on the oracle's explicit lowering (tests/nn_oracle.hpp), with
+// the ReLUs and reconstruct()'s sigmoid between.
+nn::Tensor int8_reconstruct(lidar::OccupancyAutoencoder& ae,
+                            const nn::Tensor& x) {
+  const std::vector<nn::Tensor*> p = ae.params();
+  nn::Tensor h = nn::oracle::conv2d_forward_int8(x, *p[0], *p[1], 2, 1);
+  nn::relu_inplace(h.data(), h.numel());
+  h = nn::oracle::conv2d_forward_int8(h, *p[2], *p[3], 2, 1);
+  nn::relu_inplace(h.data(), h.numel());
+  h = nn::oracle::conv_transpose2d_forward_int8(h, *p[4], *p[5], 2, 1);
+  nn::relu_inplace(h.data(), h.numel());
+  h = nn::oracle::conv_transpose2d_forward_int8(h, *p[6], *p[7], 2, 1);
+  nn::sigmoid_inplace(h.data(), h.numel());
+  return h;
+}
+
 // Reconstructs twice, so the second call runs the snapshot keyed by the
 // first, and checks both against the dense reference.
 void expect_reconstruct_is_dense(lidar::OccupancyAutoencoder& ae,
@@ -346,9 +364,14 @@ TEST(ActiveSite, AutoencoderSeesEveryWeightWrite) {
   EXPECT_EQ(e[0], s / static_cast<double>(z.dim(2) * z.dim(3)));
 
   // quantize() leaves the float weights as they were, but the model now
-  // runs int8.
+  // runs int8: the int8 forward of those weights.
+  const nn::Tensor float_out = dense_reconstruct(ae, x);
   ae.quantize();
-  expect_reconstruct_is_dense(ae, x, "after quantize()");
+  EXPECT_TRUE(same_bits(dense_reconstruct(ae, x), float_out));
+  const nn::Tensor int8_out = ae.reconstruct(x);
+  EXPECT_FALSE(same_bits(int8_out, float_out));
+  EXPECT_TRUE(same_bits(int8_out, int8_reconstruct(ae, x)));
+  EXPECT_TRUE(same_bits(ae.reconstruct(x), int8_out));
 }
 
 TEST(ActiveSite, DetectorEmbeddingSeesPretrainedWeights) {
@@ -602,8 +625,9 @@ TEST(ActiveSite, RepeatedReferenceIsAdoptedOnTheSecondIdenticalInput) {
 }
 
 // The dense reference for BevDetector::detect: the detector's layers
-// rebuilt from its config, its weights copied in (and quantized when
-// it is), every layer's infer(), then the heatmap decode detect()
+// rebuilt from its config, its weights copied in, every layer's infer()
+// (for a quantized detector, each layer's int8 forward on the oracle's
+// explicit lowering, tests/nn_oracle.hpp), then the heatmap decode detect()
 // documents: a sigmoid score per cell and class, kept at or above the
 // threshold when no 3x3 same-class neighbour has a larger logit, with
 // the clamped offsets moving the box from the cell centre.
@@ -626,11 +650,24 @@ std::vector<lidar::Detection> dense_detect(lidar::BevDetector& det,
   const std::vector<nn::Tensor*> src = det.params();
   EXPECT_EQ(src.size(), dst.size());
   for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
-  if (det.is_quantized())
-    for (nn::Sequential* net : {&backbone, &cls, &off}) net->quantize();
 
-  const nn::Tensor neck = backbone.infer(grid);
-  const nn::Tensor logits = cls.infer(neck), offsets = off.infer(neck);
+  nn::Tensor neck, logits, offsets;
+  if (det.is_quantized()) {
+    using nn::oracle::conv2d_forward_int8;
+    neck = conv2d_forward_int8(grid, *dst[0], *dst[1], 2, 1);
+    nn::relu_inplace(neck.data(), neck.numel());
+    neck = conv2d_forward_int8(neck, *dst[2], *dst[3], 2, 1);
+    nn::relu_inplace(neck.data(), neck.numel());
+    neck = nn::oracle::conv_transpose2d_forward_int8(neck, *dst[4], *dst[5],
+                                                     2, 1);
+    nn::relu_inplace(neck.data(), neck.numel());
+    logits = conv2d_forward_int8(neck, *dst[6], *dst[7], 1, 0);
+    offsets = conv2d_forward_int8(neck, *dst[8], *dst[9], 1, 0);
+  } else {
+    neck = backbone.infer(grid);
+    logits = cls.infer(neck);
+    offsets = off.infer(neck);
+  }
   const int h2 = cfg.grid.ny / 2, w2 = cfg.grid.nx / 2;
   const double cell_w = 2.0 * cfg.grid.extent / w2;
   const double cell_h = 2.0 * cfg.grid.extent / h2;

@@ -884,3 +884,233 @@ TEST(ParallelEquivalence, DetectorOutputIdenticalAcrossThreadCounts) {
 
 }  // namespace
 }  // namespace s2a::lidar
+
+// ------------------------------------------------------------------
+// The deployed int8 model: quantize() freezes each inference stack into
+// an int8 snapshot (nn::FrozenConv::quantized). Known answers, the
+// train-step refusal, serialization, and the snapshot as a value.
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+
+#include "nn/serialize.hpp"
+#include "util/check.hpp"
+
+namespace s2a::lidar {
+namespace {
+
+// FNV-1a over the bits of every value it is given.
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(double v) {
+    const auto b = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(const nn::Tensor& t) {
+    for (std::size_t i = 0; i < t.numel(); ++i) add(t[i]);
+  }
+  void add(const std::vector<double>& v) {
+    for (const double x : v) add(x);
+  }
+  void add(const std::vector<Detection>& dets) {
+    add(static_cast<double>(dets.size()));
+    for (const Detection& d : dets)
+      for (const double x : {static_cast<double>(d.cls), d.score,
+                             d.box.center.x, d.box.center.y, d.box.center.z,
+                             d.box.size.x, d.box.size.y, d.box.size.z})
+        add(x);
+  }
+};
+
+AutoencoderConfig small_int8_ae() {
+  AutoencoderConfig cfg;
+  cfg.grid.nx = cfg.grid.ny = 16;
+  cfg.c1 = 8;
+  cfg.c2 = 8;
+  return cfg;
+}
+
+DetectorConfig detector_for(const AutoencoderConfig& acfg) {
+  DetectorConfig cfg;
+  cfg.grid = acfg.grid;
+  cfg.c1 = acfg.c1;
+  cfg.c2 = acfg.c2;
+  cfg.score_threshold = 0.05;
+  return cfg;
+}
+
+nn::Tensor voxels(const VoxelGridConfig& g, int count, Rng& rng) {
+  nn::Tensor t({1, g.nz, g.ny, g.nx});
+  for (int i = 0; i < count; ++i)
+    t[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(t.numel()) - 1))] = 1.0;
+  return t;
+}
+
+struct Int8Answers {
+  std::uint64_t reconstruct, embedding, detect, feature_embeddings;
+  std::size_t detections;
+};
+
+// Trains a small autoencoder and a detector pretrained from it for a
+// few steps on fixed seeds, quantizes both, and hashes their int8
+// outputs at `threads` pool threads.
+Int8Answers int8_answers(int threads) {
+  Rng rng(120);
+  const AutoencoderConfig acfg = small_int8_ae();
+  const VoxelGridConfig& g = acfg.grid;
+  const nn::Tensor empty = voxels(g, 0, rng), sparse = voxels(g, 6, rng),
+                   dense = voxels(g, 120, rng);
+  OccupancyAutoencoder ae(acfg, rng);
+  nn::Adam opt(1e-2);
+  opt.attach(ae.params(), ae.grads());
+  for (int i = 0; i < 3; ++i) ae.train_step(sparse, dense, opt);
+  BevDetector det(detector_for(acfg), rng);
+  det.init_from_pretrained(ae);
+  nn::Adam dopt(3e-3);
+  dopt.attach(det.params(), det.grads());
+  for (int i = 0; i < 3; ++i) det.train_step(dense, one_car_scene(), dopt);
+  ae.quantize();
+  det.quantize();
+
+  util::ScopedGlobalThreads scoped(threads);
+  Int8Answers out{};
+  BitHash recon, embed, detect, features;
+  for (const nn::Tensor* x : {&empty, &sparse, &dense, &sparse, &empty})
+    recon.add(ae.reconstruct(*x));
+  for (const nn::Tensor* x : {&sparse, &dense, &empty})
+    embed.add(ae.embedding(*x));
+  const nn::Tensor seen = ae.reconstruct(sparse);
+  for (const nn::Tensor* x : {&seen, &seen, &dense, &empty, &seen}) {
+    const std::vector<Detection> dets = det.detect(*x);
+    out.detections += dets.size();
+    detect.add(dets);
+  }
+  nn::Tensor batch({3, g.nz, g.ny, g.nx});
+  std::size_t at = 0;
+  for (const nn::Tensor* x : {&empty, &sparse, &dense})
+    for (std::size_t i = 0; i < x->numel(); ++i) batch[at++] = (*x)[i];
+  for (const std::vector<double>& e : det.feature_embeddings(batch))
+    features.add(e);
+  features.add(det.feature_embedding(sparse));
+  out.reconstruct = recon.h;
+  out.embedding = embed.h;
+  out.detect = detect.h;
+  out.feature_embeddings = features.h;
+  return out;
+}
+
+TEST(Quantized, Int8OutputsMatchKnownAnswers) {
+  // Recorded from the int8 forward as the training layers ran it, before
+  // the int8 model became a frozen snapshot; the same bits under every
+  // S2A_SIMD family, since the int8 GEMM accumulates exactly.
+  for (const int threads : {1, 4}) {
+    const Int8Answers got = int8_answers(threads);
+    EXPECT_EQ(got.reconstruct, 0xf814582f38fedc29ULL) << threads << " threads";
+    EXPECT_EQ(got.embedding, 0x67443abb357fadeaULL) << threads << " threads";
+    EXPECT_EQ(got.detect, 0x6dd21eebed8dac15ULL) << threads << " threads";
+    EXPECT_EQ(got.feature_embeddings, 0xefa7336373b71019ULL)
+        << threads << " threads";
+    EXPECT_EQ(got.detections, 194u) << threads << " threads";
+  }
+}
+
+bool same_bits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(double)) == 0;
+}
+
+std::uint64_t hash_detections(const std::vector<Detection>& dets) {
+  BitHash h;
+  h.add(dets);
+  return h.h;
+}
+
+TEST(Quantized, TrainStepIsRefused) {
+  // The int8 forward is not differentiable as the float one: a train
+  // step on a quantized model would fit the float gradient of a function
+  // it no longer serves.
+  Rng rng(26);
+  const AutoencoderConfig acfg = small_int8_ae();
+  OccupancyAutoencoder ae(acfg, rng);
+  BevDetector det(detector_for(acfg), rng);
+  nn::Adam opt(1e-2), dopt(1e-2);
+  opt.attach(ae.params(), ae.grads());
+  dopt.attach(det.params(), det.grads());
+  const nn::Tensor x = voxels(acfg.grid, 6, rng);
+  EXPECT_FALSE(ae.is_quantized());
+  EXPECT_FALSE(det.is_quantized());
+  ae.train_step(x, x, opt);
+  det.train_step(x, one_car_scene(), dopt);
+  ae.quantize();
+  det.quantize();
+  EXPECT_TRUE(ae.is_quantized());
+  EXPECT_TRUE(det.is_quantized());
+  EXPECT_THROW(ae.train_step(x, x, opt), CheckError);
+  EXPECT_THROW(det.train_step(x, one_car_scene(), dopt), CheckError);
+}
+
+TEST(Quantized, SnapshotIsAValue) {
+  // quantize() freezes the weights as they are; later writes reach the
+  // training forward but not the int8 outputs, until the next quantize().
+  Rng rng(67);
+  const AutoencoderConfig acfg = small_int8_ae();
+  OccupancyAutoencoder ae(acfg, rng);
+  BevDetector det(detector_for(acfg), rng);
+  const nn::Tensor x = voxels(acfg.grid, 6, rng);
+  const nn::Tensor seen = ae.reconstruct(x);
+  ae.quantize();
+  det.quantize();
+  const nn::Tensor recon = ae.reconstruct(x);
+  const std::vector<double> embedding = ae.embedding(x);
+  const std::uint64_t dets = hash_detections(det.detect(seen));
+  const std::vector<double> features = det.feature_embedding(x);
+
+  const nn::Tensor latent = ae.encode(x);
+  for (nn::Tensor* p : ae.params())
+    for (std::size_t i = 0; i < p->numel(); ++i) (*p)[i] *= 1.5;
+  for (nn::Tensor* p : det.params())
+    for (std::size_t i = 0; i < p->numel(); ++i) (*p)[i] *= 1.5;
+  ASSERT_FALSE(same_bits(ae.encode(x), latent)) << "the write is invisible";
+
+  EXPECT_TRUE(same_bits(ae.reconstruct(x), recon));
+  EXPECT_EQ(ae.embedding(x), embedding);
+  EXPECT_EQ(hash_detections(det.detect(seen)), dets);
+  EXPECT_EQ(det.feature_embedding(x), features);
+
+  // Re-quantizing freezes the new weights.
+  ae.quantize();
+  det.quantize();
+  EXPECT_FALSE(same_bits(ae.reconstruct(x), recon));
+  EXPECT_NE(det.feature_embedding(x), features);
+}
+
+TEST(Serialize, QuantizeSurvivesRoundTrip) {
+  // Serialization persists float weights only; the int8 snapshot is
+  // derived state. quantize() is deterministic from the float weights,
+  // so quantize → save → load → quantize must give bit-identical int8
+  // outputs (int32 accumulation has no rounding to drift).
+  Rng rng(65);
+  const AutoencoderConfig acfg = small_int8_ae();
+  OccupancyAutoencoder ae(acfg, rng);
+  ae.quantize();
+  std::ostringstream os;
+  nn::save_params(ae.params(), os);
+
+  Rng rng2(66);
+  OccupancyAutoencoder loaded(acfg, rng2);
+  std::istringstream is(os.str());
+  nn::load_params(loaded.params(), is);
+  loaded.quantize();
+
+  const nn::Tensor x = voxels(acfg.grid, 6, rng);
+  EXPECT_TRUE(same_bits(loaded.reconstruct(x), ae.reconstruct(x)));
+  EXPECT_EQ(loaded.embedding(x), ae.embedding(x));
+}
+
+}  // namespace
+}  // namespace s2a::lidar

@@ -24,6 +24,7 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/frozen.hpp"
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/layer.hpp"
@@ -363,6 +364,35 @@ TEST(Quant, ActivationScaleIsBandInvariant) {
   EXPECT_EQ(whole, banded_max);
 }
 
+// The int8 forward of one conv or deconv layer: its int8 snapshot.
+Tensor int8_forward(Layer& layer, const Tensor& x) {
+  return FrozenConv::quantized({&layer}, x.shape())->infer(x);
+}
+
+TEST(Quant, TinyActivationsTakeTheUnitScale) {
+  // Below max|x| of about 7.1e-307 the scale max|x| / 127 has no finite
+  // reciprocal (and below about 3.2e-322 it is 0). Every such value
+  // codes to 0 at any scale, so the scale falls back to 1, the value an
+  // all-zero input gets, and the int8 forward gives the bias alone.
+  for (const double tiny : {1e-322, 4.9e-324, 1e-310, 7e-307}) {
+    const std::vector<double> x = {0.0, -tiny, tiny / 2};
+    EXPECT_EQ(activation_scale(x.data(), x.size()), 1.0) << tiny;
+  }
+  const std::vector<double> small = {1e-300};
+  EXPECT_EQ(activation_scale(small.data(), 1), 1e-300 / 127.0);
+
+  Rng rng(28);
+  Conv2D conv(1, 2, 3, 1, 1, rng);
+  Tensor& bias = *conv.params()[1];
+  bias[0] = 0.25;
+  bias[1] = -0.5;
+  Tensor x({1, 1, 4, 4});
+  x[5] = 1e-322;
+  const Tensor y = int8_forward(conv, x);
+  for (std::size_t i = 0; i < y.numel(); ++i)
+    EXPECT_EQ(y[i], i < 16 ? 0.25 : -0.5) << i;
+}
+
 TEST(Quant, Int8GemmMatchesInt32Reference) {
   // gemm_int8 must equal the naive int32 loop EXACTLY (integer
   // accumulation has no rounding), including the bias-seeded C start.
@@ -441,43 +471,26 @@ TEST(Quant, NonFiniteActivationsStayNonFiniteInInt8) {
                            std::numeric_limits<double>::infinity()}) {
     Rng rng(23);
     Conv2D conv(1, 2, 3, 1, 1, rng);
-    Rng qrng(23);
-    Conv2D qconv(1, 2, 3, 1, 1, qrng);
-    qconv.quantize();
     Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
     x[5] = bad;
     const auto expect = nonfinite_at(conv.forward(x));
     EXPECT_EQ(expect.size(), 18u);
-    EXPECT_EQ(nonfinite_at(qconv.forward(x)), expect) << "Conv2D " << bad;
+    EXPECT_EQ(nonfinite_at(int8_forward(conv, x)), expect) << "Conv2D " << bad;
 
     Rng drng(24);
     ConvTranspose2D deconv(2, 3, 4, 2, 1, drng);
-    Rng qdrng(24);
-    ConvTranspose2D qdeconv(2, 3, 4, 2, 1, qdrng);
-    qdeconv.quantize();
     Tensor z = Tensor::randn({2, 2, 5, 5}, rng);
     z[7] = bad;
     const auto expect_d = nonfinite_at(deconv.forward(z));
     EXPECT_FALSE(expect_d.empty());
-    EXPECT_EQ(nonfinite_at(qdeconv.forward(z)), expect_d)
+    EXPECT_EQ(nonfinite_at(int8_forward(deconv, z)), expect_d)
         << "ConvTranspose2D " << bad;
-
-    Rng frng(25);
-    Dense dense(6, 4, frng);
-    Rng qfrng(25);
-    Dense qdense(6, 4, qfrng);
-    qdense.quantize();
-    Tensor v = Tensor::randn({3, 6}, rng);
-    v[8] = bad;
-    const auto expect_f = nonfinite_at(dense.forward(v));
-    EXPECT_EQ(expect_f.size(), 4u);
-    EXPECT_EQ(nonfinite_at(qdense.forward(v)), expect_f) << "Dense " << bad;
   }
 }
 
 TEST(Quant, Int8ConvForwardsMatchLoweredOracle) {
-  // The int8 forwards code the padded input once and read it through
-  // the tap table; the oracle codes an explicit lowering (im2col, and a
+  // The int8 snapshot codes each layer's padded input once and reads it
+  // through the tap table; the oracle codes an explicit lowering (im2col, and a
   // per-phase gather for the deconv) against the same whole-input scale
   // and multiplies it with gemm_int8. Same codes, same integer sums,
   // same dequantization: the outputs are equal, non-finite inputs
@@ -517,10 +530,10 @@ TEST(Quant, Int8ConvForwardsMatchLoweredOracle) {
                                              *v->params()[1], c.stride, c.pad);
         layer = std::move(v);
       }
-      layer->quantize();
+      const auto snap = FrozenConv::quantized({layer.get()}, x.shape());
       for (int threads : {1, 4}) {
         util::ScopedGlobalThreads scoped(threads);
-        EXPECT_EQ(value_diff_count(expect, layer->forward(x)), 0u)
+        EXPECT_EQ(value_diff_count(expect, snap->infer(x)), 0u)
             << threads << " threads";
       }
     }
@@ -540,25 +553,6 @@ TEST(Quant, NonFiniteWeightPoisonsItsRow) {
   gemm_int8(q, 2, b.data(), 2, 0.1, c.data(), 2);
   EXPECT_TRUE(std::isfinite(c[0]) && std::isfinite(c[1]));
   EXPECT_TRUE(std::isnan(c[2]) && std::isnan(c[3]));
-}
-
-TEST(Quant, BackwardThroughQuantizedLayerIsRefused) {
-  // The int8 forward is not differentiable as the float one; backward
-  // after quantize() would return the float gradient of a function the
-  // forward never ran.
-  Rng rng(26);
-  Conv2D conv(2, 3, 3, 1, 1, rng);
-  ConvTranspose2D deconv(2, 3, 4, 2, 1, rng);
-  Dense dense(5, 4, rng);
-  conv.quantize();
-  deconv.quantize();
-  dense.quantize();
-  const Tensor yc = conv.forward(Tensor::randn({1, 2, 6, 6}, rng));
-  EXPECT_THROW(conv.backward(yc), CheckError);
-  const Tensor yd = deconv.forward(Tensor::randn({1, 2, 3, 3}, rng));
-  EXPECT_THROW(deconv.backward(yd), CheckError);
-  const Tensor yf = dense.forward(Tensor::randn({2, 5}, rng));
-  EXPECT_THROW(dense.backward(yf), CheckError);
 }
 
 TEST(Im2Col, RoundTripScalesByReadCount) {
@@ -795,7 +789,7 @@ TEST(ConvBackendEquivalence, ConvTranspose2DPaddingGeometryAcrossThreadCounts) {
 TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
   // The band split changes with the thread count; the per-element
   // accumulation chain must not — on the float path, and on the int8
-  // path of a quantized copy of the same layers. The pool size alone
+  // path of an int8 snapshot of the same layers. The pool size alone
   // decides sharding, so this shards on any host (and genuinely
   // exercises arena slots under TSan; see ShardsOnAnyHost below).
   Rng rng(44);
@@ -803,21 +797,18 @@ TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
   const Tensor x = Tensor::randn({1, 4, 48, 48}, rng);
   const Tensor z = Tensor::randn({1, 16, 24, 24}, rng);
-  Rng qrng(44);
-  Conv2D qconv(4, 16, 3, 2, 1, qrng);
-  ConvTranspose2D qdeconv(16, 4, 4, 2, 1, qrng);
-  qconv.quantize();
-  qdeconv.quantize();
+  const auto qconv = FrozenConv::quantized({&conv}, x.shape());
+  const auto qdeconv = FrozenConv::quantized({&deconv}, z.shape());
 
   Tensor conv_serial, deconv_serial, qconv_serial, qdeconv_serial;
   {
     util::ScopedGlobalThreads threads(1);
     conv_serial = conv.forward(x);
     deconv_serial = deconv.forward(z);
-    qconv_serial = qconv.forward(x);
-    qdeconv_serial = qdeconv.forward(z);
+    qconv_serial = qconv->infer(x);
+    qdeconv_serial = qdeconv->infer(z);
   }
-  // The quantized copies really ran int8.
+  // The snapshots really ran int8.
   EXPECT_GT(diff_count(conv_serial, qconv_serial), 0u);
   EXPECT_GT(diff_count(deconv_serial, qdeconv_serial), 0u);
   for (int threads : {1, 2, 3, 4, 7}) {
@@ -826,9 +817,9 @@ TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
         << threads << " threads";
     EXPECT_EQ(diff_count(deconv_serial, deconv.forward(z)), 0u)
         << threads << " threads";
-    EXPECT_EQ(diff_count(qconv_serial, qconv.forward(x)), 0u)
+    EXPECT_EQ(diff_count(qconv_serial, qconv->infer(x)), 0u)
         << "int8 conv, " << threads << " threads";
-    EXPECT_EQ(diff_count(qdeconv_serial, qdeconv.forward(z)), 0u)
+    EXPECT_EQ(diff_count(qdeconv_serial, qdeconv->infer(z)), 0u)
         << "int8 deconv, " << threads << " threads";
   }
 }
@@ -1307,16 +1298,11 @@ std::vector<Tensor> backward_grads(Layer& layer, const Tensor& grad_out) {
 
 TEST(InferPath, MatchesForwardBitExact) {
   // infer() is forward()'s kernel call minus the capture, so the
-  // outputs are identical — float and int8, batch 1 and 3, serial and
-  // sharded (a 4-slot pool shards these shapes on any host).
+  // outputs are identical — batch 1 and 3, serial and sharded (a 4-slot
+  // pool shards these shapes on any host).
   Rng rng(60);
   Conv2D conv(4, 8, 3, 2, 1, rng);
   ConvTranspose2D deconv(8, 4, 4, 2, 1, rng);
-  Rng qrng(61);
-  Conv2D qconv(4, 8, 3, 2, 1, qrng);
-  ConvTranspose2D qdeconv(8, 4, 4, 2, 1, qrng);
-  qconv.quantize();
-  qdeconv.quantize();
   ReLU relu;
   Tanh tanh;
   Sequential net;
@@ -1340,8 +1326,6 @@ TEST(InferPath, MatchesForwardBitExact) {
       util::ScopedGlobalThreads scoped(threads);
       EXPECT_EQ(bit_diff_count(conv.forward(x), conv.infer(x)), 0u);
       EXPECT_EQ(bit_diff_count(deconv.forward(z), deconv.infer(z)), 0u);
-      EXPECT_EQ(bit_diff_count(qconv.forward(x), qconv.infer(x)), 0u);
-      EXPECT_EQ(bit_diff_count(qdeconv.forward(z), qdeconv.infer(z)), 0u);
       const Tensor rr = relu.infer(r);
       EXPECT_EQ(bit_diff_count(relu.forward(r), rr), 0u);
       EXPECT_TRUE(rr[0] == 0.0 && std::signbit(rr[0]));  // -0.0 kept
