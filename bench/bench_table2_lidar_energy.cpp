@@ -19,10 +19,12 @@
 // the scenes are re-sensed under identical beam plans, producing
 // (total energy, reconstruction IoU) points for the conventional, float,
 // and int8 paths. The points are written to BENCH_frontier.json (or
-// S2A_BENCH_FRONTIER=<path>) for the CI artifact.
+// S2A_BENCH_FRONTIER=<path>) for the CI artifact, with the detected CPU
+// features, the selected SIMD kernel and the host's core count.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -160,7 +162,9 @@ int main() {
   out << "{\n  \"cpu\": \"" << util::cpu_feature_string()
       << "\",\n  \"simd\": \""
       << util::simd_isa_name(util::active_simd_isa())
-      << "\",\n  \"trials\": " << frontier_trials
+      << "\",\n  \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency()
+      << ",\n  \"trials\": " << frontier_trials
       << ",\n  \"joules_per_flop\": " << lidar::kJoulesPerFlop
       << ",\n  \"joules_per_int8_mac\": " << lidar::kJoulesPerInt8Mac
       << ",\n  \"points\": [\n"

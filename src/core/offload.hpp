@@ -54,8 +54,9 @@ class UncertaintySource {
   virtual double score(const Observation& obs) = 0;
 };
 
-/// Routing mode. kAlwaysLocal / kAlwaysRemote are the bench baselines
-/// (S2A_BENCH_OFFLOAD): they bypass the gate, breaker, and cost model so
+/// Routing mode. kAlwaysLocal / kAlwaysRemote are the baselines of the
+/// policy-value sweep (Offload.PolicyBeatsBothBaselinesAtSomeSweepPoint in
+/// tests/net_test.cpp): they bypass the gate, breaker, and cost model so
 /// the policy's value shows up against naive routing.
 enum class OffloadMode { kPolicy = 0, kAlwaysLocal, kAlwaysRemote };
 const char* offload_mode_name(OffloadMode mode);

@@ -128,7 +128,8 @@ struct HierStats {
 
   /// High-water mark of live aggregator/workspace bytes inside the
   /// engine (chunk workspaces, per-level fixed-point accumulators).
-  /// Asserted flat across client counts by S2A_BENCH_FED_SCALE.
+  /// Asserted flat across client counts by
+  /// FedHierScale.PeakAggregatorMemoryIndependentOfClientCount.
   std::size_t peak_accumulator_bytes = 0;
 
   /// Weighted client-delta terms whose Q32.32 value fell outside the

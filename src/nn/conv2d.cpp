@@ -144,7 +144,7 @@ struct PaddedInput {
   std::size_t image = 0;  // channels * s * s * plane: one image's planes
   const double* data = nullptr;    // n images back to back, then slack
   const std::int8_t* q = nullptr;  // int8 codes of data (int8 weights)
-  double q_scale = 0.0;            // the activation scale of those codes
+  const double* q_scale = nullptr;  // per image: the scale of its codes
   bool finite = true;  // false when a coded value had no int8 code
 };
 
@@ -160,15 +160,26 @@ PaddedInput padded_geometry(int c, int h, int w, int s, int pad, int valid) {
   return g;
 }
 
-// For the int8 forwards: codes g.data's `size` values once against the
-// whole-input activation scale of x (x_count values) — the codes the
-// per-band panels of an explicit lowering get: the same values, the
-// same scale, and 0 -> 0 for the padding.
-void code_int8(const double* x, std::size_t x_count, std::size_t size,
+// For the int8 forwards: codes g.data's `size` values once, image b's
+// planes against the activation scale of image b of x (x_image values
+// each), so an image's outputs do not depend on the rest of its batch.
+// These are the codes an explicit lowering's per-band panels get, and
+// 0 -> 0 for the padding and the zeroed slack past the last image.
+void code_int8(const double* x, int n, std::size_t x_image, std::size_t size,
                util::ScratchArena& arena, PaddedInput& g) {
-  g.q_scale = activation_scale(x, x_count);
+  double* scales = arena.alloc(static_cast<std::size_t>(n));
   std::int8_t* q = alloc_int8(arena, size);
-  g.finite = quantize_values(g.data, size, g.q_scale, q);
+  g.finite = true;
+  for (int b = 0; b < n; ++b) {
+    scales[b] = activation_scale(x + static_cast<std::size_t>(b) * x_image,
+                                 x_image);
+    const std::size_t lo = static_cast<std::size_t>(b) * g.image;
+    const std::size_t hi = b + 1 < n ? lo + g.image : size;
+    const bool finite =
+        quantize_values(g.data + lo, hi - lo, scales[b], q + lo);
+    g.finite = g.finite && finite;
+  }
+  g.q_scale = scales;
   g.q = q;
 }
 
@@ -249,13 +260,14 @@ void build_padded(const double* x, int n, int c, int h, int w, int pad,
   std::fill(buf + body, buf + size, 0.0);
   g.data = buf;
   if (int8)
-    code_int8(x, static_cast<std::size_t>(n) * c * in_hw, size, arena, g);
+    code_int8(x, n, static_cast<std::size_t>(c) * in_hw, size, arena, g);
 }
 
 // tile[i][j] = seed_i + sum_kk A[i][kk] * B[kk][j] for j in [0, ncols),
 // where B[kk][j] is in.data[base + boff[kk] + j] and seed_i is bias[i]
-// (0.0 without a bias). tile has row stride ldt.
-void band_gemm(const LoweredWeights& a, const PaddedInput& in,
+// (0.0 without a bias). tile has row stride ldt. The band reads image b
+// (its int8 codes dequantize at that image's scale).
+void band_gemm(const LoweredWeights& a, const PaddedInput& in, int b,
                const std::ptrdiff_t* boff, std::size_t base, int ncols,
                const double* bias, double* tile, std::size_t ldt) {
   for (int i = 0; i < a.m; ++i)
@@ -266,7 +278,7 @@ void band_gemm(const LoweredWeights& a, const PaddedInput& in,
                      static_cast<int>(ldt));
     return;
   }
-  gemm_int8_rows(*a.q, ncols, in.q + base, boff, in.q_scale, tile,
+  gemm_int8_rows(*a.q, ncols, in.q + base, boff, in.q_scale[b], tile,
                  static_cast<int>(ldt));
   if (in.finite) return;
   // A non-finite value has no int8 code: a column with a tap on one is
@@ -320,8 +332,9 @@ void detail::conv_forward(const double* x, int n, int c, int h, int w, int k,
   const bool int8 = a.q != nullptr;
   if (direct) {
     in.data = x;
-    const std::size_t count = static_cast<std::size_t>(n) * in.image;
-    if (int8) code_int8(x, count, count, arena, in);
+    if (int8)
+      code_int8(x, n, in.image, static_cast<std::size_t>(n) * in.image, arena,
+                in);
   } else {
     const std::size_t reach =
         static_cast<std::size_t>(*std::max_element(boff.begin(), boff.end())) +
@@ -343,12 +356,12 @@ void detail::conv_forward(const double* x, int n, int c, int h, int w, int k,
         const std::size_t base = static_cast<std::size_t>(b) * in.image +
                                  static_cast<std::size_t>(oy_lo) * in.wq + x0;
         if (direct) {
-          band_gemm(a, in, boff.data(), base, span, bias, yb, out_hw);
+          band_gemm(a, in, b, boff.data(), base, span, bias, yb, out_hw);
           return;
         }
         const int ncols = round_up(span, nr);
         double* tile = band_arena.alloc(static_cast<std::size_t>(a.m) * ncols);
-        band_gemm(a, in, boff.data(), base, ncols, bias, tile,
+        band_gemm(a, in, b, boff.data(), base, ncols, bias, tile,
                   static_cast<std::size_t>(ncols));
         for (int oc = 0; oc < a.m; ++oc)
           for (int r = 0; r < nrows; ++r)
@@ -711,7 +724,7 @@ void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
             static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq + xi0;
         const int ncols = round_up((ny - 1) * in.wq + nx, nr);
         double* tile = band_arena.alloc(static_cast<std::size_t>(cout) * ncols);
-        band_gemm(a[ph], in, table, base, ncols, bias, tile,
+        band_gemm(a[ph], in, b, table, base, ncols, bias, tile,
                   static_cast<std::size_t>(ncols));
         for (int oc = 0; oc < cout; ++oc) {
           const double* trow = tile + static_cast<std::size_t>(oc) * ncols;

@@ -27,8 +27,8 @@ namespace s2a::nn::detail {
 // The weight side of one lowered GEMM: m output rows over kdim taps,
 // as a packed float panel, or as the int8 matrix of a deployed model
 // (nn::FrozenConv::quantized, nn/frozen.hpp). A forward given int8
-// weights codes its padded input against one activation scale of its
-// whole input x.
+// weights codes each image of its padded input against one activation
+// scale of that image of x.
 struct LoweredWeights {
   int m = 0, kdim = 0;
   const double* packed = nullptr;

@@ -57,9 +57,9 @@
 // head lists and the same bitwise copy of the weights, and its first
 // infer() codes each stage with quantize_rows (one matrix per conv,
 // one per deconv phase) in place of packing panels. It runs every
-// stage on every site through the same band loop: its activation scale
-// spans the whole layer input, so a change anywhere can move every
-// output, and it keeps no reference, background or padded input. It is
+// stage on every site through the same band loop: an image's activation
+// scale spans its whole layer input, so a change anywhere can move all
+// of its outputs. It keeps no reference, background or padded input. It is
 // a value: later writes to the layers' weights do not reach it.
 //
 // ActiveSiteStack decides per call whether a FrozenConv may serve. The

@@ -2,7 +2,7 @@
 //
 // Scheme: per-output-row symmetric weight scales (scale_i =
 // max|row_i| / 127, so every weight maps to [-127, 127] with zero
-// exactly representable) and one per-tensor symmetric activation scale.
+// exactly representable) and one symmetric activation scale per image.
 // The int8 GEMM accumulates w_q * x_q products in int32 — integer
 // addition is associative, so unlike the float path the accumulation
 // order is free and the scalar and AVX2 int8 kernels are *exactly*
@@ -50,9 +50,9 @@ QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols);
 /// Per-tensor symmetric scale: max|x| / 127 over the finite values (1
 /// when none is non-zero, or when that scale is so small that its
 /// reciprocal overflows, max|x| below about 7.1e-307: every value then
-/// codes to 0 at either scale). Computed over the WHOLE tensor so any
-/// banding/sharding the caller does cannot change the quantization
-/// grid.
+/// codes to 0 at either scale). The conv forwards take one per image,
+/// over the whole image, so neither their banding/sharding nor the rest
+/// of the batch can change an image's quantization grid.
 double activation_scale(const double* x, std::size_t n);
 
 /// out[i] = clamp(round(x[i] / scale), -127, 127). Round-half-away

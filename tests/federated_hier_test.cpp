@@ -2,7 +2,8 @@
 // bit-identity at every thread count, seeded cohort sampling, top-k +
 // error-feedback compression, per-edge deadline semantics, fault
 // quarantine at every tree level, and the flat-memory scaling invariant
-// the S2A_BENCH_FED_SCALE bench asserts at 100k clients.
+// (peak aggregator memory independent of client count, dense and
+// sampled + top-k).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -581,30 +582,37 @@ TEST(FedHierFaults, HugeFiniteDeltaSaturationIsCountedAtAnyThreadCount) {
 // Memory-bounded streaming (the scale invariant, unit-sized).
 
 TEST(FedHierScale, PeakAggregatorMemoryIndependentOfClientCount) {
+  // The streaming reduction holds O(levels + threads) model buffers,
+  // never one per client. Each configuration runs at two client counts
+  // 4x apart on a pinned 4-slot pool; its edges are wide enough that an
+  // edge's cohort fills the pool at both, so the pool, not the cohort,
+  // sets the workspace count.
+  util::ScopedGlobalThreads threads(4);
   Rng data_rng(91);
   const auto full = sim::make_gaussian_classes(120, 8, 3, 3.0, data_rng);
   const auto tr = slice_dataset(full, 0, 80);
   const auto te = slice_dataset(full, 80, 120);
 
-  const auto run_fleet = [&](int clients) {
+  const auto run_fleet = [&](int clients, const HierConfig& hier) {
     std::vector<std::vector<int>> shards(static_cast<std::size_t>(clients));
     for (int c = 0; c < clients; ++c)
       shards[static_cast<std::size_t>(c)] = {c % 80, (c * 7 + 3) % 80};
     Rng fleet_rng(92);
     const auto fleet = make_heterogeneous_fleet(clients, fleet_rng);
-    HierConfig hier;
-    hier.fl.rounds = 2;
-    hier.fl.local_epochs = 1;
-    hier.fl.hidden = 8;
-    hier.clients_per_edge = 16;
-    hier.edges_per_region = 4;
     Rng rng(93);
     return run_federated_hier(FlStrategy::kStaticFl, tr, te, shards, fleet,
                               hier, rng);
   };
 
-  const HierResult small = run_fleet(64);
-  const HierResult large = run_fleet(256);
+  // Full participation, dense updates.
+  HierConfig dense;
+  dense.fl.rounds = 2;
+  dense.fl.local_epochs = 1;
+  dense.fl.hidden = 8;
+  dense.clients_per_edge = 16;
+  dense.edges_per_region = 4;
+  const HierResult small = run_fleet(64, dense);
+  const HierResult large = run_fleet(256, dense);
   EXPECT_GT(small.hier.peak_accumulator_bytes, 0u);
   // Same model, same pool, same edge width: the streaming engine's
   // high-water mark is byte-for-byte identical at 4x the fleet size.
@@ -613,6 +621,27 @@ TEST(FedHierScale, PeakAggregatorMemoryIndependentOfClientCount) {
   EXPECT_EQ(small.hier.edges, 4);
   EXPECT_EQ(large.hier.edges, 16);
   EXPECT_EQ(large.fl.survivors_per_round, (std::vector<int>{256, 256}));
+
+  // The constrained uplink: a 5% uniform cohort, top-25% deltas with
+  // error feedback, updates billed through the link model. About 6
+  // sampled clients per 128-client edge.
+  HierConfig sampled = dense;
+  sampled.clients_per_edge = 128;
+  sampled.sample_mode = SampleMode::kUniform;
+  sampled.sample_fraction = 0.05;
+  sampled.topk_fraction = 0.25;
+  sampled.error_feedback = true;
+  sampled.bill_uplink = true;
+  const HierResult s_small = run_fleet(1024, sampled);
+  const HierResult s_large = run_fleet(4096, sampled);
+  EXPECT_GT(s_small.hier.peak_accumulator_bytes, 0u);
+  EXPECT_EQ(s_large.hier.peak_accumulator_bytes,
+            s_small.hier.peak_accumulator_bytes);
+  EXPECT_EQ(s_small.hier.edges, 8);
+  EXPECT_EQ(s_large.hier.edges, 32);
+  // The cohort really is sampled and the updates really are compressed.
+  EXPECT_LT(s_large.hier.sampled_client_rounds, 2L * 4096 / 10);
+  EXPECT_GT(s_large.hier.compression_ratio(), 1.0);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // synchronous reference, SAFE_STOP speculation discard, sense-error
 // propagation), and the fleet scheduler (equivalence to serial
 // execution, determinism across thread counts, straggler shedding
-// under chaos, SAFE_STOP members, latency stats — the last three
-// through both the per-loop and the batched front-end). Run under TSan
-// via check.sh.
+// under chaos, admission control against straggler waves, SAFE_STOP
+// members, latency stats — shedding, SAFE_STOP and latency through both
+// the per-loop and the batched front-end). Run under TSan via check.sh.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -373,29 +373,42 @@ class StallingProcessor : public Processor {
   int ms_;
 };
 
+// A straggler loop: a stalling processor behind a healthy sensor.
+struct StragglerStack {
+  WavySensor sensor;
+  StallingProcessor proc;
+  CountingActuator act;
+  PeriodicPolicy policy{1};
+  SensingActionLoop loop{sensor, proc, act, policy};
+  explicit StragglerStack(int stall_ms) : proc(stall_ms) {}
+};
+
 TEST(Fleet, ShedsStragglerWithoutStallingHealthyLoops) {
   util::ScopedGlobalThreads threads(4);
   constexpr int kHealthy = 12, kTicks = 60;
 
+  // Healthy loops ride out their own sensor fault windows (dropouts,
+  // NaN/Inf, stuck values, latency spikes) with one sense retry: faults
+  // degrade a loop's state, never its schedule.
+  LoopConfig faulty_cfg;
+  faulty_cfg.resilience.max_sense_retries = 1;
   std::vector<std::unique_ptr<Stack>> healthy;
   Fleet fleet(FleetConfig{/*batch=*/4});
   for (int i = 0; i < kHealthy; ++i) {
-    healthy.push_back(std::make_unique<Stack>());
+    healthy.push_back(std::make_unique<Stack>(
+        faulty_cfg, fault::FaultPlan::random_component_plan(
+                        /*seed=*/7000 + i, /*horizon_s=*/kTicks * 0.05,
+                        /*events=*/4, /*mean_duration_s=*/0.2)));
     // Generous 1 s/tick budget: healthy loops must never miss or shed.
     fleet.add(*healthy.back()->loop, {kTicks, /*deadline_s=*/1.0},
               /*seed=*/900 + i);
   }
 
-  WavySensor straggler_sensor;
-  StallingProcessor straggler_proc(5);
-  CountingActuator straggler_act;
-  PeriodicPolicy straggler_policy(1);
-  SensingActionLoop straggler(straggler_sensor, straggler_proc,
-                              straggler_act, straggler_policy);
   // 0.5 ms/tick budget against a 5 ms/tick stall: hopeless. shed_slack 4
   // → abandoned once it is > 2 ms behind schedule.
+  StragglerStack straggler(5);
   const std::size_t straggler_id = fleet.add(
-      straggler, {kTicks, /*deadline_s=*/5e-4, /*shed_slack=*/4.0},
+      straggler.loop, {kTicks, /*deadline_s=*/5e-4, /*shed_slack=*/4.0},
       /*seed=*/1);
 
   FleetStats stats = fleet.run();
@@ -405,15 +418,75 @@ TEST(Fleet, ShedsStragglerWithoutStallingHealthyLoops) {
   // Every tick it did execute blew its 0.5 ms budget by 10x.
   EXPECT_EQ(sl.deadline_misses, sl.executed);
   EXPECT_EQ(sl.executed + sl.shed, kTicks);
+  long faults = 0;
   for (int i = 0; i < kHealthy; ++i) {
     EXPECT_EQ(stats.loops[i].executed, kTicks);
     EXPECT_EQ(stats.loops[i].shed, 0);
     EXPECT_EQ(stats.loops[i].deadline_misses, 0);
+    faults += healthy[static_cast<std::size_t>(i)]->faulty->faults_injected();
   }
+  EXPECT_GT(faults, 0) << "no fault window fired";
   // Accounting closes: every requested tick was executed or shed.
   EXPECT_EQ(stats.executed + stats.shed,
             static_cast<long>(kHealthy + 1) * kTicks);
   EXPECT_GT(stats.ticks_per_s, 0.0);
+}
+
+TEST(Fleet, AdmissionKeepsStragglerWavesOffHealthyMembers) {
+  // Sixteen healthy members with feasible deadlines face three waves of
+  // stragglers through try_add(). Wave 1 lands on a cold window
+  // (admitted) and drives the miss/shed pressure up; waves 2 and 3 meet
+  // that pressure (a degraded contract, then rejection at saturation).
+  // No healthy member may miss a deadline or be shed. The wave decisions
+  // are not checked: they follow wall-clock misses. Nor does this show
+  // admission is needed: pop-time shedding alone holds each hopeless
+  // straggler to one dispatch, so admitting every wave passes too.
+  util::ScopedGlobalThreads threads(4);
+  constexpr int kHealthy = 16, kHealthyTicks = 40, kWaveTicks = 30;
+  FleetConfig fc;
+  fc.batch = 4;
+  fc.admission.enabled = true;
+  fc.admission.min_samples = 64;
+  fc.admission.degrade_threshold = 0.05;
+  fc.admission.reject_threshold = 0.25;
+  Fleet fleet(fc);
+
+  std::vector<std::unique_ptr<Stack>> healthy;
+  for (int i = 0; i < kHealthy; ++i) {
+    healthy.push_back(std::make_unique<Stack>());
+    const AdmissionResult r = fleet.try_add(
+        *healthy.back()->loop, {kHealthyTicks, /*deadline_s=*/0.25},
+        /*seed=*/8000 + i);
+    EXPECT_EQ(r.decision, AdmissionDecision::kAdmitted);
+  }
+  // Stragglers stall 20 ms per tick against a 2 ms budget: hopeless.
+  std::vector<std::unique_ptr<StragglerStack>> stragglers;
+  const auto wave = [&](int n, int base_seed) {
+    for (int i = 0; i < n; ++i) {
+      stragglers.push_back(std::make_unique<StragglerStack>(20));
+      fleet.try_add(stragglers.back()->loop,
+                    {kWaveTicks, /*deadline_s=*/2e-3, /*shed_slack=*/4.0},
+                    /*seed=*/base_seed + i);
+    }
+  };
+
+  wave(4, 8100);
+  const FleetStats s1 = fleet.run();
+  wave(12, 8200);
+  const FleetStats s2 = fleet.run();
+  wave(4, 8300);
+
+  long wave1_shed = 0;
+  for (int i = kHealthy; i < kHealthy + 4; ++i)
+    wave1_shed += s1.loops[static_cast<std::size_t>(i)].shed;
+  EXPECT_GT(wave1_shed, 0) << "the first wave put no pressure on the fleet";
+  for (const FleetStats* s : {&s1, &s2})
+    for (int i = 0; i < kHealthy; ++i) {
+      const FleetLoopStats& ls = s->loops[static_cast<std::size_t>(i)];
+      EXPECT_EQ(ls.deadline_misses, 0) << "healthy member " << i;
+      EXPECT_EQ(ls.shed, 0) << "healthy member " << i;
+      EXPECT_EQ(ls.executed, kHealthyTicks) << "healthy member " << i;
+    }
 }
 
 TEST(Fleet, SafeStopMemberRunsToCompletionHalted) {

@@ -1007,13 +1007,15 @@ Int8Answers int8_answers(int threads) {
 TEST(Quantized, Int8OutputsMatchKnownAnswers) {
   // Recorded from the int8 forward as the training layers ran it, before
   // the int8 model became a frozen snapshot; the same bits under every
-  // S2A_SIMD family, since the int8 GEMM accumulates exactly.
+  // S2A_SIMD family, since the int8 GEMM accumulates exactly. The
+  // feature_embeddings hash (a 3-grid batch) was re-recorded when each
+  // image of a batch got its own activation scale.
   for (const int threads : {1, 4}) {
     const Int8Answers got = int8_answers(threads);
     EXPECT_EQ(got.reconstruct, 0xf814582f38fedc29ULL) << threads << " threads";
     EXPECT_EQ(got.embedding, 0x67443abb357fadeaULL) << threads << " threads";
     EXPECT_EQ(got.detect, 0x6dd21eebed8dac15ULL) << threads << " threads";
-    EXPECT_EQ(got.feature_embeddings, 0xefa7336373b71019ULL)
+    EXPECT_EQ(got.feature_embeddings, 0xd7408706de55fa2eULL)
         << threads << " threads";
     EXPECT_EQ(got.detections, 194u) << threads << " threads";
   }
@@ -1087,6 +1089,47 @@ TEST(Quantized, SnapshotIsAValue) {
   det.quantize();
   EXPECT_FALSE(same_bits(ae.reconstruct(x), recon));
   EXPECT_NE(det.feature_embedding(x), features);
+}
+
+TEST(Quantized, BatchedRowsAreTheSingleImageAnswers) {
+  // Each image of an int8 batch is coded at its own activation scale, so
+  // row i of a batched call is the call on image i alone. The grids'
+  // magnitudes differ, so their activation scales differ at every layer.
+  Rng rng(121);
+  const AutoencoderConfig acfg = small_int8_ae();
+  const VoxelGridConfig& g = acfg.grid;
+  OccupancyAutoencoder ae(acfg, rng);
+  BevDetector det(detector_for(acfg), rng);
+  nn::Tensor loud = voxels(g, 30, rng);
+  for (std::size_t i = 0; i < loud.numel(); ++i) loud[i] *= 3.0;
+  const nn::Tensor sparse = voxels(g, 6, rng), empty = voxels(g, 0, rng),
+                   seen = ae.reconstruct(sparse);
+  ae.quantize();
+  det.quantize();
+  const std::vector<const nn::Tensor*> grids = {&sparse, &loud, &empty,
+                                                &seen};
+  const std::size_t image = sparse.numel();
+  nn::Tensor batch({static_cast<int>(grids.size()), g.nz, g.ny, g.nx});
+  for (std::size_t b = 0; b < grids.size(); ++b)
+    std::copy_n(grids[b]->data(), image, batch.data() + b * image);
+
+  for (const int threads : {1, 4}) {
+    util::ScopedGlobalThreads scoped(threads);
+    const std::vector<std::vector<double>> rows = det.feature_embeddings(batch);
+    const nn::Tensor latents = ae.infer_latent(batch);
+    ASSERT_EQ(rows.size(), grids.size());
+    const std::size_t latent = latents.numel() / grids.size();
+    for (std::size_t b = 0; b < grids.size(); ++b) {
+      EXPECT_EQ(rows[b], det.feature_embedding(*grids[b]))
+          << "detector row " << b << ", " << threads << " threads";
+      const nn::Tensor one = ae.infer_latent(*grids[b]);
+      ASSERT_EQ(one.numel(), latent);
+      EXPECT_EQ(std::memcmp(latents.data() + b * latent, one.data(),
+                            latent * sizeof(double)),
+                0)
+          << "autoencoder row " << b << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(Serialize, QuantizeSurvivesRoundTrip) {

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -520,6 +521,71 @@ TEST(Offload, PrepaidLocalConsumedExactlyOncePerTick) {
   EXPECT_EQ(remote.calls, 15);
 }
 
+// The offload policy's value over a link loss x base-latency sweep: at
+// each point it runs 400 virtual ticks against always-local and
+// always-remote on the scripted ~40%-uncertain gate. A tick is answered
+// adequately when it is confident or the remote model served it; the
+// policy wins a point when it meets the 0.9 accuracy floor and beats
+// each baseline that also meets the floor on mean latency. It must win
+// at least one point. All waiting is virtual time, so the sweep is
+// deterministic.
+TEST(Offload, PolicyBeatsBothBaselinesAtSomeSweepPoint) {
+  constexpr double kAccuracyFloor = 0.9;
+  constexpr int kTicks = 400;
+  struct Point {
+    double mean_latency_ms = 0.0;
+    double accuracy = 0.0;
+  };
+  const auto run_point = [](OffloadMode mode, double loss, double base_ms) {
+    SmallLocalModel local;
+    BigRemoteModel remote;
+    ScriptedGate gate;
+    net::LinkConfig lcfg;
+    lcfg.loss_prob = loss;
+    lcfg.base_latency_s = base_ms * 1e-3;
+    OffloadConfig cfg = test_offload_config();
+    cfg.mode = mode;
+    cfg.breaker.open_cooldown_s = net::BreakerConfig{}.open_cooldown_s;
+    OffloadExecutor exec(local, remote, net::LinkSim(lcfg, {}, /*seed=*/77),
+                         cfg, &gate, /*seed=*/77);
+    Rng rng(5);
+    long adequate = 0;
+    for (int i = 0; i < kTicks; ++i) {
+      const double now = 0.05 * i;
+      const Observation obs = make_obs(now);
+      exec.process_at(now, obs, rng);
+      if (exec.last_served_remote() || gate.score(obs) <= cfg.regret_gate)
+        ++adequate;
+    }
+    Point p;
+    p.mean_latency_ms = exec.metrics().total_latency_s / kTicks * 1e3;
+    p.accuracy = static_cast<double>(adequate) / kTicks;
+    return p;
+  };
+
+  int wins = 0;
+  std::ostringstream sweep;
+  for (const double loss : {0.0, 0.1, 0.3})
+    for (const double base_ms : {2.0, 10.0}) {
+      const Point pol = run_point(OffloadMode::kPolicy, loss, base_ms);
+      const Point loc = run_point(OffloadMode::kAlwaysLocal, loss, base_ms);
+      const Point rem = run_point(OffloadMode::kAlwaysRemote, loss, base_ms);
+      const auto beats = [&](const Point& base) {
+        return base.accuracy < kAccuracyFloor ||
+               pol.mean_latency_ms < base.mean_latency_ms;
+      };
+      const bool win =
+          pol.accuracy >= kAccuracyFloor && beats(loc) && beats(rem);
+      wins += win ? 1 : 0;
+      sweep << "loss " << loss << " base " << base_ms << " ms: policy "
+            << pol.mean_latency_ms << " ms acc " << pol.accuracy << ", local "
+            << loc.mean_latency_ms << " ms acc " << loc.accuracy << ", remote "
+            << rem.mean_latency_ms << " ms acc " << rem.accuracy
+            << (win ? " (policy wins)\n" : "\n");
+    }
+  EXPECT_GE(wins, 1) << sweep.str();
+}
+
 // ------------------------------------------------- loop integration
 
 class FiniteGuardActuator : public Actuator {
@@ -687,7 +753,8 @@ TEST(OffloadChaos, FleetDeterministicAcrossThreadCounts) {
 // A fully partitioned uplink mid-run: every member either recovers to
 // NOMINAL via local fallback (non-strict) or latches SAFE_STOP within
 // its hysteresis bound (strict) — never a wedged in-between state, and
-// never a non-finite actuation.
+// never a non-finite actuation. Run on private uplinks and on one uplink
+// every member shares (static fair share, per-member stream ids).
 TEST(OffloadChaos, MidRunPartitionEveryMemberRecoversOrSafeStops) {
   constexpr int kLoops = 6, kTicks = 100;
   const net::LinkFaultSchedule transient(
@@ -695,41 +762,49 @@ TEST(OffloadChaos, MidRunPartitionEveryMemberRecoversOrSafeStops) {
   const net::LinkFaultSchedule permanent(
       {{net::LinkFaultKind::kPartition, 1.0, 1e6, 0.0}});
   util::ScopedGlobalThreads t(4);
-  std::vector<std::unique_ptr<OffloadStack>> stacks;
-  Fleet fleet(FleetConfig{/*batch=*/2});
-  for (int i = 0; i < kLoops; ++i) {
-    const bool strict = i % 2 == 1;
-    OffloadConfig ocfg = test_offload_config();
-    ocfg.strict_uncertain = strict;
-    stacks.push_back(std::make_unique<OffloadStack>(
-        net::LinkSim(healthy_link(), strict ? permanent : transient, 31,
-                     static_cast<std::uint64_t>(i)),
-        ocfg, hysteresis_loop_config(), 31 + i));
-    fleet.add(*stacks.back()->loop, {kTicks}, /*seed=*/700 + i);
-  }
-  const FleetStats stats = fleet.run();
-
-  for (int i = 0; i < kLoops; ++i) {
-    const bool strict = i % 2 == 1;
-    EXPECT_FALSE(stacks[i]->act.saw_nonfinite) << "member " << i;
-    if (strict) {
-      EXPECT_EQ(stacks[i]->loop->state(), LoopState::kSafeStop)
-          << "member " << i;
-      // Latched within the hysteresis bound of the partition onset
-      // (tick 20), not at the very end of the run.
-      EXPECT_GE(stacks[i]->loop->metrics().safe_stop_ticks, kTicks - 35)
-          << "member " << i;
-    } else {
-      EXPECT_EQ(stacks[i]->loop->state(), LoopState::kNominal)
-          << "member " << i;
-      EXPECT_EQ(stacks[i]->loop->metrics().actions, kTicks)
-          << "member " << i;
+  for (const int sharers : {1, kLoops}) {
+    SCOPED_TRACE(testing::Message() << sharers << " sharers per uplink");
+    net::LinkConfig lcfg = healthy_link();
+    lcfg.sharers = sharers;
+    std::vector<std::unique_ptr<OffloadStack>> stacks;
+    Fleet fleet(FleetConfig{/*batch=*/2});
+    for (int i = 0; i < kLoops; ++i) {
+      const bool strict = i % 2 == 1;
+      OffloadConfig ocfg = test_offload_config();
+      ocfg.strict_uncertain = strict;
+      stacks.push_back(std::make_unique<OffloadStack>(
+          net::LinkSim(lcfg, strict ? permanent : transient, 31,
+                       static_cast<std::uint64_t>(i)),
+          ocfg, hysteresis_loop_config(), 31 + i));
+      // A generous 0.25 s/tick budget: a member that wall-blocked on the
+      // dead link would miss it.
+      fleet.add(*stacks.back()->loop, {kTicks, /*deadline_s=*/0.25},
+                /*seed=*/700 + i);
     }
-    // Zero deadline misses attributable to a stuck remote call: the
-    // link is virtual-time, so members never wall-block.
-    EXPECT_EQ(stats.loops[static_cast<std::size_t>(i)].deadline_misses, 0);
-    EXPECT_EQ(stats.loops[static_cast<std::size_t>(i)].shed, 0);
-    EXPECT_EQ(stats.loops[static_cast<std::size_t>(i)].executed, kTicks);
+    const FleetStats stats = fleet.run();
+
+    for (int i = 0; i < kLoops; ++i) {
+      const bool strict = i % 2 == 1;
+      EXPECT_FALSE(stacks[i]->act.saw_nonfinite) << "member " << i;
+      if (strict) {
+        EXPECT_EQ(stacks[i]->loop->state(), LoopState::kSafeStop)
+            << "member " << i;
+        // Latched within the hysteresis bound of the partition onset
+        // (tick 20), not at the very end of the run.
+        EXPECT_GE(stacks[i]->loop->metrics().safe_stop_ticks, kTicks - 35)
+            << "member " << i;
+      } else {
+        EXPECT_EQ(stacks[i]->loop->state(), LoopState::kNominal)
+            << "member " << i;
+        EXPECT_EQ(stacks[i]->loop->metrics().actions, kTicks)
+            << "member " << i;
+      }
+      // Zero deadline misses attributable to a stuck remote call: the
+      // link is virtual-time, so members never wall-block.
+      EXPECT_EQ(stats.loops[static_cast<std::size_t>(i)].deadline_misses, 0);
+      EXPECT_EQ(stats.loops[static_cast<std::size_t>(i)].shed, 0);
+      EXPECT_EQ(stats.loops[static_cast<std::size_t>(i)].executed, kTicks);
+    }
   }
 }
 

@@ -491,7 +491,7 @@ TEST(Quant, NonFiniteActivationsStayNonFiniteInInt8) {
 TEST(Quant, Int8ConvForwardsMatchLoweredOracle) {
   // The int8 snapshot codes each layer's padded input once and reads it
   // through the tap table; the oracle codes an explicit lowering (im2col, and a
-  // per-phase gather for the deconv) against the same whole-input scale
+  // per-phase gather for the deconv) against the same per-image scales
   // and multiplies it with gemm_int8. Same codes, same integer sums,
   // same dequantization: the outputs are equal, non-finite inputs
   // included, at every thread count.

@@ -298,8 +298,8 @@ inline void int8_lowered(const QuantizedMatrix& qw, const double* bias,
 }
 
 /// Conv2D's int8 forward (after quantize()) on the explicit lowering:
-/// per-output-channel weight codes, one whole-input activation scale,
-/// and im2col of each image multiplied by gemm_int8.
+/// per-output-channel weight codes, one activation scale per image (over
+/// that whole image), and im2col of each image multiplied by gemm_int8.
 inline Tensor conv2d_forward_int8(const Tensor& x, const Tensor& w,
                                   const Tensor& b, int stride, int pad) {
   const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
@@ -308,13 +308,13 @@ inline Tensor conv2d_forward_int8(const Tensor& x, const Tensor& w,
   const int ow = (wd + 2 * pad - k) / stride + 1;
   const int kdim = cin * k * k, npix = oh * ow;
   const QuantizedMatrix qw = quantize_rows(w.data(), kdim, cout, kdim);
-  const double xs = activation_scale(x.data(), x.numel());
+  const std::size_t image = static_cast<std::size_t>(cin) * h * wd;
   Tensor y({n, cout, oh, ow});
   std::vector<double> col(static_cast<std::size_t>(kdim) * npix);
   for (int bi = 0; bi < n; ++bi) {
-    im2col(x.data() + static_cast<std::size_t>(bi) * cin * h * wd, cin, h, wd,
-           k, stride, pad, ow, 0, oh, col.data());
-    int8_lowered(qw, b.data(), col, npix, xs,
+    const double* xb = x.data() + static_cast<std::size_t>(bi) * image;
+    im2col(xb, cin, h, wd, k, stride, pad, ow, 0, oh, col.data());
+    int8_lowered(qw, b.data(), col, npix, activation_scale(xb, image),
                  y.data() + static_cast<std::size_t>(bi) * cout * npix, npix);
   }
   return y;
@@ -325,7 +325,7 @@ inline Tensor conv2d_forward_int8(const Tensor& x, const Tensor& w,
 /// py and likewise for x — gathers the input behind its taps (ky % s ==
 /// py, descending, so the inputs ascend) into a dense matrix with rows
 /// (ic, ky, kx), and multiplies the int8 codes of the matching weight
-/// rows by it.
+/// rows by it, each image coded at its own activation scale.
 inline Tensor conv_transpose2d_forward_int8(const Tensor& x, const Tensor& w,
                                             const Tensor& b, int stride,
                                             int pad) {
@@ -333,7 +333,7 @@ inline Tensor conv_transpose2d_forward_int8(const Tensor& x, const Tensor& w,
   const int cout = w.dim(1), k = w.dim(2), s = stride;
   const int oh = (h - 1) * s - 2 * pad + k;
   const int ow = (wd - 1) * s - 2 * pad + k;
-  const double xs = activation_scale(x.data(), x.numel());
+  const std::size_t image = static_cast<std::size_t>(cin) * h * wd;
   Tensor y({n, cout, oh, ow});
   for (int i = 0; i < n * cout; ++i)
     std::fill_n(y.data() + static_cast<std::size_t>(i) * oh * ow, oh * ow,
@@ -380,7 +380,9 @@ inline Tensor conv_transpose2d_forward_int8(const Tensor& x, const Tensor& w,
                 }
               ++r;
             }
-        int8_lowered(qw, b.data(), col, npix, xs, tile.data(), npix);
+        const double* xb = x.data() + static_cast<std::size_t>(bi) * image;
+        int8_lowered(qw, b.data(), col, npix, activation_scale(xb, image),
+                     tile.data(), npix);
         for (int oc = 0; oc < cout; ++oc) {
           int j = 0;
           for (int oy : oys)
