@@ -410,6 +410,12 @@ struct HotPathFixtures {
   // the sites the sensed voxels reach.
   std::unique_ptr<lidar::BevDetector> det_loop;
   nn::Tensor det_input;
+  // lidar.ae_reconstruct_sensed_batch: one more float twin of `ae` on a
+  // batch shaped like the fleet's (16 members sharing one autoencoder):
+  // the sensed grids of 16 generated scenes, one R-MAE selective scan
+  // each. The timer's warm-up calls build its snapshot for batches of 16.
+  std::unique_ptr<lidar::OccupancyAutoencoder> ae_fleet;
+  nn::Tensor fleet_batch;
 
   HotPathFixtures() {
     // lidar.voxelize: a 360x32 scan (11520 returns) is well above the
@@ -427,6 +433,7 @@ struct HotPathFixtures {
     // MACs above the inline threshold.
     Rng ae_int8_rng = rng;
     Rng ae_sensed_rng = rng;
+    Rng ae_fleet_rng = rng;
     ae = std::make_unique<lidar::OccupancyAutoencoder>(ac, rng);
     bev = nn::Tensor::randn({1, ac.grid.nz, ac.grid.ny, ac.grid.nx}, rng);
 
@@ -495,6 +502,23 @@ struct HotPathFixtures {
     det_loop->detect(background);
     det_loop->detect(background);
 
+    ae_fleet = std::make_unique<lidar::OccupancyAutoencoder>(ac, ae_fleet_rng);
+    Rng fleet_rng(14);
+    fleet_batch = nn::Tensor({16, ac.grid.nz, ac.grid.ny, ac.grid.nx});
+    const std::size_t grid_size = fleet_batch.numel() / 16;
+    for (int i = 0; i < 16; ++i) {
+      const sim::Scene member_scene =
+          sim::generate_scene(sim::SceneConfig{}, fleet_rng);
+      const nn::Tensor grid =
+          lidar::VoxelGrid::from_cloud(
+              loop_lidar.selective_scan(
+                  member_scene,
+                  masker.beam_plan(loop_lidar.config(), fleet_rng), fleet_rng),
+              ac.grid)
+              .to_tensor();
+      std::copy_n(grid.data(), grid_size, fleet_batch.data() + i * grid_size);
+    }
+
     // monitor.starnet_score: fitted on 64 synthetic clean embeddings
     // drawn from a two-mode Gaussian mixture.
     Rng star_rng(10);
@@ -552,6 +576,9 @@ struct HotPathFixtures {
                  }});
     w.push_back({"lidar.ae_reconstruct_sensed", 1000, [this] {
                    benchmark::DoNotOptimize(ae_sensed->reconstruct(sensed));
+                 }});
+    w.push_back({"lidar.ae_reconstruct_sensed_batch", 300, [this] {
+                   benchmark::DoNotOptimize(ae_fleet->reconstruct(fleet_batch));
                  }});
     w.push_back({"lidar.detect_loop", 1000, [this] {
                    benchmark::DoNotOptimize(det_loop->detect(det_input));

@@ -20,17 +20,18 @@ Tensor stack_batch(const std::vector<const std::vector<double>*>& samples,
   shape.push_back(static_cast<int>(samples.size()));
   shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
 
-  Tensor out(std::move(shape));
-  double* dst = out.data();
+  // Appended sample by sample: the batch is written once, not zeroed
+  // first.
+  std::vector<double> data;
+  data.reserve(samples.size() * sample_numel);
   for (const std::vector<double>* s : samples) {
     S2A_CHECK(s != nullptr);
     S2A_CHECK_MSG(s->size() == sample_numel,
                   "stack_batch: sample has " << s->size() << " values, shape "
                                              << "wants " << sample_numel);
-    std::copy(s->begin(), s->end(), dst);
-    dst += sample_numel;
+    data.insert(data.end(), s->begin(), s->end());
   }
-  return out;
+  return Tensor(std::move(shape), std::move(data));
 }
 
 std::vector<std::vector<double>> unstack_batch(const Tensor& batched) {

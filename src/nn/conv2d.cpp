@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -52,57 +53,6 @@ void parallel_bands(
 }
 
 int round_up(int v, int to) { return (v + to - 1) / to * to; }
-
-// Runs band(b, oy_lo, oy_hi, x0, x1, band_arena) over the sites `rows`
-// lists of an [n, oh] (image, output-row) grid with ow columns, sharded
-// by parallel_bands. Each chunk of the list splits into bands: a run of
-// consecutive full rows of one image is one band (x0 = 0, x1 = ow), and
-// a partial row is a band of its own (oy_hi = oy_lo + 1). With every
-// row listed, a chunk's bands are its rows split at image boundaries.
-// `macs` is the MACs of all n * oh full rows; the listed share of it
-// gates the sharding.
-template <typename Band>
-void for_each_band(int n, int oh, int ow, OutputRows rows, std::size_t macs,
-                   util::ScratchArena& arena, Band&& band) {
-  const std::size_t all = static_cast<std::size_t>(n) * oh;
-  const bool every = rows.spans == nullptr;
-  const std::size_t total = every ? all : rows.count;
-  std::size_t columns = 0;  // listed output columns over all rows
-  for (std::size_t p = 0; p < rows.count && !every; ++p)
-    columns += static_cast<std::size_t>(rows.spans[p].x1 - rows.spans[p].x0);
-  const std::size_t share =
-      all == 0 ? 0
-      : every  ? macs
-               : macs / all * columns / static_cast<std::size_t>(ow);
-  const auto site = [&rows, every, ow](std::size_t p) {
-    return every ? detail::RowSpan{static_cast<std::int32_t>(p), 0, ow}
-                 : rows.spans[p];
-  };
-  const auto full = [ow](const detail::RowSpan& r) {
-    return r.x0 == 0 && r.x1 == ow;
-  };
-  parallel_bands(
-      total, share, arena,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-        band_arena.reset();
-        for (std::size_t p = lo; p < hi;) {
-          const detail::RowSpan s = site(p);
-          const std::size_t u = static_cast<std::size_t>(s.unit);
-          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
-          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
-          std::size_t q = p + 1;
-          while (full(s) && q < hi &&
-                 static_cast<std::size_t>(oy_lo) + (q - p) <
-                     static_cast<std::size_t>(oh) &&
-                 static_cast<std::size_t>(site(q).unit) == u + (q - p) &&
-                 full(site(q)))
-            ++q;
-          band(b, oy_lo, oy_lo + static_cast<int>(q - p), s.x0, s.x1,
-               band_arena);
-          p = q;
-        }
-      });
-}
 
 // ---- The one lowering: a zero-padded copy of the input ----
 //
@@ -230,13 +180,29 @@ void build_padded(const double* x, int n, int c, int h, int w, int pad,
   };
 
   if (cache != nullptr && cache->images == n && cache->buf.size() == size) {
+    // Input column ix of a listed span is plane column (ix + pad) / s of
+    // phase rx = (ix + pad) % s; the span is inside the image, so it
+    // needs no padding.
     for (std::size_t r = 0; r < cache->count; ++r) {
-      const int b = cache->refresh[r] / h, iy = cache->refresh[r] % h;
+      const detail::RowSpan& sp = cache->refresh[r];
+      const std::size_t b = static_cast<std::size_t>(sp.unit / h);
+      const int iy = sp.unit % h;
       const int ry = (iy + pad) % s, qy = (iy + pad) / s;
-      for (int ic = 0; ic < c; ++ic)
-        for (int rx = 0; rx < s; ++rx)
-          fill_row(cache->buf.data(), static_cast<std::size_t>(b) * c + ic, ry,
-                   rx, qy);
+      for (int rx = 0; rx < s; ++rx) {
+        // The span's first column in phase rx, and its plane column.
+        const int ix0 = sp.x0 + ((rx - (sp.x0 + pad) % s) % s + s) % s;
+        const int q0 = (ix0 + pad) / s;
+        for (int ic = 0; ic < c; ++ic) {
+          const double* src = x + (b * c + ic) * in_hw +
+                              static_cast<std::size_t>(iy) * w + ix0;
+          double* dst = cache->buf.data() +
+                        ((b * c + ic) * s * s +
+                         static_cast<std::size_t>(ry) * s + rx) *
+                            g.plane +
+                        static_cast<std::size_t>(qy) * g.wq + q0;
+          for (int j = 0; j * s < sp.x1 - ix0; ++j) dst[j] = src[j * s];
+        }
+      }
     }
     g.data = cache->buf.data();
     return;
@@ -294,6 +260,166 @@ void band_gemm(const LoweredWeights& a, const PaddedInput& in, int b,
     }
 }
 
+// Columns of a gathered GEMM's B panel one gemm_packed call takes at
+// most: a whole number of tiles of every kernel family, and a panel of
+// up to 256 columns of every stage's taps stays in L2.
+constexpr int kGatherCols = 256;
+
+// Computes tiles [t0, t1) (nr columns each) of gathered GEMM g and
+// scatters them to y (channel stride out_hw); returns the columns it
+// computed. For each block of up to kGatherCols columns, row kk of the
+// B panel holds tap kk's input for every site of the block, one
+// contiguous copy per run out of the padded input, and zeros past the
+// last site. Each tile column starts from the bias and accumulates its
+// taps in ascending order: the chain a band gives the same site. `act`,
+// if given, runs on the tile before it scatters.
+std::size_t gather_tiles(const detail::GatherGemm& g,
+                         const detail::ForwardScratch& scratch,
+                         const PaddedInput& in, const double* bias,
+                         detail::Activation act, std::size_t out_hw, int nr,
+                         std::size_t t0, std::size_t t1,
+                         util::ScratchArena& arena) {
+  const int m = g.a.m, kdim = g.a.kdim;
+  const detail::GatherRun* runs = scratch.runs.data();
+  const std::ptrdiff_t* taps = scratch.boff.data() + g.tap;
+  const std::size_t block = kGatherCols;
+  const std::size_t widest = std::min(block, (t1 - t0) * nr);
+  double* bp = arena.alloc(static_cast<std::size_t>(kdim) * widest);
+  double* tile = arena.alloc(static_cast<std::size_t>(m) * widest);
+  std::size_t done = 0;
+  // The first run holding column c0: the last one starting at or
+  // before it.
+  std::size_t r0 =
+      static_cast<std::size_t>(
+          std::upper_bound(runs + g.run0, runs + g.run1, t0 * nr,
+                           [](std::size_t c, const detail::GatherRun& r) {
+                             return c < r.col;
+                           }) -
+          runs) -
+      1;
+  for (std::size_t c0 = t0 * nr; c0 < t1 * nr; c0 += block) {
+    const std::size_t c1 = std::min(t1 * nr, c0 + block);
+    const int ncols = static_cast<int>(c1 - c0);
+    const std::size_t real = std::min(c1, g.cols);  // past it: padding
+    while (runs[r0].col + static_cast<std::size_t>(runs[r0].len) <= c0) ++r0;
+    std::size_t r1 = r0;  // one past the last run the block touches
+    while (r1 < g.run1 && runs[r1].col < real) ++r1;
+    // Row by row, the runs' parts of the block in column order: each B
+    // row (and each tile row below) is written (read) front to back.
+    for (int kk = 0; kk < kdim; ++kk) {
+      double* brow = bp + static_cast<std::size_t>(kk) * ncols;
+      for (std::size_t r = r0; r < r1; ++r) {
+        const detail::GatherRun& run = runs[r];
+        const std::size_t lo = std::max(c0, run.col);
+        const std::size_t hi =
+            std::min(real, run.col + static_cast<std::size_t>(run.len));
+        const double* src = in.data + run.src + taps[kk] + (lo - run.col);
+        double* dst = brow + (lo - c0);
+        for (std::size_t j = 0; j < hi - lo; ++j) dst[j] = src[j];
+      }
+    }
+    if (real < c1)
+      for (int kk = 0; kk < kdim; ++kk)
+        std::fill(bp + static_cast<std::size_t>(kk) * ncols + (real - c0),
+                  bp + static_cast<std::size_t>(kk + 1) * ncols, 0.0);
+    for (int i = 0; i < m; ++i)
+      std::fill_n(tile + static_cast<std::size_t>(i) * ncols, ncols,
+                  bias != nullptr ? bias[i] : 0.0);
+    if (kdim > 0) {
+      gemm_packed(m, ncols, kdim, g.a.packed, bp, ncols, tile, ncols);
+      done += static_cast<std::size_t>(ncols);
+    }
+    if (act != nullptr) act(tile, static_cast<std::size_t>(m) * ncols);
+    for (int oc = 0; oc < m; ++oc) {
+      const double* trow = tile + static_cast<std::size_t>(oc) * ncols;
+      for (std::size_t r = r0; r < r1; ++r) {
+        const detail::GatherRun& run = runs[r];
+        const std::size_t lo = std::max(c0, run.col);
+        const std::size_t hi =
+            std::min(real, run.col + static_cast<std::size_t>(run.len));
+        const std::size_t step = static_cast<std::size_t>(run.step);
+        const double* src = trow + (lo - c0);
+        double* dst = run.dst + static_cast<std::size_t>(oc) * out_hw +
+                      (lo - run.col) * step;
+        for (std::size_t j = 0; j < hi - lo; ++j) dst[j * step] = src[j];
+      }
+    }
+  }
+  return done;
+}
+
+// Computes a forward's planned sites in one pass sharded by
+// parallel_bands, and returns the GEMM columns it computed. The pass's
+// units are scratch.full's rows, then the NR-wide tiles of every
+// gathered GEMM in order. A chunk runs its full rows as
+// band(b, oy_lo, oy_hi, band_arena) (which returns its columns), one
+// band per run of consecutive rows of one image, and its tiles through
+// gather_tiles (with `act`). `macs` is the MACs of all n * oh * ow
+// sites; the planned share of it gates the sharding.
+template <typename Band>
+std::size_t run_sites(int n, int oh, int ow, std::size_t macs,
+                      const detail::ForwardScratch& scratch,
+                      const PaddedInput& in, const double* bias,
+                      detail::Activation act, util::ScratchArena& arena,
+                      Band&& band) {
+  const int nr = gemm_nr();
+  const std::size_t full = scratch.full.size();
+  std::size_t tiles = 0, sites = full * static_cast<std::size_t>(ow);
+  for (const detail::GatherGemm& g : scratch.gemms) {
+    tiles += (g.cols + nr - 1) / nr;
+    sites += g.cols;
+  }
+  const std::size_t all = static_cast<std::size_t>(n) * oh * ow;
+  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
+  std::atomic<std::size_t> columns{0};
+  parallel_bands(
+      full + tiles, all == 0 ? 0 : macs / all * sites, arena,
+      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
+        band_arena.reset();
+        std::size_t done = 0;
+        const std::int32_t* units = scratch.full.data();
+        for (std::size_t p = lo; p < std::min(hi, full);) {
+          const int b = units[p] / oh, oy_lo = units[p] % oh;
+          std::size_t q = p + 1;
+          while (q < std::min(hi, full) &&
+                 units[q] == units[p] + static_cast<std::int32_t>(q - p) &&
+                 oy_lo + static_cast<int>(q - p) < oh)
+            ++q;
+          done += band(b, oy_lo, oy_lo + static_cast<int>(q - p), band_arena);
+          p = q;
+        }
+        std::size_t t0 = 0;  // the first tile of gemm g in the pass
+        for (const detail::GatherGemm& g : scratch.gemms) {
+          const std::size_t n_tiles = (g.cols + nr - 1) / nr;
+          const std::size_t first = std::max(lo, full + t0),
+                            last = std::min(hi, full + t0 + n_tiles);
+          if (first < last)
+            done += gather_tiles(g, scratch, in, bias, act, out_hw, nr,
+                                 first - full - t0, last - full - t0,
+                                 band_arena);
+          t0 += n_tiles;
+        }
+        columns.fetch_add(done, std::memory_order_relaxed);
+      });
+  return columns.load(std::memory_order_relaxed);
+}
+
+// Lists the full rows of `rows` (every row of the [n, oh] grid when it
+// lists none) in scratch.full, and empties the gathered plan.
+void plan_full_rows(detail::OutputRows rows, int n, int oh, int ow,
+                    detail::ForwardScratch& scratch) {
+  scratch.full.clear();
+  scratch.runs.clear();
+  scratch.gemms.clear();
+  if (rows.spans == nullptr) {
+    for (std::int32_t u = 0; u < n * oh; ++u) scratch.full.push_back(u);
+    return;
+  }
+  for (std::size_t p = 0; p < rows.count; ++p)
+    if (rows.spans[p].x0 == 0 && rows.spans[p].x1 == ow)
+      scratch.full.push_back(rows.spans[p].unit);
+}
+
 }  // namespace
 
 // Conv2D's forward and ConvTranspose2D's input gradient both run
@@ -302,20 +428,24 @@ void band_gemm(const LoweredWeights& a, const PaddedInput& in, int b,
 // The band space is the flattened (image, output-row) grid — one
 // parallel pass covers the whole batch, so a batched forward
 // (nn/batch.hpp, the fleet's cross-loop inference path) shards across
-// the batch axis instead of serializing per image. Each band runs one
-// GEMM into a private [m, round_up(ncols, NR)] tile, ncols the band's
-// stretch of the wide grid (rounded so every tile is a full
-// micro-tile), and copies the real columns of each row into y. Bands
-// are disjoint in y, so this is bit-exact across thread counts, batch
-// compositions and row lists. A 1x1, stride-1, unpadded conv (the
-// detector heads) needs no copy: its one plane is x itself, its wide
-// grid is y's, and the GEMM writes y directly.
-void detail::conv_forward(const double* x, int n, int c, int h, int w, int k,
-                          int s, int pad, const LoweredWeights& a,
-                          const double* bias, std::vector<std::ptrdiff_t>& boff,
-                          double* y, int oh, int ow, util::ScratchArena& arena,
-                          OutputRows rows, detail::PaddedCache* padded) {
+// the batch axis instead of serializing per image. Each band of full
+// rows runs one GEMM into a private [m, round_up(ncols, NR)] tile, ncols
+// the band's stretch of the wide grid (rounded so every tile is a full
+// micro-tile), and copies the real columns of each row into y. The
+// listed partial rows run as one gathered GEMM (gather_tiles) in the
+// same pass. Bands and gathered sites are disjoint in y, so this is
+// bit-exact across thread counts, batch compositions and row lists. A
+// 1x1, stride-1, unpadded conv (the detector heads) needs no copy: its
+// one plane is x itself, its wide grid is y's, and a band's GEMM writes
+// y directly.
+std::size_t detail::conv_forward(const double* x, int n, int c, int h, int w,
+                                 int k, int s, int pad, const LoweredWeights& a,
+                                 const double* bias, ForwardScratch& scratch,
+                                 double* y, int oh, int ow,
+                                 util::ScratchArena& arena, OutputRows rows,
+                                 detail::PaddedCache* padded, Activation act) {
   PaddedInput in = padded_geometry(c, h, w, s, pad, ow);
+  std::vector<std::ptrdiff_t>& boff = scratch.boff;
   boff.clear();
   for (int ic = 0; ic < c; ++ic)
     for (int ky = 0; ky < k; ++ky)
@@ -342,34 +472,59 @@ void detail::conv_forward(const double* x, int n, int c, int h, int w, int k,
     build_padded(x, n, c, h, w, pad, reach, macs, int8, arena, in, padded);
   }
 
+  // The partial rows: one run per span, tap 0 of site (oy, x0) at wide
+  // grid column oy*wq + x0 of image b's planes.
+  plan_full_rows(rows, n, oh, ow, scratch);
+  GatherGemm g{a, 0, 0, 0, 0};
+  for (std::size_t p = 0; p < rows.count && rows.spans != nullptr; ++p) {
+    const RowSpan& sp = rows.spans[p];
+    if (sp.x0 == 0 && sp.x1 == ow) continue;
+    const std::size_t b = static_cast<std::size_t>(sp.unit / oh),
+                      oy = static_cast<std::size_t>(sp.unit % oh);
+    scratch.runs.push_back(
+        {b * in.image + oy * in.wq + static_cast<std::size_t>(sp.x0), g.cols,
+         y + b * a.m * out_hw + oy * ow + sp.x0, sp.x1 - sp.x0, 1});
+    g.cols += static_cast<std::size_t>(sp.x1 - sp.x0);
+  }
+  g.run1 = scratch.runs.size();
+  if (g.cols > 0) {
+    S2A_CHECK_MSG(!int8, "partial output rows need float weights");
+    scratch.gemms.push_back(g);
+  }
+
   // A band never crosses an image boundary, so its GEMM reads the
   // planes of one image; its sites are the wide-grid columns from
-  // oy_lo*wq + x0 to (oy_hi-1)*wq + x1, one contiguous stretch.
-  for_each_band(
-      n, oh, ow, rows, macs, arena,
-      [&](int b, int oy_lo, int oy_hi, int x0, int x1,
-          util::ScratchArena& band_arena) {
+  // oy_lo*wq to (oy_hi-1)*wq + ow, one contiguous stretch.
+  return run_sites(
+      n, oh, ow, macs, scratch, in, bias, act, arena,
+      [&](int b, int oy_lo, int oy_hi,
+          util::ScratchArena& band_arena) -> std::size_t {
         const int nrows = oy_hi - oy_lo;
-        const int span = (nrows - 1) * in.wq + x1 - x0;
+        const int span = (nrows - 1) * in.wq + ow;
         double* yb = y + static_cast<std::size_t>(b) * a.m * out_hw +
-                     static_cast<std::size_t>(oy_lo) * ow + x0;
+                     static_cast<std::size_t>(oy_lo) * ow;
         const std::size_t base = static_cast<std::size_t>(b) * in.image +
-                                 static_cast<std::size_t>(oy_lo) * in.wq + x0;
+                                 static_cast<std::size_t>(oy_lo) * in.wq;
         if (direct) {
           band_gemm(a, in, b, boff.data(), base, span, bias, yb, out_hw);
-          return;
+          for (int oc = 0; oc < a.m && act != nullptr; ++oc)
+            act(yb + static_cast<std::size_t>(oc) * out_hw,
+                static_cast<std::size_t>(span));
+          return static_cast<std::size_t>(span);
         }
         const int ncols = round_up(span, nr);
         double* tile = band_arena.alloc(static_cast<std::size_t>(a.m) * ncols);
         band_gemm(a, in, b, boff.data(), base, ncols, bias, tile,
                   static_cast<std::size_t>(ncols));
+        if (act != nullptr) act(tile, static_cast<std::size_t>(a.m) * ncols);
         for (int oc = 0; oc < a.m; ++oc)
           for (int r = 0; r < nrows; ++r)
             std::copy_n(tile + static_cast<std::size_t>(oc) * ncols +
                             static_cast<std::size_t>(r) * in.wq,
-                        x1 - x0,
+                        ow,
                         yb + static_cast<std::size_t>(oc) * out_hw +
                             static_cast<std::size_t>(r) * ow);
+        return static_cast<std::size_t>(ncols);
       });
 }
 
@@ -448,7 +603,7 @@ void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
   pack_a(w_.data(), kdim, cout_, kdim, wp);
   detail::conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_,
                        LoweredWeights{cout_, kdim, wp, nullptr}, b_.data(),
-                       boff_, y.data(), oh, ow, arena_);
+                       scratch_, y.data(), oh, ow, arena_);
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
@@ -625,18 +780,21 @@ Tensor ConvTranspose2D::apply(const Tensor& x) {
 // tap ky reads input rows from (oyf + pad - ky)/s >= -(k-1-pad)/s on —
 // with its own shape-only tap table into that one buffer (see
 // PaddedInput). Each
-// phase runs one GEMM per band into a scratch tile on the phase's wide
-// grid, and the strided scatter onto y copies the nx real columns of
-// each row. Stride 1 is the one-phase case. Dropping the structural
-// zeros removes exact no-op additions from each element's chain, so the
-// result stays bit-identical to the direct scatter.
-void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
-                            int cout, int k, int s, int pad,
-                            const DeconvPhases& phases, const LoweredWeights* a,
-                            const double* bias,
-                            std::vector<std::ptrdiff_t>& boff, double* y,
-                            int oh, int ow, util::ScratchArena& arena,
-                            OutputRows rows, detail::PaddedCache* padded) {
+// phase runs one GEMM per band of full rows into a scratch tile on the
+// phase's wide grid, and the strided scatter onto y copies the nx real
+// columns of each row; the listed partial rows' sites of each phase run
+// as that phase's gathered GEMM. Stride 1 is the one-phase case.
+// Dropping the structural zeros removes exact no-op additions from each
+// element's chain, so the result stays bit-identical to the direct
+// scatter.
+std::size_t detail::deconv_forward(const double* x, int n, int cin, int h,
+                                   int w, int cout, int k, int s, int pad,
+                                   const DeconvPhases& phases,
+                                   const LoweredWeights* a, const double* bias,
+                                   ForwardScratch& scratch, double* y, int oh,
+                                   int ow, util::ScratchArena& arena,
+                                   OutputRows rows, detail::PaddedCache* padded,
+                                   Activation act) {
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   const bool int8 = a[0].q != nullptr;  // every phase is int8, or none
 
@@ -651,6 +809,7 @@ void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
   const int nr = gemm_nr();
   // Tap tables, phase after phase in (py, px) order, each in the rows'
   // (ic, jy, jx) order; `reach` covers the widest band of any phase.
+  std::vector<std::ptrdiff_t>& boff = scratch.boff;
   boff.clear();
   std::size_t reach = 0;
   for (int py = 0; py < s; ++py)
@@ -676,12 +835,49 @@ void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
   build_padded(x, n, cin, h, w, pad_in, reach, macs, int8, arena, in,
                padded);
 
-  // One band of one image: every phase subgrid intersecting output rows
-  // [oy_lo, oy_hi) of image b gets its GEMM.
-  for_each_band(n, oh, ow, rows, macs, arena,
-                [&](int b, int oy_lo, int oy_hi, int x0, int x1,
-                    util::ScratchArena& band_arena) {
+  // The partial rows, one gathered GEMM per phase: a span's sites in
+  // phase (py, px) are one run along its phase row, output column
+  // ox0 + xi*s at phase column xi.
+  plan_full_rows(rows, n, oh, ow, scratch);
+  std::size_t tap = 0;  // each phase's slice of boff
+  for (int py = 0; py < s && rows.spans != nullptr; ++py)
+    for (int px = 0; px < s; ++px) {
+      const std::size_t ph = static_cast<std::size_t>(py) * s + px;
+      GatherGemm g{a[ph], tap, scratch.runs.size(), 0, 0};
+      tap += static_cast<std::size_t>(a[ph].kdim);
+      const int ox0 = first(px);
+      for (std::size_t p = 0; p < rows.count; ++p) {
+        const RowSpan& sp = rows.spans[p];
+        const int oy = sp.unit % oh;
+        if ((sp.x0 == 0 && sp.x1 == ow) || (oy + pad) % s != py) continue;
+        const int xi0 = sp.x0 > ox0 ? (sp.x0 - ox0 + s - 1) / s : 0;
+        const int xi1 = std::min(count(px, ow),
+                                 sp.x1 > ox0 ? (sp.x1 - ox0 + s - 1) / s : 0);
+        if (xi1 <= xi0) continue;
+        const std::size_t b = static_cast<std::size_t>(sp.unit / oh);
+        scratch.runs.push_back(
+            {b * in.image +
+                 static_cast<std::size_t>((oy - first(py)) / s) * in.wq + xi0,
+             g.cols,
+             y + b * cout * out_hw + static_cast<std::size_t>(oy) * ow + ox0 +
+                 static_cast<std::size_t>(xi0) * s,
+             xi1 - xi0, s});
+        g.cols += static_cast<std::size_t>(xi1 - xi0);
+      }
+      g.run1 = scratch.runs.size();
+      if (g.cols == 0) continue;
+      S2A_CHECK_MSG(!int8, "partial output rows need float weights");
+      scratch.gemms.push_back(g);
+    }
+
+  // One band of full rows of one image: every phase subgrid intersecting
+  // output rows [oy_lo, oy_hi) of image b gets its GEMM.
+  return run_sites(
+      n, oh, ow, macs, scratch, in, bias, act, arena,
+      [&](int b, int oy_lo, int oy_hi,
+          util::ScratchArena& band_arena) -> std::size_t {
     double* yb = y + static_cast<std::size_t>(b) * cout * out_hw;
+    std::size_t done = 0;
     std::size_t seg = 0;  // this phase's slice of boff
     for (int py = 0; py < s; ++py)
       for (int px = 0; px < s; ++px) {
@@ -694,38 +890,37 @@ void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
         int oy0 = oy_lo;
         while (oy0 < oy_hi && (oy0 + pad) % s != py) ++oy0;
         const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
-        // ... and within the band's columns [x0, x1), the phase columns
-        // xi0 <= xi < xi1: output column ox0 + xi*s.
         const int ox0 = first(px);
-        const int xi0 = x0 > ox0 ? (x0 - ox0 + s - 1) / s : 0;
-        const int xi1 = std::min(count(px, ow),
-                                 x1 > ox0 ? (x1 - ox0 + s - 1) / s : 0);
-        const int nx = xi1 - xi0;
+        const int nx = count(px, ow);
         if (ny == 0 || nx <= 0) continue;
         const auto yrow = [&](int oc, int yi) {
           return yb + static_cast<std::size_t>(oc) * out_hw +
-                 static_cast<std::size_t>(oy0 + yi * s) * ow + ox0 + xi0 * s;
+                 static_cast<std::size_t>(oy0 + yi * s) * ow + ox0;
         };
 
         if (kdim == 0) {
           // No tap reaches this phase (kernel shorter than the stride):
           // those pixels are pure bias.
-          for (int oc = 0; oc < cout; ++oc)
+          for (int oc = 0; oc < cout; ++oc) {
+            double v = bias[static_cast<std::size_t>(oc)];
+            if (act != nullptr) act(&v, 1);
             for (int yi = 0; yi < ny; ++yi) {
               double* yr = yrow(oc, yi);
-              for (int xi = 0; xi < nx; ++xi)
-                yr[xi * s] = bias[static_cast<std::size_t>(oc)];
+              for (int xi = 0; xi < nx; ++xi) yr[xi * s] = v;
             }
+          }
           continue;
         }
 
         const std::size_t base =
             static_cast<std::size_t>(b) * in.image +
-            static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq + xi0;
+            static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq;
         const int ncols = round_up((ny - 1) * in.wq + nx, nr);
         double* tile = band_arena.alloc(static_cast<std::size_t>(cout) * ncols);
         band_gemm(a[ph], in, b, table, base, ncols, bias, tile,
                   static_cast<std::size_t>(ncols));
+        if (act != nullptr) act(tile, static_cast<std::size_t>(cout) * ncols);
+        done += static_cast<std::size_t>(ncols);
         for (int oc = 0; oc < cout; ++oc) {
           const double* trow = tile + static_cast<std::size_t>(oc) * ncols;
           for (int yi = 0; yi < ny; ++yi) {
@@ -735,6 +930,7 @@ void detail::deconv_forward(const double* x, int n, int cin, int h, int w,
           }
         }
       }
+    return done;
   });
 }
 
@@ -754,8 +950,8 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
     a[ph].packed = wp;
   }
   detail::deconv_forward(x.data(), n, cin_, h, w, cout_, k_, stride_, pad_,
-                         phases_, a.data(), b_.data(), boff_, y.data(), oh, ow,
-                         arena_);
+                         phases_, a.data(), b_.data(), scratch_, y.data(), oh,
+                         ow, arena_);
 }
 
 Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
@@ -826,8 +1022,8 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
   }
 
   detail::conv_forward(grad_out.data(), n, cout_, oh, ow, k_, stride_, pad_,
-                       LoweredWeights{cin_, kdim, wp, nullptr}, nullptr, boff_,
-                       dx.data(), h, w, arena_);
+                       LoweredWeights{cin_, kdim, wp, nullptr}, nullptr,
+                       scratch_, dx.data(), h, w, arena_);
 }
 
 std::size_t ConvTranspose2D::macs_per_sample() const {

@@ -76,9 +76,9 @@ class Conv2D : public Layer {
   Tensor w_, b_, gw_, gb_;  // w: [Cout, Cin, k, k]
   Tensor last_x_;
   std::size_t last_out_hw_ = 0;  // set by forward/infer, used by macs
-  // The forward's tap table into its padded input (shape-only, rebuilt
-  // per call into the same storage).
-  std::vector<std::ptrdiff_t> boff_;
+  // The forward's tap table into its padded input and its row plan
+  // (shape-only, rebuilt per call into the same storage).
+  detail::ForwardScratch scratch_;
   // Padded input, packed weights and band tiles; sized on first
   // forward, reused after.
   util::ScratchArena arena_;
@@ -131,9 +131,9 @@ class ConvTranspose2D : public Layer {
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]
   Tensor last_x_;
   std::size_t last_in_hw_ = 0;  // set by forward/infer, used by macs
-  // Tap tables into the padded input: every phase's for the forward,
-  // the adjoint conv's for the input gradient.
-  std::vector<std::ptrdiff_t> boff_;
+  // Tap tables into the padded input (every phase's for the forward,
+  // the adjoint conv's for the input gradient) and the row plan.
+  detail::ForwardScratch scratch_;
   util::ScratchArena arena_;
 };
 

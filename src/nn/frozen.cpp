@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "nn/activations.hpp"
@@ -11,6 +10,7 @@
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace s2a::nn {
 
@@ -105,11 +105,17 @@ struct FrozenConv::Stage {
   std::vector<QuantizedMatrix> q;  // int8 form: one per phase (or conv)
   std::vector<detail::LoweredWeights> a;  // one per phase (one for a conv)
   std::vector<double> background;  // [cout, oh, ow] for the reference input
-  // The stage's padded input, kept across calls, and the input rows
-  // (units b * h + iy) that held non-background values at the last call
-  // that reached this stage.
+  // The stage's padded input, kept across calls, and the input spans
+  // that held non-background values at the last call that reached this
+  // stage.
   detail::PaddedCache padded;
-  std::vector<std::int32_t> dirty;
+  std::vector<detail::RowSpan> dirty;
+  // A stage other than the last writes into `out`, kept across calls
+  // for out_images images; it holds the background except on out_spans,
+  // the output spans that differed at the stage's last run.
+  std::vector<double> out;
+  int out_images = 0;
+  std::vector<detail::RowSpan> out_spans;
 
   // The output rows [reach_lo(i), reach_hi(i)] input row i reaches,
   // before clamping; the same for columns.
@@ -268,11 +274,14 @@ void FrozenConv::set_reference(const Tensor& x) {
                                                      << w_ << "] sample");
   reference_.assign(x.data(), x.data() + x.numel());
   zero_row_.clear();
-  // The backgrounds and every kept padded input belong to the old R.
+  // The backgrounds, every kept padded input and every kept output
+  // belong to the old R.
   prepared_ = false;
   for (Stage& st : stages_) {
     st.padded.images = 0;
     st.dirty.clear();
+    st.out_images = 0;
+    st.out_spans.clear();
   }
 }
 
@@ -343,33 +352,81 @@ void FrozenConv::prepare() {
 void FrozenConv::run(const Stage& st, const double* x, int n, double* y,
                      detail::OutputRows rows, detail::PaddedCache* padded) {
   arena_.reset();
+  const detail::Activation act = st.act == Act::kRelu      ? relu_inplace
+                                 : st.act == Act::kSigmoid ? sigmoid_inplace
+                                                           : nullptr;
   if (st.transposed)
-    detail::deconv_forward(x, n, st.cin, st.h, st.w, st.cout, st.k, st.s,
-                           st.pad, st.phases, st.a.data(), st.bkey.data(),
-                           boff_, y, st.oh, st.ow, arena_, rows, padded);
+    gemm_columns_ += detail::deconv_forward(
+        x, n, st.cin, st.h, st.w, st.cout, st.k, st.s, st.pad, st.phases,
+        st.a.data(), st.bkey.data(), scratch_, y, st.oh, st.ow, arena_, rows,
+        padded, act);
   else
-    detail::conv_forward(x, n, st.cin, st.h, st.w, st.k, st.s, st.pad,
-                         st.a.front(), st.bkey.data(), boff_, y, st.oh, st.ow,
-                         arena_, rows, padded);
-  if (st.act == Act::kNone) return;
-  const std::size_t all = static_cast<std::size_t>(n) * st.oh;
-  const std::size_t count = rows.spans != nullptr ? rows.count : all;
-  for (std::size_t p = 0; p < count; ++p) {
-    const detail::RowSpan sp =
-        rows.spans != nullptr
-            ? rows.spans[p]
-            : detail::RowSpan{static_cast<std::int32_t>(p), 0, st.ow};
-    const std::size_t b = static_cast<std::size_t>(sp.unit / st.oh);
-    const std::size_t oy = static_cast<std::size_t>(sp.unit % st.oh);
-    const auto len = static_cast<std::size_t>(sp.x1 - sp.x0);
-    for (int oc = 0; oc < st.cout; ++oc) {
-      double* row = y + ((b * st.cout + oc) * st.oh + oy) * st.ow + sp.x0;
-      if (st.act == Act::kRelu)
-        relu_inplace(row, len);
-      else
-        sigmoid_inplace(row, len);
+    gemm_columns_ += detail::conv_forward(
+        x, n, st.cin, st.h, st.w, st.k, st.s, st.pad, st.a.front(),
+        st.bkey.data(), scratch_, y, st.oh, st.ow, arena_, rows, padded, act);
+}
+
+namespace {
+
+// Appends to `out` the maximal runs of non-zero flags in [x0, x1) of
+// `flags` as spans of `unit`.
+void append_runs(const std::uint8_t* flags, int x0, int x1, std::int32_t unit,
+                 std::vector<detail::RowSpan>& out) {
+  for (int j = x0; j < x1;) {
+    if (flags[j] == 0) {
+      ++j;
+      continue;
     }
+    const int lo = j;
+    while (j < x1 && flags[j] != 0) ++j;
+    out.push_back({unit, lo, j});
   }
+}
+
+}  // namespace
+
+void FrozenConv::scan_image(const double* x, std::size_t b) {
+  // Per row: flag every column where some channel's bits differ from
+  // R's, then keep the flagged runs.
+  std::vector<detail::RowSpan>& out = scans_[b];
+  out.clear();
+  std::uint8_t* flags = scan_flags_.data() + b * static_cast<std::size_t>(w_);
+  const std::size_t in_hw = static_cast<std::size_t>(h_) * w_;
+  for (int iy = 0; iy < h_; ++iy) {
+    bool any = false;
+    for (int ic = 0; ic < c_; ++ic) {
+      const std::size_t at =
+          static_cast<std::size_t>(ic) * in_hw + static_cast<std::size_t>(iy) * w_;
+      const double* row = x + b * c_ * in_hw + at;
+      const double* ref =
+          reference_.empty() ? zero_row_.data() : reference_.data() + at;
+      const auto diff = [row, ref](int j) {
+        return std::bit_cast<std::uint64_t>(row[j]) ^
+               std::bit_cast<std::uint64_t>(ref[j]);
+      };
+      // Blocks of 8 give the compiler a fixed trip count to vectorize.
+      std::uint64_t row_diff = 0;
+      int j = 0;
+      for (; j + 8 <= w_; j += 8)
+        for (int k = 0; k < 8; ++k) row_diff |= diff(j + k);
+      for (; j < w_; ++j) row_diff |= diff(j);
+      if (row_diff == 0) continue;
+      if (!any) std::fill_n(flags, w_, std::uint8_t{0});
+      any = true;
+      for (j = 0; j < w_; ++j) flags[j] |= diff(j) != 0;
+    }
+    if (any)
+      append_runs(flags, 0, w_, static_cast<std::int32_t>(b) * h_ + iy, out);
+  }
+}
+
+Tensor FrozenConv::backgrounds(int n) const {
+  const Stage& st = stages_.back();
+  std::vector<double> y;
+  y.reserve(static_cast<std::size_t>(n) * st.background.size());
+  for (int b = 0; b < n; ++b)
+    y.insert(y.end(), st.background.begin(), st.background.end());
+  return Tensor({n, st.cout, st.oh, st.ow}, std::move(y));
 }
 
 Tensor FrozenConv::infer(const Tensor& x) {
@@ -377,6 +434,7 @@ Tensor FrozenConv::infer(const Tensor& x) {
                     x.dim(3) == w_,
                 "FrozenConv: input is not [N," << c_ << "," << h_ << "," << w_
                                                << "]");
+  gemm_columns_ = 0;
   if (!prepared_) prepare();
   const int n = x.dim(0);
   if (int8_) {
@@ -392,110 +450,122 @@ Tensor FrozenConv::infer(const Tensor& x) {
     return cur;
   }
 
-  // The input's changed sites: elements whose bits differ from R's, as
-  // one span per (image, row) over all channels.
+  // The input's changed sites: the runs of columns where some channel's
+  // bits differ from R's, per (image, row), one image per pool task.
+  if (scans_.size() < static_cast<std::size_t>(n)) scans_.resize(n);
+  scan_flags_.resize(static_cast<std::size_t>(n) * w_);
+  const double* xd = x.data();
+  util::global_pool().parallel_for(
+      0, static_cast<std::size_t>(n), 1,
+      [this, xd](std::size_t b) { scan_image(xd, b); });
   changed_.clear();
-  const std::size_t in_hw = static_cast<std::size_t>(h_) * w_;
   for (int b = 0; b < n; ++b)
-    for (int iy = 0; iy < h_; ++iy) {
-      int x0 = w_, x1 = 0;
-      for (int ic = 0; ic < c_; ++ic) {
-        const std::size_t at =
-            static_cast<std::size_t>(ic) * in_hw + static_cast<std::size_t>(iy) * w_;
-        const double* row = x.data() + static_cast<std::size_t>(b) * c_ * in_hw + at;
-        const double* ref =
-            reference_.empty() ? zero_row_.data() : reference_.data() + at;
-        const auto diff = [row, ref](int j) {
-          return std::bit_cast<std::uint64_t>(row[j]) ^
-                 std::bit_cast<std::uint64_t>(ref[j]);
-        };
-        std::uint64_t any = 0;
-        for (int j = 0; j < w_; ++j) any |= diff(j);
-        if (any == 0) continue;
-        int lo = 0, hi = w_;
-        while (diff(lo) == 0) ++lo;
-        while (diff(hi - 1) == 0) --hi;
-        x0 = std::min(x0, lo);
-        x1 = std::max(x1, hi);
-      }
-      if (x0 < x1) changed_.push_back({b * h_ + iy, x0, x1});
-    }
+    changed_.insert(changed_.end(), scans_[b].begin(), scans_[b].end());
+  // Nothing changed: every output is its background.
+  if (changed_.empty()) return backgrounds(n);
 
-  Tensor cur;
   const double* in = x.data();
-  for (Stage& st : stages_) {
-    // Nothing changed: every later output is its background.
-    const Stage& out = changed_.empty() ? stages_.back() : st;
-    const std::size_t image = out.background.size();
-    std::vector<double> y;
-    y.reserve(static_cast<std::size_t>(n) * image);
-    for (int b = 0; b < n; ++b)
-      y.insert(y.end(), out.background.begin(), out.background.end());
-    if (changed_.empty())
-      return Tensor({n, out.cout, out.oh, out.ow}, std::move(y));
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    Stage& st = stages_[i];
+    const std::size_t image = st.background.size();
+    const std::size_t plane = static_cast<std::size_t>(st.oh) * st.ow;
+    const std::size_t units = static_cast<std::size_t>(n) * st.oh;
 
-    // Candidates: the changed spans dilated by the stage's footprint,
-    // hulled per output row.
-    lo_.assign(static_cast<std::size_t>(n) * st.oh, st.ow);
-    hi_.assign(static_cast<std::size_t>(n) * st.oh, 0);
+    // Candidates: the union, per output row, of the changed spans
+    // dilated by the stage's footprint, marked on a per-row mask that is
+    // all zero between calls.
+    if (mask_.size() < units * st.ow) mask_.assign(units * st.ow, 0);
+    if (marked_.size() < units) marked_.assign(units, 0);
     for (const detail::RowSpan& c : changed_) {
       const int b = c.unit / st.h, iy = c.unit % st.h;
       const int x0 = std::max(0, st.reach_lo(c.x0));
       const int x1 = std::min(st.ow, st.reach_hi(c.x1 - 1) + 1);
+      if (x0 >= x1) continue;
       const int oy1 = std::min(st.oh - 1, st.reach_hi(iy));
       for (int oy = std::max(0, st.reach_lo(iy)); oy <= oy1; ++oy) {
         const std::size_t u = static_cast<std::size_t>(b) * st.oh + oy;
-        lo_[u] = std::min(lo_[u], x0);
-        hi_[u] = std::max(hi_[u], x1);
+        marked_[u] = 1;
+        std::fill(mask_.begin() + static_cast<std::ptrdiff_t>(u * st.ow + x0),
+                  mask_.begin() + static_cast<std::ptrdiff_t>(u * st.ow + x1),
+                  std::uint8_t{1});
       }
     }
     candidates_.clear();
-    for (std::size_t u = 0; u < lo_.size(); ++u)
-      if (lo_[u] < hi_[u])
-        candidates_.push_back({static_cast<std::int32_t>(u), lo_[u], hi_[u]});
-    // The padded input is rewritten on the rows that changed now or at
-    // the last call; every other row already holds the background.
-    units_.clear();
-    for (const detail::RowSpan& c : changed_) units_.push_back(c.unit);
-    refresh_.clear();
-    std::set_union(st.dirty.begin(), st.dirty.end(), units_.begin(),
-                   units_.end(), std::back_inserter(refresh_));
-    st.dirty = units_;
+    for (std::size_t u = 0; u < units; ++u) {
+      if (marked_[u] == 0) continue;
+      marked_[u] = 0;
+      std::uint8_t* row = mask_.data() + u * st.ow;
+      append_runs(row, 0, st.ow, static_cast<std::int32_t>(u), candidates_);
+      std::fill_n(row, st.ow, std::uint8_t{0});
+    }
+    // The padded input is rewritten on the spans that changed now or at
+    // the last call; every other site already holds the background.
+    refresh_.assign(st.dirty.begin(), st.dirty.end());
+    refresh_.insert(refresh_.end(), changed_.begin(), changed_.end());
+    st.dirty = changed_;
     st.padded.refresh = refresh_.data();
     st.padded.count = refresh_.size();
-    run(st, in, n, y.data(), {candidates_.data(), candidates_.size()},
-        &st.padded);
 
-    // Changed: the part of each candidate span whose bits differ from
-    // the background's.
+    // The output: the last stage's is a new tensor of backgrounds; any
+    // other stage's is its kept buffer, whose spans that differed at
+    // its last run get their background back (all of it on a new batch
+    // size).
+    const bool last = i + 1 == stages_.size();
+    Tensor result;
+    double* y = nullptr;
+    if (last) {
+      result = backgrounds(n);
+      y = result.data();
+    } else if (st.out_images != n) {
+      st.out.resize(static_cast<std::size_t>(n) * image);
+      for (int b = 0; b < n; ++b)
+        std::copy(st.background.begin(), st.background.end(),
+                  st.out.begin() + static_cast<std::ptrdiff_t>(b * image));
+      st.out_images = n;
+      y = st.out.data();
+    } else {
+      y = st.out.data();
+      for (const detail::RowSpan& sp : st.out_spans) {
+        const std::size_t b = static_cast<std::size_t>(sp.unit / st.oh);
+        const std::size_t oy = static_cast<std::size_t>(sp.unit % st.oh);
+        for (int oc = 0; oc < st.cout; ++oc) {
+          const std::size_t at =
+              static_cast<std::size_t>(oc) * plane + oy * st.ow + sp.x0;
+          std::copy_n(st.background.data() + at, sp.x1 - sp.x0,
+                      y + b * image + at);
+        }
+      }
+    }
+    run(st, in, n, y, {candidates_.data(), candidates_.size()}, &st.padded);
+    if (last) return result;
+
+    // Changed: the runs of each candidate span where some channel's bits
+    // differ from the background's.
     changed_.clear();
-    const std::size_t plane = static_cast<std::size_t>(st.oh) * st.ow;
+    if (scan_flags_.size() < static_cast<std::size_t>(st.ow))
+      scan_flags_.resize(static_cast<std::size_t>(st.ow));
+    std::uint8_t* flags = scan_flags_.data();
     for (const detail::RowSpan& c : candidates_) {
       const std::size_t b = static_cast<std::size_t>(c.unit / st.oh);
       const std::size_t oy = static_cast<std::size_t>(c.unit % st.oh);
-      int x0 = c.x1, x1 = c.x0;
+      std::fill(flags + c.x0, flags + c.x1, std::uint8_t{0});
       for (int oc = 0; oc < st.cout; ++oc) {
-        const std::size_t at =
-            static_cast<std::size_t>(oc) * plane + oy * st.ow;
-        const double* got = y.data() + b * image + at;
+        const std::size_t at = static_cast<std::size_t>(oc) * plane + oy * st.ow;
+        const double* got = y + b * image + at;
         const double* bg = st.background.data() + at;
-        const auto same = [got, bg](int j) {
-          return std::bit_cast<std::uint64_t>(got[j]) ==
-                 std::bit_cast<std::uint64_t>(bg[j]);
-        };
-        int lo = c.x0, hi = c.x1;
-        while (lo < hi && same(lo)) ++lo;
-        while (hi > lo && same(hi - 1)) --hi;
-        if (lo == hi) continue;
-        x0 = std::min(x0, lo);
-        x1 = std::max(x1, hi);
+        for (int j = c.x0; j < c.x1; ++j)
+          flags[j] |= std::bit_cast<std::uint64_t>(got[j]) !=
+                      std::bit_cast<std::uint64_t>(bg[j]);
       }
-      if (x0 < x1) changed_.push_back({c.unit, x0, x1});
+      append_runs(flags, c.x0, c.x1, c.unit, changed_);
     }
-    cur = Tensor({n, st.cout, st.oh, st.ow}, std::move(y));
-    in = cur.data();
+    st.out_spans = changed_;
+    // Nothing changed past this stage: every later output is its
+    // background.
+    if (changed_.empty()) return backgrounds(n);
+    in = y;
   }
-  return cur;
+  return {};  // unreachable: the last stage returns
 }
 
 // ---- ActiveSiteStack ----

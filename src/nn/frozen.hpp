@@ -30,18 +30,25 @@
 // for R, border effects included. infer() plans from the input. The
 // changed set is every input element whose bits differ from R's (so
 // against the all-zero R a NaN, an inf and a -0.0 all count as
-// changed), kept per (image, row) as the span from its first to its
-// last changed column over all channels. Each stage dilates every
-// changed span by its footprint, in rows and in columns, to get the
-// candidate output sites (the span hull per output row), recomputes
-// only those through the layers' own band loop (nn/conv_rows.hpp),
-// takes every other site from the background, and keeps as changed the
-// part of each candidate span whose bits differ from the background's.
+// changed), kept per (image, row) as the maximal runs of columns where
+// some channel changed, found one image per pool task. Each stage
+// dilates every changed span by its footprint, in rows and in columns,
+// and takes the union per output row as its candidate sites (several
+// spans per row: two far-apart voxels stay two spans). It recomputes
+// only those through the layers' forward loop (nn/conv_rows.hpp), whose
+// partial rows run as one gathered GEMM per stage (per deconv phase) for
+// the whole batch, so a stage costs per candidate site, not per row. It
+// takes every other site from the background and keeps as changed the
+// runs of each candidate span whose bits differ from the background's.
 // Each stage keeps its padded input across calls and rewrites only the
-// rows that hold changed values now or held them at the last call
-// (every other row already holds R's values). A dense input runs the
-// same loop with every full row a candidate; an input equal to R copies
-// the last background.
+// spans that hold changed values now or held them at the last call
+// (every other site already holds R's values). A stage other than the
+// last also keeps its output buffer, which holds the background except
+// on the spans that differed at its last run; those get the background
+// back before the next run, and only a new batch size refills it. A
+// dense input runs the same loop with every full row a candidate; an
+// input equal to R copies the last background. gemm_columns() counts
+// the work of the last call.
 // The result is bit-identical to the layers' infer():
 // an output outside the candidates reads only R's values and zero
 // padding, through the same reduction chain as the background, so it
@@ -157,9 +164,19 @@ class FrozenConv {
   /// int8 form's output is the int8 forward of those weights.
   Tensor infer(const Tensor& x);
 
+  /// The GEMM columns the last infer() computed over all its stages,
+  /// the tiles' NR padding included: a count of its work that depends
+  /// only on the input, the snapshot and the active kernel's NR (and,
+  /// for runs of full rows, on where the pool's chunks split them).
+  std::size_t gemm_columns() const { return gemm_columns_; }
+
  private:
   struct Stage;
   void prepare();
+  // Lists image b's changed sites of x in scans_[b].
+  void scan_image(const double* x, std::size_t b);
+  // n copies of the last stage's background.
+  Tensor backgrounds(int n) const;
   // Runs stage st over n images of x into y on the listed sites (conv
   // or deconv, then the activation on those sites), reading the padded
   // input from `padded` when given.
@@ -175,13 +192,16 @@ class FrozenConv {
   // (w_ zeros) stands in for each of its rows.
   std::vector<double> reference_, zero_row_;
   // Per-call plan: the current changed sites and the candidates, as
-  // one column span per (image, row) unit, ascending; lo_/hi_ hold a
-  // stage's candidate columns per output unit while they are gathered.
-  std::vector<detail::RowSpan> changed_, candidates_;
-  std::vector<int> lo_, hi_;
-  std::vector<std::int32_t> units_, refresh_;  // padded-input rows
-  std::vector<std::ptrdiff_t> boff_;
+  // disjoint column spans in ascending (unit, x0) order. scans_ holds
+  // each image's changed input spans and scan_flags_ its per-column
+  // flags; mask_ marks a stage's candidate columns per output unit and
+  // marked_ the units it touched, both all zero between calls.
+  std::vector<detail::RowSpan> changed_, candidates_, refresh_;
+  std::vector<std::vector<detail::RowSpan>> scans_;
+  std::vector<std::uint8_t> scan_flags_, mask_, marked_;
+  detail::ForwardScratch scratch_;
   util::ScratchArena arena_;
+  std::size_t gemm_columns_ = 0;
 };
 
 /// Which input a stack's backgrounds are computed for (see above).

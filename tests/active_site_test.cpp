@@ -22,14 +22,18 @@
 #include "lidar/autoencoder.hpp"
 #include "lidar/batched.hpp"
 #include "lidar/detector.hpp"
+#include "lidar/masking.hpp"
+#include "lidar/voxel_grid.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/frozen.hpp"
+#include "nn/gemm.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 #include "nn_oracle.hpp"
 #include "sim/lidar_sim.hpp"
 #include "sim/scene.hpp"
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -859,6 +863,252 @@ TEST(ActiveSite, QuantizedDetectorRunsInt8) {
   ASSERT_FALSE(same_detections(dense_detect(det, patched), float_dets))
       << "int8 and float agree: the check cannot tell them apart";
   expect_detect_is_dense(det, x, patched, "int8");
+}
+
+
+// ---- The gathered path: random changed sets on every kernel family ----
+
+// Every element bit for bit, NaNs included.
+::testing::AssertionResult identical_bits(const nn::Tensor& got,
+                                          const nn::Tensor& want) {
+  if (got.shape() != want.shape())
+    return ::testing::AssertionFailure() << "shape mismatch";
+  for (std::size_t i = 0; i < got.numel(); ++i)
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i]))
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+  return ::testing::AssertionSuccess();
+}
+
+// auto, scalar, and avx2 where the host has it: tile widths (NR) 4, 8
+// and the auto family's.
+std::vector<util::SimdIsa> oracle_isas() {
+  std::vector<util::SimdIsa> out{util::SimdIsa::kAuto, util::SimdIsa::kScalar};
+  if (util::simd_isa_supported(util::SimdIsa::kAvx2))
+    out.push_back(util::SimdIsa::kAvx2);
+  return out;
+}
+
+// Writes 1 to 64 changed sites into image b of t ([n, c, h, w]), each a
+// value in [0.3, 1.5] on a random channel (neither zero nor in a
+// loop-like reference's range), or NaN when `nan` picks it: three
+// far-apart runs in one row, then runs one short of and one past each
+// tile width (4, 8, 16) and single sites, at random places.
+void add_changed_set(nn::Tensor& t, int b, Rng& rng, bool nan = false) {
+  const int c = t.dim(1), h = t.dim(2), w = t.dim(3);
+  const int budget = rng.uniform_int(1, 64);
+  const int lengths[] = {1, 3, 5, 7, 9, 15, 17};
+  int placed = 0;
+  const auto put = [&](int y, int x0, int len) {
+    for (int x = x0; x < x0 + len && x < w && placed < budget; ++x, ++placed) {
+      const std::size_t at =
+          ((static_cast<std::size_t>(b) * c + rng.uniform_int(0, c - 1)) * h + y) * w + x;
+      t[at] = nan && placed == budget / 2 ? std::numeric_limits<double>::quiet_NaN()
+                                          : rng.uniform(0.3, 1.5);
+    }
+  };
+  const int row = rng.uniform_int(0, h - 1);
+  for (int k = 0; k < 3; ++k)
+    put(row, k * (w / 3) + rng.uniform_int(0, 2), rng.uniform_int(1, 3));
+  while (placed < budget) {
+    const int len = lengths[rng.uniform_int(0, 6)];
+    put(rng.uniform_int(0, h - 1), rng.uniform_int(0, std::max(0, w - len)), len);
+  }
+}
+
+// A call sequence over batch sizes 1, 3 and 16: every image of `base`
+// (one sample, repeated) with its own changed set, except that a batch
+// of 16 leaves two images unchanged; the fifth call's sets hold a NaN.
+std::vector<std::pair<nn::Tensor, bool>> gathered_sequence(const nn::Tensor& base,
+                                                           Rng& rng) {
+  std::vector<std::pair<nn::Tensor, bool>> out;
+  const int sizes[] = {1, 3, 16, 3, 16, 1, 16};
+  for (int call = 0; call < 7; ++call) {
+    const int n = sizes[call];
+    const bool nan = call == 4;
+    std::vector<const nn::Tensor*> images(static_cast<std::size_t>(n), &base);
+    nn::Tensor x = batch_of(images);
+    for (int b = 0; b < n; ++b)
+      if (n < 16 || (b != 3 && b != 11)) add_changed_set(x, b, rng, nan);
+    out.emplace_back(std::move(x), nan);
+  }
+  return out;
+}
+
+// Bitwise under every family, except that a NaN need only meet a NaN
+// under scalar, whose tiles order a NaN add differently (same_bits).
+::testing::AssertionResult gathered_matches(const nn::Tensor& got,
+                                            const nn::Tensor& want, bool nan) {
+  return nan && util::active_simd_isa() == util::SimdIsa::kScalar
+             ? same_bits(got, want)
+             : identical_bits(got, want);
+}
+
+TEST(ActiveSiteGathered, RandomChangedSetsMatchLayerInferOnEveryFamily) {
+  for (const int threads : {1, 4})
+    for (const util::SimdIsa isa : oracle_isas()) {
+      util::ScopedGlobalThreads pool(threads);
+      nn::oracle::ScopedSimd simd(isa);
+      const std::string where = std::string(nn::gemm_kernel_name()) + ", " +
+                                std::to_string(threads) + " threads";
+      {  // The autoencoder stack against the all-zero reference.
+        const StackSpec& spec = spec_named("autoencoder_48x48");
+        Rng rng(97);
+        nn::Sequential net = build(spec, rng);
+        nn::FrozenConv frozen(layers_of(net), {spec.c, spec.h, spec.w});
+        for (const auto& [x, nan] : gathered_sequence(empty_input(spec), rng))
+          EXPECT_TRUE(gathered_matches(frozen.infer(x), net.infer(x), nan))
+              << "autoencoder, " << where << ", batch " << x.dim(0);
+      }
+      {  // The detector stack with its heads against a loop-like R.
+        Rng rng(101);
+        DetectorStack net(4, 48, 48, rng);
+        const nn::Tensor r = net.reference(rng);
+        nn::FrozenConv frozen(layers_of(net.backbone), {net.c, net.h, net.w},
+                              net.heads(), r.data());
+        for (const auto& [x, nan] : gathered_sequence(r, rng))
+          EXPECT_TRUE(gathered_matches(frozen.infer(x), net.infer(x), nan))
+              << "detector, " << where << ", batch " << x.dim(0);
+      }
+    }
+}
+
+// ---- Work count: the GEMM columns a sparse call computes ----
+
+// The sensed grid of one R-MAE selective scan of a generated scene (the
+// loop's default LiDAR, masker and 48x48x4 grid), one draw of `rng`.
+nn::Tensor sensed_grid(Rng& rng) {
+  const sim::Scene scene = sim::generate_scene(sim::SceneConfig{}, rng);
+  const sim::LidarSimulator lidar{sim::LidarConfig{}};
+  const lidar::RadialMasker masker;
+  return lidar::VoxelGrid::from_cloud(
+             lidar.selective_scan(scene, masker.beam_plan(lidar.config(), rng),
+                                  rng),
+             lidar::VoxelGridConfig{})
+      .to_tensor();
+}
+
+// The GEMM columns a stack of `spec` needs for x against the all-zero
+// reference, counted from its layers' own outputs: per stage, the sites
+// that differ from the background (any channel, bit for bit) at its
+// input, dilated by the stage's footprint, counted per sub-pixel phase
+// and rounded up to whole tiles of nr columns. `full_rows` counts the
+// candidate rows every site of which is a candidate.
+std::size_t planned_columns(const StackSpec& spec, nn::Sequential& net,
+                            const nn::Tensor& x, int nr, int& full_rows) {
+  const int n = x.dim(0);
+  nn::Tensor cur = x, bg = empty_input(spec);
+  std::vector<char> changed(x.numel() / static_cast<std::size_t>(spec.c));
+  for (int b = 0; b < n; ++b)
+    for (int ch = 0; ch < spec.c; ++ch)
+      for (int i = 0; i < spec.h * spec.w; ++i)
+        changed[static_cast<std::size_t>(b) * spec.h * spec.w + i] |=
+            std::bit_cast<std::uint64_t>(
+                x[(static_cast<std::size_t>(b) * spec.c + ch) * spec.h * spec.w + i]) != 0;
+  std::size_t columns = 0;
+  full_rows = 0;
+  int h = spec.h, w = spec.w;
+  std::size_t layer = 0;
+  for (const StageSpec& st : spec.stages) {
+    const int oh = st.transposed ? (h - 1) * st.s - 2 * st.pad + st.k
+                                 : (h + 2 * st.pad - st.k) / st.s + 1;
+    const int ow = st.transposed ? (w - 1) * st.s - 2 * st.pad + st.k
+                                 : (w + 2 * st.pad - st.k) / st.s + 1;
+    // Output rows (or columns) input row i reaches.
+    const auto reach = [&](int i, int extent, int& lo, int& hi) {
+      if (st.transposed) {
+        lo = std::max(0, i * st.s - st.pad);
+        hi = std::min(extent - 1, i * st.s - st.pad + st.k - 1);
+      } else {
+        lo = std::max(0, (i + st.pad - st.k + st.s) / st.s);
+        hi = std::min(extent - 1, (i + st.pad) / st.s);
+      }
+    };
+    std::vector<char> cand(static_cast<std::size_t>(n) * oh * ow, 0);
+    for (int b = 0; b < n; ++b)
+      for (int iy = 0; iy < h; ++iy)
+        for (int ix = 0; ix < w; ++ix) {
+          if (!changed[(static_cast<std::size_t>(b) * h + iy) * w + ix]) continue;
+          int y0, y1, x0, x1;
+          reach(iy, oh, y0, y1);
+          reach(ix, ow, x0, x1);
+          for (int oy = y0; oy <= y1; ++oy)
+            for (int ox = x0; ox <= x1; ++ox)
+              cand[(static_cast<std::size_t>(b) * oh + oy) * ow + ox] = 1;
+        }
+    const int phases = st.transposed ? st.s * st.s : 1;
+    std::vector<std::size_t> sites(static_cast<std::size_t>(phases), 0);
+    for (int b = 0; b < n; ++b)
+      for (int oy = 0; oy < oh; ++oy) {
+        int row = 0;
+        for (int ox = 0; ox < ow; ++ox) {
+          if (!cand[(static_cast<std::size_t>(b) * oh + oy) * ow + ox]) continue;
+          ++row;
+          ++sites[st.transposed ? static_cast<std::size_t>(
+                                      ((oy + st.pad) % st.s) * st.s +
+                                      (ox + st.pad) % st.s)
+                                : 0];
+        }
+        full_rows += row == ow;
+      }
+    for (const std::size_t p : sites)
+      columns += (p + static_cast<std::size_t>(nr) - 1) / nr * nr;
+    // The next stage's changed sites: this stage's output against its
+    // background, the output for an all-zero input.
+    const std::size_t layers = st.act == Act::kNone ? 1 : 2;
+    for (std::size_t l = 0; l < layers; ++l, ++layer) {
+      cur = net.layer(layer).infer(std::move(cur));
+      bg = net.layer(layer).infer(std::move(bg));
+    }
+    const std::size_t plane = static_cast<std::size_t>(oh) * ow;
+    changed.assign(static_cast<std::size_t>(n) * plane, 0);
+    for (int b = 0; b < n; ++b)
+      for (int ch = 0; ch < st.cout; ++ch)
+        for (std::size_t i = 0; i < plane; ++i)
+          changed[static_cast<std::size_t>(b) * plane + i] |=
+              std::bit_cast<std::uint64_t>(
+                  cur[(static_cast<std::size_t>(b) * st.cout + ch) * plane + i]) !=
+              std::bit_cast<std::uint64_t>(bg[static_cast<std::size_t>(ch) * plane + i]);
+    h = oh;
+    w = ow;
+  }
+  return columns;
+}
+
+TEST(ActiveSiteGathered, SparseCallsComputeOnlyTheirTiles) {
+  // A snapshot's GEMM work on a sensed input is its candidate sites
+  // rounded up to whole tiles per stage (per phase of a deconv), with no
+  // row or span padded on its own: one grid, and a batch of 16 shaped
+  // like the fleet's.
+  const StackSpec& spec = spec_named("autoencoder_48x48");
+  Rng rng(103);
+  std::vector<nn::Tensor> grids;
+  for (int i = 0; i < 16; ++i) grids.push_back(sensed_grid(rng));
+  std::vector<const nn::Tensor*> all;
+  for (const nn::Tensor& g : grids) all.push_back(&g);
+  const nn::Tensor one = grids.front(), batch = batch_of(all);
+  for (const int threads : {1, 4})
+    for (const util::SimdIsa isa : oracle_isas()) {
+      util::ScopedGlobalThreads pool(threads);
+      nn::oracle::ScopedSimd simd(isa);
+      Rng wrng(107);
+      nn::Sequential net = build(spec, wrng);
+      nn::FrozenConv frozen(layers_of(net), {spec.c, spec.h, spec.w});
+      frozen.infer(empty_input(spec));  // builds the backgrounds
+      for (const nn::Tensor* x : {&one, &batch}) {
+        int full_rows = 0;
+        const std::size_t want =
+            planned_columns(spec, net, *x, nn::gemm_nr(), full_rows);
+        ASSERT_EQ(full_rows, 0) << "a full candidate row: the bound needs "
+                                   "its band's columns";
+        ASSERT_GT(want, 0u) << "nothing sensed: a vacuous check";
+        EXPECT_TRUE(same_bits(frozen.infer(*x), net.infer(*x)));
+        EXPECT_EQ(frozen.gemm_columns(), want)
+            << nn::gemm_kernel_name() << ", " << threads << " threads, batch "
+            << x->dim(0);
+      }
+    }
 }
 
 }  // namespace

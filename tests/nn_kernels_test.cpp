@@ -108,12 +108,7 @@ std::size_t value_diff_count(const Tensor& a, const Tensor& b);
 oracle::Grads run_backward(Layer& layer, const Tensor& x,
                            const Tensor& grad_out);
 
-// Forces a kernel family for the scope; restores auto selection on exit.
-class ScopedSimd {
- public:
-  explicit ScopedSimd(util::SimdIsa isa) { util::set_simd_isa(isa); }
-  ~ScopedSimd() { util::set_simd_isa(util::SimdIsa::kAuto); }
-};
+using oracle::ScopedSimd;
 
 TEST(SimdDispatch, ProbeAndSelectionAreConsistent) {
   // Scalar is always available; auto never stays unresolved; every ISA

@@ -15,6 +15,9 @@
 // are here too: the int8 conv oracle multiplies an im2col matrix with
 // gemm_int8, and the lowering tests pin im2col_t and col2im_band
 // against them.
+//
+// ScopedSimd, the nn tests' one way to run a scope under a chosen
+// kernel family, is here too.
 #pragma once
 
 #include <algorithm>
@@ -27,8 +30,24 @@
 #include "nn/im2col.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
+#include "util/cpu_features.hpp"
 
 namespace s2a::nn::oracle {
+
+/// Selects a kernel family for the scope and restores the one active
+/// before it (which may come from S2A_SIMD).
+class ScopedSimd {
+ public:
+  explicit ScopedSimd(util::SimdIsa isa) : saved_(util::active_simd_isa()) {
+    util::set_simd_isa(isa);
+  }
+  ~ScopedSimd() { util::set_simd_isa(saved_); }
+  ScopedSimd(const ScopedSimd&) = delete;
+  ScopedSimd& operator=(const ScopedSimd&) = delete;
+
+ private:
+  util::SimdIsa saved_;
+};
 
 /// Writes the im2col matrix for output rows [oy_lo, oy_hi) of a direct
 /// convolution over x (one image, [cin, h, w] row-major): col is

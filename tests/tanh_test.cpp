@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/activations.hpp"
+#include "nn_oracle.hpp"
 #include "util/cpu_features.hpp"
 
 namespace s2a::nn {
@@ -39,18 +40,7 @@ constexpr KnownAnswer kKnownAnswers[] = {
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 
-// Selects a kernel family for the scope and restores the one active
-// before it (which may come from S2A_SIMD).
-class ScopedSimd {
- public:
-  explicit ScopedSimd(util::SimdIsa isa) : saved_(util::active_simd_isa()) {
-    util::set_simd_isa(isa);
-  }
-  ~ScopedSimd() { util::set_simd_isa(saved_); }
-
- private:
-  util::SimdIsa saved_;
-};
+using oracle::ScopedSimd;
 
 std::vector<double> tanh_under(util::SimdIsa isa, std::vector<double> x) {
   ScopedSimd scoped(isa);
