@@ -55,11 +55,8 @@ run_tsan() {
   echo "==> TSan build + threaded tests (build-tsan/)"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all -fno-omit-frame-pointer"
-  cmake --build build-tsan -j "$JOBS" \
-    --target thread_pool_test obs_test nn_kernels_test lidar_test \
-             active_site_test \
-             federated_test federated_hier_test fault_test fleet_test \
-             net_test fleet_batch_test
+  # tsan_tests is every suite tests/CMakeLists.txt labels tsan.
+  cmake --build build-tsan -j "$JOBS" --target tsan_tests
   # Run every tsan-labeled suite (concurrency-bearing: kernel sharding,
   # obs, fault chaos, the pipelined/fleet/batched execution engines).
   # A 4-slot global pool makes every sharded path run under TSan, even on

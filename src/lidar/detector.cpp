@@ -471,48 +471,14 @@ double evaluate_ap_distance(
 double evaluate_ap(const std::vector<std::vector<Detection>>& detections,
                    const std::vector<sim::Scene>& scenes,
                    sim::ObjectClass cls, double iou_threshold) {
-  S2A_CHECK(detections.size() == scenes.size());
-
-  // Gather class detections tagged by scene, sorted globally by score.
-  struct Tagged {
-    double score;
-    std::size_t scene;
-    const Detection* det;
-  };
-  std::vector<Tagged> all;
-  int num_gt = 0;
-  for (std::size_t s = 0; s < scenes.size(); ++s) {
-    for (const auto& obj : scenes[s].objects)
-      if (obj.cls == cls) ++num_gt;
-    for (const auto& d : detections[s])
-      if (d.cls == cls) all.push_back({d.score, s, &d});
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Tagged& a, const Tagged& b) { return a.score > b.score; });
-
-  std::vector<std::vector<bool>> gt_used(scenes.size());
-  for (std::size_t s = 0; s < scenes.size(); ++s)
-    gt_used[s].assign(scenes[s].objects.size(), false);
-
-  std::vector<std::pair<double, bool>> scored;
-  scored.reserve(all.size());
-  for (const auto& t : all) {
-    double best_iou = 0.0;
-    std::size_t best_gt = 0;
-    const auto& objs = scenes[t.scene].objects;
-    for (std::size_t g = 0; g < objs.size(); ++g) {
-      if (objs[g].cls != cls || gt_used[t.scene][g]) continue;
-      const double iou = iou_bev(t.det->box, objs[g].box);
-      if (iou > best_iou) {
-        best_iou = iou;
-        best_gt = g;
-      }
-    }
-    const bool matched = best_iou >= iou_threshold;
-    if (matched) gt_used[t.scene][best_gt] = true;
-    scored.push_back({t.score, matched});
-  }
-  return average_precision(std::move(scored), num_gt);
+  // A pair below the threshold cannot match; among the rest the highest
+  // IoU wins, the first of equals.
+  return evaluate_ap_impl(
+      detections, scenes, cls,
+      [iou_threshold](const Detection& d, const Box3& gt) {
+        const double iou = iou_bev(d.box, gt);
+        return iou >= iou_threshold ? iou : -1.0;
+      });
 }
 
 }  // namespace s2a::lidar

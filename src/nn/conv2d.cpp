@@ -56,39 +56,42 @@ int round_up(int v, int to) { return (v + to - 1) / to * to; }
 
 // ---- The one lowering: a zero-padded copy of the input ----
 //
-// Every forward GEMM here (conv forward, each deconv phase, the deconv
-// input gradient) reads its B operand straight out of one zero-padded
-// copy of its input, through a table of row offsets
-// (gemm_packed_rows), instead of materializing a lowered matrix.
+// Every forward GEMM here (each phase of a conv or a deconv, and the
+// deconv input gradient's adjoint conv) reads its B operand straight
+// out of one zero-padded copy of its input, through a table of row
+// offsets (gemm_packed_rows), instead of materializing a lowered
+// matrix.
 //
-// For a stride-s reader the copy is s*s polyphase planes per channel:
+// For a stride-s conv the copy is s*s polyphase planes per channel:
 // plane (c, ry, rx), row qy, column qx holds padded-input pixel
 // (qy*s + ry, qx*s + rx), where the padded input is x shifted by `pad`
 // with 0.0 outside the image. Tap (c, ky, kx) of output (oy, ox) then
-// reads plane (c, ky%s, kx%s) at (oy + ky/s, ox + kx/s). On a "wide"
-// output grid of wq columns per output row, output (oy, ox) is column
-// oy*wq + ox, so every tap's B row over a band of output rows is one
+// reads plane (c, ky%s, kx%s) at (oy + ky/s, ox + kx/s). A deconv reads
+// one plane per channel (see lowered_forward). On a "wide" output grid
+// of wq columns per phase row, phase output (yi, xi) is column
+// yi*wq + xi, so every tap's B row over a band of rows is one
 // contiguous span of one plane, starting at a shape-only offset. The
-// GEMM computes all wq columns per row; only the first ow of each row
-// are real outputs. The other columns read neighbouring pixels, the
-// next image's planes or the zeroed slack past the last image, and are
-// never stored.
+// GEMM computes all wq columns per row; only the phase's real columns
+// of each row are stored. The other columns read neighbouring pixels,
+// the next image's planes or the zeroed slack past the last image, and
+// are never stored.
 //
-// A one-plane copy (s == 1) stores only the left padding of each row:
-// a read past a row's end lands in the next row's left padding, or,
-// past a plane's last row, in the next plane's top padding rows or the
-// zeroed slack — the same zeros the right padding would hold. That
-// trims `pad` columns off every wide row (the deconv phases' grids are
-// that much narrower). Polyphase planes keep both paddings: the row
-// after a plane's last one starts another phase's plane, which need
-// not be padding.
+// A one-plane copy stores only the left padding of each row: a read
+// past a row's end lands in the next row's left padding, or, past a
+// plane's last row, in the next plane's top padding rows or the zeroed
+// slack — the same zeros the right padding would hold. That trims
+// `pad` columns off every wide row (the deconv phases' grids are that
+// much narrower). Polyphase planes keep both paddings: the row after a
+// plane's last one starts another phase's plane, which need not be
+// padding.
 //
 // Bit-exactness: every stored element accumulates the caller's seed
 // plus w*x over ascending taps, with x = 0.0 off the image — the same
 // products in the same order as the lowered matrix the direct loops
 // define (tests/nn_oracle.hpp).
 struct PaddedInput {
-  int s = 1;              // polyphase factor: the reader's stride
+  int s = 1;              // polyphase factor: the conv's stride
+  int pad = 0;            // zero padding on every side of the image
   int hq = 0, wq = 0;     // rows and columns of one plane
   std::size_t plane = 0;  // hq * wq
   std::size_t image = 0;  // channels * s * s * plane: one image's planes
@@ -98,16 +101,54 @@ struct PaddedInput {
   bool finite = true;  // false when a coded value had no int8 code
 };
 
-// `valid` is the reader's real output columns per row; the wide grid
-// must hold them.
-PaddedInput padded_geometry(int c, int h, int w, int s, int pad, int valid) {
+// The padded input lw reads for h x w images (ow output columns): s*s
+// polyphase planes padded by `pad` for a conv, one plane padded by
+// floor((k-1-pad)/s) for a deconv. The wide grid holds a phase's real
+// columns.
+PaddedInput padded_geometry(const detail::ConvLowering& lw, int h, int w,
+                            int ow) {
   PaddedInput g;
-  g.s = s;
-  g.hq = (h + 2 * pad + s - 1) / s;
-  g.wq = s == 1 ? std::max(w + pad, valid) : (w + 2 * pad + s - 1) / s;
+  g.s = lw.transposed ? 1 : lw.s;
+  g.pad = lw.transposed ? std::max(0, lw.k - 1 - lw.pad) / lw.s : lw.pad;
+  const int valid = (ow + lw.grid() - 1) / lw.grid();
+  g.hq = (h + 2 * g.pad + g.s - 1) / g.s;
+  g.wq = g.s == 1 ? std::max(w + g.pad, valid)
+                  : (w + 2 * g.pad + g.s - 1) / g.s;
   g.plane = static_cast<std::size_t>(g.hq) * g.wq;
-  g.image = static_cast<std::size_t>(c) * s * s * g.plane;
+  g.image = static_cast<std::size_t>(lw.cin) * g.s * g.s * g.plane;
   return g;
+}
+
+// Where each tap's B row starts in an image's padded planes, phase
+// after phase in (py, px) order, each in the order of its rows table.
+void tap_table(const detail::ConvLowering& lw, const PaddedInput& in,
+               std::vector<std::ptrdiff_t>& boff) {
+  boff.clear();
+  const int s = lw.s;
+  if (!lw.transposed) {
+    for (int ic = 0; ic < lw.cin; ++ic)
+      for (int ky = 0; ky < lw.k; ++ky)
+        for (int kx = 0; kx < lw.k; ++kx)
+          boff.push_back(static_cast<std::ptrdiff_t>(
+              (static_cast<std::size_t>(ic * s + ky % s) * s + kx % s) *
+                  in.plane +
+              static_cast<std::size_t>(ky / s) * in.wq + kx / s));
+    return;
+  }
+  // Phase (py, px)'s output row first(py) + yi*s reads input row
+  // (first(py) + pad - ky)/s + yi for tap ky, and likewise for columns.
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px)
+      for (int ic = 0; ic < lw.cin; ++ic)
+        for (const int ky : lw.taps[static_cast<std::size_t>(py)])
+          for (const int kx : lw.taps[static_cast<std::size_t>(px)])
+            boff.push_back(static_cast<std::ptrdiff_t>(
+                static_cast<std::size_t>(ic) * in.plane +
+                static_cast<std::size_t>(in.pad +
+                                         (lw.first(py) + lw.pad - ky) / s) *
+                    in.wq +
+                static_cast<std::size_t>(in.pad +
+                                         (lw.first(px) + lw.pad - kx) / s)));
 }
 
 // For the int8 forwards: codes g.data's `size` values once, image b's
@@ -134,7 +175,7 @@ void code_int8(const double* x, int n, std::size_t x_image, std::size_t size,
 }
 
 // Fills g.data (geometry from padded_geometry) from x ([n, c, h, w]),
-// padded by `pad` on every side, and codes it when `int8`. `reach` is
+// padded by g.pad on every side, and codes it when `int8`. `reach` is
 // how far past an image's base its bands read: the table's largest
 // offset plus the widest rounded band. The buffer ends `reach` past the
 // last image's base, and that slack is zeroed, so no read lands outside
@@ -142,7 +183,7 @@ void code_int8(const double* x, int n, std::size_t x_image, std::size_t size,
 // channel), sharded over the pool like the band pass. With a `cache`
 // the buffer is the caller's (see detail::PaddedCache): built in full
 // when its batch size changes, else rewritten on the listed rows only.
-void build_padded(const double* x, int n, int c, int h, int w, int pad,
+void build_padded(const double* x, int n, int c, int h, int w,
                   std::size_t reach, std::size_t macs, bool int8,
                   util::ScratchArena& arena, PaddedInput& g,
                   detail::PaddedCache* cache = nullptr) {
@@ -151,7 +192,7 @@ void build_padded(const double* x, int n, int c, int h, int w, int pad,
   S2A_CHECK(cache == nullptr || !int8);
   const std::size_t body = static_cast<std::size_t>(n) * g.image;
   const std::size_t size = body - g.image + std::max(g.image, reach);
-  const int s = g.s;
+  const int s = g.s, pad = g.pad;
   const std::size_t in_hw = static_cast<std::size_t>(h) * w;
   // Plane (channel u, ry, rx), row qy: input row qy*s + ry - pad, whose
   // columns qx*s + rx - pad for qx in [jlo, jhi) are in the image.
@@ -422,109 +463,184 @@ void plan_full_rows(detail::OutputRows rows, int n, int oh, int ow,
 
 }  // namespace
 
-// Conv2D's forward and ConvTranspose2D's input gradient both run
-// through here.
+// Every conv forward runs through here: each layer's forward, every
+// FrozenConv stage and ConvTranspose2D's input gradient.
 //
 // The band space is the flattened (image, output-row) grid — one
 // parallel pass covers the whole batch, so a batched forward
 // (nn/batch.hpp, the fleet's cross-loop inference path) shards across
-// the batch axis instead of serializing per image. Each band of full
-// rows runs one GEMM into a private [m, round_up(ncols, NR)] tile, ncols
-// the band's stretch of the wide grid (rounded so every tile is a full
-// micro-tile), and copies the real columns of each row into y. The
-// listed partial rows run as one gathered GEMM (gather_tiles) in the
-// same pass. Bands and gathered sites are disjoint in y, so this is
-// bit-exact across thread counts, batch compositions and row lists. A
-// 1x1, stride-1, unpadded conv (the detector heads) needs no copy: its
-// one plane is x itself, its wide grid is y's, and a band's GEMM writes
-// y directly.
-std::size_t detail::conv_forward(const double* x, int n, int c, int h, int w,
-                                 int k, int s, int pad, const LoweredWeights& a,
-                                 const double* bias, ForwardScratch& scratch,
-                                 double* y, int oh, int ow,
-                                 util::ScratchArena& arena, OutputRows rows,
-                                 detail::PaddedCache* padded, Activation act) {
-  PaddedInput in = padded_geometry(c, h, w, s, pad, ow);
-  std::vector<std::ptrdiff_t>& boff = scratch.boff;
-  boff.clear();
-  for (int ic = 0; ic < c; ++ic)
-    for (int ky = 0; ky < k; ++ky)
-      for (int kx = 0; kx < k; ++kx)
-        boff.push_back(static_cast<std::ptrdiff_t>(
-            (static_cast<std::size_t>(ic * s + ky % s) * s + kx % s) *
-                in.plane +
-            static_cast<std::size_t>(ky / s) * in.wq + kx / s));
-  const bool direct = k == 1 && s == 1 && pad == 0;
-  const int nr = direct ? 1 : gemm_nr();
+// the batch axis instead of serializing per image. A band of full rows
+// runs one GEMM per phase into a private [cout, round_up(ncols, NR)]
+// tile, ncols the phase's stretch of the wide grid (rounded so every
+// tile is a full micro-tile), and copies the real columns of each of
+// the phase's rows into y, grid() apart. The listed partial rows run as
+// one gathered GEMM per phase (gather_tiles) in the same pass. Bands
+// and gathered sites are disjoint in y, so this is bit-exact across
+// thread counts, batch compositions and row lists. A 1x1, stride-1,
+// unpadded layer (the detector heads) needs no copy: its one plane is
+// x itself, its wide grid is y's, and a band's GEMM writes y directly.
+//
+// For a deconv, output pixel (oy, ox) gathers x(iy, ix) * w(ic, oc, ky,
+// kx) over the taps with oy = iy*s + ky - pad. Each phase's tap list
+// (detail::ConvLowering) drops the structural zeros a full-k GEMM would
+// multiply, which removes exact no-op additions from each element's
+// chain, and walks the scattering inputs in the direct scatter loop's
+// (ic, iy, ix) order, so the result stays bit-identical to it.
+std::size_t detail::lowered_forward(const ConvLowering& lw, const double* x,
+                                    int n, int h, int w,
+                                    const LoweredWeights* a,
+                                    const double* bias,
+                                    ForwardScratch& scratch, double* y,
+                                    util::ScratchArena& arena, OutputRows rows,
+                                    PaddedCache* padded, Activation act) {
+  const int oh = lw.out_size(h), ow = lw.out_size(w);
+  const int s = lw.grid(), cout = lw.cout;  // s: the phases' output step
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
-  const std::size_t macs = static_cast<std::size_t>(a.m) * a.kdim *
-                           static_cast<std::size_t>(n) * out_hw;
-  const bool int8 = a.q != nullptr;
+  const std::size_t phases = lw.rows.size();
+  const bool int8 = a[0].q != nullptr;  // every phase is int8, or none
+  const bool direct = lw.k == 1 && lw.s == 1 && lw.pad == 0;
+  const int nr = direct ? 1 : gemm_nr();
+  PaddedInput in = padded_geometry(lw, h, w, ow);
+  std::vector<std::ptrdiff_t>& boff = scratch.boff;
+  tap_table(lw, in, boff);
+  const std::size_t macs = static_cast<std::size_t>(n) * lw.macs_for(h, w);
   if (direct) {
     in.data = x;
     if (int8)
       code_int8(x, n, in.image, static_cast<std::size_t>(n) * in.image, arena,
                 in);
   } else {
-    const std::size_t reach =
-        static_cast<std::size_t>(*std::max_element(boff.begin(), boff.end())) +
-        static_cast<std::size_t>(oh) * in.wq + nr - 1;
-    build_padded(x, n, c, h, w, pad, reach, macs, int8, arena, in, padded);
+    // How far past an image's base a band reads: each phase's largest
+    // offset plus its widest band.
+    std::size_t reach = 0, seg = 0;
+    for (std::size_t ph = 0; ph < phases; ++ph) {
+      const std::size_t kdim = lw.rows[ph].size();
+      if (kdim > 0)
+        reach = std::max(
+            reach,
+            static_cast<std::size_t>(*std::max_element(
+                boff.begin() + static_cast<std::ptrdiff_t>(seg),
+                boff.begin() + static_cast<std::ptrdiff_t>(seg + kdim))) +
+                static_cast<std::size_t>(lw.count(static_cast<int>(ph) / s,
+                                                  oh)) *
+                    in.wq +
+                nr - 1);
+      seg += kdim;
+    }
+    build_padded(x, n, lw.cin, h, w, reach, macs, int8, arena, in, padded);
   }
 
-  // The partial rows: one run per span, tap 0 of site (oy, x0) at wide
-  // grid column oy*wq + x0 of image b's planes.
+  // The partial rows, one gathered GEMM per phase: a span's sites in
+  // phase (py, px) are one run along its phase row, output column
+  // ox0 + xi*s at phase column xi.
   plan_full_rows(rows, n, oh, ow, scratch);
-  GatherGemm g{a, 0, 0, 0, 0};
-  for (std::size_t p = 0; p < rows.count && rows.spans != nullptr; ++p) {
-    const RowSpan& sp = rows.spans[p];
-    if (sp.x0 == 0 && sp.x1 == ow) continue;
-    const std::size_t b = static_cast<std::size_t>(sp.unit / oh),
-                      oy = static_cast<std::size_t>(sp.unit % oh);
-    scratch.runs.push_back(
-        {b * in.image + oy * in.wq + static_cast<std::size_t>(sp.x0), g.cols,
-         y + b * a.m * out_hw + oy * ow + sp.x0, sp.x1 - sp.x0, 1});
-    g.cols += static_cast<std::size_t>(sp.x1 - sp.x0);
-  }
-  g.run1 = scratch.runs.size();
-  if (g.cols > 0) {
+  std::size_t tap = 0;  // each phase's slice of boff
+  for (std::size_t ph = 0; ph < phases && rows.spans != nullptr; ++ph) {
+    const int py = static_cast<int>(ph) / s, px = static_cast<int>(ph) % s;
+    GatherGemm g{a[ph], tap, scratch.runs.size(), 0, 0};
+    tap += static_cast<std::size_t>(a[ph].kdim);
+    const int ox0 = lw.first(px);
+    for (std::size_t p = 0; p < rows.count; ++p) {
+      const RowSpan& sp = rows.spans[p];
+      const int oy = sp.unit % oh;
+      if ((sp.x0 == 0 && sp.x1 == ow) || (oy + lw.pad) % s != py) continue;
+      const int xi0 = sp.x0 > ox0 ? (sp.x0 - ox0 + s - 1) / s : 0;
+      const int xi1 = std::min(lw.count(px, ow),
+                               sp.x1 > ox0 ? (sp.x1 - ox0 + s - 1) / s : 0);
+      if (xi1 <= xi0) continue;
+      const std::size_t b = static_cast<std::size_t>(sp.unit / oh);
+      scratch.runs.push_back(
+          {b * in.image +
+               static_cast<std::size_t>((oy - lw.first(py)) / s) * in.wq + xi0,
+           g.cols,
+           y + b * cout * out_hw + static_cast<std::size_t>(oy) * ow + ox0 +
+               static_cast<std::size_t>(xi0) * s,
+           xi1 - xi0, s});
+      g.cols += static_cast<std::size_t>(xi1 - xi0);
+    }
+    g.run1 = scratch.runs.size();
+    if (g.cols == 0) continue;
     S2A_CHECK_MSG(!int8, "partial output rows need float weights");
     scratch.gemms.push_back(g);
   }
 
-  // A band never crosses an image boundary, so its GEMM reads the
-  // planes of one image; its sites are the wide-grid columns from
-  // oy_lo*wq to (oy_hi-1)*wq + ow, one contiguous stretch.
+  // One band of full rows of one image: every phase subgrid intersecting
+  // output rows [oy_lo, oy_hi) of image b gets its GEMM. A band never
+  // crosses an image boundary, so its GEMMs read the planes of one
+  // image.
   return run_sites(
       n, oh, ow, macs, scratch, in, bias, act, arena,
       [&](int b, int oy_lo, int oy_hi,
           util::ScratchArena& band_arena) -> std::size_t {
-        const int nrows = oy_hi - oy_lo;
-        const int span = (nrows - 1) * in.wq + ow;
-        double* yb = y + static_cast<std::size_t>(b) * a.m * out_hw +
-                     static_cast<std::size_t>(oy_lo) * ow;
-        const std::size_t base = static_cast<std::size_t>(b) * in.image +
-                                 static_cast<std::size_t>(oy_lo) * in.wq;
+        double* yb = y + static_cast<std::size_t>(b) * cout * out_hw;
         if (direct) {
-          band_gemm(a, in, b, boff.data(), base, span, bias, yb, out_hw);
-          for (int oc = 0; oc < a.m && act != nullptr; ++oc)
+          const int span = (oy_hi - oy_lo) * ow;
+          yb += static_cast<std::size_t>(oy_lo) * ow;
+          band_gemm(a[0], in, b, boff.data(),
+                    static_cast<std::size_t>(b) * in.image +
+                        static_cast<std::size_t>(oy_lo) * ow,
+                    span, bias, yb, out_hw);
+          for (int oc = 0; oc < cout && act != nullptr; ++oc)
             act(yb + static_cast<std::size_t>(oc) * out_hw,
                 static_cast<std::size_t>(span));
           return static_cast<std::size_t>(span);
         }
-        const int ncols = round_up(span, nr);
-        double* tile = band_arena.alloc(static_cast<std::size_t>(a.m) * ncols);
-        band_gemm(a, in, b, boff.data(), base, ncols, bias, tile,
-                  static_cast<std::size_t>(ncols));
-        if (act != nullptr) act(tile, static_cast<std::size_t>(a.m) * ncols);
-        for (int oc = 0; oc < a.m; ++oc)
-          for (int r = 0; r < nrows; ++r)
-            std::copy_n(tile + static_cast<std::size_t>(oc) * ncols +
-                            static_cast<std::size_t>(r) * in.wq,
-                        ow,
-                        yb + static_cast<std::size_t>(oc) * out_hw +
-                            static_cast<std::size_t>(r) * ow);
-        return static_cast<std::size_t>(ncols);
+        std::size_t done = 0;
+        std::size_t seg = 0;  // this phase's slice of boff
+        for (std::size_t ph = 0; ph < phases; ++ph) {
+          const int py = static_cast<int>(ph) / s, px = static_cast<int>(ph) % s;
+          const int kdim = a[ph].kdim;
+          const std::ptrdiff_t* table = boff.data() + seg;
+          seg += static_cast<std::size_t>(kdim);
+          // This phase's output subgrid within the band: rows
+          // oy0, oy0+s, ... and columns ox0, ox0+s, ...
+          int oy0 = oy_lo;
+          while (oy0 < oy_hi && (oy0 + lw.pad) % s != py) ++oy0;
+          const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
+          const int ox0 = lw.first(px);
+          const int nx = lw.count(px, ow);
+          if (ny == 0 || nx <= 0) continue;
+          const auto yrow = [&](int oc, int yi) {
+            return yb + static_cast<std::size_t>(oc) * out_hw +
+                   static_cast<std::size_t>(oy0 + yi * s) * ow + ox0;
+          };
+
+          if (kdim == 0) {
+            // No tap reaches this phase: those pixels are pure bias.
+            for (int oc = 0; oc < cout; ++oc) {
+              double v = bias != nullptr ? bias[oc] : 0.0;
+              if (act != nullptr) act(&v, 1);
+              for (int yi = 0; yi < ny; ++yi) {
+                double* yr = yrow(oc, yi);
+                for (int xi = 0; xi < nx; ++xi) yr[xi * s] = v;
+              }
+            }
+            continue;
+          }
+
+          const std::size_t base =
+              static_cast<std::size_t>(b) * in.image +
+              static_cast<std::size_t>((oy0 - lw.first(py)) / s) * in.wq;
+          const int ncols = round_up((ny - 1) * in.wq + nx, nr);
+          double* tile =
+              band_arena.alloc(static_cast<std::size_t>(cout) * ncols);
+          band_gemm(a[ph], in, b, table, base, ncols, bias, tile,
+                    static_cast<std::size_t>(ncols));
+          if (act != nullptr) act(tile, static_cast<std::size_t>(cout) * ncols);
+          done += static_cast<std::size_t>(ncols);
+          for (int oc = 0; oc < cout; ++oc) {
+            const double* trow = tile + static_cast<std::size_t>(oc) * ncols;
+            for (int yi = 0; yi < ny; ++yi) {
+              double* yr = yrow(oc, yi);
+              const double* tsrc = trow + static_cast<std::size_t>(yi) * in.wq;
+              if (s == 1)
+                std::copy_n(tsrc, nx, yr);
+              else
+                for (int xi = 0; xi < nx; ++xi) yr[xi * s] = tsrc[xi];
+            }
+          }
+        }
+        return done;
       });
 }
 
@@ -556,69 +672,138 @@ Tensor conv_weight_init(int c0, int c1, int k, Rng& rng) {
 
 }  // namespace
 
-Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
-               int padding, Rng& rng)
-    : cin_(in_channels),
-      cout_(out_channels),
-      k_(kernel),
-      stride_(stride),
-      pad_(padding),
-      w_(conv_weight_init(out_channels, in_channels, kernel, rng)),
-      b_({out_channels}),
-      gw_({out_channels, in_channels, kernel, kernel}),
-      gb_({out_channels}) {
-  S2A_CHECK(kernel > 0 && stride > 0 && padding >= 0);
+// ---- ConvLowering ----
+
+detail::ConvLowering detail::conv_lowering(int cin, int cout, int k, int s,
+                                           int pad) {
+  S2A_CHECK(k > 0 && s > 0 && pad >= 0);
+  const std::size_t kdim = static_cast<std::size_t>(im2col_rows(cin, k));
+  ConvLowering lw{cin, cout, k, s, pad, false, kdim, {{}}, {}};
+  for (std::size_t r = 0; r < kdim; ++r) lw.rows[0].push_back(r);
+  return lw;
 }
 
-Tensor Conv2D::forward(const Tensor& x) {
+detail::ConvLowering detail::deconv_lowering(int cin, int cout, int k, int s,
+                                             int pad) {
+  S2A_CHECK(k > 0 && s > 0 && pad >= 0);
+  ConvLowering lw{cin, cout, k, s, pad, true,
+                  static_cast<std::size_t>(k) * k, {}, {}};
+  lw.taps.resize(static_cast<std::size_t>(s));
+  for (int p = 0; p < s; ++p)
+    for (int t = k - 1; t >= 0; --t)
+      if (t % s == p) lw.taps[static_cast<std::size_t>(p)].push_back(t);
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      auto& rows = lw.rows.emplace_back();
+      for (int ic = 0; ic < cin; ++ic)
+        for (int ky : lw.taps[static_cast<std::size_t>(py)])
+          for (int kx : lw.taps[static_cast<std::size_t>(px)])
+            rows.push_back((static_cast<std::size_t>(ic) * cout * k + ky) * k +
+                           kx);
+    }
+  return lw;
+}
+
+std::size_t detail::ConvLowering::macs_for(int h, int w) const {
+  const std::size_t sites =
+      transposed ? static_cast<std::size_t>(h) * w
+                 : static_cast<std::size_t>(out_size(h)) * out_size(w);
+  return static_cast<std::size_t>(cin) * cout * k * k * sites;
+}
+
+std::size_t detail::ConvLowering::packed_size() const {
+  std::size_t total = 0;
+  for (const auto& r : rows)
+    total += packed_a_size(cout, static_cast<int>(r.size()));
+  return total;
+}
+
+void detail::ConvLowering::pack(const double* w, double* out,
+                                LoweredWeights* a) const {
+  for (std::size_t ph = 0; ph < rows.size(); ++ph) {
+    const int kdim = static_cast<int>(rows[ph].size());
+    a[ph] = {cout, kdim, kdim > 0 ? out : nullptr, nullptr};
+    pack_a_indexed(w, row_stride, rows[ph].data(), cout, kdim, out);
+    out += packed_a_size(cout, kdim);
+  }
+}
+
+std::vector<QuantizedMatrix> detail::ConvLowering::quantize(
+    const double* w) const {
+  std::vector<QuantizedMatrix> q;
+  std::vector<double> m;
+  for (const auto& r : rows) {
+    const int kdim = static_cast<int>(r.size());
+    m.resize(static_cast<std::size_t>(cout) * r.size());
+    for (int oc = 0; oc < cout; ++oc)
+      for (std::size_t j = 0; j < r.size(); ++j)
+        m[static_cast<std::size_t>(oc) * r.size() + j] =
+            w[static_cast<std::size_t>(oc) * row_stride + r[j]];
+    q.push_back(quantize_rows(m.data(), kdim, cout, kdim));
+  }
+  return q;
+}
+
+// ---- ConvLayer ----
+
+ConvLayer::ConvLayer(detail::ConvLowering lowering, int c0, int c1,
+                     const char* backward_span, Rng& rng)
+    : lowering_(std::move(lowering)),
+      w_(conv_weight_init(c0, c1, lowering_.k, rng)),
+      b_({lowering_.cout}),
+      gw_({c0, c1, lowering_.k, lowering_.k}),
+      gb_({lowering_.cout}),
+      backward_span_(backward_span),
+      a_(lowering_.rows.size()) {}
+
+Tensor ConvLayer::forward(const Tensor& x) {
   last_x_ = x;
   return apply(x);
 }
 
-Tensor Conv2D::infer(Tensor x) { return apply(x); }
+Tensor ConvLayer::infer(Tensor x) { return apply(x); }
 
-Tensor Conv2D::apply(const Tensor& x) {
-  S2A_CHECK_MSG(x.shape().size() == 4 && x.dim(1) == cin_,
-                "Conv2D expects [N," << cin_ << ",H,W]");
+// The weight panels are packed ONCE per call, covering every image:
+// weights move between forwards during training, so the layer keeps no
+// packed panel across calls (nn::FrozenConv keeps a content-keyed one)
+// — O(cout * cin * k^2), noise next to the GEMM itself.
+Tensor ConvLayer::apply(const Tensor& x) {
+  S2A_CHECK_MSG(x.shape().size() == 4 && x.dim(1) == in_channels(),
+                "conv layer expects [N," << in_channels() << ",H,W]");
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK_MSG(oh > 0 && ow > 0, "conv output collapsed to zero");
-  last_out_hw_ = static_cast<std::size_t>(oh) * ow;
+  last_macs_ = macs_for(h, w);
 
-  Tensor y({n, cout_, oh, ow});
-  forward_gemm(x, y, n, h, w, oh, ow);
+  Tensor y({n, out_channels(), oh, ow});
+  arena_.reset();
+  double* wp = arena_.alloc(lowering_.packed_size());
+  lowering_.pack(w_.data(), wp, a_.data());
+  detail::lowered_forward(lowering_, x.data(), n, h, w, a_.data(), b_.data(),
+                          scratch_, y.data(), arena_);
   return y;
 }
 
-// Padded-input + blocked-GEMM path (conv_forward above). The weight
-// panel is packed ONCE per call, covering every image: weights move
-// between forwards during training, so the layer keeps no packed panel
-// across calls (nn::FrozenConv keeps a content-keyed one) — O(cout *
-// cin * k^2), noise next to the GEMM itself.
-void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
-                          int oh, int ow) {
-  const int kdim = im2col_rows(cin_, k_);
-  arena_.reset();
-  double* wp = arena_.alloc(packed_a_size(cout_, kdim));
-  pack_a(w_.data(), kdim, cout_, kdim, wp);
-  detail::conv_forward(x.data(), n, cin_, h, w, k_, stride_, pad_,
-                       LoweredWeights{cout_, kdim, wp, nullptr}, b_.data(),
-                       scratch_, y.data(), oh, ow, arena_);
-}
-
-Tensor Conv2D::backward(const Tensor& grad_out) {
-  S2A_TRACE_SCOPE_CAT("nn.conv_backward", "nn");
+Tensor ConvLayer::backward(const Tensor& grad_out) {
+  S2A_TRACE_SCOPE_CAT(backward_span_, "nn");
   S2A_CHECK(!last_x_.empty());
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
-  S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
-            grad_out.dim(2) == oh && grad_out.dim(3) == ow);
+  S2A_CHECK(grad_out.shape().size() == 4 &&
+            grad_out.dim(1) == out_channels() && grad_out.dim(2) == oh &&
+            grad_out.dim(3) == ow);
 
   accumulate_bias_grad(grad_out, gb_);
-  Tensor dx({n, cin_, h, w});
+  Tensor dx({n, in_channels(), h, w});
   backward_gemm(grad_out, dx, n, h, w, oh, ow);
   return dx;
 }
+
+Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
+               int padding, Rng& rng)
+    : ConvLayer(detail::conv_lowering(in_channels, out_channels, kernel,
+                                      stride, padding),
+                out_channels, in_channels, "nn.conv_backward", rng) {}
 
 // GEMM backward. Per image, with colt = im2col_t(x_b), the patch
 // matrix of x_b, transposed:
@@ -632,44 +817,45 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 // the test oracle's direct loops at every thread count.
 void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
                            int w, int oh, int ow) {
-  const int kdim = im2col_rows(cin_, k_);
+  const int cin = in_channels(), cout = out_channels(), k = kernel();
+  const int kdim = im2col_rows(cin, k);
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   const std::size_t in_hw = static_cast<std::size_t>(h) * w;
   arena_.reset();
   // Root allocations happen on the calling thread before any parallel
   // section; tasks only read them (or write disjoint slices).
-  double* wt = arena_.alloc(static_cast<std::size_t>(kdim) * cout_);
-  transpose(w_.data(), cout_, kdim, wt);
-  double* wtp = arena_.alloc(packed_a_size(kdim, cout_));
-  pack_a(wt, cout_, kdim, cout_, wtp);
+  double* wt = arena_.alloc(static_cast<std::size_t>(kdim) * cout);
+  transpose(w_.data(), cout, kdim, wt);
+  double* wtp = arena_.alloc(packed_a_size(kdim, cout));
+  pack_a(wt, cout, kdim, cout, wtp);
   double* colt = arena_.alloc(out_hw * static_cast<std::size_t>(kdim));
-  double* gpk = arena_.alloc(packed_a_size(cout_, static_cast<int>(out_hw)));
+  double* gpk = arena_.alloc(packed_a_size(cout, static_cast<int>(out_hw)));
   double* dcol = arena_.alloc(static_cast<std::size_t>(kdim) * out_hw);
 
-  const std::size_t macs = static_cast<std::size_t>(cout_) * kdim *
+  const std::size_t macs = static_cast<std::size_t>(cout) * kdim *
                            static_cast<std::size_t>(n) * out_hw;
   for (int b = 0; b < n; ++b) {
     const double* gb =
-        grad_out.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
+        grad_out.data() + static_cast<std::size_t>(b) * cout * out_hw;
     const double* xb =
-        last_x_.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
-    double* dxb = dx.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
+        last_x_.data() + static_cast<std::size_t>(b) * cin * in_hw;
+    double* dxb = dx.data() + static_cast<std::size_t>(b) * cin * in_hw;
 
     // colt: bands of output rows write disjoint row ranges.
     parallel_bands(static_cast<std::size_t>(oh), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
-                     im2col_t(xb, cin_, h, w, k_, stride_, pad_, ow,
+                     im2col_t(xb, cin, h, w, k, stride(), padding(), ow,
                               static_cast<int>(lo), static_cast<int>(hi),
                               colt + lo * ow * kdim);
                    });
 
     // gW += G_b x colt, striped over gW columns: each element's whole
     // per-image reduction (ascending output pixels) runs in one stripe.
-    pack_a(gb, static_cast<int>(out_hw), cout_, static_cast<int>(out_hw),
+    pack_a(gb, static_cast<int>(out_hw), cout, static_cast<int>(out_hw),
            gpk);
     parallel_bands(static_cast<std::size_t>(kdim), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
-                     gemm_packed(cout_, static_cast<int>(hi - lo),
+                     gemm_packed(cout, static_cast<int>(hi - lo),
                                  static_cast<int>(out_hw), gpk, colt + lo,
                                  kdim, gw_.data() + lo, kdim);
                    });
@@ -683,7 +869,7 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
                        std::fill_n(
                            dcol + static_cast<std::size_t>(r) * out_hw + lo,
                            hi - lo, 0.0);
-                     gemm_packed(kdim, static_cast<int>(hi - lo), cout_, wtp,
+                     gemm_packed(kdim, static_cast<int>(hi - lo), cout, wtp,
                                  gb + lo, static_cast<int>(out_hw), dcol + lo,
                                  static_cast<int>(out_hw));
                    });
@@ -692,281 +878,20 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
     // all of its (ky, kx) addends inside one band.
     parallel_bands(static_cast<std::size_t>(h), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
-                     col2im_band(dcol, cin_, h, w, k_, stride_, pad_, ow,
+                     col2im_band(dcol, cin, h, w, k, stride(), padding(), ow,
                                  static_cast<int>(lo), static_cast<int>(hi),
                                  dxb);
                    });
   }
 }
 
-std::size_t Conv2D::macs_per_sample() const {
-  return static_cast<std::size_t>(cout_) * cin_ * k_ * k_ * last_out_hw_;
-}
-
-detail::DeconvPhases detail::deconv_phases(int cin, int cout, int k, int s) {
-  // Phase p reads the kernel offsets t with t % s == p. Each list is
-  // descending, so ascending list order is ascending source row (or
-  // column) — the direct scatter's order.
-  DeconvPhases ph;
-  ph.taps.resize(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k - 1; t >= 0; --t)
-      if (t % s == p) ph.taps[static_cast<std::size_t>(p)].push_back(t);
-  ph.rows.resize(static_cast<std::size_t>(s) * s);
-  for (int py = 0; py < s; ++py)
-    for (int px = 0; px < s; ++px) {
-      auto& rows = ph.rows[static_cast<std::size_t>(py) * s + px];
-      for (int ic = 0; ic < cin; ++ic) {
-        const std::size_t plane = static_cast<std::size_t>(ic) * cout * k * k;
-        for (int ky : ph.taps[static_cast<std::size_t>(py)])
-          for (int kx : ph.taps[static_cast<std::size_t>(px)])
-            rows.push_back(plane + static_cast<std::size_t>(ky) * k + kx);
-      }
-    }
-  return ph;
-}
-
 ConvTranspose2D::ConvTranspose2D(int in_channels, int out_channels, int kernel,
                                  int stride, int padding, Rng& rng)
-    : cin_(in_channels),
-      cout_(out_channels),
-      k_(kernel),
-      stride_(stride),
-      pad_(padding),
-      w_(conv_weight_init(in_channels, out_channels, kernel, rng)),
-      b_({out_channels}),
-      gw_({in_channels, out_channels, kernel, kernel}),
-      gb_({out_channels}) {
-  S2A_CHECK(kernel > 0 && stride > 0 && padding >= 0);
-  phases_ = detail::deconv_phases(cin_, cout_, k_, stride_);
-}
-
-Tensor ConvTranspose2D::forward(const Tensor& x) {
-  last_x_ = x;
-  return apply(x);
-}
-
-Tensor ConvTranspose2D::infer(Tensor x) { return apply(x); }
-
-Tensor ConvTranspose2D::apply(const Tensor& x) {
-  S2A_CHECK(x.shape().size() == 4 && x.dim(1) == cin_);
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = out_size(h), ow = out_size(w);
-  S2A_CHECK(oh > 0 && ow > 0);
-  last_in_hw_ = static_cast<std::size_t>(h) * w;
-
-  Tensor y({n, cout_, oh, ow});
-  forward_gemm(x, y, n, h, w, oh, ow);
-  return y;
-}
-
-// Deconv as sub-pixel phase convolutions over one padded input.
-//
-// Output pixel (oy, ox) gathers x(iy, ix) * w(ic, oc, ky, kx) over the
-// taps with oy = iy*s + ky - pad. Walking each tap list in descending
-// kernel offset visits the scattering inputs in exactly the direct
-// scatter loop's (ic, iy, ix) order, so the GEMM chain matches the
-// scatter per element.
-//
-// For stride s > 1 only taps with ky % s == (oy+pad) % s (and likewise
-// for x) reach an output pixel — a full-K GEMM would spend (s*s-1)/(s*s)
-// of its MACs multiplying structural zeros. So the output is split into
-// its s*s sub-pixel phase grids, each with a dense tap list and its own
-// weight panel (packed through the phase's row table, see
-// detail::DeconvPhases). Within phase (py, px), output row oyf + yi*s
-// reads input row (oyf + pad - ky)/s + yi for tap ky (oyf: the phase's
-// first output row), and likewise for columns: each phase is a stride-1
-// convolution over the input zero-padded by P = floor((k-1-pad)/s) —
-// tap ky reads input rows from (oyf + pad - ky)/s >= -(k-1-pad)/s on —
-// with its own shape-only tap table into that one buffer (see
-// PaddedInput). Each
-// phase runs one GEMM per band of full rows into a scratch tile on the
-// phase's wide grid, and the strided scatter onto y copies the nx real
-// columns of each row; the listed partial rows' sites of each phase run
-// as that phase's gathered GEMM. Stride 1 is the one-phase case.
-// Dropping the structural zeros removes exact no-op additions from each
-// element's chain, so the result stays bit-identical to the direct
-// scatter.
-std::size_t detail::deconv_forward(const double* x, int n, int cin, int h,
-                                   int w, int cout, int k, int s, int pad,
-                                   const DeconvPhases& phases,
-                                   const LoweredWeights* a, const double* bias,
-                                   ForwardScratch& scratch, double* y, int oh,
-                                   int ow, util::ScratchArena& arena,
-                                   OutputRows rows, detail::PaddedCache* padded,
-                                   Activation act) {
-  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
-  const bool int8 = a[0].q != nullptr;  // every phase is int8, or none
-
-  // The first output row (or column) of phase p, and how many of the
-  // `extent` output rows the phase holds.
-  const auto first = [&](int p) { return ((p - pad) % s + s) % s; };
-  const auto count = [&](int p, int extent) {
-    return first(p) < extent ? (extent - first(p) + s - 1) / s : 0;
-  };
-  const int pad_in = std::max(0, k - 1 - pad) / s;
-  PaddedInput in = padded_geometry(cin, h, w, 1, pad_in, (ow + s - 1) / s);
-  const int nr = gemm_nr();
-  // Tap tables, phase after phase in (py, px) order, each in the rows'
-  // (ic, jy, jx) order; `reach` covers the widest band of any phase.
-  std::vector<std::ptrdiff_t>& boff = scratch.boff;
-  boff.clear();
-  std::size_t reach = 0;
-  for (int py = 0; py < s; ++py)
-    for (int px = 0; px < s; ++px) {
-      const std::size_t seg = boff.size();
-      for (int ic = 0; ic < cin; ++ic)
-        for (const int ky : phases.taps[static_cast<std::size_t>(py)])
-          for (const int kx : phases.taps[static_cast<std::size_t>(px)])
-            boff.push_back(static_cast<std::ptrdiff_t>(
-                static_cast<std::size_t>(ic) * in.plane +
-                static_cast<std::size_t>(pad_in + (first(py) + pad - ky) / s) *
-                    in.wq +
-                static_cast<std::size_t>(pad_in + (first(px) + pad - kx) / s)));
-      if (boff.size() == seg) continue;
-      reach = std::max(
-          reach, static_cast<std::size_t>(*std::max_element(
-                     boff.begin() + static_cast<std::ptrdiff_t>(seg),
-                     boff.end())) +
-                     static_cast<std::size_t>(count(py, oh)) * in.wq + nr - 1);
-    }
-  const std::size_t macs = static_cast<std::size_t>(cin) * cout * k * k *
-                           static_cast<std::size_t>(n) * h * w;
-  build_padded(x, n, cin, h, w, pad_in, reach, macs, int8, arena, in,
-               padded);
-
-  // The partial rows, one gathered GEMM per phase: a span's sites in
-  // phase (py, px) are one run along its phase row, output column
-  // ox0 + xi*s at phase column xi.
-  plan_full_rows(rows, n, oh, ow, scratch);
-  std::size_t tap = 0;  // each phase's slice of boff
-  for (int py = 0; py < s && rows.spans != nullptr; ++py)
-    for (int px = 0; px < s; ++px) {
-      const std::size_t ph = static_cast<std::size_t>(py) * s + px;
-      GatherGemm g{a[ph], tap, scratch.runs.size(), 0, 0};
-      tap += static_cast<std::size_t>(a[ph].kdim);
-      const int ox0 = first(px);
-      for (std::size_t p = 0; p < rows.count; ++p) {
-        const RowSpan& sp = rows.spans[p];
-        const int oy = sp.unit % oh;
-        if ((sp.x0 == 0 && sp.x1 == ow) || (oy + pad) % s != py) continue;
-        const int xi0 = sp.x0 > ox0 ? (sp.x0 - ox0 + s - 1) / s : 0;
-        const int xi1 = std::min(count(px, ow),
-                                 sp.x1 > ox0 ? (sp.x1 - ox0 + s - 1) / s : 0);
-        if (xi1 <= xi0) continue;
-        const std::size_t b = static_cast<std::size_t>(sp.unit / oh);
-        scratch.runs.push_back(
-            {b * in.image +
-                 static_cast<std::size_t>((oy - first(py)) / s) * in.wq + xi0,
-             g.cols,
-             y + b * cout * out_hw + static_cast<std::size_t>(oy) * ow + ox0 +
-                 static_cast<std::size_t>(xi0) * s,
-             xi1 - xi0, s});
-        g.cols += static_cast<std::size_t>(xi1 - xi0);
-      }
-      g.run1 = scratch.runs.size();
-      if (g.cols == 0) continue;
-      S2A_CHECK_MSG(!int8, "partial output rows need float weights");
-      scratch.gemms.push_back(g);
-    }
-
-  // One band of full rows of one image: every phase subgrid intersecting
-  // output rows [oy_lo, oy_hi) of image b gets its GEMM.
-  return run_sites(
-      n, oh, ow, macs, scratch, in, bias, act, arena,
-      [&](int b, int oy_lo, int oy_hi,
-          util::ScratchArena& band_arena) -> std::size_t {
-    double* yb = y + static_cast<std::size_t>(b) * cout * out_hw;
-    std::size_t done = 0;
-    std::size_t seg = 0;  // this phase's slice of boff
-    for (int py = 0; py < s; ++py)
-      for (int px = 0; px < s; ++px) {
-        const std::size_t ph = static_cast<std::size_t>(py) * s + px;
-        const int kdim = a[ph].kdim;
-        const std::ptrdiff_t* table = boff.data() + seg;
-        seg += static_cast<std::size_t>(kdim);
-        // This phase's output subgrid within the band: rows
-        // oy0, oy0+s, ... and columns ox0, ox0+s, ...
-        int oy0 = oy_lo;
-        while (oy0 < oy_hi && (oy0 + pad) % s != py) ++oy0;
-        const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
-        const int ox0 = first(px);
-        const int nx = count(px, ow);
-        if (ny == 0 || nx <= 0) continue;
-        const auto yrow = [&](int oc, int yi) {
-          return yb + static_cast<std::size_t>(oc) * out_hw +
-                 static_cast<std::size_t>(oy0 + yi * s) * ow + ox0;
-        };
-
-        if (kdim == 0) {
-          // No tap reaches this phase (kernel shorter than the stride):
-          // those pixels are pure bias.
-          for (int oc = 0; oc < cout; ++oc) {
-            double v = bias[static_cast<std::size_t>(oc)];
-            if (act != nullptr) act(&v, 1);
-            for (int yi = 0; yi < ny; ++yi) {
-              double* yr = yrow(oc, yi);
-              for (int xi = 0; xi < nx; ++xi) yr[xi * s] = v;
-            }
-          }
-          continue;
-        }
-
-        const std::size_t base =
-            static_cast<std::size_t>(b) * in.image +
-            static_cast<std::size_t>((oy0 - first(py)) / s) * in.wq;
-        const int ncols = round_up((ny - 1) * in.wq + nx, nr);
-        double* tile = band_arena.alloc(static_cast<std::size_t>(cout) * ncols);
-        band_gemm(a[ph], in, b, table, base, ncols, bias, tile,
-                  static_cast<std::size_t>(ncols));
-        if (act != nullptr) act(tile, static_cast<std::size_t>(cout) * ncols);
-        done += static_cast<std::size_t>(ncols);
-        for (int oc = 0; oc < cout; ++oc) {
-          const double* trow = tile + static_cast<std::size_t>(oc) * ncols;
-          for (int yi = 0; yi < ny; ++yi) {
-            double* yr = yrow(oc, yi);
-            const double* tsrc = trow + static_cast<std::size_t>(yi) * in.wq;
-            for (int xi = 0; xi < nx; ++xi) yr[xi * s] = tsrc[xi];
-          }
-        }
-      }
-    return done;
-  });
-}
-
-// Packed weight panel per (py, px) phase: one indexed copy of w_, rows
-// (ic, jy, jx) matching the phase's tap table.
-void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
-                                   int w, int oh, int ow) {
-  const std::size_t kk2 = static_cast<std::size_t>(k_) * k_;
-  arena_.reset();
-  std::vector<LoweredWeights> a(phases_.rows.size());
-  for (std::size_t ph = 0; ph < a.size(); ++ph) {
-    const auto& rows = phases_.rows[ph];
-    a[ph] = {cout_, static_cast<int>(rows.size()), nullptr, nullptr};
-    if (rows.empty()) continue;
-    double* wp = arena_.alloc(packed_a_size(cout_, a[ph].kdim));
-    pack_a_indexed(w_.data(), kk2, rows.data(), cout_, a[ph].kdim, wp);
-    a[ph].packed = wp;
-  }
-  detail::deconv_forward(x.data(), n, cin_, h, w, cout_, k_, stride_, pad_,
-                         phases_, a.data(), b_.data(), scratch_, y.data(), oh,
-                         ow, arena_);
-}
-
-Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
-  S2A_TRACE_SCOPE_CAT("nn.deconv_backward", "nn");
-  S2A_CHECK(!last_x_.empty());
-  const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
-  const int oh = out_size(h), ow = out_size(w);
-  S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
-            grad_out.dim(2) == oh && grad_out.dim(3) == ow);
-
-  accumulate_bias_grad(grad_out, gb_);
-  Tensor dx({n, cin_, h, w});
-  backward_gemm(grad_out, dx, n, h, w, oh, ow);
-  return dx;
-}
+    : ConvLayer(detail::deconv_lowering(in_channels, out_channels, kernel,
+                                        stride, padding),
+                in_channels, out_channels, "nn.deconv_backward", rng),
+      adjoint_(detail::conv_lowering(out_channels, in_channels, kernel, stride,
+                                     padding)) {}
 
 // GEMM backward. The deconv's backward-input pass is a *plain* strided
 // convolution of grad_out with the un-flipped kernel (W viewed as
@@ -975,59 +900,56 @@ Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
 // needed — unlike the forward there are no structural zeros to skip.
 //   gW += X_b x im2col_t(G_b)  (per image; reduction over input pixels,
 //                               ascending)
-//   dx = conv_forward(G, W)    (the whole batch, banded over input rows
-//                               like Conv2D's forward; each element's
-//                               chain starts from 0 like the direct
-//                               loop's acc)
+//   dx = adjoint_'s forward on G (the whole batch, banded over input
+//                               rows like Conv2D's forward; each
+//                               element's chain starts from 0 like the
+//                               direct loop's acc)
 // Same sharding rules as Conv2D::backward_gemm, so bit-identical to the
 // direct loops at every thread count.
 void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
                                     int n, int h, int w, int oh, int ow) {
-  const int kdim = im2col_rows(cout_, k_);
+  const int cin = in_channels(), cout = out_channels(), k = kernel();
+  const int kdim = im2col_rows(cout, k);
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   const std::size_t in_hw = static_cast<std::size_t>(h) * w;
   arena_.reset();
   // w_ is [Cin, Cout, k, k] row-major — already the [cin, kdim] A matrix
   // of the adjoint convolution; no transpose needed.
-  double* wp = arena_.alloc(packed_a_size(cin_, kdim));
-  pack_a(w_.data(), kdim, cin_, kdim, wp);
+  double* wp = arena_.alloc(adjoint_.packed_size());
+  detail::LoweredWeights a;
+  adjoint_.pack(w_.data(), wp, &a);
   double* colt = arena_.alloc(in_hw * static_cast<std::size_t>(kdim));
-  double* xpk = arena_.alloc(packed_a_size(cin_, static_cast<int>(in_hw)));
+  double* xpk = arena_.alloc(packed_a_size(cin, static_cast<int>(in_hw)));
 
-  const std::size_t macs = static_cast<std::size_t>(cin_) * kdim *
+  const std::size_t macs = static_cast<std::size_t>(cin) * kdim *
                            static_cast<std::size_t>(n) * in_hw;
   for (int b = 0; b < n; ++b) {
     const double* gb =
-        grad_out.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
+        grad_out.data() + static_cast<std::size_t>(b) * cout * out_hw;
     const double* xb =
-        last_x_.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
+        last_x_.data() + static_cast<std::size_t>(b) * cin * in_hw;
 
     // im2col_t(G_b) over the adjoint-conv geometry: its "output" pixels
     // are the deconv's input pixels, so bands split input rows.
     parallel_bands(static_cast<std::size_t>(h), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
-                     im2col_t(gb, cout_, oh, ow, k_, stride_, pad_, w,
+                     im2col_t(gb, cout, oh, ow, k, stride(), padding(), w,
                               static_cast<int>(lo), static_cast<int>(hi),
                               colt + lo * w * kdim);
                    });
 
     // gW += X_b x colt, striped over gW columns.
-    pack_a(xb, static_cast<int>(in_hw), cin_, static_cast<int>(in_hw), xpk);
+    pack_a(xb, static_cast<int>(in_hw), cin, static_cast<int>(in_hw), xpk);
     parallel_bands(static_cast<std::size_t>(kdim), macs, arena_,
                    [&](std::size_t lo, std::size_t hi, util::ScratchArena&) {
-                     gemm_packed(cin_, static_cast<int>(hi - lo),
+                     gemm_packed(cin, static_cast<int>(hi - lo),
                                  static_cast<int>(in_hw), xpk, colt + lo,
                                  kdim, gw_.data() + lo, kdim);
                    });
   }
 
-  detail::conv_forward(grad_out.data(), n, cout_, oh, ow, k_, stride_, pad_,
-                       LoweredWeights{cin_, kdim, wp, nullptr}, nullptr,
-                       scratch_, dx.data(), h, w, arena_);
-}
-
-std::size_t ConvTranspose2D::macs_per_sample() const {
-  return static_cast<std::size_t>(cin_) * cout_ * k_ * k_ * last_in_hw_;
+  detail::lowered_forward(adjoint_, grad_out.data(), n, oh, ow, &a, nullptr,
+                          scratch_, dx.data(), arena_);
 }
 
 }  // namespace s2a::nn

@@ -3,27 +3,31 @@
 // These back the BEV detector backbones (lidar), the occupancy decoder's
 // upsampling stages, and the optical-flow networks (neuro).
 //
-// Every pass runs as a cache-blocked GEMM (nn/gemm.hpp) with per-layer
-// ScratchArena workspaces. The forwards build no lowered matrix: each
-// copies its input once into a zero-padded buffer (s*s polyphase
-// planes for a stride-s conv) and the GEMM reads every B row straight
-// out of it through a table of row offsets (gemm_packed_rows). The
-// deconv splits into sub-pixel phases, each a stride-1 conv over the
-// same padded input with its own tap table. Weight gradients lower to
+// Both are one ConvLayer: a shape-only lowering (detail::ConvLowering,
+// nn/conv_rows.hpp) that the constructor builds once, plus the weight
+// layout, which only the backward reads. Every pass runs as a
+// cache-blocked GEMM (nn/gemm.hpp) with a per-layer ScratchArena
+// workspace. The forward is the lowering's: it packs each phase's
+// weight panel through the lowering's row table and runs
+// detail::lowered_forward, which builds no lowered matrix but copies
+// the input once into a zero-padded buffer and reads every B row
+// straight out of it through a table of row offsets
+// (gemm_packed_rows). A conv is one phase over s*s polyphase input
+// planes; a deconv is s*s sub-pixel phases, each a stride-1 conv over
+// one padded plane with its own tap table. Weight gradients lower to
 // grad_out x im2col_t(input) (nn/im2col.hpp), input gradients to
-// Wᵀ x grad_out folded by col2im_band (Conv2D) or to a plain strided
-// convolution of grad_out by the adjoint kernel, through the forward's
-// padded-input path (ConvTranspose2D). Every GEMM reduces in the direct
-// loops' accumulation order, so every output and gradient element is
-// bit-identical to those loops (see docs/ARCHITECTURE.md, "Kernels &
-// memory"). The direct loops live in the test tree as the oracle
-// (tests/nn_oracle.hpp): the kernel equivalence tests diff both
-// directions against it bit-for-bit, and the finite-difference gradient
-// checks pin the arithmetic. infer() runs the same forward kernels
-// without keeping the input for backward(); it still records the output
-// size macs_per_sample() reads. The forward loops themselves live in
-// nn/conv_rows.hpp, which nn::FrozenConv (nn/frozen.hpp) also drives,
-// on a subset of output sites, and for a deployed model.
+// Wᵀ x grad_out folded by col2im_band (Conv2D) or to the forward of
+// the adjoint conv lowering on grad_out (ConvTranspose2D). Every GEMM
+// reduces in the direct loops' accumulation order, so every output
+// and gradient element is bit-identical to those loops (see
+// docs/ARCHITECTURE.md, "Kernels & memory"). The direct loops live in
+// the test tree as the oracle (tests/nn_oracle.hpp): the kernel
+// equivalence tests diff both directions against it bit-for-bit, and
+// the finite-difference gradient checks pin the arithmetic. infer()
+// runs the same forward without keeping the input for backward(); it
+// still records the MACs macs_per_sample() reads. nn::FrozenConv
+// (nn/frozen.hpp) runs the same lowering on a subset of output sites,
+// and for a deployed model.
 #pragma once
 
 #include <vector>
@@ -34,107 +38,82 @@
 
 namespace s2a::nn {
 
-class Conv2D : public Layer {
+class ConvLayer : public Layer {
  public:
-  Conv2D(int in_channels, int out_channels, int kernel, int stride,
-         int padding, Rng& rng);
-
   Tensor forward(const Tensor& x) override;  ///< x: [N, Cin, H, W]
   Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
-  std::size_t macs_per_sample() const override;
+  std::size_t macs_per_sample() const override { return last_macs_; }
 
-  int out_size(int in_size) const {
-    return (in_size + 2 * pad_ - k_) / stride_ + 1;
-  }
+  int out_size(int in_size) const { return lowering_.out_size(in_size); }
   /// Dense forward MACs of one h x w sample, whatever the last call ran.
-  std::size_t macs_for(int h, int w) const {
-    return static_cast<std::size_t>(cout_) * cin_ * k_ * k_ *
-           static_cast<std::size_t>(out_size(h)) * out_size(w);
-  }
-  int in_channels() const { return cin_; }
-  int out_channels() const { return cout_; }
-  int kernel() const { return k_; }
-  int stride() const { return stride_; }
-  int padding() const { return pad_; }
+  std::size_t macs_for(int h, int w) const { return lowering_.macs_for(h, w); }
+  int in_channels() const { return lowering_.cin; }
+  int out_channels() const { return lowering_.cout; }
+  int kernel() const { return lowering_.k; }
+  int stride() const { return lowering_.s; }
+  int padding() const { return lowering_.pad; }
   const Tensor& weight() const { return w_; }
   const Tensor& bias() const { return b_; }
+  const detail::ConvLowering& lowering() const { return lowering_; }
   const util::ScratchArena* scratch() const override { return &arena_; }
 
- private:
-  // The shared body of forward() and infer(): checks, records the
-  // output size for macs_per_sample(), runs forward_gemm.
-  Tensor apply(const Tensor& x);
-  void forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
-                    int ow);
-  void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
-                     int oh, int ow);
+ protected:
+  // w_ is [c0, c1, k, k], He-initialized for fan-in c1*k*k.
+  // `backward_span` names backward()'s trace span (a string literal).
+  ConvLayer(detail::ConvLowering lowering, int c0, int c1,
+            const char* backward_span, Rng& rng);
+  // The input gradient into dx and the weight gradient into gw_, for
+  // grad_out of the last forward()'s input.
+  virtual void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
+                             int w, int oh, int ow) = 0;
 
-  int cin_, cout_, k_, stride_, pad_;
-  Tensor w_, b_, gw_, gb_;  // w: [Cout, Cin, k, k]
+  detail::ConvLowering lowering_;
+  Tensor w_, b_, gw_, gb_;
   Tensor last_x_;
-  std::size_t last_out_hw_ = 0;  // set by forward/infer, used by macs
-  // The forward's tap table into its padded input and its row plan
-  // (shape-only, rebuilt per call into the same storage).
+  // The forward's tap tables and row plan (shape-only, rebuilt per call
+  // into the same storage).
   detail::ForwardScratch scratch_;
   // Padded input, packed weights and band tiles; sized on first
   // forward, reused after.
   util::ScratchArena arena_;
+
+ private:
+  // The shared body of forward() and infer(): checks, records the MACs
+  // for macs_per_sample(), packs the weights and runs the lowering.
+  Tensor apply(const Tensor& x);
+
+  const char* backward_span_;
+  std::vector<detail::LoweredWeights> a_;  // one per phase
+  std::size_t last_macs_ = 0;              // set by forward/infer
+};
+
+class Conv2D : public ConvLayer {
+ public:
+  Conv2D(int in_channels, int out_channels, int kernel, int stride,
+         int padding, Rng& rng);
+
+ private:
+  void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
+                     int oh, int ow) override;
 };
 
 /// Transposed convolution (a.k.a. deconvolution) for decoder upsampling.
 /// Output spatial size: (in-1)*stride - 2*pad + kernel.
-class ConvTranspose2D : public Layer {
+class ConvTranspose2D : public ConvLayer {
  public:
   ConvTranspose2D(int in_channels, int out_channels, int kernel, int stride,
                   int padding, Rng& rng);
 
-  Tensor forward(const Tensor& x) override;
-  Tensor infer(Tensor x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::vector<Tensor*> params() override { return {&w_, &b_}; }
-  std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
-  std::size_t macs_per_sample() const override;
-
-  int out_size(int in_size) const {
-    return (in_size - 1) * stride_ - 2 * pad_ + k_;
-  }
-  /// Dense forward MACs of one h x w sample, whatever the last call ran.
-  std::size_t macs_for(int h, int w) const {
-    return static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
-           static_cast<std::size_t>(h) * w;
-  }
-  int in_channels() const { return cin_; }
-  int out_channels() const { return cout_; }
-  int kernel() const { return k_; }
-  int stride() const { return stride_; }
-  int padding() const { return pad_; }
-  const Tensor& weight() const { return w_; }
-  const Tensor& bias() const { return b_; }
-  const detail::DeconvPhases& phases() const { return phases_; }
-  const util::ScratchArena* scratch() const override { return &arena_; }
-
  private:
-  Tensor apply(const Tensor& x);  // as Conv2D::apply
-  void forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w, int oh,
-                    int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
-                     int oh, int ow);
+                     int oh, int ow) override;
 
-  int cin_, cout_, k_, stride_, pad_;
-  // Shape-only sub-pixel phase tables, built once by the constructor.
-  // Offsets only, never weight values: the forward packs its panels
-  // through them on every call (nn::FrozenConv reads them too).
-  detail::DeconvPhases phases_;
-  Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]
-  Tensor last_x_;
-  std::size_t last_in_hw_ = 0;  // set by forward/infer, used by macs
-  // Tap tables into the padded input (every phase's for the forward,
-  // the adjoint conv's for the input gradient) and the row plan.
-  detail::ForwardScratch scratch_;
-  util::ScratchArena arena_;
+  // The input gradient's lowering: a stride-s conv of grad_out by w_
+  // viewed as [cin, cout*k*k].
+  detail::ConvLowering adjoint_;
 };
 
 }  // namespace s2a::nn

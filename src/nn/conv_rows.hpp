@@ -1,23 +1,30 @@
-// Row-addressed conv and deconv forwards: the one forward loop shared by
-// the training layers (nn/conv2d.hpp) and the frozen conv stack
-// (nn/frozen.hpp). Internal to src/nn.
+// How a conv layer lowers to GEMMs, and the one forward loop that runs
+// the lowering: shared by the training layers (nn/conv2d.hpp) and the
+// frozen conv stack (nn/frozen.hpp). Internal to src/nn.
 //
-// Both forwards compute a chosen set of output sites. An OutputRows
+// A ConvLowering is shape only: which weight feeds which row of each
+// GEMM's A matrix, and how its B rows sit in a zero-padded copy of the
+// input. Conv2D and ConvTranspose2D each build one in their
+// constructor; a conv is the one-phase case of the deconv's sub-pixel
+// lowering. lowered_forward runs either, and ConvLowering::pack and
+// ::quantize build the A side of every phase for it, float or int8.
+//
+// The forward computes a chosen set of output sites. An OutputRows
 // lists column spans of (image, output row) units b * oh + oy in
 // ascending (unit, x0) order, several disjoint ones per unit allowed.
 // A run of consecutive full rows of one image is one band through
 // band_gemm / gemm_packed_rows. Every other listed site joins one
-// gathered GEMM per conv (per phase of a deconv) for the whole batch:
-// each tap's values for those sites are copied, one contiguous span at
-// a time, out of the padded input into one B panel, the panel's columns
-// run through gemm_packed in NR-wide tiles sharded over the global pool,
-// and the results scatter back to y. So a stage costs per listed site,
-// not per listed row. A forward writes every channel of its sites and
-// nothing else, so the sites not listed keep whatever y held. The
-// default OutputRows is every full row of the batch, which is the
-// layers' own forward. An output element's reduction chain does not
-// depend on which band or panel column computes it, so a site's bits
-// are the same whatever is listed with it (see nn/conv2d.cpp).
+// gathered GEMM per phase for the whole batch: each tap's values for
+// those sites are copied, one contiguous span at a time, out of the
+// padded input into one B panel, the panel's columns run through
+// gemm_packed in NR-wide tiles sharded over the global pool, and the
+// results scatter back to y. So a stage costs per listed site, not per
+// listed row. A forward writes every channel of its sites and nothing
+// else, so the sites not listed keep whatever y held. The default
+// OutputRows is every full row of the batch, which is the layers' own
+// forward. An output element's reduction chain does not depend on
+// which band or panel column computes it, so a site's bits are the
+// same whatever is listed with it (see nn/conv2d.cpp).
 #pragma once
 
 #include <cstddef>
@@ -98,43 +105,72 @@ struct ForwardScratch {
   std::vector<GatherGemm> gemms;
 };
 
-// y ([n, a.m, oh, ow]) = a stride-s convolution of x ([n, c, h, w],
-// zero-padded by `pad`) by the k x k kernel behind `a`, each output
-// starting from bias (nullptr: 0.0), on the sites `rows` lists; partial
-// rows need float weights. `padded`, if given, is the caller's padded
-// input; `act`, if given, is applied to every output. Returns the GEMM
-// columns computed, NR padding included.
-std::size_t conv_forward(const double* x, int n, int c, int h, int w, int k,
-                         int s, int pad, const LoweredWeights& a,
-                         const double* bias, ForwardScratch& scratch,
-                         double* y, int oh, int ow, util::ScratchArena& arena,
-                         OutputRows rows = {}, PaddedCache* padded = nullptr,
-                         Activation act = nullptr);
-
-// A transposed convolution's shape-only sub-pixel phase tables.
-// taps[p]: the kernel offsets t with t % s == p, descending.
-// rows[py * s + px]: for each row r = (ic, jy, jx) of that phase's dense
-// [cout, kdim] weight matrix, the offset in the [cin, cout, k, k] weight
-// tensor of w[ic, 0, taps[py][jy], taps[px][jx]]; output channel oc
-// adds oc*k*k. A phase's weight panel is
-// pack_a_indexed(w, k*k, rows[ph], cout, rows[ph].size()); its int8
-// matrix is quantize_rows of the same [cout, rows[ph].size()] gather.
-struct DeconvPhases {
-  std::vector<std::vector<int>> taps;
+// A conv layer's lowering. A GEMM phase computes the outputs of one
+// sub-pixel grid: output rows first(py), first(py) + grid(), ... and
+// likewise columns, for phase ph = py * grid() + px. Its A matrix is
+// [cout, rows[ph].size()] with A(oc, r) = w[oc * row_stride +
+// rows[ph][r]]; its B row r is tap r's input, read out of the padded
+// input.
+//  - A conv ([cout, cin, k, k] weights) is one phase over every output
+//    site, with identity rows (ic, ky, kx). Its padded input is s*s
+//    polyphase planes per channel, padded by `pad`, so a stride-s tap
+//    is a stride-1 read of plane (ic, ky % s, kx % s).
+//  - A deconv ([cin, cout, k, k] weights) has s*s phases over one input
+//    plane per channel, padded by floor((k-1-pad)/s). Only the taps
+//    with ky % s == (oy + pad) % s (and likewise for x) reach output
+//    row oy, so phase (py, px) reads the dense tap list taps[py] x
+//    taps[px] in (ic, jy, jx) order, taps[p] being the kernel offsets t
+//    with t % s == p, descending: ascending list order is the direct
+//    scatter's (ic, iy, ix) order. A phase with no taps (kernel shorter
+//    than the stride) is pure bias.
+// conv_lowering and deconv_lowering S2A_CHECK the kernel, stride and
+// padding before they build any table.
+struct ConvLowering {
+  int cin = 0, cout = 0, k = 0, s = 1, pad = 0;
+  bool transposed = false;
+  std::size_t row_stride = 0;
   std::vector<std::vector<std::size_t>> rows;
-};
-DeconvPhases deconv_phases(int cin, int cout, int k, int s);
+  std::vector<std::vector<int>> taps;  // deconv only
 
-// y ([n, cout, oh, ow]) = the stride-s transposed convolution of x
-// ([n, cin, h, w]) with padding `pad`, on the sites `rows` lists. a[ph]
-// is phase ph's weights (a phase with no taps is pure bias). Returns
-// the GEMM columns computed, as conv_forward.
-std::size_t deconv_forward(const double* x, int n, int cin, int h, int w,
-                           int cout, int k, int s, int pad,
-                           const DeconvPhases& phases, const LoweredWeights* a,
-                           const double* bias, ForwardScratch& scratch,
-                           double* y, int oh, int ow, util::ScratchArena& arena,
-                           OutputRows rows = {}, PaddedCache* padded = nullptr,
-                           Activation act = nullptr);
+  // Phases per axis, which is also the output step within a phase.
+  int grid() const { return transposed ? s : 1; }
+  // The first output row (or column) of phase p, and how many of
+  // `extent` output rows it holds.
+  int first(int p) const { return ((p - pad) % grid() + grid()) % grid(); }
+  int count(int p, int extent) const {
+    return first(p) < extent ? (extent - first(p) + grid() - 1) / grid() : 0;
+  }
+  int out_size(int in) const {
+    return transposed ? (in - 1) * s - 2 * pad + k : (in + 2 * pad - k) / s + 1;
+  }
+  // Dense forward MACs of one h x w sample.
+  std::size_t macs_for(int h, int w) const;
+
+  // Doubles pack() writes: every phase's packed panel.
+  std::size_t packed_size() const;
+  // Packs every phase's A panel of weights `w`, back to back in `out`,
+  // and points a[ph] at phase ph's (packed null for a phase with no
+  // taps).
+  void pack(const double* w, double* out, LoweredWeights* a) const;
+  // Every phase's A matrix of weights `w` as int8 (quantize_rows).
+  std::vector<QuantizedMatrix> quantize(const double* w) const;
+};
+ConvLowering conv_lowering(int cin, int cout, int k, int s, int pad);
+ConvLowering deconv_lowering(int cin, int cout, int k, int s, int pad);
+
+// y ([n, lw.cout, oh, ow], oh = lw.out_size(h), ow = lw.out_size(w)) =
+// the layer lw lowers, on x ([n, lw.cin, h, w]), with a[ph] phase ph's
+// weights (every phase int8, or none), each output starting from bias
+// (nullptr: 0.0), on the sites `rows` lists; partial rows need float
+// weights. `padded`, if given, is the caller's padded input; `act`, if
+// given, is applied to every output. Returns the GEMM columns computed,
+// NR padding included.
+std::size_t lowered_forward(const ConvLowering& lw, const double* x, int n,
+                            int h, int w, const LoweredWeights* a,
+                            const double* bias, ForwardScratch& scratch,
+                            double* y, util::ScratchArena& arena,
+                            OutputRows rows = {},
+                            PaddedCache* padded = nullptr,
+                            Activation act = nullptr);
 
 }  // namespace s2a::nn::detail

@@ -95,15 +95,13 @@ struct FrozenConv::Stage {
     const Tensor* b;
   };
   std::vector<Part> parts;
-  bool transposed = false;
-  int cin = 0, cout = 0, k = 0, s = 0, pad = 0;
+  detail::ConvLowering lowering;  // the heads': one conv, couts summed
   int h = 0, w = 0, oh = 0, ow = 0;  // one sample's input and output
   Act act = Act::kNone;
   std::vector<double> wkey, bkey;  // the key: bitwise copies, parts in order
-  detail::DeconvPhases phases;     // deconv only
   std::vector<double> packed;      // every phase's panel, back to back
-  std::vector<QuantizedMatrix> q;  // int8 form: one per phase (or conv)
-  std::vector<detail::LoweredWeights> a;  // one per phase (one for a conv)
+  std::vector<QuantizedMatrix> q;  // int8 form: one per phase
+  std::vector<detail::LoweredWeights> a;  // one per phase
   std::vector<double> background;  // [cout, oh, ow] for the reference input
   // The stage's padded input, kept across calls, and the input spans
   // that held non-background values at the last call that reached this
@@ -120,16 +118,22 @@ struct FrozenConv::Stage {
   // The output rows [reach_lo(i), reach_hi(i)] input row i reaches,
   // before clamping; the same for columns.
   int reach_lo(int i) const {
-    return transposed ? i * s - pad : floor_div(i + pad - k + 1 + s - 1, s);
+    const detail::ConvLowering& l = lowering;
+    return l.transposed ? i * l.s - l.pad
+                        : floor_div(i + l.pad - l.k + 1 + l.s - 1, l.s);
   }
   int reach_hi(int i) const {
-    return transposed ? i * s - pad + k - 1 : floor_div(i + pad, s);
+    const detail::ConvLowering& l = lowering;
+    return l.transposed ? i * l.s - l.pad + l.k - 1
+                        : floor_div(i + l.pad, l.s);
   }
 
-  void add_part(const Layer* l, const Tensor& lw, const Tensor& lb) {
-    parts.push_back({l, &lw, &lb});
-    wkey.insert(wkey.end(), lw.data(), lw.data() + lw.numel());
-    bkey.insert(bkey.end(), lb.data(), lb.data() + lb.numel());
+  void add_part(const ConvLayer& l) {
+    parts.push_back({&l, &l.weight(), &l.bias()});
+    wkey.insert(wkey.end(), l.weight().data(),
+                l.weight().data() + l.weight().numel());
+    bkey.insert(bkey.end(), l.bias().data(),
+                l.bias().data() + l.bias().numel());
   }
 };
 
@@ -145,11 +149,22 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
   h_ = sample[off + 1];
   w_ = sample[off + 2];
   int c = c_, h = h_, w = w_;
-  const auto check_shape = [&c](const Stage& st, std::size_t i) {
-    S2A_CHECK_MSG(st.cin == c, "FrozenConv: layer " << i << " expects "
-                                                    << st.cin << " channels");
-    S2A_CHECK_MSG(st.oh > 0 && st.ow > 0, "FrozenConv: layer "
-                                              << i << " output collapsed");
+  // Gives stage i the running shape as its input, then makes its output
+  // the running shape.
+  const auto push = [&](Stage& st, std::size_t i) {
+    S2A_CHECK_MSG(st.lowering.cin == c, "FrozenConv: layer "
+                                            << i << " expects "
+                                            << st.lowering.cin << " channels");
+    st.h = h;
+    st.w = w;
+    st.oh = st.lowering.out_size(h);
+    st.ow = st.lowering.out_size(w);
+    S2A_CHECK_MSG(st.oh > 0 && st.ow > 0,
+                  "FrozenConv: layer " << i << " output collapsed");
+    c = st.lowering.cout;
+    h = st.oh;
+    w = st.ow;
+    stages_.push_back(std::move(st));
   };
   for (std::size_t i = 0; i < layers.size(); ++i) {
     Layer* l = layers[i];
@@ -161,64 +176,35 @@ FrozenConv::FrozenConv(const std::vector<Layer*>& layers,
       stages_.back().act = relu ? Act::kRelu : Act::kSigmoid;
       continue;
     }
+    const auto* cv = dynamic_cast<const ConvLayer*>(l);
+    S2A_CHECK_MSG(cv != nullptr, "FrozenConv supports Conv2D, "
+                                 "ConvTranspose2D, ReLU and Sigmoid only");
     Stage st;
-    if (const auto* cv = dynamic_cast<const Conv2D*>(l)) {
-      st.cin = cv->in_channels();
-      st.cout = cv->out_channels();
-      st.k = cv->kernel();
-      st.s = cv->stride();
-      st.pad = cv->padding();
-      st.oh = cv->out_size(h);
-      st.ow = cv->out_size(w);
-      st.add_part(l, cv->weight(), cv->bias());
-    } else {
-      const auto* dc = dynamic_cast<const ConvTranspose2D*>(l);
-      S2A_CHECK_MSG(dc != nullptr, "FrozenConv supports Conv2D, "
-                                   "ConvTranspose2D, ReLU and Sigmoid only");
-      st.transposed = true;
-      st.cin = dc->in_channels();
-      st.cout = dc->out_channels();
-      st.k = dc->kernel();
-      st.s = dc->stride();
-      st.pad = dc->padding();
-      st.oh = dc->out_size(h);
-      st.ow = dc->out_size(w);
-      st.add_part(l, dc->weight(), dc->bias());
-      st.phases = dc->phases();
-    }
-    check_shape(st, i);
-    st.h = h;
-    st.w = w;
-    c = st.cout;
-    h = st.oh;
-    w = st.ow;
-    stages_.push_back(std::move(st));
+    st.lowering = cv->lowering();
+    st.add_part(*cv);
+    push(st, i);
   }
   if (!heads.empty()) {
     // One stage whose [sum cout, cin * k * k] weight stacks the heads'.
     Stage st;
+    const Conv2D* first = nullptr;
+    int cout = 0;
     for (std::size_t i = 0; i < heads.size(); ++i) {
-      const Layer* l = heads[i];
-      const auto* cv = dynamic_cast<const Conv2D*>(l);
+      const auto* cv = dynamic_cast<const Conv2D*>(heads[i]);
       S2A_CHECK_MSG(cv != nullptr, "FrozenConv: heads must be Conv2D");
-      S2A_CHECK_MSG(i == 0 || (cv->in_channels() == st.cin &&
-                               cv->kernel() == st.k &&
-                               cv->stride() == st.s &&
-                               cv->padding() == st.pad),
+      if (first == nullptr) first = cv;
+      S2A_CHECK_MSG(cv->in_channels() == first->in_channels() &&
+                        cv->kernel() == first->kernel() &&
+                        cv->stride() == first->stride() &&
+                        cv->padding() == first->padding(),
                     "FrozenConv: head " << i << " differs in geometry");
-      st.cin = cv->in_channels();
-      st.cout += cv->out_channels();
-      st.k = cv->kernel();
-      st.s = cv->stride();
-      st.pad = cv->padding();
-      st.oh = cv->out_size(h);
-      st.ow = cv->out_size(w);
-      st.add_part(l, cv->weight(), cv->bias());
+      cout += cv->out_channels();
+      st.add_part(*cv);
     }
-    check_shape(st, layers.size());
-    st.h = h;
-    st.w = w;
-    stages_.push_back(std::move(st));
+    st.lowering = detail::conv_lowering(first->in_channels(), cout,
+                                        first->kernel(), first->stride(),
+                                        first->padding());
+    push(st, layers.size());
   }
   S2A_CHECK_MSG(!stages_.empty(), "FrozenConv needs at least one conv");
   if (reference != nullptr)
@@ -288,48 +274,16 @@ void FrozenConv::set_reference(const Tensor& x) {
 void FrozenConv::prepare() {
   for (Stage& st : stages_) {
     if (packed_) break;  // the panels outlive a change of reference
-    const std::size_t kk2 = static_cast<std::size_t>(st.k) * st.k;
+    // Each phase's A side, packed or coded exactly as a layer's forward
+    // gets it from its lowering.
+    st.a.resize(st.lowering.rows.size());
     if (int8_) {
-      // One int8 matrix per conv ([cout, cin*k*k], the heads' rows
-      // stacked) or per deconv phase, gathered through the phase's row
-      // table into the [cout, kdim] matrix the float forward packs.
-      if (!st.transposed) {
-        const int kdim = st.cin * st.k * st.k;
-        st.q.push_back(quantize_rows(st.wkey.data(), kdim, st.cout, kdim));
-      }
-      std::vector<double> wph;
-      for (const auto& rows : st.phases.rows) {
-        const std::size_t kd = rows.size();
-        wph.resize(static_cast<std::size_t>(st.cout) * kd);
-        for (int oc = 0; oc < st.cout; ++oc)
-          for (std::size_t r = 0; r < kd; ++r)
-            wph[static_cast<std::size_t>(oc) * kd + r] =
-                st.wkey[rows[r] + static_cast<std::size_t>(oc) * kk2];
-        st.q.push_back(quantize_rows(wph.data(), static_cast<int>(kd),
-                                     st.cout, static_cast<int>(kd)));
-      }
-      for (const QuantizedMatrix& q : st.q)
-        st.a.push_back({st.cout, q.cols, nullptr, &q});
-    } else if (st.transposed) {
-      // One panel per sub-pixel phase, packed through the phase's row
-      // table exactly as ConvTranspose2D's forward packs them.
-      std::size_t total = 0;
-      for (const auto& rows : st.phases.rows)
-        total += packed_a_size(st.cout, static_cast<int>(rows.size()));
-      st.packed.resize(total);
-      double* p = st.packed.data();
-      for (const auto& rows : st.phases.rows) {
-        const int kdim = static_cast<int>(rows.size());
-        st.a.push_back({st.cout, kdim, kdim > 0 ? p : nullptr, nullptr});
-        if (kdim == 0) continue;
-        pack_a_indexed(st.wkey.data(), kk2, rows.data(), st.cout, kdim, p);
-        p += packed_a_size(st.cout, kdim);
-      }
+      st.q = st.lowering.quantize(st.wkey.data());
+      for (std::size_t ph = 0; ph < st.q.size(); ++ph)
+        st.a[ph] = {st.lowering.cout, st.q[ph].cols, nullptr, &st.q[ph]};
     } else {
-      const int kdim = st.cin * st.k * st.k;
-      st.packed.resize(packed_a_size(st.cout, kdim));
-      pack_a(st.wkey.data(), kdim, st.cout, kdim, st.packed.data());
-      st.a.push_back({st.cout, kdim, st.packed.data(), nullptr});
+      st.packed.resize(st.lowering.packed_size());
+      st.lowering.pack(st.wkey.data(), st.packed.data(), st.a.data());
     }
   }
   packed_ = true;
@@ -343,7 +297,8 @@ void FrozenConv::prepare() {
     zero.assign(static_cast<std::size_t>(c_) * h_ * w_, 0.0);
   const double* x = reference_.empty() ? zero.data() : reference_.data();
   for (Stage& st : stages_) {
-    st.background.resize(static_cast<std::size_t>(st.cout) * st.oh * st.ow);
+    st.background.resize(static_cast<std::size_t>(st.lowering.cout) * st.oh *
+                         st.ow);
     run(st, x, 1, st.background.data(), {}, nullptr);
     x = st.background.data();
   }
@@ -355,15 +310,9 @@ void FrozenConv::run(const Stage& st, const double* x, int n, double* y,
   const detail::Activation act = st.act == Act::kRelu      ? relu_inplace
                                  : st.act == Act::kSigmoid ? sigmoid_inplace
                                                            : nullptr;
-  if (st.transposed)
-    gemm_columns_ += detail::deconv_forward(
-        x, n, st.cin, st.h, st.w, st.cout, st.k, st.s, st.pad, st.phases,
-        st.a.data(), st.bkey.data(), scratch_, y, st.oh, st.ow, arena_, rows,
-        padded, act);
-  else
-    gemm_columns_ += detail::conv_forward(
-        x, n, st.cin, st.h, st.w, st.k, st.s, st.pad, st.a.front(),
-        st.bkey.data(), scratch_, y, st.oh, st.ow, arena_, rows, padded, act);
+  gemm_columns_ += detail::lowered_forward(st.lowering, x, n, st.h, st.w,
+                                          st.a.data(), st.bkey.data(), scratch_,
+                                          y, arena_, rows, padded, act);
 }
 
 namespace {
@@ -426,7 +375,7 @@ Tensor FrozenConv::backgrounds(int n) const {
   y.reserve(static_cast<std::size_t>(n) * st.background.size());
   for (int b = 0; b < n; ++b)
     y.insert(y.end(), st.background.begin(), st.background.end());
-  return Tensor({n, st.cout, st.oh, st.ow}, std::move(y));
+  return Tensor({n, st.lowering.cout, st.oh, st.ow}, std::move(y));
 }
 
 Tensor FrozenConv::infer(const Tensor& x) {
@@ -442,7 +391,7 @@ Tensor FrozenConv::infer(const Tensor& x) {
     Tensor cur;
     const double* in = x.data();
     for (const Stage& st : stages_) {
-      Tensor y({n, st.cout, st.oh, st.ow});
+      Tensor y({n, st.lowering.cout, st.oh, st.ow});
       run(st, in, n, y.data(), {}, nullptr);
       cur = std::move(y);
       in = cur.data();
@@ -528,7 +477,7 @@ Tensor FrozenConv::infer(const Tensor& x) {
       for (const detail::RowSpan& sp : st.out_spans) {
         const std::size_t b = static_cast<std::size_t>(sp.unit / st.oh);
         const std::size_t oy = static_cast<std::size_t>(sp.unit % st.oh);
-        for (int oc = 0; oc < st.cout; ++oc) {
+        for (int oc = 0; oc < st.lowering.cout; ++oc) {
           const std::size_t at =
               static_cast<std::size_t>(oc) * plane + oy * st.ow + sp.x0;
           std::copy_n(st.background.data() + at, sp.x1 - sp.x0,
@@ -549,7 +498,7 @@ Tensor FrozenConv::infer(const Tensor& x) {
       const std::size_t b = static_cast<std::size_t>(c.unit / st.oh);
       const std::size_t oy = static_cast<std::size_t>(c.unit % st.oh);
       std::fill(flags + c.x0, flags + c.x1, std::uint8_t{0});
-      for (int oc = 0; oc < st.cout; ++oc) {
+      for (int oc = 0; oc < st.lowering.cout; ++oc) {
         const std::size_t at = static_cast<std::size_t>(oc) * plane + oy * st.ow;
         const double* got = y + b * image + at;
         const double* bg = st.background.data() + at;

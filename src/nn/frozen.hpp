@@ -59,12 +59,15 @@
 // thing the tiling decides is which NaN an add of two NaNs returns; NaN
 // positions are exact.
 //
-// FrozenConv::quantized() builds the int8 form of the same snapshot:
-// the deployed int8 model (nn/quant.hpp). It takes the same layer and
-// head lists and the same bitwise copy of the weights, and its first
-// infer() codes each stage with quantize_rows (one matrix per conv,
-// one per deconv phase) in place of packing panels. It runs every
-// stage on every site through the same band loop: an image's activation
+// Every stage is one conv lowering (detail::ConvLowering, the layer's
+// own; the heads' is one conv with their output channels summed), so a
+// Conv2D and a ConvTranspose2D stage are packed, coded and run by the
+// same code. FrozenConv::quantized() builds the int8 form of the same
+// snapshot: the deployed int8 model (nn/quant.hpp). It takes the same
+// layer and head lists and the same bitwise copy of the weights, and
+// its first infer() codes each stage's phases with the lowering's
+// quantize() in place of packing panels. It runs every stage on every
+// site through the same band loop: an image's activation
 // scale spans its whole layer input, so a change anywhere can move all
 // of its outputs. It keeps no reference, background or padded input. It is
 // a value: later writes to the layers' weights do not reach it.
@@ -177,8 +180,8 @@ class FrozenConv {
   void scan_image(const double* x, std::size_t b);
   // n copies of the last stage's background.
   Tensor backgrounds(int n) const;
-  // Runs stage st over n images of x into y on the listed sites (conv
-  // or deconv, then the activation on those sites), reading the padded
+  // Runs stage st over n images of x into y on the listed sites (its
+  // lowering, then the activation on those sites), reading the padded
   // input from `padded` when given.
   void run(const Stage& st, const double* x, int n, double* y,
            detail::OutputRows rows, detail::PaddedCache* padded);

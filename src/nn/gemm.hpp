@@ -66,9 +66,11 @@
 // call only when both memcmp-equal the live weights and the active
 // kernel, so no writer has to invalidate it. nn::Frozen (Dense stacks)
 // is built per call and dropped on return.
-// ConvTranspose2D builds its per-phase panels with pack_a_indexed(),
-// one indexed copy out of the kernel tensor through a shape-only
-// (phase, row) -> offset table made in its constructor.
+// Every conv layer packs its panels with pack_a_indexed(): one indexed
+// copy out of the kernel tensor per GEMM phase, through the shape-only
+// column table of the layer's lowering (detail::ConvLowering, built in
+// its constructor; identity columns for a Conv2D, one tap list per
+// sub-pixel phase for a ConvTranspose2D).
 //
 // A batch-1 Dense forward has n = 1: its one column strip goes to the
 // family's `col` tile once per k panel, for every row panel at once. The
@@ -119,8 +121,8 @@ std::size_t packed_a_size(int m, int k);
 void pack_a(const double* a, int lda, int m, int k, double* out);
 
 /// pack_a for an A reached through a column table: element (i, kk) is
-/// a[i*row_stride + col_off[kk]]. ConvTranspose2D packs each sub-pixel
-/// phase's weight panel straight out of its kernel tensor this way.
+/// a[i*row_stride + col_off[kk]]. detail::ConvLowering::pack packs each
+/// conv phase's weight panel straight out of its kernel tensor this way.
 void pack_a_indexed(const double* a, std::size_t row_stride,
                     const std::size_t* col_off, int m, int k, double* out);
 

@@ -1,9 +1,9 @@
-// Patch lowering for the conv backward GEMMs, and the span gather the
-// forward's padded-input copy is built from.
+// Patch lowering for the conv backward GEMMs.
 //
 // The forwards never build a lowered matrix: they read every B row
 // straight out of one zero-padded copy of the input through a table of
-// row offsets (nn/conv2d.cpp, gemm_packed_rows in nn/gemm.hpp). The
+// row offsets (detail::lowered_forward in nn/conv2d.cpp, which fills
+// that copy row by row itself; gemm_packed_rows in nn/gemm.hpp). The
 // backward passes still lower: im2col_t writes the transposed patch
 // matrix the weight-gradient GEMMs consume, and col2im_band folds the
 // input-gradient columns of Conv2D back onto the image. Their rows walk
@@ -18,35 +18,12 @@
 // passes give each task its own band.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 
 namespace s2a::nn {
 
 /// Lowered-matrix row count for a (cin, k) convolution.
 inline int im2col_rows(int cin, int k) { return cin * k * k; }
-
-/// One lowered row: row[j] = src[i0 + j*step] where that index lies in
-/// [0, extent), else 0.0, for j in [0, n). The in-range j form one span
-/// [lo, hi), computed once, so the row is a zero fill, a (strided) copy
-/// and a zero fill with no per-element bounds test. The conv layers'
-/// padded-input copy builds each plane row with it.
-inline void gather_row(const double* src, int i0, int step, int extent, int n,
-                       double* row) {
-  const int lo = std::min(n, i0 >= 0 ? 0 : (step - 1 - i0) / step);
-  const int hi =
-      std::clamp(i0 < extent ? (extent - 1 - i0) / step + 1 : 0, lo, n);
-  // The edge tests skip library calls on the (common) unclamped rows.
-  if (lo > 0) std::fill(row, row + lo, 0.0);
-  if (step == 1) {
-    if (hi > lo) std::copy(src + (i0 + lo), src + (i0 + hi), row + lo);
-  } else {
-    for (int j = lo; j < hi; ++j)
-      row[j] = src[static_cast<std::ptrdiff_t>(i0) +
-                   static_cast<std::ptrdiff_t>(j) * step];
-  }
-  if (hi < n) std::fill(row + hi, row + n, 0.0);
-}
 
 /// Transposed im2col for the weight-gradient GEMMs: writes the band's
 /// rows of the transposed patch matrix (the test tree's im2col,

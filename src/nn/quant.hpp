@@ -16,8 +16,9 @@
 //
 // Routing: the training layers are float only. The int8 model is a
 // frozen value, nn::FrozenConv::quantized() (nn/frozen.hpp), which
-// codes each conv's and deconv phase's weights with quantize_rows and
-// runs them through the conv band loop (nn/conv_rows.hpp). A model
+// codes every GEMM phase of each conv's lowering with quantize_rows
+// (detail::ConvLowering::quantize) and runs them through the one conv
+// forward (nn/conv_rows.hpp). A model
 // holding one refuses train_step(). Non-finite weights and activations
 // have no int8 code, so they turn the outputs that read them into NaN —
 // non-finite exactly where the float path is, which keeps the loop's

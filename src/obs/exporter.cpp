@@ -1,7 +1,6 @@
 #include "obs/exporter.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -33,47 +32,6 @@ void escape(std::ostream& os, const std::string& s) {
   }
 }
 
-/// Extracts the value of `"key":` in `line` as raw text (up to the next
-/// ',' or '}'), or nullopt. Keys JsonlExporter emits are never nested.
-std::optional<std::string> field(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  auto begin = pos + needle.size();
-  auto end = begin;
-  bool in_string = false;
-  for (; end < line.size(); ++end) {
-    const char c = line[end];
-    if (c == '"' && (end == begin || line[end - 1] != '\\')) in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-  }
-  return line.substr(begin, end - begin);
-}
-
-std::optional<std::string> string_field(const std::string& line,
-                                        const std::string& key) {
-  auto raw = field(line, key);
-  if (!raw || raw->size() < 2 || raw->front() != '"' || raw->back() != '"')
-    return std::nullopt;
-  std::string out;
-  for (std::size_t i = 1; i + 1 < raw->size(); ++i) {
-    if ((*raw)[i] == '\\' && i + 2 < raw->size()) ++i;
-    out += (*raw)[i];
-  }
-  return out;
-}
-
-std::optional<double> number_field(const std::string& line,
-                                   const std::string& key) {
-  auto raw = field(line, key);
-  if (!raw || raw->empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str()) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 void JsonlExporter::export_metrics(const MetricsSnapshot& snapshot,
@@ -95,38 +53,6 @@ void JsonlExporter::export_metrics(const MetricsSnapshot& snapshot,
        << ",\"p50\":" << num(h.p50) << ",\"p95\":" << num(h.p95)
        << ",\"p99\":" << num(h.p99) << "}\n";
   }
-}
-
-std::optional<ParsedMetric> parse_metric_line(const std::string& line) {
-  const auto type = string_field(line, "type");
-  const auto name = string_field(line, "name");
-  if (!type || !name) return std::nullopt;
-  ParsedMetric m;
-  m.name = *name;
-  if (*type == "counter" || *type == "gauge") {
-    m.kind = *type == "counter" ? ParsedMetric::Kind::kCounter
-                                : ParsedMetric::Kind::kGauge;
-    const auto v = number_field(line, "value");
-    if (!v) return std::nullopt;
-    m.value = *v;
-    return m;
-  }
-  if (*type == "histogram") {
-    m.kind = ParsedMetric::Kind::kHistogram;
-    const auto count = number_field(line, "count");
-    const auto mean = number_field(line, "mean");
-    const auto p50 = number_field(line, "p50");
-    const auto p95 = number_field(line, "p95");
-    const auto p99 = number_field(line, "p99");
-    if (!count || !mean || !p50 || !p95 || !p99) return std::nullopt;
-    m.count = static_cast<std::uint64_t>(*count);
-    m.mean = *mean;
-    m.p50 = *p50;
-    m.p95 = *p95;
-    m.p99 = *p99;
-    return m;
-  }
-  return std::nullopt;
 }
 
 void TableExporter::export_metrics(const MetricsSnapshot& snapshot,

@@ -2,14 +2,13 @@
 //
 // An Exporter turns a MetricsSnapshot into bytes on a stream. Two
 // backends ship in-tree:
-//  * JsonlExporter — one JSON object per line, machine-readable; the
-//    matching parse_metric_line() gives lossless round-trips (tested in
-//    tests/obs_test.cpp).
+//  * JsonlExporter — one JSON object per line, machine-readable, with
+//    every number at round-trip precision (tests/obs_test.cpp parses
+//    the lines back).
 //  * TableExporter — aligned human-readable tables via util/table.hpp,
 //    the same formatting every bench binary uses.
 #pragma once
 
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -34,19 +33,6 @@ class JsonlExporter : public Exporter {
   void export_metrics(const MetricsSnapshot& snapshot,
                       std::ostream& os) override;
 };
-
-/// A parsed JSONL metric line (the inverse of JsonlExporter, scoped to
-/// exactly the shape it emits — not a general JSON parser).
-struct ParsedMetric {
-  enum class Kind { kCounter, kGauge, kHistogram } kind = Kind::kCounter;
-  std::string name;
-  double value = 0.0;  ///< counter/gauge value
-  std::uint64_t count = 0;
-  double mean = 0.0, p50 = 0.0, p95 = 0.0, p99 = 0.0;
-};
-
-/// Parses one JsonlExporter line; nullopt on malformed input.
-std::optional<ParsedMetric> parse_metric_line(const std::string& line);
 
 /// Aligned text tables (one per instrument kind present in the snapshot).
 class TableExporter : public Exporter {

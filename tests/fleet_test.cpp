@@ -437,10 +437,12 @@ TEST(Fleet, AdmissionKeepsStragglerWavesOffHealthyMembers) {
   // stragglers through try_add(). Wave 1 lands on a cold window
   // (admitted) and drives the miss/shed pressure up; waves 2 and 3 meet
   // that pressure (a degraded contract, then rejection at saturation).
-  // No healthy member may miss a deadline or be shed. The wave decisions
-  // are not checked: they follow wall-clock misses. Nor does this show
-  // admission is needed: pop-time shedding alone holds each hopeless
-  // straggler to one dispatch, so admitting every wave passes too.
+  // No healthy member may miss a deadline or be shed. Every straggler
+  // tick is a miss or a shed, so after two runs the window holds 600
+  // bad outcomes of 1880 (0.32, over the 0.25 reject threshold): the
+  // third wave's rejection is a count, not a wall-clock race, and it is
+  // what shows admission at work, since pop-time shedding alone would
+  // keep the healthy members whole too.
   util::ScopedGlobalThreads threads(4);
   constexpr int kHealthy = 16, kHealthyTicks = 40, kWaveTicks = 30;
   FleetConfig fc;
@@ -462,25 +464,33 @@ TEST(Fleet, AdmissionKeepsStragglerWavesOffHealthyMembers) {
   // Stragglers stall 20 ms per tick against a 2 ms budget: hopeless.
   std::vector<std::unique_ptr<StragglerStack>> stragglers;
   const auto wave = [&](int n, int base_seed) {
+    std::vector<AdmissionDecision> decisions;
     for (int i = 0; i < n; ++i) {
       stragglers.push_back(std::make_unique<StragglerStack>(20));
-      fleet.try_add(stragglers.back()->loop,
-                    {kWaveTicks, /*deadline_s=*/2e-3, /*shed_slack=*/4.0},
-                    /*seed=*/base_seed + i);
+      decisions.push_back(
+          fleet
+              .try_add(stragglers.back()->loop,
+                       {kWaveTicks, /*deadline_s=*/2e-3, /*shed_slack=*/4.0},
+                       /*seed=*/base_seed + i)
+              .decision);
     }
+    return decisions;
   };
 
   wave(4, 8100);
   const FleetStats s1 = fleet.run();
   wave(12, 8200);
   const FleetStats s2 = fleet.run();
-  wave(4, 8300);
+  for (const AdmissionDecision d : wave(4, 8300))
+    EXPECT_EQ(d, AdmissionDecision::kRejected) << admission_name(d);
+  EXPECT_EQ(fleet.size(), 32u);
+  const FleetStats s3 = fleet.run();
 
   long wave1_shed = 0;
   for (int i = kHealthy; i < kHealthy + 4; ++i)
     wave1_shed += s1.loops[static_cast<std::size_t>(i)].shed;
   EXPECT_GT(wave1_shed, 0) << "the first wave put no pressure on the fleet";
-  for (const FleetStats* s : {&s1, &s2})
+  for (const FleetStats* s : {&s1, &s2, &s3})
     for (int i = 0; i < kHealthy; ++i) {
       const FleetLoopStats& ls = s->loops[static_cast<std::size_t>(i)];
       EXPECT_EQ(ls.deadline_misses, 0) << "healthy member " << i;

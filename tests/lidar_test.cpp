@@ -499,6 +499,19 @@ TEST(Detector, ApIgnoresOtherClasses) {
   EXPECT_DOUBLE_EQ(evaluate_ap({d}, {scene}, sim::ObjectClass::kCar, 0.5), 0.0);
 }
 
+TEST(Detector, ApAtZeroIouThresholdSkipsEmptyScenes) {
+  // A detection in a scene with no objects has nothing to match, even
+  // at threshold 0, where every IoU clears the bar.
+  const std::vector<sim::Scene> scenes{sim::Scene{}, one_car_scene()};
+  const std::vector<std::vector<Detection>> dets{
+      {{sim::ObjectClass::kCar, {{-40, 40, 0.8}, {4.2, 1.8, 1.6}}, 0.9}},
+      {{sim::ObjectClass::kCar, scenes[1].objects[0].box, 0.5}}};
+  const double ap = evaluate_ap(dets, scenes, sim::ObjectClass::kCar, 0.0);
+  EXPECT_GT(ap, 0.0);
+  EXPECT_DOUBLE_EQ(ap,
+                   evaluate_ap(dets, scenes, sim::ObjectClass::kCar, 0.5));
+}
+
 TEST(Energy, ConventionalScanReportMatchesConfig) {
   sim::LidarConfig lc;
   lc.azimuth_steps = 90;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <tuple>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -313,6 +314,17 @@ TEST(ConvTranspose2DLayer, GradientCheck) {
   ConvTranspose2D d(2, 2, 3, 2, 1, rng);
   const Tensor x = Tensor::randn({1, 2, 3, 3}, rng);
   check_gradients(d, x, 1e-5, 1e-5);
+}
+
+TEST(ConvLayers, RejectBadKernelStrideOrPadding) {
+  // The check runs before the lowering tables are built: a zero stride
+  // would divide by zero in the deconv's tap split.
+  Rng rng(20);
+  for (const auto& [k, s, pad] : {std::tuple{0, 1, 0}, std::tuple{3, 0, 1},
+                                  std::tuple{3, 1, -1}}) {
+    EXPECT_THROW(Conv2D(2, 2, k, s, pad, rng), CheckError);
+    EXPECT_THROW(ConvTranspose2D(2, 2, k, s, pad, rng), CheckError);
+  }
 }
 
 TEST(GRUCellLayer, StepShapesAndRange) {

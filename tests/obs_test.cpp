@@ -9,7 +9,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -17,6 +21,90 @@
 namespace {
 
 using namespace s2a;
+
+/// A parsed JSONL metric line (the inverse of obs::JsonlExporter, scoped
+/// to exactly the shape it emits — not a general JSON parser).
+struct ParsedMetric {
+  enum class Kind { kCounter, kGauge, kHistogram } kind = Kind::kCounter;
+  std::string name;
+  double value = 0.0;  ///< counter/gauge value
+  std::uint64_t count = 0;
+  double mean = 0.0, p50 = 0.0, p95 = 0.0, p99 = 0.0;
+};
+
+/// Extracts the value of `"key":` in `line` as raw text (up to the next
+/// ',' or '}'), or nullopt. Keys JsonlExporter emits are never nested.
+std::optional<std::string> field(const std::string& line,
+                                 const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto pos = line.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  auto begin = pos + needle.size();
+  auto end = begin;
+  bool in_string = false;
+  for (; end < line.size(); ++end) {
+    const char c = line[end];
+    if (c == '"' && (end == begin || line[end - 1] != '\\')) in_string = !in_string;
+    if (!in_string && (c == ',' || c == '}')) break;
+  }
+  return line.substr(begin, end - begin);
+}
+
+std::optional<std::string> string_field(const std::string& line,
+                                        const std::string& key) {
+  auto raw = field(line, key);
+  if (!raw || raw->size() < 2 || raw->front() != '"' || raw->back() != '"')
+    return std::nullopt;
+  std::string out;
+  for (std::size_t i = 1; i + 1 < raw->size(); ++i) {
+    if ((*raw)[i] == '\\' && i + 2 < raw->size()) ++i;
+    out += (*raw)[i];
+  }
+  return out;
+}
+
+std::optional<double> number_field(const std::string& line,
+                                   const std::string& key) {
+  auto raw = field(line, key);
+  if (!raw || raw->empty()) return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(raw->c_str(), &end);
+  if (end == raw->c_str()) return std::nullopt;
+  return v;
+}
+
+/// Parses one JsonlExporter line; nullopt on malformed input.
+std::optional<ParsedMetric> parse_metric_line(const std::string& line) {
+  const auto type = string_field(line, "type");
+  const auto name = string_field(line, "name");
+  if (!type || !name) return std::nullopt;
+  ParsedMetric m;
+  m.name = *name;
+  if (*type == "counter" || *type == "gauge") {
+    m.kind = *type == "counter" ? ParsedMetric::Kind::kCounter
+                                : ParsedMetric::Kind::kGauge;
+    const auto v = number_field(line, "value");
+    if (!v) return std::nullopt;
+    m.value = *v;
+    return m;
+  }
+  if (*type == "histogram") {
+    m.kind = ParsedMetric::Kind::kHistogram;
+    const auto count = number_field(line, "count");
+    const auto mean = number_field(line, "mean");
+    const auto p50 = number_field(line, "p50");
+    const auto p95 = number_field(line, "p95");
+    const auto p99 = number_field(line, "p99");
+    if (!count || !mean || !p50 || !p95 || !p99) return std::nullopt;
+    m.count = static_cast<std::uint64_t>(*count);
+    m.mean = *mean;
+    m.p50 = *p50;
+    m.p95 = *p95;
+    m.p99 = *p99;
+    return m;
+  }
+  return std::nullopt;
+}
 
 /// Enables obs for the test body and restores the previous state.
 class ScopedObs {
@@ -260,19 +348,19 @@ TEST(Exporter, JsonlRoundTripsEveryInstrumentKind) {
   std::string line;
   bool saw_counter = false, saw_gauge = false, saw_hist = false;
   while (std::getline(is, line)) {
-    const auto m = obs::parse_metric_line(line);
+    const auto m = parse_metric_line(line);
     ASSERT_TRUE(m.has_value()) << "unparseable line: " << line;
     if (m->name == "obs_test.rt_counter") {
       saw_counter = true;
-      EXPECT_EQ(m->kind, obs::ParsedMetric::Kind::kCounter);
+      EXPECT_EQ(m->kind, ParsedMetric::Kind::kCounter);
       EXPECT_DOUBLE_EQ(m->value, 42.0);
     } else if (m->name == "obs_test.rt_gauge") {
       saw_gauge = true;
-      EXPECT_EQ(m->kind, obs::ParsedMetric::Kind::kGauge);
+      EXPECT_EQ(m->kind, ParsedMetric::Kind::kGauge);
       EXPECT_DOUBLE_EQ(m->value, -1.25e-3);  // num() round-trips exactly
     } else if (m->name == "obs_test.rt_hist") {
       saw_hist = true;
-      EXPECT_EQ(m->kind, obs::ParsedMetric::Kind::kHistogram);
+      EXPECT_EQ(m->kind, ParsedMetric::Kind::kHistogram);
       EXPECT_EQ(m->count, 100u);
       EXPECT_DOUBLE_EQ(m->mean, h.mean());
       EXPECT_DOUBLE_EQ(m->p50, h.quantile(0.50));
@@ -284,14 +372,14 @@ TEST(Exporter, JsonlRoundTripsEveryInstrumentKind) {
 }
 
 TEST(Exporter, ParseRejectsMalformedLines) {
-  EXPECT_FALSE(obs::parse_metric_line("").has_value());
-  EXPECT_FALSE(obs::parse_metric_line("not json").has_value());
+  EXPECT_FALSE(parse_metric_line("").has_value());
+  EXPECT_FALSE(parse_metric_line("not json").has_value());
   EXPECT_FALSE(
-      obs::parse_metric_line("{\"type\":\"counter\"}").has_value());
-  EXPECT_FALSE(obs::parse_metric_line(
+      parse_metric_line("{\"type\":\"counter\"}").has_value());
+  EXPECT_FALSE(parse_metric_line(
                    "{\"type\":\"weird\",\"name\":\"x\",\"value\":1}")
                    .has_value());
-  EXPECT_FALSE(obs::parse_metric_line(
+  EXPECT_FALSE(parse_metric_line(
                    "{\"type\":\"counter\",\"name\":\"x\",\"value\":oops}")
                    .has_value());
 }
@@ -301,7 +389,7 @@ TEST(Exporter, JsonlEscapesQuotesInNames) {
   snap.counters.push_back({"weird\"name", 1});
   std::ostringstream os;
   obs::JsonlExporter().export_metrics(snap, os);
-  const auto m = obs::parse_metric_line(os.str());
+  const auto m = parse_metric_line(os.str());
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->name, "weird\"name");
 }
